@@ -3,13 +3,19 @@
 Aligning on the right (the copy of w inside aw matches w), every red block is
 either the single first block (the prepended letter), a junction spanning two
 or more green blocks, or an offset-i block contained in one green block.
+
+:func:`locate` answers "which green block holds this red block, and at what
+offset?" for a whole run of red blocks at once.  The classification here, the
+gadget loop's census in ``construction`` and the verifiers of ``toy`` and
+``general`` (whose green blocks are a constructed word's segments) all use it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParameterError
 from .parsing import Parsing, parse
@@ -60,22 +66,45 @@ def align(w, a, green_meta=None) -> AlignedParsing:
                           classes=classes, green_meta=green_meta)
 
 
+def locate(green_starts, length: int, red_starts, red_ends):
+    """Place red blocks of aw over green blocks tiling w[:length].
+
+    ``green_starts`` are the ascending starts of the green blocks in w;
+    ``red_starts`` and ``red_ends`` bound red blocks in aw, so letter p of aw
+    is letter p - 1 of w.  Returns three arrays, one entry per red block: the
+    index of the green block holding the red block's first letter in w (-1
+    when that letter lies before the first green block, as for aw's first
+    block), the offset of that letter in the green block, and whether the red
+    block also ends inside it.  Every array is sized by a block count.
+    """
+    green = np.asarray(green_starts, dtype=np.int64)
+    lo = np.asarray(red_starts, dtype=np.int64) - 1
+    index = np.searchsorted(green, lo, side="right") - 1
+    held = index >= 0
+    at = np.where(held, index, 0)
+    green_ends = np.append(green[1:], length)
+    inside = held & (np.asarray(red_ends, dtype=np.int64) - 1 <= green_ends[at])
+    return index, lo - green[at], inside
+
+
+def offset_counts(offsets) -> dict[int, int]:
+    """Number of red blocks at each offset.  Two red blocks never start at the
+    same letter, so for blocks inside distinct green blocks this is also the
+    number of green blocks violated at each offset."""
+    values, counts = np.unique(offsets, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
 def classify(green: Parsing, red: Parsing) -> list[RedClass]:
     """Per-red-block tags; positions in aw map to w by subtracting one."""
-    gstarts = green.starts
-    n_w = len(green.data)
+    index, offset, inside = locate(green.starts, len(green.data), red.starts,
+                                   red.starts[1:] + [len(red.data)])
     classes = []
-    for b in range(red.block_count):
-        rs, re = red.block_bounds(b)
-        if rs == 0:
+    for gi, off, ok in zip(index.tolist(), offset.tolist(), inside.tolist()):
+        if gi < 0:
             classes.append(RedClass("first"))
-            continue
-        lo = rs - 1           # inclusive green coordinates
-        hi = re - 2
-        gi = bisect_right(gstarts, lo) - 1
-        gend = gstarts[gi + 1] - 1 if gi + 1 < len(gstarts) else n_w - 1
-        if hi <= gend:
-            classes.append(RedClass("offset", lo - gstarts[gi], gi))
+        elif ok:
+            classes.append(RedClass("offset", off, gi))
         else:
             classes.append(RedClass("junction"))
     return classes
@@ -121,26 +150,23 @@ class Coverage(NamedTuple):
 
 def coverage_profile(ap: AlignedParsing) -> list[list[Coverage]]:
     """For each green block, the ordered red segments intersecting it."""
-    green = ap.green
-    red = ap.red
+    green, red = ap.green, ap.red
     n_w = len(green.data)
+    red_ends = red.starts[1:] + [len(red.data)]
+    first, _, _ = locate(green.starts, n_w, red.starts, red_ends)
+    # the green block holding each red block's last letter: locate that letter
+    # as a one-letter block
+    last, _, _ = locate(green.starts, n_w, np.asarray(red_ends) - 1, red_ends)
+    bounds = green.starts + [n_w]
     profile: list[list[Coverage]] = [[] for _ in range(green.block_count)]
-    gstarts = green.starts
-    for b in range(red.block_count):
-        rs, re = red.block_bounds(b)
-        if rs == 0:
+    for b, (g0, g1, rs, re) in enumerate(zip(first.tolist(), last.tolist(),
+                                             red.starts, red_ends)):
+        if g0 < 0:
             continue
-        lo, hi = rs - 1, re - 2
-        gi = bisect_right(gstarts, lo) - 1
-        while gi < green.block_count:
-            gs = gstarts[gi]
-            ge = gstarts[gi + 1] - 1 if gi + 1 < len(gstarts) else n_w - 1
-            if gs > hi:
-                break
-            seg_lo = max(lo, gs)
-            seg_hi = min(hi, ge)
-            profile[gi].append(Coverage(seg_lo - gs, seg_hi - seg_lo + 1, b))
-            gi += 1
+        for gi in range(g0, g1 + 1):
+            lo = max(rs - 1, bounds[gi])
+            hi = min(re - 1, bounds[gi + 1])
+            profile[gi].append(Coverage(lo - bounds[gi], hi - lo, b))
     return profile
 
 

@@ -128,7 +128,7 @@ def cmd_catastrophe(args) -> int:
         raise ParameterError("k must be in [5, 16]")
     cw = construct_toy(args.k, gamma=args.gamma, seed=args.seed)
     report = verify_toy(cw)
-    other = one_front_variant(cw, "1")
+    dic_1w = parse(b"1" + cw.word.data).dict_size
     front_bound = 3 * math.sqrt(len(cw.word) * report.dic_w)
     front_bound_ok = report.dic_aw <= front_bound
     obj = {
@@ -137,7 +137,7 @@ def cmd_catastrophe(args) -> int:
         "n": report.n, "s": report.s,
         "dic_w": report.dic_w,
         "dic_0w": report.dic_aw,
-        "dic_1w": other.dic_aw,
+        "dic_1w": dic_1w,
         "ratio_0w_over_w": report.dic_aw / report.dic_w,
         "front_ratio_n34": report.front_ratio,
         "chosen_i": report.chosen_i,
@@ -152,7 +152,7 @@ def cmd_catastrophe(args) -> int:
         print(f"k={args.k} gamma={args.gamma} |w|={report.n}")
         print(f"  dic(w)  = {report.dic_w:>10}  (bound {3 * math.sqrt(2 / 5) * math.sqrt(report.n):.0f})")
         print(f"  dic(0w) = {report.dic_aw:>10}  ({report.front_ratio:.3f} * |w|^(3/4))")
-        print(f"  dic(1w) = {other.dic_aw:>10}")
+        print(f"  dic(1w) = {dic_1w:>10}")
         print(f"  gadgets = {report.gadget_count}, chosen_i = {report.chosen_i}")
         print(f"  universal front bound: dic(0w) <= {front_bound:.0f}: "
               f"{'ok' if front_bound_ok else 'VIOLATED'}")

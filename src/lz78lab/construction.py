@@ -10,16 +10,14 @@ again (a from-scratch mode exists as the correctness oracle).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .alignment import GADGET, REGULAR
+import numpy as np
+
+from .alignment import GADGET, PADDING, REGULAR, locate, offset_counts
 from .errors import ConstructionError
-from .parsing import StreamParser
+from .parsing import Parsing, StreamParser
 from .words import Word
-
-_TAIL_SENTINEL = 1 << 62
-
 
 @dataclass
 class Segment:
@@ -93,12 +91,19 @@ class ConstructedWord:
         return bytes(out)
 
 
-def _segment_positions(segments: list[Segment]) -> list[int]:
-    starts, acc = [], 0
-    for seg in segments:
-        starts.append(acc)
-        acc += seg.length
-    return starts
+def _green_units_ok(cw: ConstructedWord, green: Parsing) -> bool:
+    """Whether the green parse follows the segments: one block per unit
+    (regular or gadget) segment, and any further blocks inside the padding."""
+    seg_starts = cw.segment_starts()
+    units = [s for s, seg in zip(seg_starts, cw.segments) if seg.kind != PADDING]
+    if green.starts[:len(units)] != units:
+        return False
+    # whatever follows the units must lie in the padding
+    if len(green.starts) > len(units):
+        pad_start = units[-1] + cw.segments[len(units) - 1].length if units else 0
+        if green.starts[len(units)] != pad_start:
+            return False
+    return True
 
 
 def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
@@ -118,14 +123,15 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
         segments.append(Segment(REGULAR, len(reg), chain_index, reg_index=t))
     first_new = parser.feed(b"".join(regulars))
 
-    counts = _census(parser, segments, chain_index, first_new, window, include_tail)
+    blocks, regs, offsets = _census(parser, segments, seg_lo, chain_start,
+                                    first_new, include_tail)
     record = ChainRecord(index=chain_index, source=source, q=q, q_formula=q_formula,
                          regular_count=s, chosen_i=None, gadget_count=0,
                          final_d=None, start=chain_start,
                          length=parser.position - 1 - chain_start,
-                         initial_violations={i: len(v) for i, v in counts.items()})
+                         initial_violations=offset_counts(offsets[offsets <= window]))
 
-    hot = [i for i, v in counts.items() if 2 * len(v) > s]
+    hot = [i for i, v in record.initial_violations.items() if 2 * v > s]
     if not hot:
         return record
     if len(hot) > 1:
@@ -138,12 +144,19 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
     # cause[t] = red block index witnessing the i0-violation of regular t
     cause = [-1] * s
     count = 0
-    count += _rescan(parser, segments, chain_index, 0, i0, cause, include_tail)
-
     d = s // 2 + 1
     c = 0
     cap = s
-    while count >= d:
+    while True:
+        at_i0 = offsets == i0
+        for b, t in zip(blocks[at_i0].tolist(), regs[at_i0].tolist()):
+            if cause[t] == -1:
+                cause[t] = b
+                count += 1
+        if c and cause[target] != -1:   # the last gadget left its target violated
+            d += 1
+        if count < d:
+            break
         if c >= cap:
             raise ConstructionError(
                 "gadget insertions exceeded the regular block count",
@@ -151,9 +164,9 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
                  "violations": count})
         target = _nth_violated(cause, d)
         gadget = factory.make(i0, c)
-        seg_positions = _segment_positions(segments)
         target_seg = seg_lo + _chain_seg_offset(segments, seg_lo, target)
-        insert_at = 1 + seg_positions[target_seg]
+        insert_at = 1 + chain_start + sum(seg.length
+                                          for seg in segments[seg_lo:target_seg])
 
         if scratch:
             whole = bytes(parser.buf[:insert_at]) + gadget + bytes(parser.buf[insert_at:])
@@ -174,9 +187,8 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
             if cause[t] >= kept:
                 cause[t] = -1
                 count -= 1
-        count += _rescan(parser, segments, chain_index, kept, i0, cause, include_tail)
-        if cause[target] != -1:
-            d += 1
+        blocks, regs, offsets = _census(parser, segments, seg_lo, chain_start,
+                                        kept, include_tail)
 
     record.chosen_i = i0
     record.gadget_count = c
@@ -194,55 +206,26 @@ def _chain_seg_offset(segments: list[Segment], seg_lo: int, reg_index: int) -> i
     raise AssertionError(f"regular block {reg_index} not found")
 
 
-def _iter_red_blocks(parser: StreamParser, from_block: int, include_tail: bool):
-    starts = parser.starts
-    n = len(starts)
-    for b in range(from_block, n):
-        end = starts[b + 1] if b + 1 < n else parser.block_start
-        yield b, starts[b], end
+def _census(parser: StreamParser, segments: list[Segment], seg_lo: int,
+            chain_start: int, from_block: int, include_tail: bool):
+    """The red blocks from ``from_block`` on that lie inside one regular block
+    of the chain made of ``segments[seg_lo:]``, which starts at letter
+    ``chain_start`` of the word.  Returns arrays of their block indices,
+    regular indices and offsets; the in-progress block, if included, has
+    index ``parser.completed``."""
+    chain = segments[seg_lo:]
+    lengths = np.fromiter((seg.length for seg in chain), np.int64, len(chain))
+    regular = np.fromiter((seg.reg_index if seg.kind == REGULAR else -1
+                           for seg in chain), np.int64, len(chain))
+    bounds = parser.starts[from_block:] + [parser.block_start]
     if include_tail and parser.in_progress():
-        yield _TAIL_SENTINEL, parser.block_start, parser.position
-
-
-def _locate(seg_positions, segments, lo, hi, chain_index):
-    """Regular green block of ``chain_index`` fully containing [lo, hi], if any."""
-    si = bisect_right(seg_positions, lo) - 1
-    seg = segments[si]
-    if seg.kind != REGULAR or seg.chain != chain_index:
-        return None
-    seg_start = seg_positions[si]
-    if hi > seg_start + seg.length - 1:
-        return None
-    return seg.reg_index, lo - seg_start
-
-
-def _census(parser, segments, chain_index, from_block, window, include_tail):
-    seg_positions = _segment_positions(segments)
-    hits: dict[int, set[int]] = {}
-    for b, rs, re in _iter_red_blocks(parser, from_block, include_tail):
-        if rs == 0:
-            continue
-        found = _locate(seg_positions, segments, rs - 1, re - 2, chain_index)
-        if found is not None:
-            t, off = found
-            if off <= window:
-                hits.setdefault(off, set()).add(t)
-    return hits
-
-
-def _rescan(parser, segments, chain_index, from_block, i0, cause, include_tail) -> int:
-    seg_positions = _segment_positions(segments)
-    added = 0
-    for b, rs, re in _iter_red_blocks(parser, from_block, include_tail):
-        if rs == 0:
-            continue
-        found = _locate(seg_positions, segments, rs - 1, re - 2, chain_index)
-        if found is not None:
-            t, off = found
-            if off == i0 and cause[t] == -1:
-                cause[t] = b
-                added += 1
-    return added
+        bounds.append(parser.position)
+    index, offset, inside = locate(chain_start + np.cumsum(lengths) - lengths,
+                                   parser.position - 1, bounds[:-1], bounds[1:])
+    reg = regular[index]
+    hit = inside & (reg >= 0)
+    blocks = np.arange(from_block, from_block + len(bounds) - 1)
+    return blocks[hit], reg[hit], offset[hit]
 
 
 def _nth_violated(cause, d) -> int:

@@ -10,13 +10,13 @@ far more.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import PADDING, REGULAR
-from .construction import ConstructedWord, Segment, build_chain
+from .alignment import PADDING, REGULAR, locate, offset_counts
+from .construction import (ChainRecord, ConstructedWord, Segment, _green_units_ok,
+                           build_chain)
 from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import _gram_counts
 from .parsing import Parsing, StreamParser, parse
@@ -231,6 +231,32 @@ def _make_u_resolver(parser: StreamParser, regulars: list[bytes],
     return resolve
 
 
+def _add_chain(parser: StreamParser, segments: list[Segment], green_words: set[bytes],
+              chain_index: int, xw: Word, q_eff: int, *, m_int: int, window: int,
+              scratch: bool = False, q_formula: int | None = None) -> ChainRecord:
+    """Lay the chain of the prefixes x[0..q_eff], ..., x of the chain word x,
+    run its gadget loop, and add its unit words to ``green_words``, the
+    plain dictionary seen by later chains."""
+    xb = xw.data
+    l = len(xb)
+    regulars = [xb[:t + 1] for t in range(q_eff, l)]
+    chain_green_start = parser.position - 1
+    h_red = 1 + chain_green_start + sum(t + 1 for t in range(q_eff, l // 2 + 1))
+    resolver = _make_u_resolver(parser, regulars, green_words, m_int, h_red,
+                                chain_index)
+    factory = GeneralGadgetFactory(xb, m_int, resolver)
+    seg_lo = len(segments)
+    record = build_chain(parser, segments, chain_index, xw, q_eff, regulars,
+                         window=window, factory=factory, include_tail=False,
+                         scratch=scratch, q_formula=q_formula)
+    record.resync_word = factory.resolved_u
+    pos = 1 + chain_green_start
+    for seg in segments[seg_lo:]:
+        green_words.add(bytes(parser.buf[pos:pos + seg.length]))
+        pos += seg.length
+    return record
+
+
 def construct_general(params: Params, family: Family,
                       reparse: str = "checkpoint") -> ConstructedWord:
     """Build the length-n word: per-word chains, per-chain gadget loops,
@@ -252,31 +278,12 @@ def construct_general(params: Params, family: Family,
         if q_eff >= l:
             raise ConstructionError("chain word has no fresh prefix",
                                     {"chain": j})
-        regulars = [xb[:t + 1] for t in range(q_eff, l)]
-        half_t = l // 2
-        if half_t < q_eff:
+        if l // 2 < q_eff:
             raise ConstructionError("synchronization offset beyond the half point",
                                     {"chain": j, "q": q_eff})
-        chain_green_start = parser.position - 1
-        h_red = 1 + chain_green_start + sum(
-            t + 1 for t in range(q_eff, half_t + 1))
-        resolver = _make_u_resolver(parser, regulars, green_words,
-                                    params.m_int, h_red, j)
-        factory = GeneralGadgetFactory(xb, params.m_int, resolver)
-        seg_lo = len(segments)
-        record = build_chain(parser, segments, j, xw, q_eff, regulars,
-                             window=params.window, factory=factory,
-                             include_tail=False, scratch=scratch,
-                             q_formula=family.q[j])
-        record.resync_word = factory.resolved_u
-        chains.append(record)
-        # the chain's unit words join the plain dictionary used by later chains
-        pos = 0
-        for seg in segments[:seg_lo]:
-            pos += seg.length
-        for seg in segments[seg_lo:]:
-            green_words.add(bytes(parser.buf[1 + pos:1 + pos + seg.length]))
-            pos += seg.length
+        chains.append(_add_chain(parser, segments, green_words, j, xw, q_eff,
+                                m_int=params.m_int, window=params.window,
+                                scratch=scratch, q_formula=family.q[j]))
 
     w_prime = parser.position - 1
     if w_prime > params.n:
@@ -338,43 +345,24 @@ class GeneralReport:
         }
 
 
-def _green_units_ok(cw: ConstructedWord, green: Parsing) -> bool:
-    seg_starts = cw.segment_starts()
-    units = [s for s, seg in zip(seg_starts, cw.segments) if seg.kind != PADDING]
-    if green.starts[:len(units)] != units:
-        return False
-    # whatever follows the units must lie in the padding
-    if len(green.starts) > len(units):
-        pad_start = units[-1] + cw.segments[len(units) - 1].length if units else 0
-        if green.starts[len(units)] != pad_start:
-            return False
-    return True
-
-
 def per_chain_violations(cw: ConstructedWord, red: Parsing):
     """Violation counts {chain: {offset: count}} plus red blocks per chain."""
-    seg_starts = cw.segment_starts()
-    segments = cw.segments
-    chain_hits: dict[int, dict[int, set[int]]] = {c.index: {} for c in cw.chains}
-    chain_red: dict[int, int] = {c.index: 0 for c in cw.chains}
-    chain_extent = {c.index: (c.start, c.start + c.length) for c in cw.chains}
-    for b in range(red.block_count):
-        rs, re = red.block_bounds(b)
-        if rs == 0:
-            continue
-        lo, hi = rs - 1, re - 2
-        for idx, (cs, ce) in chain_extent.items():
-            if cs <= lo < ce:
-                chain_red[idx] += 1
-                break
-        si = bisect_right(seg_starts, lo) - 1
-        seg = segments[si]
-        if seg.kind != REGULAR or hi > seg_starts[si] + seg.length - 1:
-            continue
-        hits = chain_hits[seg.chain].setdefault(lo - seg_starts[si], set())
-        hits.add(seg.reg_index)
-    counts = {c: {i: len(s) for i, s in hits.items()}
-              for c, hits in chain_hits.items()}
+    n_w = len(cw.word)
+    red_ends = red.starts[1:] + [len(red.data)]
+    index, offset, inside = locate(cw.segment_starts(), n_w, red.starts, red_ends)
+    regular = np.array([seg.kind == REGULAR for seg in cw.segments])
+    seg_chain = np.array([seg.chain for seg in cw.segments])
+    hit = inside & regular[index]
+    # a red block belongs to the chain holding its first letter; only the
+    # padding lies beyond the last chain
+    chain, chain_offset, _ = locate([c.start for c in cw.chains], n_w,
+                                    red.starts, red_ends)
+    lengths = np.array([c.length for c in cw.chains])
+    in_chain = (chain >= 0) & (chain_offset < lengths[chain])
+    per_chain = np.bincount(chain[in_chain], minlength=len(cw.chains))
+    counts = {c.index: offset_counts(offset[hit & (seg_chain[index] == c.index)])
+              for c in cw.chains}
+    chain_red = {c.index: int(per_chain[j]) for j, c in enumerate(cw.chains)}
     return counts, chain_red
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import ConstructedWord, Segment, build_chain
+from .construction import ConstructedWord, Segment
 from .errors import ParameterError, SamplingError
-from .general import GeneralGadgetFactory, _make_u_resolver, check_p1
+from .general import RETRY_CAP, _add_chain, check_p1
 from .parsing import StreamParser, ratio_from_counts
 from .words import Word
 
@@ -92,11 +92,8 @@ def schedule(l0: int, gamma: float, levels: int) -> Schedule:
                     in_theorem_range=not notes, notes=tuple(notes))
 
 
-RETRY_CAP = 64
-
-
 def _sample_level_word(seed: int, level: LevelParams, index: int,
-                       corpus_blob: bytes, require_leading_one: bool) -> Word:
+                       corpus_grams: set[bytes], require_leading_one: bool) -> Word:
     for attempt in range(RETRY_CAP):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed, level.index, index, attempt])))
@@ -106,7 +103,7 @@ def _sample_level_word(seed: int, level: LevelParams, index: int,
             continue
         if not check_p1(data, level.k, level.l):
             continue
-        if not _fresh_factors(data, level.m_eff, corpus_blob):
+        if not _fresh_factors(data, level.m_eff, corpus_grams):
             continue
         return Word(data)
     raise SamplingError(
@@ -114,12 +111,17 @@ def _sample_level_word(seed: int, level: LevelParams, index: int,
         {"level": level.index, "index": index, "l": level.l, "m": level.m_eff})
 
 
-def _fresh_factors(data: bytes, m: int, corpus_blob: bytes) -> bool:
-    """All m-grams of ``data`` unique within it and absent from the corpus."""
+def _m_grams(words, m: int) -> set[bytes]:
+    return {w[i:i + m] for w in words for i in range(len(w) - m + 1)}
+
+
+def _fresh_factors(data: bytes, m: int, corpus_grams: set[bytes]) -> bool:
+    """All m-grams of ``data`` unique within it and absent from the corpus,
+    given as the set of its words' m-grams."""
     seen = set()
     for i in range(len(data) - m + 1):
         gram = data[i:i + m]
-        if gram in seen or corpus_blob.find(gram) >= 0:
+        if gram in seen or gram in corpus_grams:
             return False
         seen.add(gram)
     return True
@@ -140,7 +142,9 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     parser.feed(b"0")
     segments: list[Segment] = []
     green_words: set[bytes] = set()
-    corpus_blob = b""
+    corpus: list[bytes] = []
+    corpus_grams: set[bytes] = set()
+    grams_m = None
     chains = []
     words_per_level: dict[int, int] = {}
     chain_counter = 0
@@ -148,8 +152,11 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     for level in sched.levels:
         if done:
             break
+        if level.m_eff != grams_m:
+            grams_m = level.m_eff
+            corpus_grams = _m_grams(corpus, grams_m)
         for widx in range(level.count):
-            xw = _sample_level_word(seed, level, widx, corpus_blob,
+            xw = _sample_level_word(seed, level, widx, corpus_grams,
                                     require_leading_one=(chain_counter == 0))
             xb = xw.data
             q_eff = 0
@@ -158,26 +165,12 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
             if q_eff > level.m_eff:
                 raise SamplingError("synchronization offset exceeded the level's m",
                                     {"level": level.index, "word": widx, "q": q_eff})
-            regulars = [xb[:t + 1] for t in range(q_eff, level.l)]
-            half_t = level.l // 2
-            chain_green_start = parser.position - 1
-            h_red = 1 + chain_green_start + sum(
-                t + 1 for t in range(q_eff, half_t + 1))
-            resolver = _make_u_resolver(parser, regulars, green_words,
-                                        level.m_eff, h_red, chain_counter)
-            factory = GeneralGadgetFactory(xb, level.m_eff, resolver)
-            seg_lo = len(segments)
-            record = build_chain(parser, segments, chain_counter, xw, q_eff,
-                                 regulars, window=level.window, factory=factory,
-                                 include_tail=False)
-            record.resync_word = factory.resolved_u
-            chains.append(record)
+            chains.append(_add_chain(parser, segments, green_words, chain_counter,
+                                     xw, q_eff, m_int=level.m_eff,
+                                     window=level.window))
             words_per_level[level.index] = words_per_level.get(level.index, 0) + 1
-            pos = sum(seg.length for seg in segments[:seg_lo])
-            for seg in segments[seg_lo:]:
-                green_words.add(bytes(parser.buf[1 + pos:1 + pos + seg.length]))
-                pos += seg.length
-            corpus_blob = corpus_blob + b"\n" + xb if corpus_blob else xb
+            corpus.append(xb)
+            corpus_grams |= _m_grams([xb], grams_m)
             chain_counter += 1
             if parser.position - 1 >= budget_n:
                 done = True

@@ -204,7 +204,7 @@ class LzCode:
 
     @classmethod
     def from_json_obj(cls, obj) -> "LzCode":
-        return cls([(int(e["pred"]), int(e["letter"])) for e in obj])
+        return cls([(e["pred"], e["letter"]) for e in obj])
 
 
 def encode(p: Parsing) -> LzCode:
@@ -223,6 +223,8 @@ def decode(code: LzCode) -> Word:
     lengths = []
     out = bytearray()
     for i, (pred, letter) in enumerate(entries):
+        if type(pred) is not int or type(letter) is not int:
+            raise MalformedCodeError(f"entry {i} is not a pair of ints: {(pred, letter)}")
         if pred >= i:
             raise MalformedCodeError(
                 f"entry {i} references block {pred}, which does not exist yet")

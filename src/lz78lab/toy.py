@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .alignment import AlignedParsing, classify, violation_table
-from .construction import ConstructedWord, Segment, build_chain
+import numpy as np
+
+from .alignment import REGULAR, locate, offset_counts
+from .construction import ConstructedWord, Segment, _green_units_ok, build_chain
 from .errors import ParameterError
 from .generators import de_bruijn
 from .parsing import StreamParser, parse
@@ -131,7 +133,7 @@ def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
     data = cw.word.data
     green = parse(data)
     red = parse(front + data)
-    green_units_ok = green.starts == cw.segment_starts()
+    units_ok = _green_units_ok(cw, green)
 
     chain = cw.chains[0]
     s = chain.regular_count
@@ -139,12 +141,11 @@ def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
     kk = k if k is not None else math.log2(s)
     window = cw.meta.get("window", int(cw.gamma * kk))
     bound_b = s / 2 + (1 + cw.gamma) * kk + 1
-    if green_units_ok:
-        ap = AlignedParsing(green=green, red=red, letter=front[0] & 1,
-                            classes=classify(green, red),
-                            green_meta=cw.green_meta())
-        table = violation_table(ap)
-        violations = {i: c for i, c in table.counts.items() if i <= window}
+    if units_ok:
+        index, offset, inside = locate(green.starts, len(data), red.starts,
+                                       red.starts[1:] + [len(red.data)])
+        regular = np.array([seg.kind == REGULAR for seg in cw.segments])
+        violations = offset_counts(offset[inside & regular[index] & (offset <= window)])
         violations_ok = all(c <= bound_b for c in violations.values())
     else:
         # the per-unit violation census is meaningless if the green parse
@@ -161,5 +162,5 @@ def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
         upper_bound_ok=green.dict_size <= 3 * math.sqrt(2 / 5) * math.sqrt(n),
         violations_ok=violations_ok,
         front_ratio=red.dict_size / n ** 0.75,
-        green_units_ok=green_units_ok,
+        green_units_ok=units_ok,
     )

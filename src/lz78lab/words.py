@@ -88,6 +88,9 @@ def unpack_word(blob: bytes) -> Word:
         raise ParameterError("not a packed word: bad magic")
     n = int.from_bytes(blob[4:12], "little")
     payload = np.frombuffer(blob[12:], dtype=np.uint8)
+    if len(blob) < 12 or len(payload) != (n + 7) // 8:
+        raise ParameterError(f"packed word declares {n} letters but carries "
+                             f"{len(payload)} payload bytes")
     bits = np.unpackbits(payload, bitorder="little", count=n)
     return Word((bits + ord("0")).astype(np.uint8).tobytes())
 

@@ -80,6 +80,19 @@ def test_packed_file_round_trip(capsys, tmp_path):
     assert json.loads(out)["length"] == 69
 
 
+def test_parse_rejects_malformed_packed_files(capsys, tmp_path):
+    from lz78lab import pack_word
+    blobs = {"truncated": pack_word("1" * 100)[:14],
+             "trailing": pack_word("1" * 10) + b"junk"}
+    for name, blob in blobs.items():
+        path = tmp_path / f"{name}.lzcw"
+        path.write_bytes(blob)
+        code, out, err = run(capsys, "parse", "--input", str(path))
+        assert code == 2, name
+        assert out == ""
+        assert "packed word" in err
+
+
 def test_construct_toy(capsys, tmp_path):
     out_path = tmp_path / "w.txt"
     code, out, _ = run(capsys, "construct", "toy", "--k", "5",

@@ -5,8 +5,10 @@ from lz78lab import (ParameterError, SamplingError, Word,
                      load_family, parse, pref_gt, sample_family, save_family,
                      verify_general)
 from lz78lab.alignment import GADGET, PADDING, REGULAR
-from lz78lab.general import GeneralGadgetFactory, _q_formula
+from lz78lab.general import GeneralGadgetFactory, _q_formula, per_chain_violations
 import lz78lab.general as general_mod
+
+from oracles import naive_classify, naive_parse
 
 
 def test_derive_params_at_the_square_root_boundary():
@@ -168,6 +170,33 @@ def test_verify_general_flags(small_build):
     assert rep.dic_aw > rep.dic_w
     assert rep.catastrophe_factor == rep.dic_aw / rep.dic_w
     assert len(rep.per_chain_red_blocks) == len(cw.chains)
+
+
+def test_per_chain_violations_match_interval_oracle(small_build):
+    params, family, cw = small_build
+    assert sum(c.gadget_count for c in cw.chains) > 0
+    text = cw.word.to_text()
+    bounds = cw.segment_starts() + [len(text)]
+    segment_words = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    red_blocks = naive_parse("0" + text)
+    violated = {c.index: {} for c in cw.chains}
+    for cls in naive_classify(segment_words, red_blocks):
+        if cls[0] != "offset":
+            continue
+        seg = cw.segments[cls[2]]
+        if seg.kind == REGULAR:
+            violated[seg.chain].setdefault(cls[1], set()).add(cls[2])
+    red_per_chain = {c.index: 0 for c in cw.chains}
+    lo = -1                     # first letter of each red block, in w
+    for block in red_blocks:
+        for c in cw.chains:
+            if c.start <= lo < c.start + c.length:
+                red_per_chain[c.index] += 1
+        lo += len(block)
+    counts, chain_red = per_chain_violations(cw, parse(b"0" + cw.word.data))
+    assert counts == {c: {i: len(g) for i, g in per.items()}
+                      for c, per in violated.items()}
+    assert chain_red == red_per_chain
 
 
 def test_scratch_oracle_matches_checkpoint(small_build):

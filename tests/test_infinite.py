@@ -5,6 +5,7 @@ import pytest
 
 from lz78lab import (ParameterError, build_prefix, comp_ratio, parse, pref,
                      ratio_curve, schedule, tail_separation, worst_case_word)
+from lz78lab.infinite import _fresh_factors, _m_grams
 
 
 def test_schedule_levels_double():
@@ -122,6 +123,25 @@ def test_cross_level_factor_uniqueness(two_level):
             if lj == li or lv2 > lv:
                 continue
             assert not any(g in other for g in grams)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_fresh_factors_match_definition(m):
+    rng = random.Random(m)
+
+    def bits(lo, hi):
+        return "".join(rng.choice("01") for _ in range(rng.randrange(lo, hi))).encode()
+
+    outcomes = []
+    for _ in range(300):
+        corpus = [bits(m, 24) for _ in range(rng.randrange(0, 4))]
+        data = bits(m, 3 * m)
+        grams = [data[i:i + m] for i in range(len(data) - m + 1)]
+        fresh = (len(set(grams)) == len(grams)
+                 and not any(g in word for g in grams for word in corpus))
+        assert _fresh_factors(data, m, _m_grams(corpus, m)) == fresh
+        outcomes.append(fresh)
+    assert 30 < sum(outcomes) < 270
 
 
 def test_tail_separation_two_levels(two_level):

@@ -109,6 +109,17 @@ def test_decode_rejects_forward_reference():
         decode(LzCode([(0, 0)]))
 
 
+def test_decode_rejects_non_int_entries():
+    # bool is an int subclass, so True would otherwise decode as the letter 1
+    for entries in ([(-1, True)], [(-1, 0), (False, 1)], [(-1, 1.0)], [(-1, 0), (0.0, 1)]):
+        with pytest.raises(MalformedCodeError):
+            decode(LzCode(entries))
+    for bad in [{"pred": -1, "letter": True}, {"pred": -1, "letter": 1.9},
+                {"pred": -1, "letter": "1"}, {"pred": "-1", "letter": 0}]:
+        with pytest.raises(MalformedCodeError):
+            decode(LzCode.from_json_obj([bad]))
+
+
 def test_code_json_round_trip():
     code = encode(parse("0001010100011"))
     assert LzCode.from_json_obj(code.to_json_obj()) == code
@@ -243,3 +254,12 @@ def test_packed_round_trip():
         blob = pack_word(text)
         assert blob[:4] == b"LZCW"
         assert unpack_word(blob).to_text() == text
+
+
+def test_packed_rejects_malformed_blobs():
+    from lz78lab import pack_word, unpack_word
+    truncated = pack_word("1" * 100)[:14]     # declares 100 letters, carries 16
+    trailing = pack_word("1" * 10) + b"junk"
+    for blob in (truncated, trailing, b"LZCW\x00"):
+        with pytest.raises(ParameterError):
+            unpack_word(blob)

@@ -6,6 +6,8 @@ from lz78lab import (ParameterError, Word, one_front_variant, parse, pref,
 from lz78lab.alignment import GADGET, REGULAR
 from lz78lab.toy import ToyGadgetFactory, construct_from_base, construct_toy
 
+from oracles import naive_classify, naive_parse
+
 
 def test_gadget_shapes():
     f = ToyGadgetFactory(b"0110")
@@ -107,6 +109,19 @@ def test_forced_loop_invariants():
         assert not (prev.kind == GADGET and cur.kind == GADGET)
     # termination bookkeeping: insertions stayed below the guard
     assert cw.counters[0] <= s
+
+
+@pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
+                                           (200, 11, 7)])
+def test_initial_census_matches_interval_oracle(length, seed, k):
+    x = _forced_base(length, seed)
+    cw = construct_from_base(x, 3.0, meta={"k": k})
+    text = pref(x).to_text()
+    violated = {}
+    for cls in naive_classify(naive_parse(text), naive_parse("0" + text)):
+        if cls[0] == "offset" and cls[1] <= cw.meta["window"]:
+            violated.setdefault(cls[1], set()).add(cls[2])
+    assert cw.chains[0].initial_violations == {i: len(g) for i, g in violated.items()}
 
 
 def test_forced_loop_reports_unit_breakdown_honestly():
