@@ -36,6 +36,7 @@ class Params:
     window: int               # gadget offsets [0, floor(2*k*sqrt(l))]
     in_theorem_range: bool
     notes: tuple[str, ...] = ()
+    exact: bool = False       # n rounded down to l^2 * 2^floor(p)
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "l": self.l, "gamma": self.gamma, "p": self.p,
@@ -82,7 +83,7 @@ def derive_params(n: int, l: int, gamma: float = 10.0, exact: bool = False) -> P
         notes.append("p exceeds sqrt(l)")
     return Params(n=n, l=l, gamma=gamma, p=p, k=k, m=m, m_int=m_int,
                   family_count=family_count, window=window,
-                  in_theorem_range=not notes, notes=tuple(notes))
+                  in_theorem_range=not notes, notes=tuple(notes), exact=exact)
 
 
 def check_p1(x, k: float, l: int) -> bool:
@@ -409,22 +410,52 @@ def save_family(family: Family, path) -> None:
     p = family.params
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# lz78lab-family schema=1 n={p.n} l={p.l} gamma={p.gamma} "
-                 f"p={p.p} k={p.k} m={p.m} seed={family.seed} "
+                 f"p={p.p} k={p.k} m={p.m} exact={p.exact} seed={family.seed} "
                  f"retries={family.retries}\n")
         for w in family.words:
             fh.write(w.to_text() + "\n")
 
 
 def load_family(path) -> Family:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.startswith("# lz78lab-family"):
-            raise ParameterError("not a family file")
-        fields = dict(part.split("=", 1) for part in header.split()
-                      if "=" in part)
-        words = [Word.from_text(line) for line in fh if line.strip()]
-    params = derive_params(int(fields["n"]), int(fields["l"]),
-                           float(fields["gamma"]))
+    """Read a family file and re-check it as ``sample_family`` accepts one.
+
+    Raises ``ParameterError`` on a malformed header, on a word count other
+    than the parameters' family count, on a word whose length is not l, and
+    when the first word does not start with 1 or P1/P2 fail.  Headers written
+    before ``exact=`` was recorded load with ``exact=False``.
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            header = fh.readline()
+            if not header.startswith("# lz78lab-family"):
+                raise ParameterError("not a family file")
+            fields = dict(part.split("=", 1) for part in header.split()
+                          if "=" in part)
+            words = [Word.from_text(line) for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"family file is not ASCII text: {exc}") from None
+    try:
+        n, l, seed, retries = (int(fields[name]) for name in ("n", "l", "seed", "retries"))
+        gamma = float(fields["gamma"])
+    except KeyError as exc:
+        raise ParameterError(f"family header lacks the field {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ParameterError(f"family header has a malformed field: {exc}") from None
+    exact = fields.get("exact", "False")
+    if exact not in ("True", "False"):
+        raise ParameterError(f"family header has exact={exact}, not True or False")
+    params = derive_params(n, l, gamma, exact=exact == "True")
+    if len(words) != params.family_count:
+        raise ParameterError(f"family file holds {len(words)} words, "
+                             f"the parameters call for {params.family_count}")
+    for j, w in enumerate(words):
+        if len(w) != l:
+            raise ParameterError(f"family word {j} has length {len(w)}, not l={l}")
+        if not check_p1(w, params.k, l):
+            raise ParameterError(f"family word {j} fails P1")
+    if words[0][0] != 1:
+        raise ParameterError("the first family word does not start with 1")
+    if not check_p2(words, params.m_int):
+        raise ParameterError("the family fails P2")
     q = [_q_formula(words, j) for j in range(len(words))]
-    return Family(words=words, q=q, params=params,
-                  seed=int(fields["seed"]), retries=int(fields["retries"]))
+    return Family(words=words, q=q, params=params, seed=seed, retries=retries)

@@ -2,6 +2,12 @@
 
 Each block extends a previously seen block by one letter.  The dictionary is
 the set of distinct blocks; only the final block may duplicate an earlier one.
+
+``StreamParser`` keeps the dictionary in two tiers: blocks of at most
+``TRIE_DEPTH`` letters in a list trie walked letter by letter, longer blocks
+in a dict keyed by their bytes and found by galloping over hashed prefixes.
+Words whose blocks are long, such as the constructions' adversarial words,
+thus parse far faster than one lookup per letter allows.
 """
 
 from __future__ import annotations
@@ -15,36 +21,48 @@ from .errors import MalformedCodeError, ParameterError
 from .words import Word, as_bits
 
 
+# Blocks of at most this many letters live in the list trie; longer ones are
+# found by probing the dict of long blocks (see StreamParser).
+TRIE_DEPTH = 8
+
+
 class StreamParser:
     """Incremental LZ'78 parser over an append-only letter stream.
 
-    The trie is a flat dict keyed by ``(node << 1) | letter``; node ``t``
-    corresponds to completed block ``t - 1`` (the root is node 0).  Supports
-    rolling the parse back to an earlier position, which is what makes the
-    adaptive constructions affordable: after an insertion only the suffix is
-    re-parsed, never the whole word.
+    The dictionary has two tiers.  A block of at most ``TRIE_DEPTH`` letters
+    is a node of a trie held in two child lists, ``c0`` and ``c1``: node
+    ``t`` is completed block ``t - 1`` (the root is node 0), and
+    ``c0[t]``/``c1[t]`` is its child by letter 0/1, or 0 for none.  A longer
+    block is a key of ``long_blocks``, its bytes mapped to its block index.
+    Short blocks are matched letter by letter.  A match that reaches depth
+    ``TRIE_DEPTH`` continues in ``long_blocks``: the blocks longer than
+    ``TRIE_DEPTH`` are closed under taking prefixes longer than ``TRIE_DEPTH``
+    (the dictionary is prefix-closed), so the longest one that prefixes the
+    rest of the stream is found by galloping from the previous long match
+    length and bisecting.  A long block then costs a few hashed slices
+    instead of one lookup per letter.
+
+    Supports rolling the parse back to an earlier position, which is what
+    makes the adaptive constructions affordable: after an insertion only the
+    suffix is re-parsed, never the whole word.
     """
 
-    __slots__ = ("buf", "trie", "node", "next_id", "starts", "keys", "preds",
-                 "block_start")
+    __slots__ = ("buf", "c0", "c1", "long_blocks", "starts", "preds", "block_start")
 
     def __init__(self):
         self.buf = bytearray()
-        self.trie = {}
-        self.node = 0          # trie node of the in-progress block
-        self.next_id = 1
+        self.c0 = [0]          # child by letter 0 of each trie node
+        self.c1 = [0]          # child by letter 1 of each trie node
+        self.long_blocks = {}  # bytes of each block longer than TRIE_DEPTH -> index
         self.starts = []       # start position of each completed block
-        self.keys = []         # trie key added by each completed block
         self.preds = []        # predecessor block index (-1 for the root)
         self.block_start = 0   # start position of the in-progress block
 
     def reset(self) -> None:
         self.buf.clear()
-        self.trie.clear()
-        self.node = 0
-        self.next_id = 1
+        self.c0[:] = self.c1[:] = [0]
+        self.long_blocks.clear()
         self.starts.clear()
-        self.keys.clear()
         self.preds.clear()
         self.block_start = 0
 
@@ -57,40 +75,80 @@ class StreamParser:
         return len(self.starts)
 
     def in_progress(self) -> bool:
-        return self.node != 0
+        return self.block_start != len(self.buf)
 
     def feed(self, data) -> int:
-        """Consume letters; returns the index of the first newly completed block."""
-        first_new = len(self.starts)
-        base = len(self.buf)
-        self.buf.extend(data)
-        trie = self.trie
-        get = trie.get
-        node = self.node
-        nxt = self.next_id
+        """Consume letters; returns the index of the first newly completed block.
+
+        ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``.  A call
+        also re-reads the in-progress block, so feed long pieces rather than
+        single letters.
+        """
         starts = self.starts
-        keys = self.keys
         preds = self.preds
-        append_start = starts.append
-        append_key = keys.append
-        append_pred = preds.append
-        bstart = self.block_start
-        for pos, ch in enumerate(data, base + 1):
-            key = (node << 1) | (ch & 1)
-            child = get(key)
-            if child is None:
-                trie[key] = nxt
-                nxt += 1
-                append_start(bstart)
-                append_key(key)
-                append_pred(node - 1)
-                bstart = pos
-                node = 0
+        c0 = self.c0
+        c1 = self.c1
+        kids = [c0, c1] * 128          # kids[letter] is the child list of letter & 1
+        get = self.long_blocks.get
+        first_new = len(starts)
+        buf = self.buf
+        origin = self.block_start
+        text = bytes(buf[origin:]) + data   # the in-progress block, then the new letters
+        buf.extend(data)
+        n = len(text)
+        view = memoryview(text)
+        bs = 0                         # start of the in-progress block in text
+        j = n - len(data)              # next letter to consume
+        node = 0
+        if j <= TRIE_DEPTH:
+            for ch in text[:j]:
+                node = kids[ch][node]
+        guess = TRIE_DEPTH + 1
+        while True:
+            if j - bs <= TRIE_DEPTH:
+                for j, ch in enumerate(view[j:], j):
+                    child = kids[ch][node]
+                    if child:
+                        node = child
+                    elif j - bs < TRIE_DEPTH:
+                        kids[ch][node] = len(c0)
+                        c0.append(0)
+                        c1.append(0)
+                        starts.append(origin + bs)
+                        preds.append(node - 1)
+                        bs = j + 1
+                        node = 0
+                    else:
+                        break          # the match goes on in the long tier
+                else:
+                    break
+                lo, lo_id = TRIE_DEPTH, node - 1
             else:
-                node = child
-        self.node = node
-        self.next_id = nxt
-        self.block_start = bstart
+                lo = j - bs
+                lo_id = get(text[bs:j])
+            # text[bs:bs+lo] is block lo_id; find the longest block it extends to
+            hi = n - bs + 1            # lengths >= hi are out of reach
+            t, step = (guess if guess > lo else lo + 1), 1
+            while hi - lo > 1:
+                if not lo < t < hi:
+                    t = (lo + hi) // 2
+                idx = get(text[bs:bs + t])
+                if idx is None:
+                    hi, t = t, t - step
+                else:
+                    lo, lo_id, t = t, idx, t + step
+                step <<= 1
+            if bs + lo == n:
+                break                  # the rest of the stream is a known block
+            guess = lo
+            self.long_blocks[text[bs:bs + lo + 1]] = len(starts)
+            c0.append(0)
+            c1.append(0)
+            starts.append(origin + bs)
+            preds.append(lo_id)
+            bs = j = bs + lo + 1
+            node = 0
+        self.block_start = origin + bs
         return first_new
 
     def block_end(self, b: int) -> int:
@@ -103,6 +161,7 @@ class StreamParser:
         the caller re-feeds them, edited, to continue.
         """
         starts = self.starts
+        preds = self.preds
         n = len(starts)
         kept = bisect_right(starts, pos)
         while kept > 0:
@@ -112,24 +171,29 @@ class StreamParser:
             kept -= 1
         boundary = (starts[kept] if kept < n else self.block_start)
         removed = bytes(self.buf[boundary:])
+        kids = [self.c0, self.c1] * 128
+        long_blocks = self.long_blocks
+        for start, end, pred in zip(starts[kept:], starts[kept + 1:] + [self.block_start],
+                                    preds[kept:]):
+            if end - start > TRIE_DEPTH:
+                del long_blocks[removed[start - boundary:end - boundary]]
+            else:
+                kids[removed[end - 1 - boundary]][pred + 1] = 0
         del self.buf[boundary:]
-        trie = self.trie
-        for key in self.keys[kept:]:
-            del trie[key]
-        del starts[kept:]
-        del self.keys[kept:]
-        del self.preds[kept:]
-        self.next_id = kept + 1
-        self.node = 0
+        del starts[kept:], preds[kept:]
+        del self.c0[kept + 1:], self.c1[kept + 1:]
         self.block_start = boundary
         return removed
 
     def tail_pred(self) -> int:
         """Predecessor block index for the in-progress (duplicate) block."""
+        head = bytes(self.buf[self.block_start:-1])
+        if len(head) > TRIE_DEPTH:
+            return self.long_blocks[head]
+        kids = [self.c0, self.c1] * 128
         node = 0
-        get = self.trie.get
-        for ch in self.buf[self.block_start:len(self.buf) - 1]:
-            node = get((node << 1) | (ch & 1))
+        for ch in head:
+            node = kids[ch][node]
         return node - 1
 
 
@@ -181,13 +245,12 @@ def parse(w) -> Parsing:
     data = as_bits(w)
     sp = StreamParser()
     sp.feed(data)
-    starts = list(sp.starts)
-    preds = list(sp.preds)
     dup = sp.in_progress()
     if dup:
-        starts.append(sp.block_start)
-        preds.append(sp.tail_pred())
-    return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
+        sp.preds.append(sp.tail_pred())
+        sp.starts.append(sp.block_start)
+    # the parser is discarded, so its lists are handed over rather than copied
+    return Parsing(data=data, starts=sp.starts, preds=sp.preds, last_is_duplicate=dup)
 
 
 @dataclass(frozen=True)

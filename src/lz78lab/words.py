@@ -1,7 +1,8 @@
 """Binary words: immutable bit sequences with text and packed I/O.
 
 A word is stored as one ASCII byte ('0'/'1') per letter.  That is the fastest
-layout for the sequential parsers in this package (one dict lookup per byte);
+layout for the sequential parsers in this package (one list lookup per byte
+for short blocks, one hashed slice per probe for long ones);
 the dense 64-bit packed layout is used only as an on-disk format for large
 artifacts (see :func:`pack_word` / :func:`unpack_word`).
 """
@@ -91,6 +92,8 @@ def unpack_word(blob: bytes) -> Word:
     if len(blob) < 12 or len(payload) != (n + 7) // 8:
         raise ParameterError(f"packed word declares {n} letters but carries "
                              f"{len(payload)} payload bytes")
+    if n % 8 and payload[-1] >> (n % 8):
+        raise ParameterError(f"packed word sets padding bits after its {n} letters")
     bits = np.unpackbits(payload, bitorder="little", count=n)
     return Word((bits + ord("0")).astype(np.uint8).tobytes())
 

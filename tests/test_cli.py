@@ -83,7 +83,8 @@ def test_packed_file_round_trip(capsys, tmp_path):
 def test_parse_rejects_malformed_packed_files(capsys, tmp_path):
     from lz78lab import pack_word
     blobs = {"truncated": pack_word("1" * 100)[:14],
-             "trailing": pack_word("1" * 10) + b"junk"}
+             "trailing": pack_word("1" * 10) + b"junk",
+             "padded": pack_word("1" * 10)[:-1] + b"\x83"}   # bit 7 set after 10 letters
     for name, blob in blobs.items():
         path = tmp_path / f"{name}.lzcw"
         path.write_bytes(blob)

@@ -233,6 +233,51 @@ def test_family_serialization_round_trip(tmp_path, small_build):
         load_family(__file__)
 
 
+def test_load_family_rechecks_what_it_reads(tmp_path, small_build):
+    params, family, _ = small_build
+    path = tmp_path / "family.txt"
+    save_family(family, path)
+    header, *words = path.read_text().splitlines()
+    assert len(words) == params.family_count == 4
+
+    def rejected(lines, match):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match=match):
+            load_family(bad)
+
+    # the repro: first word replaced by 64 zeros, an 80-letter fifth word
+    rejected([header, "0" * 64] + words[1:] + ["01" * 40], "5 words")
+    rejected([header, "0" * 64] + words[1:], "word 0 fails P1")
+    rejected([header] + words + ["01" * 40], "5 words")
+    rejected([header] + words[:3] + [words[3] + "0"], "word 3 has length 65")
+    rejected([header] + words[:2] + [words[1], words[3]], "fails P2")
+    complement = words[0].translate(str.maketrans("01", "10"))  # keeps P1 and P2
+    rejected([header, complement] + words[1:], "does not start with 1")
+    for name in ("n", "l", "gamma", "seed", "retries"):
+        cut = " ".join(f for f in header.split() if not f.startswith(name + "="))
+        rejected([cut] + words, f"lacks the field {name}")
+    rejected([header.replace("seed=1", "seed=one")] + words, "malformed field")
+    rejected([header.replace("exact=False", "exact=yes")] + words, "exact=yes")
+    path.write_bytes(path.read_bytes().replace(b"0", b"\xff", 1))
+    with pytest.raises(ParameterError):
+        load_family(path)
+
+
+def test_family_file_keeps_exact(tmp_path):
+    params = derive_params(20000, 64, gamma=10.0, exact=True)
+    assert params.exact and params.n == 1 << 14
+    family = sample_family(params, seed=1)
+    path = tmp_path / "family.txt"
+    save_family(family, path)
+    assert " exact=True " in path.read_text().splitlines()[0]
+    assert load_family(path).params == params
+    # a header written before exact= was recorded loads with exact=False
+    old = path.read_text().replace(" exact=True", "")
+    path.write_text(old)
+    assert load_family(path).params == derive_params(1 << 14, 64, gamma=10.0)
+
+
 def test_construct_rejects_bad_mode(small_build):
     params, family, _ = small_build
     with pytest.raises(ParameterError):

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lz78lab import (LzCode, MalformedCodeError, ParameterError, Word,
-                     comp_ratio, decode, encode, factor_census, parse, pref,
+from lz78lab import (LzCode, MalformedCodeError, ParameterError, StreamParser,
+                     Word, comp_ratio, decode, encode, factor_census, parse, pref,
                      tree_stats)
-from lz78lab.parsing import ratio_from_counts
+from lz78lab.parsing import TRIE_DEPTH, ratio_from_counts
 
 from oracles import naive_factor_census, naive_parse
 
@@ -202,10 +202,25 @@ def test_tree_stats_empty_and_path():
     assert all(c == 1 for c in stats.depth_histogram.values())
 
 
+def assert_same_state(sp, fresh, content):
+    assert sp.buf == fresh.buf == content
+    assert sp.starts == fresh.starts
+    assert sp.preds == fresh.preds
+    assert sp.c0 == fresh.c0
+    assert sp.c1 == fresh.c1
+    assert sp.long_blocks == fresh.long_blocks
+    assert sp.block_start == fresh.block_start
+
+
+def fed_at_once(content: bytes) -> StreamParser:
+    sp = StreamParser()
+    sp.feed(content)
+    return sp
+
+
 def test_stream_parser_rollback_matches_fresh_parse():
     # rollback to arbitrary positions, splice in new content, and compare the
     # final state against a parser fed the edited word in one shot
-    from lz78lab import StreamParser
     rng = random.Random(1234)
     for _ in range(60):
         sp = StreamParser()
@@ -222,13 +237,97 @@ def test_stream_parser_rollback_matches_fresh_parse():
             else:
                 sp.feed(piece)
                 content += piece
-        fresh = StreamParser()
-        fresh.feed(bytes(content))
-        assert sp.buf == fresh.buf == content
-        assert sp.starts == fresh.starts
-        assert sp.trie == fresh.trie
-        assert sp.node == fresh.node
-        assert sp.block_start == fresh.block_start
+        assert_same_state(sp, fed_at_once(bytes(content)), content)
+
+
+def two_tier_words(rng, count):
+    """Random words, pref(x) and a.pref(x): blocks on both sides of TRIE_DEPTH."""
+    out = []
+    for trial in range(count):
+        x = "".join(rng.choice("01") for _ in range(rng.randrange(1, 70)))
+        kind = trial % 3
+        if kind == 0:
+            out.append("".join(rng.choice("01") for _ in range(rng.randrange(0, 3000))))
+        elif kind == 1:
+            out.append(pref(x).to_text())
+        else:
+            out.append(rng.choice("01") + pref(x).to_text())
+    return out
+
+
+def test_two_tier_parse_matches_naive_oracle():
+    rng = random.Random(808)
+    lengths = set()
+    for text in two_tier_words(rng, 450):
+        p = parse(text)
+        blocks = naive_parse(text)
+        assert [b.decode() for b in p.blocks()] == blocks
+        # each predecessor is the block minus its last letter (or the root)
+        index = {b: i for i, b in enumerate(blocks[:p.dict_size])}
+        assert p.preds == [index.get(b[:-1], -1) for b in blocks]
+        assert decode(encode(p)).to_text() == text
+        lengths.update(len(b) for b in blocks)
+    assert {TRIE_DEPTH, TRIE_DEPTH + 1} <= lengths
+    assert max(lengths) > 4 * TRIE_DEPTH
+
+
+def test_feeding_in_pieces_and_after_reset_equals_one_shot():
+    rng = random.Random(909)
+    for text in two_tier_words(rng, 150):
+        content = text.encode()
+        sp = StreamParser()
+        at = 0
+        while at < len(content):
+            step = rng.randrange(1, 3 * TRIE_DEPTH)
+            sp.feed(content[at:at + step])
+            at += step
+        assert_same_state(sp, fed_at_once(content), content)
+        sp.reset()
+        sp.feed(content[::-1])
+        assert_same_state(sp, fed_at_once(content[::-1]), content[::-1])
+
+
+def test_tail_pred_of_in_progress_duplicates():
+    # a word ending inside a duplicate of a short or long block, fed in pieces
+    rng = random.Random(1010)
+    x = "".join(rng.choice("01") for _ in range(40))
+    base = pref(x).to_text()
+    for cut in range(1, len(x) + 1):
+        text = base + x[:cut]
+        sp = StreamParser()
+        sp.feed(text[:len(base) + cut // 2].encode())
+        sp.feed(text[len(base) + cut // 2:].encode())
+        fresh = fed_at_once(text.encode())
+        assert sp.in_progress() and fresh.in_progress()
+        expected = naive_parse(text).index(x[:cut - 1]) if cut > 1 else -1
+        assert sp.tail_pred() == fresh.tail_pred() == expected
+        assert parse(text).preds[-1] == expected
+
+
+@st.composite
+def edit_scripts(draw):
+    """A word with long blocks, then edits: (position fraction, inserted piece)."""
+    x = draw(st.text(alphabet="01", min_size=1, max_size=40))
+    head = draw(st.text(alphabet="01", max_size=30))
+    edits = draw(st.lists(st.tuples(st.floats(0, 1), st.text(alphabet="01", max_size=60)),
+                          max_size=6))
+    return (head + pref(x).to_text()).encode(), edits
+
+
+@settings(deadline=None, max_examples=150)
+@given(edit_scripts())
+def test_rollback_and_refeed_property(script):
+    word, edits = script
+    sp = fed_at_once(word)
+    content = bytearray(word)
+    for frac, piece in edits:
+        pos = int(frac * len(content))
+        removed = sp.rollback(pos)
+        assert bytes(content[sp.position:]) == removed
+        cut = pos - sp.position
+        sp.feed(removed[:cut] + piece.encode() + removed[cut:])
+        content[pos:pos] = piece.encode()
+    assert_same_state(sp, fed_at_once(bytes(content)), content)
 
 
 def test_word_type():
@@ -260,6 +359,9 @@ def test_packed_rejects_malformed_blobs():
     from lz78lab import pack_word, unpack_word
     truncated = pack_word("1" * 100)[:14]     # declares 100 letters, carries 16
     trailing = pack_word("1" * 10) + b"junk"
-    for blob in (truncated, trailing, b"LZCW\x00"):
+    padded = pack_word("1" * 10)
+    padded = padded[:-1] + bytes([padded[-1] | 0x80])   # a bit after the 10th letter
+    assert padded != pack_word("1" * 10)
+    for blob in (truncated, trailing, padded, b"LZCW\x00"):
         with pytest.raises(ParameterError):
             unpack_word(blob)
