@@ -175,6 +175,8 @@ def _fuzz_word(seed: int, trial: int, length: int) -> bytes:
 def cmd_bound_fuzz(args) -> int:
     if args.trials < 1:
         raise ParameterError("trials must be >= 1")
+    if args.max_len < 1:
+        raise ParameterError("max-len must be >= 1")
     worst = 0.0
     worst_at = None
     for trial in range(args.trials):
@@ -379,7 +381,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, MalformedCodeError) as exc:
+    except (ParameterError, MalformedCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (SamplingError, ConstructionError) as exc:

@@ -3,9 +3,12 @@
 Both constructions walk the same loop: lay down a chain of regular blocks,
 census the offset-i violations of the front-lettered parsing, and while some
 offset index has too many violations, insert gadgets ahead of the violated
-blocks.  Every insertion edits the word mid-stream, so the parsing is rolled
-back to the last block boundary before the edit and only the suffix is fed
-again (a from-scratch mode exists as the correctness oracle).
+blocks.  The loop carries no violation bookkeeping of its own: each pass
+re-reads the violated regulars, and the target's position, from one census
+of the whole chain.  Every insertion edits the word mid-stream, so the
+parsing is rolled back to the last block boundary before the edit and only
+the suffix is fed again (a from-scratch mode exists as the correctness
+oracle).
 """
 
 from __future__ import annotations
@@ -123,8 +126,8 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
         segments.append(Segment(REGULAR, len(reg), chain_index, reg_index=t))
     first_new = parser.feed(b"".join(regulars))
 
-    blocks, regs, offsets = _census(parser, segments, seg_lo, chain_start,
-                                    first_new, include_tail)
+    seg_starts, seg_regular, regs, offsets = _census(
+        parser, segments, seg_lo, chain_start, first_new, include_tail)
     record = ChainRecord(index=chain_index, source=source, q=q, q_formula=q_formula,
                          regular_count=s, chosen_i=None, gadget_count=0,
                          final_d=None, start=chain_start,
@@ -141,54 +144,41 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
             {"chain": chain_index, "indices": hot})
     i0 = hot[0]
 
-    # cause[t] = red block index witnessing the i0-violation of regular t
-    cause = [-1] * s
-    count = 0
     d = s // 2 + 1
     c = 0
-    cap = s
     while True:
-        at_i0 = offsets == i0
-        for b, t in zip(blocks[at_i0].tolist(), regs[at_i0].tolist()):
-            if cause[t] == -1:
-                cause[t] = b
-                count += 1
-        if c and cause[target] != -1:   # the last gadget left its target violated
+        # ascending: red blocks and the chain's regulars both run in word
+        # order, and two red blocks never start at the same letter
+        violated = regs[offsets == i0]
+        if c and target in violated:   # the last gadget left its target violated
             d += 1
-        if count < d:
+        if len(violated) < d:
             break
-        if c >= cap:
+        if c >= s:
             raise ConstructionError(
                 "gadget insertions exceeded the regular block count",
                 {"chain": chain_index, "i": i0, "inserted": c, "d": d,
-                 "violations": count})
-        target = _nth_violated(cause, d)
+                 "violations": len(violated)})
+        target = int(violated[d - 1])
+        at = int(np.flatnonzero(seg_regular == target)[0])
+        insert_at = 1 + int(seg_starts[at])
         gadget = factory.make(i0, c)
-        target_seg = seg_lo + _chain_seg_offset(segments, seg_lo, target)
-        insert_at = 1 + chain_start + sum(seg.length
-                                          for seg in segments[seg_lo:target_seg])
 
         if scratch:
             whole = bytes(parser.buf[:insert_at]) + gadget + bytes(parser.buf[insert_at:])
             parser.reset()
-            kept = 0
             parser.feed(whole)
         else:
             removed = parser.rollback(insert_at)
-            kept = parser.completed
             cut = insert_at - parser.position
             parser.feed(removed[:cut] + gadget + removed[cut:])
 
-        segments.insert(target_seg,
+        segments.insert(seg_lo + at,
                         Segment(GADGET, len(gadget), chain_index,
                                 gadget_i=i0, gadget_c=c))
         c += 1
-        for t in range(s):
-            if cause[t] >= kept:
-                cause[t] = -1
-                count -= 1
-        blocks, regs, offsets = _census(parser, segments, seg_lo, chain_start,
-                                        kept, include_tail)
+        seg_starts, seg_regular, regs, offsets = _census(
+            parser, segments, seg_lo, chain_start, first_new, include_tail)
 
     record.chosen_i = i0
     record.gadget_count = c
@@ -197,42 +187,25 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
     return record
 
 
-def _chain_seg_offset(segments: list[Segment], seg_lo: int, reg_index: int) -> int:
-    """Offset (within the chain's segments) of the regular block ``reg_index``."""
-    for off in range(len(segments) - seg_lo):
-        seg = segments[seg_lo + off]
-        if seg.kind == REGULAR and seg.reg_index == reg_index:
-            return off
-    raise AssertionError(f"regular block {reg_index} not found")
-
-
 def _census(parser: StreamParser, segments: list[Segment], seg_lo: int,
             chain_start: int, from_block: int, include_tail: bool):
-    """The red blocks from ``from_block`` on that lie inside one regular block
-    of the chain made of ``segments[seg_lo:]``, which starts at letter
-    ``chain_start`` of the word.  Returns arrays of their block indices,
-    regular indices and offsets; the in-progress block, if included, has
-    index ``parser.completed``."""
+    """The chain made of ``segments[seg_lo:]``, which starts at letter
+    ``chain_start`` of the word, and the red blocks from ``from_block`` on
+    that lie inside one of its regular blocks.  Returns the segment starts
+    and regular indices (-1 for a gadget), then those red blocks' regular
+    indices and offsets, in word order."""
     chain = segments[seg_lo:]
     lengths = np.fromiter((seg.length for seg in chain), np.int64, len(chain))
     regular = np.fromiter((seg.reg_index if seg.kind == REGULAR else -1
                            for seg in chain), np.int64, len(chain))
-    bounds = parser.starts[from_block:] + [parser.block_start]
+    seg_starts = chain_start + np.cumsum(lengths) - lengths
+    bounds = parser.starts[from_block:]
+    bounds.append(parser.block_start)
     if include_tail and parser.in_progress():
         bounds.append(parser.position)
-    index, offset, inside = locate(chain_start + np.cumsum(lengths) - lengths,
-                                   parser.position - 1, bounds[:-1], bounds[1:])
+    bounds = np.array(bounds, dtype=np.int64)
+    index, offset, inside = locate(seg_starts, parser.position - 1,
+                                   bounds[:-1], bounds[1:])
     reg = regular[index]
     hit = inside & (reg >= 0)
-    blocks = np.arange(from_block, from_block + len(bounds) - 1)
-    return blocks[hit], reg[hit], offset[hit]
-
-
-def _nth_violated(cause, d) -> int:
-    seen = 0
-    for t, v in enumerate(cause):
-        if v != -1:
-            seen += 1
-            if seen == d:
-                return t
-    raise AssertionError("fewer violated blocks than the loop counter requires")
+    return seg_starts, regular, reg[hit], offset[hit]

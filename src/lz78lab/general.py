@@ -51,8 +51,8 @@ def derive_params(n: int, l: int, gamma: float = 10.0, exact: bool = False) -> P
     Structural impossibilities raise; running below the asymptotic window
     (small n) is allowed but flagged via ``in_theorem_range``.
     """
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
+    if not math.isfinite(gamma) or gamma <= 0:
+        raise ParameterError("gamma must be finite and positive")
     if l < 16:
         raise ParameterError("l must be >= 16")
     if n < l:

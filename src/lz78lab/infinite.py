@@ -51,8 +51,8 @@ def schedule(l0: int, gamma: float, levels: int) -> Schedule:
     """
     if levels < 1:
         raise ParameterError("need at least one level")
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
+    if not math.isfinite(gamma) or gamma <= 0:
+        raise ParameterError("gamma must be finite and positive")
     out = []
     notes = []
     prev_p = None

@@ -49,8 +49,8 @@ def construct_toy(k: int, gamma: float = 3.0, seed: int = 0,
     """
     if k < 5:
         raise ParameterError("k must be >= 5 so the gadget window fits")
-    if gamma < 3:
-        raise ParameterError("gamma must be >= 3")
+    if not math.isfinite(gamma) or gamma < 3:
+        raise ParameterError("gamma must be finite and >= 3")
     if reparse not in ("checkpoint", "scratch"):
         raise ParameterError(f"unknown reparse mode {reparse!r}")
     x = de_bruijn(k, require_prefix="01", seed=seed).word

@@ -69,3 +69,46 @@ def naive_classify(green_blocks: list[str], red_blocks: list[str]):
 
 def random_bits(rng, length: int) -> str:
     return "".join(rng.choice("01") for _ in range(length))
+
+
+def naive_gadget_loop(x: str, front: str, window: int, make):
+    """The gadget loop from its definition, over the prefix chain of x.
+
+    Every pass re-parses front + word with :func:`naive_parse` and classifies
+    the red blocks against the segments with :func:`naive_classify`.  The hot
+    offset i0 is the one offset in [0, window] violated in more than half the
+    regular blocks; while at least d regulars are violated at i0, the gadget
+    ``make(i0, c)`` goes in front of the d-th of them, and d grows by one
+    whenever the previous target is still violated.  Segments are
+    ``("regular", text, t)`` or ``("gadget", text, (i0, c))``.  Returns the
+    segments, i0 (None when no offset is hot), the gadget count and the
+    final d.
+    """
+    segments = [("regular", x[:t + 1], t) for t in range(len(x))]
+    s = len(x)
+
+    def violated_at():
+        out = {}
+        red = naive_parse(front + "".join(seg[1] for seg in segments))
+        for cls in naive_classify([seg[1] for seg in segments], red):
+            if cls[0] == "offset" and segments[cls[2]][0] == "regular":
+                out.setdefault(cls[1], set()).add(segments[cls[2]][2])
+        return out
+
+    hot = [i for i, regs in violated_at().items() if i <= window and 2 * len(regs) > s]
+    if not hot:
+        return segments, None, 0, None
+    assert len(hot) == 1, "two hot offsets"
+    i0 = hot[0]
+    d, c, target = s // 2 + 1, 0, None
+    while True:
+        violated = sorted(violated_at().get(i0, ()))
+        if c and target in violated:
+            d += 1
+        if len(violated) < d:
+            return segments, i0, c, d
+        assert c < s, "more gadgets than regular blocks"
+        target = violated[d - 1]
+        at = segments.index(("regular", x[:target + 1], target))
+        segments.insert(at, ("gadget", make(i0, c), (i0, c)))
+        c += 1

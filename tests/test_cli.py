@@ -146,6 +146,40 @@ def test_bound_fuzz(capsys):
     assert obj["max_ratio"] <= 3
 
 
+@pytest.mark.parametrize("max_len", ["0", "-5"])
+def test_bound_fuzz_rejects_max_len_below_one(capsys, max_len):
+    code, out, err = run(capsys, "bound-fuzz", "--trials", "3", "--max-len", max_len)
+    assert code == 2
+    assert out == ""
+    assert "max-len must be >= 1" in err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "toy", "--k", "6"],
+    ["catastrophe", "--k", "6"],
+    ["construct", "general", "--n", str(1 << 14), "--l", "64"],
+    ["family-sample", "--n", str(1 << 14), "--l", "64"],
+    ["infinite", "--l0", "256", "--budget", "150000"],
+], ids=["construct-toy", "catastrophe", "construct-general", "family-sample",
+        "infinite"])
+def test_non_finite_gamma_exits_2(capsys, argv, gamma):
+    code, out, err = run(capsys, *argv, "--gamma", gamma)
+    assert code == 2
+    assert out == ""
+    assert "gamma must be finite" in err
+
+
+def test_unopenable_word_files_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    for argv in (["parse", "--input", missing], ["curve", "--input", missing],
+                 ["construct", "toy", "--k", "5",
+                  "--out", str(tmp_path / "no-such-dir" / "w.txt")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: "), argv
+
+
 def test_family_sample_and_curve(capsys, tmp_path):
     fam = tmp_path / "family.txt"
     code, out, _ = run(capsys, "family-sample", "--n", str(1 << 14),

@@ -355,6 +355,47 @@ def test_packed_round_trip():
         assert unpack_word(blob).to_text() == text
 
 
+@settings(deadline=None)
+@given(words)
+def test_packed_round_trip_property(text):
+    from lz78lab import pack_word, unpack_word
+    assert unpack_word(pack_word(text)).to_text() == text
+
+
+@st.composite
+def packed_blobs(draw):
+    """A packed header with arbitrary payload bytes: the declared length is
+    mostly one the payload could hold, with its padding bits left random."""
+    payload = draw(st.binary(max_size=40))
+    fits = st.integers(max(0, 8 * len(payload) - 7), 8 * len(payload))
+    n = draw(st.one_of(fits, st.integers(0, 2 ** 64 - 1)))
+    return b"LZCW" + n.to_bytes(8, "little") + payload
+
+
+@settings(deadline=None, max_examples=300)
+@given(packed_blobs())
+def test_packed_blob_that_decodes_repacks_to_itself(blob):
+    from lz78lab import pack_word, unpack_word
+    try:
+        w = unpack_word(blob)
+    except ParameterError:
+        return
+    assert pack_word(w) == blob
+
+
+@settings(deadline=None)
+@given(words, st.booleans())
+def test_word_file_round_trip_property(text, packed):
+    import tempfile
+    from pathlib import Path
+
+    from lz78lab import read_word_file, write_word_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w"
+        write_word_file(path, text, packed=packed)
+        assert read_word_file(path).to_text() == text
+
+
 def test_packed_rejects_malformed_blobs():
     from lz78lab import pack_word, unpack_word
     truncated = pack_word("1" * 100)[:14]     # declares 100 letters, carries 16

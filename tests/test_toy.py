@@ -6,7 +6,7 @@ from lz78lab import (ParameterError, Word, one_front_variant, parse, pref,
 from lz78lab.alignment import GADGET, REGULAR
 from lz78lab.toy import ToyGadgetFactory, construct_from_base, construct_toy
 
-from oracles import naive_classify, naive_parse
+from oracles import naive_classify, naive_gadget_loop, naive_parse
 
 
 def test_gadget_shapes():
@@ -171,6 +171,48 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
             results.append((bytes(parser.buf), list(segments),
                             record.chosen_i, record.gadget_count, record.final_d))
         assert results[0] == results[1], f"seed {seed}"
+
+
+def _oracle_segments(data: bytes, segments) -> list:
+    out, pos = [], 0
+    for seg in segments:
+        text = data[pos:pos + seg.length].decode()
+        tag = seg.reg_index if seg.kind == REGULAR else (seg.gadget_i, seg.gadget_c)
+        out.append((seg.kind, text, tag))
+        pos += seg.length
+    return out
+
+
+@pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
+                                           (200, 11, 7), (60, 5, 6), (150, 9, 7)])
+def test_forced_loop_matches_naive_gadget_loop(length, seed, k):
+    x = _forced_base(length, seed)
+    cw = construct_from_base(x, 3.0, meta={"k": k})
+    factory = ToyGadgetFactory(x.data)
+    segments, i0, count, d = naive_gadget_loop(
+        x.to_text(), "0", cw.meta["window"], lambda i, c: factory.make(i, c).decode())
+    assert _oracle_segments(cw.word.data, cw.segments) == segments
+    assert (cw.chosen_i, cw.counters) == (i0, (count, d))
+
+
+def test_chaos_loop_matches_naive_gadget_loop():
+    from lz78lab.construction import build_chain
+    from lz78lab.parsing import StreamParser
+
+    for seed in range(12):
+        x = _forced_base(70, seed)
+        parser = StreamParser()
+        parser.feed(b"0")
+        segments = []
+        record = build_chain(parser, segments, 0, x, 0,
+                             [x.data[:t + 1] for t in range(len(x))], window=12,
+                             factory=_ChaosFactory(seed), include_tail=True)
+        chaos = _ChaosFactory(seed)
+        expected = naive_gadget_loop(x.to_text(), "0", 12,
+                                     lambda i, c: chaos.make(i, c).decode())
+        got = (_oracle_segments(bytes(parser.buf[1:]), segments), record.chosen_i,
+               record.gadget_count, record.final_d)
+        assert got == expected, f"seed {seed}"
 
 
 def test_one_front_variant_same_letter_is_verify(toy_small=None):
