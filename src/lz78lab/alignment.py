@@ -5,9 +5,11 @@ either the single first block (the prepended letter), a junction spanning two
 or more green blocks, or an offset-i block contained in one green block.
 
 :func:`locate` answers "which green block holds this red block, and at what
-offset?" for a whole run of red blocks at once.  The classification here, the
-gadget loop's census in ``construction`` and the verifiers of ``toy`` and
-``general`` (whose green blocks are a constructed word's segments) all use it.
+offset?" for a whole run of red blocks at once.  The classification and the
+violation table here use it over a plain parsing of w; ``construction`` uses
+it for the gadget loop's census and for :func:`~lz78lab.construction.front_census`,
+the one census of a constructed word, whose green blocks are its segments and
+which both verifiers read.
 """
 
 from __future__ import annotations
@@ -43,13 +45,9 @@ class AlignedParsing:
     red: Parsing
     letter: int
     classes: list[RedClass]
-    green_meta: list[str] | None   # per green block: "regular" or "gadget"
-
-    def is_regular(self, green_index: int) -> bool:
-        return self.green_meta is None or self.green_meta[green_index] == REGULAR
 
 
-def align(w, a, green_meta=None) -> AlignedParsing:
+def align(w, a) -> AlignedParsing:
     """Parse w and aw and classify every red block under right alignment."""
     data = as_bits(w)
     if not data:
@@ -59,11 +57,8 @@ def align(w, a, green_meta=None) -> AlignedParsing:
         raise ParameterError("the prepended letter must be a single letter")
     green = parse(data)
     red = parse(letter_bits + data)
-    classes = classify(green, red)
-    if green_meta is not None and len(green_meta) != green.block_count:
-        raise ParameterError("green_meta length does not match the green block count")
     return AlignedParsing(green=green, red=red, letter=letter_bits[0] & 1,
-                          classes=classes, green_meta=green_meta)
+                          classes=classify(green, red))
 
 
 def locate(green_starts, length: int, red_starts, red_ends):
@@ -112,7 +107,7 @@ def classify(green: Parsing, red: Parsing) -> list[RedClass]:
 
 @dataclass(frozen=True)
 class ViolationTable:
-    """counts[i] = number of regular green blocks containing an offset-i red block."""
+    """counts[i] = number of green blocks containing an offset-i red block."""
 
     counts: dict[int, int]
     regular_count: int
@@ -125,21 +120,10 @@ class ViolationTable:
 
 
 def violation_table(ap: AlignedParsing) -> ViolationTable:
-    violated: dict[int, set[int]] = {}
-    for cls in ap.classes:
-        if cls.kind != "offset" or not ap.is_regular(cls.green_index):
-            continue
-        hit = violated.setdefault(cls.offset, set())
-        # two offset-i blocks in one green block would start at the same
-        # position, impossible in a parsing
-        assert cls.green_index not in hit, "duplicate offset block in one green block"
-        hit.add(cls.green_index)
-    if ap.green_meta is None:
-        regular = ap.green.block_count
-    else:
-        regular = sum(1 for m in ap.green_meta if m == REGULAR)
-    return ViolationTable(counts={i: len(s) for i, s in violated.items()},
-                          regular_count=regular)
+    _, offset, inside = locate(ap.green.starts, len(ap.green.data), ap.red.starts,
+                               ap.red.starts[1:] + [len(ap.red.data)])
+    return ViolationTable(counts=offset_counts(offset[inside]),
+                          regular_count=ap.green.block_count)
 
 
 class Coverage(NamedTuple):

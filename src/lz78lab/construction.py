@@ -9,6 +9,10 @@ of the whole chain.  Every insertion edits the word mid-stream, so the
 parsing is rolled back to the last block boundary before the edit and only
 the suffix is fed again (a from-scratch mode exists as the correctness
 oracle).
+
+:func:`front_census` is the one census of a finished word: both verifiers,
+``toy.one_front_variant`` and ``general.verify_general``, take the unit check
+and the per-chain violation counts from it.
 """
 
 from __future__ import annotations
@@ -77,11 +81,6 @@ class ConstructedWord:
             acc += seg.length
         return starts
 
-    def green_meta(self) -> list[str]:
-        """Per-segment kind tags; aligned with the green blocks whenever the
-        word has no padding and the unit structure holds."""
-        return [seg.kind for seg in self.segments]
-
     def without_gadgets(self) -> bytes:
         """The word with gadget (and padding) segments removed."""
         out = bytearray()
@@ -107,6 +106,31 @@ def _green_units_ok(cw: ConstructedWord, green: Parsing) -> bool:
         if green.starts[len(units)] != pad_start:
             return False
     return True
+
+
+def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
+    """The one census of a constructed word w, over the parsings of w (green)
+    and of aw (red), which both verifiers read.  Returns whether the green
+    parse follows the segments (see :func:`_green_units_ok`), the offset-i
+    violations per chain, {chain: {offset: count}}, counting the red blocks
+    that lie inside one regular segment, and the red blocks per chain."""
+    n_w = len(cw.word)
+    red_ends = red.starts[1:] + [len(red.data)]
+    index, offset, inside = locate(cw.segment_starts(), n_w, red.starts, red_ends)
+    regular = np.array([seg.kind == REGULAR for seg in cw.segments])
+    seg_chain = np.array([seg.chain for seg in cw.segments])
+    hit = inside & regular[index]
+    # a red block belongs to the chain holding its first letter; only the
+    # padding lies beyond the last chain
+    chain, chain_offset, _ = locate([c.start for c in cw.chains], n_w,
+                                    red.starts, red_ends)
+    lengths = np.array([c.length for c in cw.chains])
+    in_chain = (chain >= 0) & (chain_offset < lengths[chain])
+    per_chain = np.bincount(chain[in_chain], minlength=len(cw.chains))
+    counts = {c.index: offset_counts(offset[hit & (seg_chain[index] == c.index)])
+              for c in cw.chains}
+    chain_red = {c.index: int(per_chain[j]) for j, c in enumerate(cw.chains)}
+    return _green_units_ok(cw, green), counts, chain_red
 
 
 def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,

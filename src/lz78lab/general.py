@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import PADDING, REGULAR, locate, offset_counts
-from .construction import (ChainRecord, ConstructedWord, Segment, _green_units_ok,
-                           build_chain)
+from .alignment import PADDING
+from .construction import (ChainRecord, ConstructedWord, Segment, build_chain,
+                           front_census)
 from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import _gram_counts
-from .parsing import Parsing, StreamParser, parse
+from .parsing import StreamParser, parse
 from .words import Word
 
 
@@ -66,12 +66,13 @@ def derive_params(n: int, l: int, gamma: float = 10.0, exact: bool = False) -> P
         p = float(int(p))
     k = math.log2(l) / 2
     m = max(gamma * p, gamma * math.log2(l))
-    m_int = max(1, int(m))
     window = int(2 * k * math.sqrt(l))
-    if max(window, m_int) > l - 2:
+    # compared before int(): a huge gamma makes m infinite
+    if max(window, m) >= l - 1:
         raise ParameterError(
-            f"l={l} is too small for the gadget shapes "
-            f"(need max(window={window}, m={m_int}) <= l-2)")
+            f"l={l} is too small for the gadget shapes at gamma={gamma:g} "
+            f"(need max(window={window}, m={m:.6g}) <= l-2)")
+    m_int = max(1, int(m))
     family_count = 1 << math.ceil(p - 1e-9)
     notes = []
     if l < (9 * gamma * math.log2(n)) ** 2:
@@ -346,35 +347,13 @@ class GeneralReport:
         }
 
 
-def per_chain_violations(cw: ConstructedWord, red: Parsing):
-    """Violation counts {chain: {offset: count}} plus red blocks per chain."""
-    n_w = len(cw.word)
-    red_ends = red.starts[1:] + [len(red.data)]
-    index, offset, inside = locate(cw.segment_starts(), n_w, red.starts, red_ends)
-    regular = np.array([seg.kind == REGULAR for seg in cw.segments])
-    seg_chain = np.array([seg.chain for seg in cw.segments])
-    hit = inside & regular[index]
-    # a red block belongs to the chain holding its first letter; only the
-    # padding lies beyond the last chain
-    chain, chain_offset, _ = locate([c.start for c in cw.chains], n_w,
-                                    red.starts, red_ends)
-    lengths = np.array([c.length for c in cw.chains])
-    in_chain = (chain >= 0) & (chain_offset < lengths[chain])
-    per_chain = np.bincount(chain[in_chain], minlength=len(cw.chains))
-    counts = {c.index: offset_counts(offset[hit & (seg_chain[index] == c.index)])
-              for c in cw.chains}
-    chain_red = {c.index: int(per_chain[j]) for j, c in enumerate(cw.chains)}
-    return counts, chain_red
-
-
 def verify_general(cw: ConstructedWord) -> GeneralReport:
-    """Fresh parses of w and 0w plus all the per-chain checks."""
+    """Fresh parses of w and 0w, their
+    :func:`~lz78lab.construction.front_census`, and all the per-chain checks."""
     params: Params = cw.meta["params"]
     green = parse(cw.word.data)
     red = parse(b"0" + cw.word.data)
-    sync_ok = _green_units_ok(cw, green)
-
-    counts, chain_red = per_chain_violations(cw, red)
+    sync_ok, counts, chain_red = front_census(cw, green, red)
     cap = params.l / 2 + 2 * params.m + 1 + 2 * params.k * math.sqrt(params.l)
     caps_ok = True
     pairs_ok = True

@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .alignment import REGULAR, locate, offset_counts
-from .construction import ConstructedWord, Segment, _green_units_ok, build_chain
+from .construction import ConstructedWord, Segment, build_chain, front_census
 from .errors import ParameterError
 from .generators import de_bruijn
 from .parsing import StreamParser, parse
@@ -66,9 +63,11 @@ def construct_from_base(x: Word, gamma: float, front: str = "0",
     xb = x.data
     s = len(xb)
     k = meta.get("k") if meta else None
-    window = int(gamma * (k if k is not None else math.log2(s)))
-    if window >= s - 1:
+    reach = gamma * (k if k is not None else math.log2(s))
+    # compared before int(): a huge gamma makes gamma*k infinite
+    if reach >= s - 1:
         raise ParameterError("gamma*k must stay below the number of regular blocks")
+    window = int(reach)
     regulars = [xb[:t + 1] for t in range(s)]
     parser = StreamParser()
     parser.feed(as_bits(front))
@@ -120,32 +119,31 @@ class ToyReport:
 
 
 def verify_toy(cw: ConstructedWord) -> ToyReport:
-    """Independent verification pass: re-parses both words and re-censuses."""
+    """Independent verification pass: re-parses both words and re-censuses
+    them with :func:`~lz78lab.construction.front_census`."""
     return one_front_variant(cw, cw.front)
 
 
 def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
     """The verification report computed for ``a``+word instead of the
-    construction's own front letter."""
+    construction's own front letter: the chain's ``front_census`` counts at
+    offsets up to the window."""
     front = as_bits(a)
     if len(front) != 1:
         raise ParameterError("front must be a single letter")
     data = cw.word.data
     green = parse(data)
     red = parse(front + data)
-    units_ok = _green_units_ok(cw, green)
+    units_ok, counts, _ = front_census(cw, green, red)
 
     chain = cw.chains[0]
     s = chain.regular_count
     k = cw.meta.get("k")
     kk = k if k is not None else math.log2(s)
-    window = cw.meta.get("window", int(cw.gamma * kk))
     bound_b = s / 2 + (1 + cw.gamma) * kk + 1
     if units_ok:
-        index, offset, inside = locate(green.starts, len(data), red.starts,
-                                       red.starts[1:] + [len(red.data)])
-        regular = np.array([seg.kind == REGULAR for seg in cw.segments])
-        violations = offset_counts(offset[inside & regular[index] & (offset <= window)])
+        violations = {i: c for i, c in counts[chain.index].items()
+                      if i <= cw.meta["window"]}
         violations_ok = all(c <= bound_b for c in violations.values())
     else:
         # the per-unit violation census is meaningless if the green parse

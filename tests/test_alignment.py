@@ -95,16 +95,6 @@ def test_violation_trade_off_on_prefix_words():
             assert sum(1 for c in table.counts.values() if 2 * c > s) <= 1
 
 
-def test_green_meta_excludes_gadget_blocks():
-    ap = align("001010100011", "0",
-               green_meta=["regular", "gadget", "regular", "regular",
-                           "regular", "regular"])
-    table = violation_table(ap)
-    # the offset-1 hit lands in green block 1, now tagged gadget
-    assert table.counts == {0: 1, 2: 1}
-    assert table.regular_count == 5
-
-
 def test_coverage_profile_reference():
     ap = align("001010100011", "0")
     profile = coverage_profile(ap)

@@ -170,6 +170,21 @@ def test_non_finite_gamma_exits_2(capsys, argv, gamma):
     assert "gamma must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "toy", "--k", "6"],
+    ["catastrophe", "--k", "6"],
+    ["construct", "general", "--n", str(1 << 16), "--l", "64"],
+    ["family-sample", "--n", str(1 << 16), "--l", "64"],
+    ["infinite", "--l0", "256", "--budget", "150000"],
+], ids=["construct-toy", "catastrophe", "construct-general", "family-sample",
+        "infinite"])
+def test_huge_finite_gamma_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--gamma", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unopenable_word_files_exit_2(capsys, tmp_path):
     missing = str(tmp_path / "missing.txt")
     for argv in (["parse", "--input", missing], ["curve", "--input", missing],

@@ -5,7 +5,8 @@ from lz78lab import (ParameterError, SamplingError, Word,
                      load_family, parse, pref_gt, sample_family, save_family,
                      verify_general)
 from lz78lab.alignment import GADGET, PADDING, REGULAR
-from lz78lab.general import GeneralGadgetFactory, _q_formula, per_chain_violations
+from lz78lab.construction import front_census
+from lz78lab.general import GeneralGadgetFactory, _q_formula
 import lz78lab.general as general_mod
 
 from oracles import naive_classify, naive_parse
@@ -193,7 +194,8 @@ def test_per_chain_violations_match_interval_oracle(small_build):
             if c.start <= lo < c.start + c.length:
                 red_per_chain[c.index] += 1
         lo += len(block)
-    counts, chain_red = per_chain_violations(cw, parse(b"0" + cw.word.data))
+    _, counts, chain_red = front_census(cw, parse(cw.word.data),
+                                        parse(b"0" + cw.word.data))
     assert counts == {c: {i: len(g) for i, g in per.items()}
                       for c, per in violated.items()}
     assert chain_red == red_per_chain

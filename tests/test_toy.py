@@ -228,3 +228,19 @@ def test_one_front_variant_same_letter_is_verify(toy_small=None):
 def test_one_front_variant_rejects_words():
     with pytest.raises(ParameterError):
         one_front_variant(construct_toy(5), "01")
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("a", ["0", "1"])
+def test_toy_census_matches_interval_oracle(k, seed, a):
+    cw = construct_toy(k, seed=seed)
+    rep = one_front_variant(cw, a)
+    assert rep.green_units_ok
+    text = cw.word.to_text()
+    violated = {}
+    for cls in naive_classify(naive_parse(text), naive_parse(a + text)):
+        if (cls[0] == "offset" and cls[1] <= cw.meta["window"]
+                and cw.segments[cls[2]].kind == REGULAR):
+            violated.setdefault(cls[1], set()).add(cls[2])
+    assert rep.violations == {i: len(g) for i, g in violated.items()}
