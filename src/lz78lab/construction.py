@@ -58,7 +58,6 @@ class ConstructedWord:
     segments: list[Segment]
     chains: list[ChainRecord]
     gamma: float
-    front: str
     meta: dict = field(default_factory=dict)
 
     # single-chain conveniences for the explicit construction

@@ -10,7 +10,7 @@ far more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,6 +74,12 @@ def derive_params(n: int, l: int, gamma: float = 10.0, exact: bool = False) -> P
             f"(need max(window={window}, m={m:.6g}) <= l-2)")
     m_int = max(1, int(m))
     family_count = 1 << math.ceil(p - 1e-9)
+    # P2: the family's m-grams are distinct, and only 2^m_int of them exist
+    if family_count * (l - m_int + 1) > 1 << m_int:
+        raise ParameterError(
+            f"gamma={gamma:g} gives m={m_int}: P2 needs "
+            f"{family_count * (l - m_int + 1)} distinct {m_int}-grams, "
+            f"but only {1 << m_int} exist")
     notes = []
     if l < (9 * gamma * math.log2(n)) ** 2:
         notes.append(f"l below the asymptotic window floor (9*gamma*log n)^2 = "
@@ -211,7 +217,7 @@ def _make_u_resolver(parser: StreamParser, regulars: list[bytes],
         starts = parser.starts
         best = None
         for b in range(len(starts)):
-            end = parser.block_end(b)
+            end = starts[b + 1] if b + 1 < len(starts) else parser.block_start
             if end > h_red:
                 break
             length = end - starts[b]
@@ -300,7 +306,6 @@ def construct_general(params: Params, family: Family,
     assert len(word) == params.n
     return ConstructedWord(
         word=word, segments=segments, chains=chains, gamma=params.gamma,
-        front="0",
         meta={"params": params, "seed": family.seed, "w_prime": w_prime,
               "front_dict_size": parser.completed})
 
@@ -314,9 +319,9 @@ class GeneralReport:
     dic_w: int
     dic_aw: int
     w_prime: int
-    chain_count: int
+    chains: int
     gadget_counts: list[int]
-    chosen: list[int | None]
+    chosen_i: list[int | None]
     upper_bound_ok: bool              # dic_w <= (3+sqrt(3))/2 * n/l
     upper_bound: float
     violation_caps_ok: bool           # per-chain cap over the gadget window
@@ -328,23 +333,7 @@ class GeneralReport:
     per_chain_red_target: float       # l^(3/2)/54
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n, "l": self.l, "gamma": self.gamma, "p": self.p,
-            "dic_w": self.dic_w, "dic_aw": self.dic_aw, "w_prime": self.w_prime,
-            "chains": self.chain_count,
-            "gadget_counts": self.gadget_counts,
-            "chosen_i": self.chosen,
-            "upper_bound": self.upper_bound,
-            "upper_bound_ok": self.upper_bound_ok,
-            "violation_caps_ok": self.violation_caps_ok,
-            "pair_trade_off_ok": self.pair_trade_off_ok,
-            "sync_ok": self.sync_ok,
-            "catastrophe_factor": self.catastrophe_factor,
-            "front_speed_scaled": self.front_speed_scaled,
-            "per_chain_red_blocks": self.per_chain_red_blocks,
-            "per_chain_red_target": self.per_chain_red_target,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def verify_general(cw: ConstructedWord) -> GeneralReport:
@@ -370,9 +359,9 @@ def verify_general(cw: ConstructedWord) -> GeneralReport:
         n=params.n, l=params.l, gamma=params.gamma, p=params.p,
         dic_w=green.dict_size, dic_aw=red.dict_size,
         w_prime=cw.meta["w_prime"],
-        chain_count=len(cw.chains),
+        chains=len(cw.chains),
         gadget_counts=[c.gadget_count for c in cw.chains],
-        chosen=[c.chosen_i for c in cw.chains],
+        chosen_i=[c.chosen_i for c in cw.chains],
         upper_bound=bound,
         upper_bound_ok=green.dict_size <= bound,
         violation_caps_ok=caps_ok,

@@ -67,6 +67,8 @@ def schedule(l0: int, gamma: float, levels: int) -> Schedule:
         if prev_p is not None and p <= prev_p:
             raise ParameterError(f"level {i} does not grow: p_{i} = {p:.3f} <= "
                                  f"p_{i - 1} = {prev_p:.3f}")
+        if p >= 1024:                  # 2 ** p would overflow a float
+            raise ParameterError(f"level {i} is too large: p_{i} = {p:.3g} >= 1024")
         cum = int(2 ** p)
         count = cum - prev_cum
         if count <= 0:
@@ -181,7 +183,6 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     segments = _truncate_segments(segments, budget_n)
     return ConstructedWord(
         word=word, segments=segments, chains=chains, gamma=sched.gamma,
-        front="0",
         meta={"schedule": sched, "seed": seed, "budget": budget_n,
               "generated": full_len, "words_per_level": words_per_level})
 

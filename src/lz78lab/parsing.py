@@ -34,17 +34,22 @@ class StreamParser:
     ``t`` is completed block ``t - 1`` (the root is node 0), and
     ``c0[t]``/``c1[t]`` is its child by letter 0/1, or 0 for none.  A longer
     block is a key of ``long_blocks``, its bytes mapped to its block index.
-    Short blocks are matched letter by letter.  A match that reaches depth
-    ``TRIE_DEPTH`` continues in ``long_blocks``: the blocks longer than
-    ``TRIE_DEPTH`` are closed under taking prefixes longer than ``TRIE_DEPTH``
-    (the dictionary is prefix-closed), so the longest one that prefixes the
-    rest of the stream is found by galloping from the previous long match
-    length and bisecting.  A long block then costs a few hashed slices
-    instead of one lookup per letter.
+    Every block, the in-progress one included, is walked from its start:
+    letter by letter down the trie, and once that reaches depth
+    ``TRIE_DEPTH``, on in ``long_blocks``.  The blocks longer than
+    ``TRIE_DEPTH`` are closed under taking prefixes longer than
+    ``TRIE_DEPTH`` (the dictionary is prefix-closed), so the longest one that
+    prefixes the rest of the stream is found by galloping from the previous
+    long match length and bisecting.  A long block then costs a few hashed
+    slices instead of one lookup per letter.
 
     Supports rolling the parse back to an earlier position, which is what
     makes the adaptive constructions affordable: after an insertion only the
-    suffix is re-parsed, never the whole word.
+    suffix is re-parsed, never the whole word.  Blocks, trie nodes and
+    ``long_blocks`` entries are all created in block order, and a rollback
+    removes a suffix of them: it unlinks each removed short block from its
+    trie parent and pops the removed long blocks off the end of
+    ``long_blocks``, without hashing their bytes.
     """
 
     __slots__ = ("buf", "c0", "c1", "long_blocks", "starts", "preds", "block_start")
@@ -81,8 +86,8 @@ class StreamParser:
         """Consume letters; returns the index of the first newly completed block.
 
         ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``.  A call
-        also re-reads the in-progress block, so feed long pieces rather than
-        single letters.
+        walks the in-progress block again from its start, so feed long pieces
+        rather than single letters.
         """
         starts = self.starts
         preds = self.preds
@@ -97,36 +102,27 @@ class StreamParser:
         buf.extend(data)
         n = len(text)
         view = memoryview(text)
-        bs = 0                         # start of the in-progress block in text
-        j = n - len(data)              # next letter to consume
-        node = 0
-        if j <= TRIE_DEPTH:
-            for ch in text[:j]:
-                node = kids[ch][node]
+        bs = j = node = 0              # block start in text, next letter, trie node
         guess = TRIE_DEPTH + 1
         while True:
-            if j - bs <= TRIE_DEPTH:
-                for j, ch in enumerate(view[j:], j):
-                    child = kids[ch][node]
-                    if child:
-                        node = child
-                    elif j - bs < TRIE_DEPTH:
-                        kids[ch][node] = len(c0)
-                        c0.append(0)
-                        c1.append(0)
-                        starts.append(origin + bs)
-                        preds.append(node - 1)
-                        bs = j + 1
-                        node = 0
-                    else:
-                        break          # the match goes on in the long tier
+            for j, ch in enumerate(view[j:], j):
+                child = kids[ch][node]
+                if child:
+                    node = child
+                elif j - bs < TRIE_DEPTH:
+                    kids[ch][node] = len(c0)
+                    c0.append(0)
+                    c1.append(0)
+                    starts.append(origin + bs)
+                    preds.append(node - 1)
+                    bs = j + 1
+                    node = 0
                 else:
-                    break
-                lo, lo_id = TRIE_DEPTH, node - 1
+                    break              # the match goes on in the long tier
             else:
-                lo = j - bs
-                lo_id = get(text[bs:j])
+                break
             # text[bs:bs+lo] is block lo_id; find the longest block it extends to
+            lo, lo_id = TRIE_DEPTH, node - 1
             hi = n - bs + 1            # lengths >= hi are out of reach
             t, step = (guess if guess > lo else lo + 1), 1
             while hi - lo > 1:
@@ -151,9 +147,6 @@ class StreamParser:
         self.block_start = origin + bs
         return first_new
 
-    def block_end(self, b: int) -> int:
-        return self.starts[b + 1] if b + 1 < len(self.starts) else self.block_start
-
     def rollback(self, pos: int) -> bytes:
         """Rewind to the last block boundary at or before ``pos``.
 
@@ -162,24 +155,26 @@ class StreamParser:
         """
         starts = self.starts
         preds = self.preds
-        n = len(starts)
-        kept = bisect_right(starts, pos)
-        while kept > 0:
-            end = starts[kept] if kept < n else self.block_start
-            if end <= pos:
-                break
+        buf = self.buf
+        kept = bisect_right(starts, pos)   # blocks that start at or before pos
+        boundary = starts[kept] if kept < len(starts) else self.block_start
+        if boundary > pos and kept:        # block kept - 1 ends after pos
             kept -= 1
-        boundary = (starts[kept] if kept < n else self.block_start)
-        removed = bytes(self.buf[boundary:])
+            boundary = starts[kept]
         kids = [self.c0, self.c1] * 128
-        long_blocks = self.long_blocks
+        long_count = 0
         for start, end, pred in zip(starts[kept:], starts[kept + 1:] + [self.block_start],
                                     preds[kept:]):
             if end - start > TRIE_DEPTH:
-                del long_blocks[removed[start - boundary:end - boundary]]
+                long_count += 1
             else:
-                kids[removed[end - 1 - boundary]][pred + 1] = 0
-        del self.buf[boundary:]
+                kids[buf[end - 1]][pred + 1] = 0
+        # the removed long blocks are the last entries of long_blocks
+        popitem = self.long_blocks.popitem
+        for _ in range(long_count):
+            popitem()
+        removed = bytes(buf[boundary:])
+        del buf[boundary:]
         del starts[kept:], preds[kept:]
         del self.c0[kept + 1:], self.c1[kept + 1:]
         self.block_start = boundary

@@ -10,7 +10,7 @@ into far more blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .construction import ConstructedWord, Segment, build_chain, front_census
 from .errors import ParameterError
@@ -51,45 +51,41 @@ def construct_toy(k: int, gamma: float = 3.0, seed: int = 0,
     if reparse not in ("checkpoint", "scratch"):
         raise ParameterError(f"unknown reparse mode {reparse!r}")
     x = de_bruijn(k, require_prefix="01", seed=seed).word
-    return construct_from_base(x, gamma, front="0",
-                               scratch=(reparse == "scratch"),
+    return construct_from_base(x, gamma, scratch=(reparse == "scratch"),
                                meta={"k": k, "seed": seed})
 
 
-def construct_from_base(x: Word, gamma: float, front: str = "0",
-                        scratch: bool = False, meta: dict | None = None) -> ConstructedWord:
+def construct_from_base(x: Word, gamma: float, scratch: bool = False, *,
+                        meta: dict) -> ConstructedWord:
     """The gadget algorithm itself, on an arbitrary base word (tests use this
-    to force insertions; the public entry point keeps the de Bruijn contract)."""
+    to force insertions; the public entry point keeps the de Bruijn contract).
+    ``meta`` must hold the order ``k`` that sets the window gamma*k."""
     xb = x.data
     s = len(xb)
-    k = meta.get("k") if meta else None
-    reach = gamma * (k if k is not None else math.log2(s))
+    reach = gamma * meta["k"]
     # compared before int(): a huge gamma makes gamma*k infinite
     if reach >= s - 1:
         raise ParameterError("gamma*k must stay below the number of regular blocks")
     window = int(reach)
     regulars = [xb[:t + 1] for t in range(s)]
     parser = StreamParser()
-    parser.feed(as_bits(front))
+    parser.feed(b"0")
     segments: list[Segment] = []
     record = build_chain(parser, segments, 0, x, 0, regulars,
                          window=window, factory=ToyGadgetFactory(xb),
                          include_tail=True, scratch=scratch)
     word = Word(bytes(parser.buf[1:]))
-    info = dict(meta or {})
-    info.update({
-        "window": window,
-        "front_dict_size": parser.completed,  # dictionary of front+word, measured
-    })
+    info = dict(meta, window=window,
+                front_dict_size=parser.completed)  # dictionary of 0w, measured
     return ConstructedWord(word=word, segments=segments, chains=[record],
-                           gamma=gamma, front=front, meta=info)
+                           gamma=gamma, meta=info)
 
 
 @dataclass(frozen=True)
 class ToyReport:
     n: int
     s: int
-    k: int | None
+    k: int
     gamma: float
     front: str
     dic_w: int
@@ -103,25 +99,14 @@ class ToyReport:
     green_units_ok: bool          # green parse boundaries match the segments
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n, "s": self.s, "k": self.k, "gamma": self.gamma,
-            "front": self.front,
-            "dic_w": self.dic_w, "dic_aw": self.dic_aw,
-            f"dic_{self.front}w": self.dic_aw,
-            "chosen_i": self.chosen_i, "gadget_count": self.gadget_count,
-            "violations": {str(i): c for i, c in sorted(self.violations.items())},
-            "upper_bound_ok": self.upper_bound_ok,
-            "violations_ok": self.violations_ok,
-            "front_ratio": self.front_ratio,
-            "green_units_ok": self.green_units_ok,
-        }
+        return {"schema": 1, **asdict(self), f"dic_{self.front}w": self.dic_aw,
+                "violations": {str(i): c for i, c in self.violations.items()}}
 
 
 def verify_toy(cw: ConstructedWord) -> ToyReport:
     """Independent verification pass: re-parses both words and re-censuses
     them with :func:`~lz78lab.construction.front_census`."""
-    return one_front_variant(cw, cw.front)
+    return one_front_variant(cw, "0")
 
 
 def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
@@ -138,9 +123,8 @@ def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
 
     chain = cw.chains[0]
     s = chain.regular_count
-    k = cw.meta.get("k")
-    kk = k if k is not None else math.log2(s)
-    bound_b = s / 2 + (1 + cw.gamma) * kk + 1
+    k = cw.meta["k"]
+    bound_b = s / 2 + (1 + cw.gamma) * k + 1
     if units_ok:
         violations = {i: c for i, c in counts[chain.index].items()
                       if i <= cw.meta["window"]}

@@ -185,6 +185,19 @@ def test_huge_finite_gamma_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "general", "--n", str(1 << 16), "--l", "64"],
+    ["family-sample", "--n", str(1 << 16), "--l", "64"],
+    ["infinite", "--l0", "256", "--budget", "150000"],
+], ids=["construct-general", "family-sample", "infinite"])
+def test_tiny_gamma_exits_2(capsys, argv):
+    # no family meets P2 at m = 1, and infinite's 2^p_0 would overflow
+    code, out, err = run(capsys, *argv, "--gamma", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unopenable_word_files_exit_2(capsys, tmp_path):
     missing = str(tmp_path / "missing.txt")
     for argv in (["parse", "--input", missing], ["curve", "--input", missing],

@@ -38,6 +38,14 @@ def test_derive_params_errors():
         derive_params(1 << 20, 1 << 9, gamma=0)
 
 
+def test_derive_params_rejects_m_too_small_for_p2():
+    # P2 needs family_count * (l - m_int + 1) distinct m-grams out of 2^m_int
+    p = derive_params(1 << 14, 64, gamma=1.34)
+    assert (p.m_int, p.family_count * (64 - p.m_int + 1)) == (8, 228)
+    with pytest.raises(ParameterError, match="P2"):
+        derive_params(1 << 14, 64, gamma=1.25)    # m_int 7: 232 > 128
+
+
 def test_derive_params_exact_rounds_n_down():
     p = derive_params((1 << 20) + 12345, 1 << 9, gamma=10.0, exact=True)
     assert p.n == 1 << 20

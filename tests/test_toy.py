@@ -4,6 +4,7 @@ import pytest
 from lz78lab import (ParameterError, Word, one_front_variant, parse, pref,
                      tree_stats, verify_toy)
 from lz78lab.alignment import GADGET, REGULAR
+from lz78lab.construction import front_census
 from lz78lab.toy import ToyGadgetFactory, construct_from_base, construct_toy
 
 from oracles import naive_classify, naive_gadget_loop, naive_parse
@@ -133,6 +134,28 @@ def test_forced_loop_reports_unit_breakdown_honestly():
     rep = verify_toy(construct_from_base(x, 3.0, meta={"k": 6}))
     assert not rep.green_units_ok
     assert rep.violations == {}
+
+
+@pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (200, 11, 7), (60, 5, 6),
+                                           (150, 9, 7)])
+def test_front_census_counts_regular_segments_only(length, seed, k):
+    # on these bases some red blocks of 0w lie inside a gadget, and the
+    # census must leave them out
+    cw = construct_from_base(_forced_base(length, seed), 3.0, meta={"k": k})
+    text = cw.word.to_text()
+    bounds = cw.segment_starts() + [len(text)]
+    segment_words = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    violated, in_gadget = {}, 0
+    for cls in naive_classify(segment_words, naive_parse("0" + text)):
+        if cls[0] != "offset":
+            continue
+        if cw.segments[cls[2]].kind == REGULAR:
+            violated.setdefault(cls[1], set()).add(cls[2])
+        else:
+            in_gadget += 1
+    assert in_gadget > 0
+    _, counts, _ = front_census(cw, parse(cw.word.data), parse(b"0" + cw.word.data))
+    assert counts[0] == {i: len(g) for i, g in violated.items()}
 
 
 class _ChaosFactory:
