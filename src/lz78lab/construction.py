@@ -3,12 +3,13 @@
 Both constructions walk the same loop: lay down a chain of regular blocks,
 census the offset-i violations of the front-lettered parsing, and while some
 offset index has too many violations, insert gadgets ahead of the violated
-blocks.  The loop carries no violation bookkeeping of its own: each pass
-re-reads the violated regulars, and the target's position, from one census
-of the whole chain.  Every insertion edits the word mid-stream, so the
-parsing is rolled back to the last block boundary before the edit and only
-the suffix is fed again (a from-scratch mode exists as the correctness
-oracle).
+blocks.  The loop's only bookkeeping is the list of regulars violated at the
+chosen offset, in word order, whose d-th entry is the next target.  Every
+insertion edits the word mid-stream, so the parsing is rolled back to the
+last block boundary before the edit, and the rest of the chain is fed again
+only as far as the census needs to fix the next target; the pass that ends
+the loop feeds to the chain's end (a from-scratch mode, which re-parses the
+whole word and takes a full census each pass, is the correctness oracle).
 
 :func:`front_census` is the one census of a finished word: both verifiers,
 ``toy.one_front_variant`` and ``general.verify_general``, take the unit check
@@ -138,9 +139,18 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
                 q_formula: int | None = None) -> ChainRecord:
     """Append one chain and run its gadget-insertion loop.
 
-    ``parser`` must already hold the front letter plus all previous chains.
-    ``regulars`` are the chain's regular blocks in order; violations are
-    counted against them only, for offsets in [0, window].
+    ``parser`` must already hold the front letter plus all previous chains,
+    and holds the whole chain on return.  ``regulars`` are the chain's regular
+    blocks in order; violations are counted against them only, for offsets in
+    [0, window].
+
+    The chain is fed whole once, for the census that picks the hot offset i0.
+    After that, each insertion rolls the parsing back to the insertion point
+    and feeds the letters after it lazily, a doubling number of segments at a
+    time, only until the census holds d + 1 violations at i0: completed
+    blocks never change, so those fix the next pass exactly.  Only the pass
+    that ends the loop feeds to the chain's end.  With ``scratch`` every pass
+    parses the whole word afresh and takes a full census instead.
     """
     s = len(regulars)
     chain_start = parser.position - 1
@@ -149,8 +159,8 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
         segments.append(Segment(REGULAR, len(reg), chain_index, reg_index=t))
     first_new = parser.feed(b"".join(regulars))
 
-    seg_starts, seg_regular, regs, offsets = _census(
-        parser, segments, seg_lo, chain_start, first_new, include_tail)
+    bounds, regular = _layout(segments, seg_lo, chain_start)
+    regs, offsets = _census(parser, bounds, regular, first_new, include_tail)
     record = ChainRecord(index=chain_index, source=source, q=q, q_formula=q_formula,
                          regular_count=s, chosen_i=None, gadget_count=0,
                          final_d=None, start=chain_start,
@@ -167,41 +177,71 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
             {"chain": chain_index, "indices": hot})
     i0 = hot[0]
 
+    pending = memoryview(b"")       # the chain's letters not yet fed
+
+    def advance(end: int) -> list[int]:
+        """Feed the pending letters up to letter ``end`` of aw; returns the
+        regulars that the newly completed red blocks violate at i0."""
+        nonlocal pending
+        take = end - parser.position
+        first = parser.feed(bytes(pending[:take]))
+        pending = pending[take:]
+        regs, offsets = _census(parser, bounds, regular, first,
+                                include_tail and not pending)
+        return regs[offsets == i0].tolist()
+
     d = s // 2 + 1
     c = 0
+    # ascending: red blocks and the chain's regulars both run in word order,
+    # and two red blocks never start at the same letter
+    violated = regs[offsets == i0].tolist()
     while True:
-        # ascending: red blocks and the chain's regulars both run in word
-        # order, and two red blocks never start at the same letter
-        violated = regs[offsets == i0]
         if c and target in violated:   # the last gadget left its target violated
             d += 1
         if len(violated) < d:
             break
         if c >= s:
+            if pending:
+                violated += advance(parser.position + len(pending))
             raise ConstructionError(
                 "gadget insertions exceeded the regular block count",
                 {"chain": chain_index, "i": i0, "inserted": c, "d": d,
                  "violations": len(violated)})
-        target = int(violated[d - 1])
-        at = int(np.flatnonzero(seg_regular == target)[0])
-        insert_at = 1 + int(seg_starts[at])
+        target = violated[d - 1]
+        at = int(np.flatnonzero(regular == target)[0])
+        insert_at = 1 + int(bounds[at])
+        # the first call for offset 0 resolves the resynchronization word from
+        # the parser's blocks, so it comes before any rollback, while the
+        # whole chain is fed
         gadget = factory.make(i0, c)
+        segments.insert(seg_lo + at,
+                        Segment(GADGET, len(gadget), chain_index,
+                                gadget_i=i0, gadget_c=c))
+        c += 1
+        bounds, regular = _layout(segments, seg_lo, chain_start)
 
         if scratch:
             whole = bytes(parser.buf[:insert_at]) + gadget + bytes(parser.buf[insert_at:])
             parser.reset()
             parser.feed(whole)
-        else:
-            removed = parser.rollback(insert_at)
-            cut = insert_at - parser.position
-            parser.feed(removed[:cut] + gadget + removed[cut:])
+            regs, offsets = _census(parser, bounds, regular, first_new, include_tail)
+            violated = regs[offsets == i0].tolist()
+            continue
 
-        segments.insert(seg_lo + at,
-                        Segment(GADGET, len(gadget), chain_index,
-                                gadget_i=i0, gadget_c=c))
-        c += 1
-        seg_starts, seg_regular, regs, offsets = _census(
-            parser, segments, seg_lo, chain_start, first_new, include_tail)
+        removed = parser.rollback(insert_at)
+        cut = insert_at - parser.position
+        pending = memoryview(removed[:cut] + gadget + removed[cut:] + pending)
+        # The rollback keeps every block that ends at or before insert_at, so
+        # the d - 1 violations before the target, whose regulars all end
+        # there, carry over.  No other kept block is a violation, and the
+        # first re-fed block ends after insert_at (the dictionary is
+        # prefix-closed), so only the newly completed blocks need a census.
+        violated = violated[:d - 1]
+        hi, step = at + 1, 1            # the target is now segment at + 1
+        while len(violated) <= d and pending:
+            violated += advance(1 + int(bounds[min(hi + 1, len(bounds) - 1)]))
+            hi += step
+            step *= 2
 
     record.chosen_i = i0
     record.gadget_count = c
@@ -210,25 +250,31 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
     return record
 
 
-def _census(parser: StreamParser, segments: list[Segment], seg_lo: int,
-            chain_start: int, from_block: int, include_tail: bool):
+def _layout(segments: list[Segment], seg_lo: int, chain_start: int):
     """The chain made of ``segments[seg_lo:]``, which starts at letter
-    ``chain_start`` of the word, and the red blocks from ``from_block`` on
-    that lie inside one of its regular blocks.  Returns the segment starts
-    and regular indices (-1 for a gadget), then those red blocks' regular
-    indices and offsets, in word order."""
+    ``chain_start`` of the word: its segment bounds (segment k spans
+    ``bounds[k]`` to ``bounds[k + 1]``) and regular indices (-1 for a
+    gadget)."""
     chain = segments[seg_lo:]
     lengths = np.fromiter((seg.length for seg in chain), np.int64, len(chain))
     regular = np.fromiter((seg.reg_index if seg.kind == REGULAR else -1
                            for seg in chain), np.int64, len(chain))
-    seg_starts = chain_start + np.cumsum(lengths) - lengths
-    bounds = parser.starts[from_block:]
-    bounds.append(parser.block_start)
+    bounds = chain_start + np.concatenate(([0], np.cumsum(lengths)))
+    return bounds, regular
+
+
+def _census(parser: StreamParser, bounds, regular, from_block: int,
+            include_tail: bool):
+    """The red blocks from ``from_block`` on that lie inside one regular block
+    of the chain laid out by :func:`_layout`, with the in-progress block when
+    ``include_tail``.  Returns their regular indices and offsets, in word
+    order."""
+    blocks = parser.starts[from_block:]
+    blocks.append(parser.block_start)
     if include_tail and parser.in_progress():
-        bounds.append(parser.position)
-    bounds = np.array(bounds, dtype=np.int64)
-    index, offset, inside = locate(seg_starts, parser.position - 1,
-                                   bounds[:-1], bounds[1:])
+        blocks.append(parser.position)
+    blocks = np.array(blocks, dtype=np.int64)
+    index, offset, inside = locate(bounds[:-1], int(bounds[-1]), blocks[:-1], blocks[1:])
     reg = regular[index]
     hit = inside & (reg >= 0)
-    return seg_starts, regular, reg[hit], offset[hit]
+    return reg[hit], offset[hit]

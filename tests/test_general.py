@@ -8,6 +8,7 @@ from lz78lab.alignment import GADGET, PADDING, REGULAR
 from lz78lab.construction import front_census
 from lz78lab.general import GeneralGadgetFactory, _q_formula
 import lz78lab.general as general_mod
+from lz78lab.parsing import StreamParser
 
 from oracles import naive_classify, naive_parse
 
@@ -209,12 +210,48 @@ def test_per_chain_violations_match_interval_oracle(small_build):
     assert chain_red == red_per_chain
 
 
-def test_scratch_oracle_matches_checkpoint(small_build):
-    params, family, cw = small_build
-    other = construct_general(params, family, reparse="scratch")
+def _assert_same_build(cw, other):
     assert other.word == cw.word
     assert other.segments == cw.segments
-    assert [c.gadget_count for c in other.chains] == [c.gadget_count for c in cw.chains]
+    # whole records: resync_word, initial_violations, chosen_i, final_d,
+    # start and length included
+    assert other.chains == cw.chains
+    assert other.meta["front_dict_size"] == cw.meta["front_dict_size"]
+
+
+def test_scratch_oracle_matches_checkpoint(small_build):
+    params, family, cw = small_build
+    _assert_same_build(cw, construct_general(params, family, reparse="scratch"))
+
+
+def test_scratch_oracle_matches_checkpoint_multi_chain():
+    # each chain after the first starts behind a fully fed previous chain
+    params = derive_params(1 << 18, 256)
+    family = sample_family(params, seed=0)
+    cw = construct_general(params, family)
+    assert len(cw.chains) == 4
+    assert sum(c.gadget_count for c in cw.chains) == 16
+    _assert_same_build(cw, construct_general(params, family, reparse="scratch"))
+
+
+def test_construct_general_letters_fed_per_output_letter(monkeypatch, small_build):
+    # after each insertion the loop feeds only up to its next target; feeding
+    # the whole rest of the chain every time costs 1.56 letters per output
+    # letter here, the lazy loop 1.28
+    fed = []
+
+    class CountingParser(StreamParser):
+        __slots__ = ()
+
+        def feed(self, data):
+            fed.append(len(data))
+            return super().feed(data)
+
+    monkeypatch.setattr(general_mod, "StreamParser", CountingParser)
+    params, family, cw = small_build
+    assert construct_general(params, family).word == cw.word
+    assert sum(c.gadget_count for c in cw.chains) > 0
+    assert sum(fed) / params.n < 1.42
 
 
 def test_general_gadget_shapes():

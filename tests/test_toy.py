@@ -174,26 +174,45 @@ class _ChaosFactory:
 
 def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
     # the rollback path must match full re-parsing no matter what bytes the
-    # factory produces; chaos gadgets also force plenty of failed insertions
+    # factory produces; chaos gadgets also force plenty of failed insertions.
+    # A checkpoint pass feeds only as far as its next target, so a rollback
+    # from short of the chain's end shows a pass that stopped early
     from lz78lab.construction import build_chain
     from lz78lab.parsing import StreamParser
 
-    for seed in range(6):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-        bits = (rng.integers(0, 2, size=70, dtype=np.uint8) + ord("0")).tobytes()
-        x = Word(b"1" + bits[1:])
+    class RecordingParser(StreamParser):
+        __slots__ = ("rollback_from",)
+
+        def rollback(self, pos):
+            self.rollback_from.append(self.position)
+            return super().rollback(pos)
+
+    early = rollbacks = 0
+    for seed in range(12):
+        x = _forced_base(70, seed)
         regs = [x.data[:t + 1] for t in range(len(x))]
         results = []
-        for scratch in (False, True):
-            parser = StreamParser()
+        for scratch in (True, False):     # checkpoint last: read below
+            parser = RecordingParser()
+            parser.rollback_from = []
             parser.feed(b"0")
             segments = []
             record = build_chain(parser, segments, 0, x, 0, regs, window=12,
                                  factory=_ChaosFactory(seed), include_tail=True,
                                  scratch=scratch)
-            results.append((bytes(parser.buf), list(segments),
-                            record.chosen_i, record.gadget_count, record.final_d))
+            results.append((bytes(parser.buf), list(segments), record))
         assert results[0] == results[1], f"seed {seed}"
+        # before gadget j went in, the chain ended short of its final end by
+        # the gadgets j, j + 1, ... inserted from then on
+        gadgets = sorted((seg for seg in segments if seg.kind == GADGET),
+                         key=lambda seg: seg.gadget_c)
+        assert len(parser.rollback_from) == len(gadgets)
+        for j, fed in enumerate(parser.rollback_from):
+            chain_end = len(parser.buf) - sum(seg.length for seg in gadgets[j:])
+            assert fed <= chain_end
+            early += fed < chain_end
+        rollbacks += len(gadgets)
+    assert early > 0, f"none of {rollbacks} passes stopped before the chain's end"
 
 
 def _oracle_segments(data: bytes, segments) -> list:
