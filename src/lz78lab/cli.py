@@ -56,15 +56,15 @@ def _load_word(args) -> Word:
 
 def cmd_parse(args) -> int:
     w = _load_word(args)
-    if len(w) == 0:
-        _emit({"schema": 1, "length": 0, "blocks": 0, "dict_size": 0,
-               "comp": None}, args.format)
-        return OK
     p = parse(w)
     if args.emit_code:
         with open(args.emit_code, "w", encoding="ascii") as fh:
             json.dump(encode(p).to_json_obj(), fh)
             fh.write("\n")
+    if len(w) == 0:
+        _emit({"schema": 1, "length": 0, "blocks": 0, "dict_size": 0,
+               "comp": None}, args.format)
+        return OK
     stats = tree_stats(p)
     _emit({
         "schema": 1,

@@ -1,15 +1,18 @@
 """Shared engine for the adaptive gadget constructions.
 
 Both constructions walk the same loop: lay down a chain of regular blocks,
-census the offset-i violations of the front-lettered parsing, and while some
-offset index has too many violations, insert gadgets ahead of the violated
-blocks.  The loop's only bookkeeping is the list of regulars violated at the
-chosen offset, in word order, whose d-th entry is the next target.  Every
-insertion edits the word mid-stream, so the parsing is rolled back to the
-last block boundary before the edit, and the rest of the chain is fed again
-only as far as the census needs to fix the next target; the pass that ends
-the loop feeds to the chain's end (a from-scratch mode, which re-parses the
-whole word and takes a full census each pass, is the correctness oracle).
+the prefixes x[0..q], ..., x of a base word x, census the offset-i violations
+of the front-lettered parsing, and while some offset index has too many
+violations, insert gadgets ahead of the violated blocks.  The toy chain starts
+at q = 0; a general chain starts at its first prefix that is not yet a block
+of the plain parsing, which ``general._add_chain`` finds.  The loop's only
+bookkeeping is the list of regulars violated at the chosen offset, in word
+order, whose d-th entry is the next target.  Every insertion edits the word
+mid-stream, so the parsing is rolled back to the last block boundary before
+the edit, and the rest of the chain is fed again only as far as the census
+needs to fix the next target; the pass that ends the loop feeds to the
+chain's end (a from-scratch mode, which re-parses the whole word and takes a
+full census each pass, is the correctness oracle).
 
 :func:`front_census` is the one census of a finished word: both verifiers,
 ``toy.one_front_variant`` and ``general.verify_general``, take the unit check
@@ -32,7 +35,7 @@ class Segment:
     kind: str                     # regular | gadget | padding
     length: int
     chain: int
-    reg_index: int | None = None  # for regulars: the prefix length minus one
+    reg_index: int | None = None  # for regulars: the index in the chain
     gadget_i: int | None = None
     gadget_c: int | None = None
 
@@ -41,8 +44,7 @@ class Segment:
 class ChainRecord:
     index: int
     source: Word
-    q: int                        # first green block of the chain is x[0..q]
-    q_formula: int | None
+    q: int                        # first regular block of the chain is x[0..q]
     regular_count: int
     chosen_i: int | None
     gadget_count: int
@@ -114,35 +116,31 @@ def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
     parse follows the segments (see :func:`_green_units_ok`), the offset-i
     violations per chain, {chain: {offset: count}}, counting the red blocks
     that lie inside one regular segment, and the red blocks per chain."""
-    n_w = len(cw.word)
     red_ends = red.starts[1:] + [len(red.data)]
-    index, offset, inside = locate(cw.segment_starts(), n_w, red.starts, red_ends)
+    index, offset, inside = locate(cw.segment_starts(), len(cw.word), red.starts,
+                                   red_ends)
     regular = np.array([seg.kind == REGULAR for seg in cw.segments])
-    seg_chain = np.array([seg.chain for seg in cw.segments])
+    # a red block belongs to the chain of the segment holding its first
+    # letter; aw's first block lies before every segment, the padding in none
+    chain = np.where(index >= 0,
+                     np.array([seg.chain for seg in cw.segments])[index], -1)
     hit = inside & regular[index]
-    # a red block belongs to the chain holding its first letter; only the
-    # padding lies beyond the last chain
-    chain, chain_offset, _ = locate([c.start for c in cw.chains], n_w,
-                                    red.starts, red_ends)
-    lengths = np.array([c.length for c in cw.chains])
-    in_chain = (chain >= 0) & (chain_offset < lengths[chain])
-    per_chain = np.bincount(chain[in_chain], minlength=len(cw.chains))
-    counts = {c.index: offset_counts(offset[hit & (seg_chain[index] == c.index)])
+    per_chain = np.bincount(chain[chain >= 0], minlength=len(cw.chains))
+    counts = {c.index: offset_counts(offset[hit & (chain == c.index)])
               for c in cw.chains}
-    chain_red = {c.index: int(per_chain[j]) for j, c in enumerate(cw.chains)}
+    chain_red = {c.index: int(per_chain[c.index]) for c in cw.chains}
     return _green_units_ok(cw, green), counts, chain_red
 
 
 def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
-                source: Word, q: int, regulars: list[bytes], *, window: int,
-                factory, include_tail: bool, scratch: bool = False,
-                q_formula: int | None = None) -> ChainRecord:
-    """Append one chain and run its gadget-insertion loop.
+                source: Word, q: int, *, window: int, factory, include_tail: bool,
+                scratch: bool = False) -> ChainRecord:
+    """Append the chain of the prefixes x[0..q], ..., x of ``source`` x as
+    regular blocks, and run its gadget-insertion loop.
 
     ``parser`` must already hold the front letter plus all previous chains,
-    and holds the whole chain on return.  ``regulars`` are the chain's regular
-    blocks in order; violations are counted against them only, for offsets in
-    [0, window].
+    and holds the whole chain on return.  Violations are counted against the
+    chain's regular blocks only, for offsets in [0, window].
 
     The chain is fed whole once, for the census that picks the hot offset i0.
     After that, each insertion rolls the parsing back to the insertion point
@@ -152,19 +150,19 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
     that ends the loop feeds to the chain's end.  With ``scratch`` every pass
     parses the whole word afresh and takes a full census instead.
     """
-    s = len(regulars)
+    x = source.data
+    s = len(x) - q
     chain_start = parser.position - 1
     seg_lo = len(segments)
-    for t, reg in enumerate(regulars):
-        segments.append(Segment(REGULAR, len(reg), chain_index, reg_index=t))
-    first_new = parser.feed(b"".join(regulars))
+    segments.extend(Segment(REGULAR, q + 1 + t, chain_index, reg_index=t)
+                    for t in range(s))
+    first_new = parser.feed(b"".join(x[:q + 1 + t] for t in range(s)))
 
     bounds, regular = _layout(segments, seg_lo, chain_start)
     regs, offsets = _census(parser, bounds, regular, first_new, include_tail)
-    record = ChainRecord(index=chain_index, source=source, q=q, q_formula=q_formula,
-                         regular_count=s, chosen_i=None, gadget_count=0,
-                         final_d=None, start=chain_start,
-                         length=parser.position - 1 - chain_start,
+    record = ChainRecord(index=chain_index, source=source, q=q, regular_count=s,
+                         chosen_i=None, gadget_count=0, final_d=None,
+                         start=chain_start, length=parser.position - 1 - chain_start,
                          initial_violations=offset_counts(offsets[offsets <= window]))
 
     hot = [i for i, v in record.initial_violations.items() if 2 * v > s]
@@ -200,13 +198,12 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
             d += 1
         if len(violated) < d:
             break
+        # targets strictly increase from regular s // 2 on, so this cannot
+        # fire; it is the loop's termination guard
         if c >= s:
-            if pending:
-                violated += advance(parser.position + len(pending))
             raise ConstructionError(
                 "gadget insertions exceeded the regular block count",
-                {"chain": chain_index, "i": i0, "inserted": c, "d": d,
-                 "violations": len(violated)})
+                {"chain": chain_index, "i": i0, "inserted": c, "d": d})
         target = violated[d - 1]
         at = int(np.flatnonzero(regular == target)[0])
         insert_at = 1 + int(bounds[at])

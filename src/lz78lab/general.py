@@ -209,11 +209,12 @@ class GeneralGadgetFactory:
         return self.x[:mp] + bytes([self.x[mp] ^ 1]) + self.pad[:c]
 
 
-def _make_u_resolver(parser: StreamParser, regulars: list[bytes],
-                     green_words: set[bytes], m_int: int, h_red: int,
-                     chain_index: int):
+def _make_u_resolver(parser: StreamParser, green_words: set[bytes], x: bytes,
+                     m_int: int, h_red: int, chain_index: int):
     def resolve() -> bytes:
-        green = green_words | set(regulars)
+        # the plain parsing's words are green_words and the chain's regulars
+        # x[0..q], ..., x; the shorter prefixes of x are in green_words, so
+        # a block is plain exactly when it is in green_words or prefixes x
         starts = parser.starts
         best = None
         for b in range(len(starts)):
@@ -224,7 +225,7 @@ def _make_u_resolver(parser: StreamParser, regulars: list[bytes],
             if length > m_int:
                 continue
             wb = bytes(parser.buf[starts[b]:end])
-            if wb in green:
+            if wb in green_words or x.startswith(wb):
                 continue
             key = (length, wb)
             if best is None or key < best:
@@ -240,23 +241,32 @@ def _make_u_resolver(parser: StreamParser, regulars: list[bytes],
 
 
 def _add_chain(parser: StreamParser, segments: list[Segment], green_words: set[bytes],
-              chain_index: int, xw: Word, q_eff: int, *, m_int: int, window: int,
-              scratch: bool = False, q_formula: int | None = None) -> ChainRecord:
-    """Lay the chain of the prefixes x[0..q_eff], ..., x of the chain word x,
-    run its gadget loop, and add its unit words to ``green_words``, the
-    plain dictionary seen by later chains."""
+              chain_index: int, xw: Word, *, q_max: int, m_int: int, window: int,
+              scratch: bool = False) -> ChainRecord:
+    """The one chain set-up of the chained and the infinite construction.
+
+    Finds q, the first prefix x[0..q] of the chain word x that is not yet a
+    block of the plain parsing (its words are ``green_words``), and raises
+    when q exceeds ``q_max``.  Then lays the chain of the prefixes x[0..q],
+    ..., x with :func:`~lz78lab.construction.build_chain`, runs its gadget
+    loop, and adds the chain's unit words to ``green_words`` for later
+    chains."""
     xb = xw.data
     l = len(xb)
-    regulars = [xb[:t + 1] for t in range(q_eff, l)]
+    q = 0
+    while q < l and xb[:q + 1] in green_words:
+        q += 1
+    if q > q_max:
+        raise ConstructionError(
+            "the chain word's first fresh prefix lies beyond its bound",
+            {"chain": chain_index, "q": q, "bound": q_max})
     chain_green_start = parser.position - 1
-    h_red = 1 + chain_green_start + sum(t + 1 for t in range(q_eff, l // 2 + 1))
-    resolver = _make_u_resolver(parser, regulars, green_words, m_int, h_red,
-                                chain_index)
+    h_red = 1 + chain_green_start + sum(t + 1 for t in range(q, l // 2 + 1))
+    resolver = _make_u_resolver(parser, green_words, xb, m_int, h_red, chain_index)
     factory = GeneralGadgetFactory(xb, m_int, resolver)
     seg_lo = len(segments)
-    record = build_chain(parser, segments, chain_index, xw, q_eff, regulars,
-                         window=window, factory=factory, include_tail=False,
-                         scratch=scratch, q_formula=q_formula)
+    record = build_chain(parser, segments, chain_index, xw, q, window=window,
+                         factory=factory, include_tail=False, scratch=scratch)
     record.resync_word = factory.resolved_u
     pos = 1 + chain_green_start
     for seg in segments[seg_lo:]:
@@ -271,27 +281,14 @@ def construct_general(params: Params, family: Family,
     zero padding to exactly n letters."""
     if reparse not in ("checkpoint", "scratch"):
         raise ParameterError(f"unknown reparse mode {reparse!r}")
-    scratch = reparse == "scratch"
-    l = params.l
     parser = StreamParser()
     parser.feed(b"0")
     segments: list[Segment] = []
     green_words: set[bytes] = set()
-    chains = []
-    for j, xw in enumerate(family.words):
-        xb = xw.data
-        q_eff = 0
-        while q_eff < l and xb[:q_eff + 1] in green_words:
-            q_eff += 1
-        if q_eff >= l:
-            raise ConstructionError("chain word has no fresh prefix",
-                                    {"chain": j})
-        if l // 2 < q_eff:
-            raise ConstructionError("synchronization offset beyond the half point",
-                                    {"chain": j, "q": q_eff})
-        chains.append(_add_chain(parser, segments, green_words, j, xw, q_eff,
-                                m_int=params.m_int, window=params.window,
-                                scratch=scratch, q_formula=family.q[j]))
+    chains = [_add_chain(parser, segments, green_words, j, xw, q_max=params.l // 2,
+                         m_int=params.m_int, window=params.window,
+                         scratch=reparse == "scratch")
+              for j, xw in enumerate(family.words)]
 
     w_prime = parser.position - 1
     if w_prime > params.n:

@@ -85,10 +85,11 @@ def de_bruijn(k: int, require_prefix=None, seed: int = 0) -> DeBruijnWord:
         f"no generated de Bruijn word of order {k} starts with the requested prefix")
 
 
-def _seed_ladder(seed: int, extra: int = 8):
+def _seed_ladder(seed: int):
     yield seed
-    # long prefixes may miss one particular circuit; retry nearby tie-breaks
-    for i in range(1, extra + 1):
+    # long prefixes may miss one particular circuit; retry eight nearby
+    # tie-breaks
+    for i in range(1, 9):
         yield (seed or 1) * 1000003 + i
 
 

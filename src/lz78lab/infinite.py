@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,33 +149,22 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     grams_m = None
     chains = []
     words_per_level: dict[int, int] = {}
-    chain_counter = 0
-    done = False
     for level in sched.levels:
-        if done:
+        if parser.position - 1 >= budget_n:
             break
         if level.m_eff != grams_m:
             grams_m = level.m_eff
             corpus_grams = _m_grams(corpus, grams_m)
         for widx in range(level.count):
             xw = _sample_level_word(seed, level, widx, corpus_grams,
-                                    require_leading_one=(chain_counter == 0))
-            xb = xw.data
-            q_eff = 0
-            while q_eff < level.l and xb[:q_eff + 1] in green_words:
-                q_eff += 1
-            if q_eff > level.m_eff:
-                raise SamplingError("synchronization offset exceeded the level's m",
-                                    {"level": level.index, "word": widx, "q": q_eff})
-            chains.append(_add_chain(parser, segments, green_words, chain_counter,
-                                     xw, q_eff, m_int=level.m_eff,
+                                    require_leading_one=not chains)
+            chains.append(_add_chain(parser, segments, green_words, len(chains),
+                                     xw, q_max=level.m_eff, m_int=level.m_eff,
                                      window=level.window))
             words_per_level[level.index] = words_per_level.get(level.index, 0) + 1
-            corpus.append(xb)
-            corpus_grams |= _m_grams([xb], grams_m)
-            chain_counter += 1
+            corpus.append(xw.data)
+            corpus_grams |= _m_grams([xw.data], grams_m)
             if parser.position - 1 >= budget_n:
-                done = True
                 break
 
     full_len = parser.position - 1
@@ -188,19 +177,13 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
 
 
 def _truncate_segments(segments: list[Segment], budget: int) -> list[Segment]:
-    out = []
-    acc = 0
+    out, acc = [], 0
     for seg in segments:
-        if acc + seg.length <= budget:
-            out.append(seg)
-            acc += seg.length
-            if acc == budget:
-                break
-        else:
-            out.append(Segment(seg.kind, budget - acc, seg.chain,
-                               reg_index=seg.reg_index, gadget_i=seg.gadget_i,
-                               gadget_c=seg.gadget_c))
+        if acc >= budget:
             break
+        out.append(seg if acc + seg.length <= budget
+                   else replace(seg, length=budget - acc))
+        acc += seg.length
     return out
 
 
@@ -231,13 +214,12 @@ def ratio_curve(w, stride: int) -> list[tuple[int, float]]:
     return points
 
 
-def tail_separation(plain_curve, front_curve, quartile: float = 0.25):
+def tail_separation(plain_curve, front_curve):
     """Compare the last-quartile ratio ranges of the two curves.
 
     Returns (holds, max_plain, min_front).
     """
-    n_max = plain_curve[-1][0]
-    cut = (1 - quartile) * n_max
+    cut = 0.75 * plain_curve[-1][0]
     plain_tail = [c for n, c in plain_curve if n >= cut]
     front_tail = [c for n, c in front_curve if n >= cut]
     if not plain_tail or not front_tail:

@@ -60,20 +60,17 @@ def construct_from_base(x: Word, gamma: float, scratch: bool = False, *,
     """The gadget algorithm itself, on an arbitrary base word (tests use this
     to force insertions; the public entry point keeps the de Bruijn contract).
     ``meta`` must hold the order ``k`` that sets the window gamma*k."""
-    xb = x.data
-    s = len(xb)
     reach = gamma * meta["k"]
     # compared before int(): a huge gamma makes gamma*k infinite
-    if reach >= s - 1:
+    if reach >= len(x) - 1:
         raise ParameterError("gamma*k must stay below the number of regular blocks")
     window = int(reach)
-    regulars = [xb[:t + 1] for t in range(s)]
     parser = StreamParser()
     parser.feed(b"0")
     segments: list[Segment] = []
-    record = build_chain(parser, segments, 0, x, 0, regulars,
-                         window=window, factory=ToyGadgetFactory(xb),
-                         include_tail=True, scratch=scratch)
+    record = build_chain(parser, segments, 0, x, 0, window=window,
+                         factory=ToyGadgetFactory(x.data), include_tail=True,
+                         scratch=scratch)
     word = Word(bytes(parser.buf[1:]))
     info = dict(meta, window=window,
                 front_dict_size=parser.completed)  # dictionary of 0w, measured

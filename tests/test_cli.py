@@ -44,6 +44,16 @@ def test_parse_emit_code_file(capsys, tmp_path):
     assert decode(LzCode.from_json_obj(entries)).to_text() == "0001010100011"
 
 
+def test_parse_emit_code_file_for_the_empty_word(capsys, tmp_path):
+    from lz78lab import LzCode, decode
+    path = tmp_path / "code.json"
+    code, out, _ = run(capsys, "parse", "--word", "", "--emit-code", str(path))
+    assert code == 0
+    assert json.loads(out)["blocks"] == 0
+    assert path.read_text() == "[]\n"
+    assert decode(LzCode.from_json_obj(json.loads(path.read_text()))).to_text() == ""
+
+
 def test_ratio(capsys):
     code, out, _ = run(capsys, "ratio", "--word", "0")
     assert code == 0

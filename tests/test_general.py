@@ -1,6 +1,6 @@
 import pytest
 
-from lz78lab import (ParameterError, SamplingError, Word,
+from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
                      check_p1, check_p2, construct_general, derive_params,
                      load_family, parse, pref_gt, sample_family, save_family,
                      verify_general)
@@ -232,6 +232,29 @@ def test_scratch_oracle_matches_checkpoint_multi_chain():
     assert len(cw.chains) == 4
     assert sum(c.gadget_count for c in cw.chains) == 16
     _assert_same_build(cw, construct_general(params, family, reparse="scratch"))
+
+
+def test_scratch_oracle_matches_checkpoint_on_later_offset_0_chains():
+    # chains after the first resolve their resynchronization word u from the
+    # blocks of the earlier chains as well as their own
+    params = derive_params(1 << 16, 64)
+    family = sample_family(params, seed=0)
+    cw = construct_general(params, family)
+    assert [(c.chosen_i, c.resync_word) for c in cw.chains[8:10]] == [
+        (0, b"110"), (0, b"0001")]
+    _assert_same_build(cw, construct_general(params, family, reparse="scratch"))
+
+
+def test_add_chain_rejects_a_first_fresh_prefix_beyond_its_bound():
+    x = Word.from_text("1011" * 16)
+    parser = StreamParser()
+    parser.feed(b"0")
+    green_words = {x.data[:1], x.data[:2], x.data[:3]}
+    with pytest.raises(ConstructionError) as info:
+        general_mod._add_chain(parser, [], green_words, 0, x, q_max=2,
+                               m_int=8, window=8)
+    assert info.value.diagnostics["q"] == 3
+    assert parser.position == 1
 
 
 def test_construct_general_letters_fed_per_output_letter(monkeypatch, small_build):

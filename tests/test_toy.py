@@ -190,14 +190,13 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
     early = rollbacks = 0
     for seed in range(12):
         x = _forced_base(70, seed)
-        regs = [x.data[:t + 1] for t in range(len(x))]
         results = []
         for scratch in (True, False):     # checkpoint last: read below
             parser = RecordingParser()
             parser.rollback_from = []
             parser.feed(b"0")
             segments = []
-            record = build_chain(parser, segments, 0, x, 0, regs, window=12,
+            record = build_chain(parser, segments, 0, x, 0, window=12,
                                  factory=_ChaosFactory(seed), include_tail=True,
                                  scratch=scratch)
             results.append((bytes(parser.buf), list(segments), record))
@@ -246,8 +245,7 @@ def test_chaos_loop_matches_naive_gadget_loop():
         parser = StreamParser()
         parser.feed(b"0")
         segments = []
-        record = build_chain(parser, segments, 0, x, 0,
-                             [x.data[:t + 1] for t in range(len(x))], window=12,
+        record = build_chain(parser, segments, 0, x, 0, window=12,
                              factory=_ChaosFactory(seed), include_tail=True)
         chaos = _ChaosFactory(seed)
         expected = naive_gadget_loop(x.to_text(), "0", 12,
