@@ -124,8 +124,6 @@ def cmd_construct_general(args) -> int:
 
 
 def cmd_catastrophe(args) -> int:
-    if not 5 <= args.k <= 16:
-        raise ParameterError("k must be in [5, 16]")
     cw = construct_toy(args.k, gamma=args.gamma, seed=args.seed)
     report = verify_toy(cw)
     dic_1w = parse(b"1" + cw.word.data).dict_size
@@ -208,7 +206,7 @@ def cmd_family_sample(args) -> int:
     if args.out:
         gen.save_family(family, args.out)
     _emit({"schema": 1, "params": params.to_json_obj(),
-           "retries": family.retries, "q": family.q,
+           "retries": family.retries,
            "words": None if args.out else [w.to_text() for w in family.words]},
           "json")
     return OK

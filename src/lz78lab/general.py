@@ -104,25 +104,24 @@ def check_p1(x, k: float, l: int) -> bool:
     return True
 
 
+def _grams(data: bytes, m: int) -> list[bytes]:
+    """The factors of size m of ``data``, in order of position."""
+    return [data[i:i + m] for i in range(len(data) - m + 1)]
+
+
 def check_p2(words, m_int: int) -> bool:
     """Every factor of size m occurs at most once across the whole family."""
-    seen = set()
-    for w in words:
-        data = w.data if isinstance(w, Word) else w
-        for i in range(len(data) - m_int + 1):
-            gram = data[i:i + m_int]
-            if gram in seen:
-                return False
-            seen.add(gram)
-    return True
+    grams = [g for w in words
+             for g in _grams(w.data if isinstance(w, Word) else w, m_int)]
+    return len(set(grams)) == len(grams)
 
 
 @dataclass
 class Family:
-    """An accepted sample: 2^p words of length l plus their sync offsets."""
+    """An accepted sample: 2^p words of length l under P1 and P2, the first
+    starting with 1.  Each chain's q comes from ``_add_chain`` alone."""
 
     words: list[Word]
-    q: list[int]
     params: Params
     seed: int
     retries: int
@@ -142,47 +141,35 @@ def _draw_word(seed: int, attempt: int, index: int, l: int) -> Word:
 RETRY_CAP = 64
 
 
+def _family_failure(words: list[Word], params: Params) -> str | None:
+    """The first family rule ``words`` break, or None: each word has length
+    l and passes P1, the first word starts with 1, the family passes P2."""
+    for j, w in enumerate(words):
+        if len(w) != params.l:
+            return f"family word {j} has length {len(w)}, not l={params.l}"
+        if not check_p1(w, params.k, params.l):
+            return f"family word {j} fails P1"
+    if words[0].data[:1] != b"1":
+        return "the first family word does not start with 1"
+    if not check_p2(words, params.m_int):
+        return "the family fails P2"
+    return None
+
+
 def sample_family(params: Params, seed: int) -> Family:
-    """Rejection-sample a family satisfying P1, P2, and a leading 1 in the
-    first word; the whole family is redrawn on any failure."""
+    """Rejection-sample a family that :func:`_family_failure` accepts; the
+    whole family is redrawn on any failure, the last kept as ``last_failure``."""
     last_failure = None
     for attempt in range(RETRY_CAP):
         words = [_draw_word(seed, attempt, j, params.l)
                  for j in range(params.family_count)]
-        if words[0].data[0] != ord("1"):
-            last_failure = "first word does not start with 1"
-            continue
-        bad = next((j for j, w in enumerate(words)
-                    if not check_p1(w, params.k, params.l)), None)
-        if bad is not None:
-            last_failure = f"P1 failed for word {bad}"
-            continue
-        if not check_p2(words, params.m_int):
-            last_failure = "P2 failed"
-            continue
-        q = [_q_formula(words, j) for j in range(len(words))]
-        if any(qj > params.m for qj in q):
-            last_failure = "synchronization offset exceeded m"  # unreachable given P2
-            continue
-        return Family(words=words, q=q, params=params, seed=seed, retries=attempt)
+        last_failure = _family_failure(words, params)
+        if last_failure is None:
+            return Family(words=words, params=params, seed=seed, retries=attempt)
     raise SamplingError(
         f"family sampling failed {RETRY_CAP} times",
         {"n": params.n, "l": params.l, "gamma": params.gamma, "seed": seed,
          "last_failure": last_failure})
-
-
-def _q_formula(words, j: int) -> int:
-    """Smallest t such that words[j][0..t] is not a prefix of an earlier word."""
-    x = words[j].data
-    best = 0
-    for other in words[:j]:
-        y = other.data
-        cp = 0
-        limit = min(len(x), len(y))
-        while cp < limit and x[cp] == y[cp]:
-            cp += 1
-        best = max(best, cp)
-    return best
 
 
 class GeneralGadgetFactory:
@@ -385,9 +372,9 @@ def load_family(path) -> Family:
     """Read a family file and re-check it as ``sample_family`` accepts one.
 
     Raises ``ParameterError`` on a malformed header, on a word count other
-    than the parameters' family count, on a word whose length is not l, and
-    when the first word does not start with 1 or P1/P2 fail.  Headers written
-    before ``exact=`` was recorded load with ``exact=False``.
+    than the parameters' family count, and with the first rule of
+    :func:`_family_failure` the words break.  Headers written before
+    ``exact=`` was recorded load with ``exact=False``.
     """
     try:
         with open(path, encoding="ascii") as fh:
@@ -413,14 +400,7 @@ def load_family(path) -> Family:
     if len(words) != params.family_count:
         raise ParameterError(f"family file holds {len(words)} words, "
                              f"the parameters call for {params.family_count}")
-    for j, w in enumerate(words):
-        if len(w) != l:
-            raise ParameterError(f"family word {j} has length {len(w)}, not l={l}")
-        if not check_p1(w, params.k, l):
-            raise ParameterError(f"family word {j} fails P1")
-    if words[0][0] != 1:
-        raise ParameterError("the first family word does not start with 1")
-    if not check_p2(words, params.m_int):
-        raise ParameterError("the family fails P2")
-    q = [_q_formula(words, j) for j in range(len(words))]
-    return Family(words=words, q=q, params=params, seed=seed, retries=retries)
+    failure = _family_failure(words, params)
+    if failure is not None:
+        raise ParameterError(failure)
+    return Family(words=words, params=params, seed=seed, retries=retries)

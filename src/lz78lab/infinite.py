@@ -17,7 +17,7 @@ import numpy as np
 
 from .construction import ConstructedWord, Segment
 from .errors import ParameterError, SamplingError
-from .general import RETRY_CAP, _add_chain, check_p1
+from .general import RETRY_CAP, _add_chain, _grams, check_p1
 from .parsing import StreamParser, ratio_from_counts
 from .words import Word
 
@@ -114,19 +114,15 @@ def _sample_level_word(seed: int, level: LevelParams, index: int,
 
 
 def _m_grams(words, m: int) -> set[bytes]:
-    return {w[i:i + m] for w in words for i in range(len(w) - m + 1)}
+    return {g for w in words for g in _grams(w, m)}
 
 
 def _fresh_factors(data: bytes, m: int, corpus_grams: set[bytes]) -> bool:
     """All m-grams of ``data`` unique within it and absent from the corpus,
     given as the set of its words' m-grams."""
-    seen = set()
-    for i in range(len(data) - m + 1):
-        gram = data[i:i + m]
-        if gram in seen or gram in corpus_grams:
-            return False
-        seen.add(gram)
-    return True
+    grams = _grams(data, m)
+    unique = set(grams)
+    return len(unique) == len(grams) and unique.isdisjoint(corpus_grams)
 
 
 def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:

@@ -44,8 +44,8 @@ def construct_toy(k: int, gamma: float = 3.0, seed: int = 0,
     word; ``reparse`` selects the checkpointed re-parse or the from-scratch
     oracle ("scratch").
     """
-    if k < 5:
-        raise ParameterError("k must be >= 5 so the gadget window fits")
+    if not 5 <= k <= 16:
+        raise ParameterError("k must be in [5, 16] so the gadget window and the word fit")
     if not math.isfinite(gamma) or gamma < 3:
         raise ParameterError("gamma must be finite and >= 3")
     if reparse not in ("checkpoint", "scratch"):

@@ -15,23 +15,23 @@ from .errors import ParameterError
 
 PACKED_MAGIC = b"LZCW"
 
-_VALID = frozenset(b"01")
-
 
 def as_bits(w) -> bytes:
     """Coerce a Word / str / bytes into validated ASCII '0'/'1' bytes."""
     if isinstance(w, Word):
         return w.data
     if isinstance(w, str):
-        w = w.encode("ascii")
-    elif isinstance(w, (bytearray, memoryview)):
-        w = bytes(w)
-    if not isinstance(w, bytes):
+        # one "?" per non-ASCII character keeps the offsets, and fails below
+        data = w.encode("ascii", "replace")
+    elif isinstance(w, (bytes, bytearray, memoryview)):
+        data = bytes(w)
+    else:
         raise TypeError(f"cannot interpret {type(w).__name__} as a binary word")
-    if not _VALID.issuperset(w):
-        bad = next(i for i, ch in enumerate(w) if ch not in _VALID)
-        raise ParameterError(f"invalid letter at offset {bad}: {chr(w[bad])!r}")
-    return w
+    if data.translate(None, b"01"):
+        bad = next(i for i, ch in enumerate(data) if ch not in b"01")
+        letter = w[bad] if isinstance(w, str) else chr(data[bad])
+        raise ParameterError(f"invalid letter at offset {bad}: {letter!r}")
+    return data
 
 
 class Word:

@@ -6,7 +6,7 @@ from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
                      verify_general)
 from lz78lab.alignment import GADGET, PADDING, REGULAR
 from lz78lab.construction import front_census
-from lz78lab.general import GeneralGadgetFactory, _q_formula
+from lz78lab.general import GeneralGadgetFactory
 import lz78lab.general as general_mod
 from lz78lab.parsing import StreamParser
 
@@ -75,21 +75,12 @@ def test_check_p2_duplicate_words_fail():
     assert not check_p2([Word("00000")], 3)   # repeated factor at several positions
 
 
-def test_q_formula():
-    words = [Word("1100"), Word("1010"), Word("1101")]
-    assert _q_formula(words, 0) == 0
-    assert _q_formula(words, 1) == 1   # shares "1" with the first word
-    assert _q_formula(words, 2) == 3   # shares "110" with the first word
-
-
 def test_sample_family_deterministic():
     params = derive_params(1 << 14, 64, gamma=10.0)
     fam1 = sample_family(params, seed=1)
     fam2 = sample_family(params, seed=1)
     assert [w.data for w in fam1.words] == [w.data for w in fam2.words]
     assert fam1.retries == fam2.retries
-    assert fam1.q[0] == 0
-    assert all(q <= params.m for q in fam1.q)
     assert fam1.words[0].data[0] == ord("1")
     assert len(fam1.words) == params.family_count
     # accepted families satisfy the properties by construction; re-check
@@ -102,7 +93,7 @@ def test_sample_family_retry_cap(monkeypatch):
     monkeypatch.setattr(general_mod, "check_p1", lambda *a, **k: False)
     with pytest.raises(SamplingError) as exc:
         sample_family(params, seed=1)
-    assert exc.value.diagnostics["last_failure"].startswith("P1")
+    assert "fails P1" in exc.value.diagnostics["last_failure"]
 
 
 @pytest.fixture(scope="module")
@@ -139,16 +130,27 @@ def test_construct_strips_to_chained_prefixes(small_build):
 
 
 def test_chain_synchronization(small_build):
-    params, family, cw = small_build
-    green = parse(cw.word.data)
-    starts = cw.segment_starts()
-    # every unit segment is one green block
-    units = [s for s, seg in zip(starts, cw.segments) if seg.kind != PADDING]
-    assert green.starts[:len(units)] == units
-    # the first green block of each chain is x^j[0..q]
-    for chain in cw.chains:
-        gi = units.index(chain.start)
-        assert green.block_bytes(gi) == chain.source.data[:chain.q + 1]
+    params = derive_params(1 << 16, 64)
+    seed3 = construct_general(params, sample_family(params, seed=3))
+    # chains 1 and 5 start past x[0..1] and x[0..6]: the shorter prefixes are
+    # chain 0's offset-0 gadget words, not prefixes of chain 0's word
+    assert [seed3.chains[j].q for j in (1, 5)] == [2, 7]
+    gadgets = {seed3.word.data[s:s + seg.length]
+               for s, seg in zip(seed3.segment_starts(), seed3.segments)
+               if seg.kind == GADGET and seg.chain == 0}
+    for j in (1, 5):
+        x = seed3.chains[j].source.data
+        assert {x[:t + 1] for t in range(seed3.chains[j].q)} <= gadgets
+    for cw in (small_build[2], seed3):
+        green = parse(cw.word.data)
+        starts = cw.segment_starts()
+        # every unit segment is one green block
+        units = [s for s, seg in zip(starts, cw.segments) if seg.kind != PADDING]
+        assert green.starts[:len(units)] == units
+        # the first green block of each chain is x^j[0..q]
+        for chain in cw.chains:
+            gi = units.index(chain.start)
+            assert green.block_bytes(gi) == chain.source.data[:chain.q + 1]
 
 
 def test_first_chain_resync_word_is_zero(small_build):
@@ -297,7 +299,6 @@ def test_family_serialization_round_trip(tmp_path, small_build):
     save_family(family, path)
     loaded = load_family(path)
     assert [w.data for w in loaded.words] == [w.data for w in family.words]
-    assert loaded.q == family.q
     assert loaded.params.n == params.n
     with pytest.raises(ParameterError):
         load_family(__file__)
