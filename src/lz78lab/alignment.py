@@ -120,10 +120,9 @@ class ViolationTable:
 
 
 def violation_table(ap: AlignedParsing) -> ViolationTable:
-    _, offset, inside = locate(ap.green.starts, len(ap.green.data), ap.red.starts,
-                               ap.red.starts[1:] + [len(ap.red.data)])
-    return ViolationTable(counts=offset_counts(offset[inside]),
-                          regular_count=ap.green.block_count)
+    return ViolationTable(
+        counts=offset_counts([c.offset for c in ap.classes if c.kind == "offset"]),
+        regular_count=ap.green.block_count)
 
 
 class Coverage(NamedTuple):

@@ -22,7 +22,7 @@ from .errors import ConstructionError, MalformedCodeError, ParameterError, Sampl
 from .generators import de_bruijn
 from .parsing import comp_ratio, encode, parse, ratio_from_counts, tree_stats
 from .toy import construct_toy, one_front_variant, verify_toy
-from .words import Word, read_word_file, write_word_file
+from .words import Word, random_word, read_word_file, write_word_file
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
@@ -166,8 +166,7 @@ def _fuzz_length(rng, max_len: int) -> int:
 
 
 def _fuzz_word(seed: int, trial: int, length: int) -> bytes:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
-    return (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
+    return random_word([seed, trial], length)
 
 
 def cmd_bound_fuzz(args) -> int:

@@ -63,17 +63,9 @@ class ConstructedWord:
     gamma: float
     meta: dict = field(default_factory=dict)
 
-    # single-chain conveniences for the explicit construction
-    @property
-    def chosen_i(self) -> int | None:
-        return self.chains[0].chosen_i
-
-    @property
-    def counters(self) -> tuple[int, int | None]:
-        return self.chains[0].gadget_count, self.chains[0].final_d
-
     @property
     def source(self) -> Word:
+        """The first chain's base word."""
         return self.chains[0].source
 
     def segment_starts(self) -> list[int]:

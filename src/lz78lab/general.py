@@ -12,15 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .alignment import PADDING
 from .construction import (ChainRecord, ConstructedWord, Segment, build_chain,
                            front_census)
 from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import _gram_counts
 from .parsing import StreamParser, parse
-from .words import Word
+from .words import Word, as_bits, random_word
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def derive_params(n: int, l: int, gamma: float = 10.0, exact: bool = False) -> P
 
 def check_p1(x, k: float, l: int) -> bool:
     """Exact census: every u with |u| <= k occurs at most k*l/2^|u| times."""
-    data = x.data if isinstance(x, Word) else x
+    data = as_bits(x)
     if len(data) != l:
         raise ParameterError(f"word length {len(data)} != l={l}")
     for length in range(1, int(k) + 1):
@@ -111,8 +109,7 @@ def _grams(data: bytes, m: int) -> list[bytes]:
 
 def check_p2(words, m_int: int) -> bool:
     """Every factor of size m occurs at most once across the whole family."""
-    grams = [g for w in words
-             for g in _grams(w.data if isinstance(w, Word) else w, m_int)]
+    grams = [g for w in words for g in _grams(as_bits(w), m_int)]
     return len(set(grams)) == len(grams)
 
 
@@ -125,17 +122,6 @@ class Family:
     params: Params
     seed: int
     retries: int
-
-
-def _word_rng(seed: int, attempt: int, index: int) -> np.random.Generator:
-    # per-word streams: documented derivation so published seeds reproduce
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([seed, attempt, index])))
-
-
-def _draw_word(seed: int, attempt: int, index: int, l: int) -> Word:
-    bits = _word_rng(seed, attempt, index).integers(0, 2, size=l, dtype=np.uint8)
-    return Word((bits + ord("0")).tobytes())
 
 
 RETRY_CAP = 64
@@ -161,7 +147,7 @@ def sample_family(params: Params, seed: int) -> Family:
     whole family is redrawn on any failure, the last kept as ``last_failure``."""
     last_failure = None
     for attempt in range(RETRY_CAP):
-        words = [_draw_word(seed, attempt, j, params.l)
+        words = [Word(random_word([seed, attempt, j], params.l))
                  for j in range(params.family_count)]
         last_failure = _family_failure(words, params)
         if last_failure is None:

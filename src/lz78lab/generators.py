@@ -57,8 +57,9 @@ def de_bruijn(k: int, require_prefix=None, seed: int = 0) -> DeBruijnWord:
     leads; any prefix of length <= k is always realizable.  Deterministic for
     fixed (k, prefix, seed).
     """
-    if k < 1:
-        raise ParameterError("order k must be >= 1")
+    # peak memory grows about 3.4x every two orders (478 MB at k = 22)
+    if not 1 <= k <= 24:
+        raise ParameterError("order k must be in [1, 24]")
     n = 1 << k
     prefix = as_bits(require_prefix) if require_prefix is not None else b""
     if len(prefix) > n + k - 1:

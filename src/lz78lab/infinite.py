@@ -13,13 +13,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .construction import ConstructedWord, Segment
 from .errors import ParameterError, SamplingError
 from .general import RETRY_CAP, _add_chain, _grams, check_p1
-from .parsing import StreamParser, ratio_from_counts
-from .words import Word
+from .parsing import StreamParser, parse, ratio_from_counts
+from .words import Word, random_word
 
 
 @dataclass(frozen=True)
@@ -28,7 +26,6 @@ class LevelParams:
     l: int
     p: float
     k: float
-    m_formula: float      # gamma * p
     m_eff: int            # factor size actually used for the uniqueness census
     count: int            # number of words this level contributes
     window: int
@@ -46,13 +43,16 @@ class Schedule:
 def schedule(l0: int, gamma: float, levels: int) -> Schedule:
     """Per-level parameters l_i = l0*2^i, p_i = sqrt(l_i)/(9*gamma) - 2*log2(l_i).
 
-    Rejects schedules whose first level is empty (p_0 < 1) or whose counts
-    fail to increase, naming the failing level.
+    Rejects l0 below 16, the floor the chained construction puts on l, and
+    schedules whose first level is empty (p_0 < 1) or whose counts fail to
+    increase, naming the failing level.
     """
     if levels < 1:
         raise ParameterError("need at least one level")
     if not math.isfinite(gamma) or gamma <= 0:
         raise ParameterError("gamma must be finite and positive")
+    if l0 < 16:
+        raise ParameterError("l0 must be >= 16")
     out = []
     notes = []
     prev_p = None
@@ -85,8 +85,8 @@ def schedule(l0: int, gamma: float, levels: int) -> Schedule:
         if m_eff > gamma * p:
             notes.append(f"level {i}: factor-uniqueness size raised to {m_eff} "
                          f"(formula value {gamma * p:.2f} too small at this scale)")
-        out.append(LevelParams(index=i, l=l, p=p, k=k, m_formula=gamma * p,
-                               m_eff=m_eff, count=count, window=window))
+        out.append(LevelParams(index=i, l=l, p=p, k=k, m_eff=m_eff, count=count,
+                               window=window))
         prev_p, prev_cum = p, cum
     if gamma < 10:
         notes.append("gamma below 10: outside the asymptotic regime")
@@ -97,10 +97,7 @@ def schedule(l0: int, gamma: float, levels: int) -> Schedule:
 def _sample_level_word(seed: int, level: LevelParams, index: int,
                        corpus_grams: set[bytes], require_leading_one: bool) -> Word:
     for attempt in range(RETRY_CAP):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([seed, level.index, index, attempt])))
-        bits = rng.integers(0, 2, size=level.l, dtype=np.uint8)
-        data = (bits + ord("0")).tobytes()
+        data = random_word([seed, level.index, index, attempt], level.l)
         if require_leading_one and data[0] != ord("1"):
             continue
         if not check_p1(data, level.k, level.l):
@@ -184,30 +181,24 @@ def _truncate_segments(segments: list[Segment], budget: int) -> list[Segment]:
 
 
 def ratio_curve(w, stride: int) -> list[tuple[int, float]]:
-    """compression ratio of each sampled prefix, from one streaming parse.
+    """compression ratio of each sampled prefix, from one parse of the word.
 
-    The dictionary of a split prefix equals the completed blocks: the partial
-    final block always duplicates an earlier one.
+    The dictionary of a prefix is the word's blocks that end inside it, except
+    a duplicate final block: a partial final block always duplicates an
+    earlier one.
     """
     if stride < 1:
         raise ParameterError("stride must be >= 1")
-    data = w.data if isinstance(w, Word) else w
-    if not data:
+    p = parse(w)
+    total = len(p.data)
+    if not total:
         raise ParameterError("the ratio curve needs a non-empty word")
-    sp = StreamParser()
-    sp.feed(data)
-    ends = sp.starts[1:] + [sp.block_start]
-    points = []
-    n = stride
-    total = len(data)
-    while n <= total:
-        k = bisect_right(ends, n)
-        points.append((n, ratio_from_counts(k, n)))
-        n += stride
-    if not points or points[-1][0] != total:
-        k = bisect_right(ends, total)
-        points.append((total, ratio_from_counts(k, total)))
-    return points
+    ends = p.starts[1:] + [total]
+    sizes = list(range(stride, total + 1, stride))
+    if not sizes or sizes[-1] != total:
+        sizes.append(total)
+    return [(n, ratio_from_counts(min(bisect_right(ends, n), p.dict_size), n))
+            for n in sizes]
 
 
 def tail_separation(plain_curve, front_curve):

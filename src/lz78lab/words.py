@@ -34,6 +34,13 @@ def as_bits(w) -> bytes:
     return data
 
 
+def random_word(entropy, length: int) -> bytes:
+    """``length`` uniform letters from PCG64 on ``SeedSequence(entropy)``, the
+    one seeded letter draw: published entropy lists reproduce their words."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
+
+
 class Word:
     """An immutable finite binary word."""
 

@@ -153,6 +153,24 @@ def test_non_ascii_letter_exits_2(capsys, argv):
     assert "'é'" in err
 
 
+@pytest.mark.parametrize("argv", [["infinite", "--l0", "0", "--gamma", "0.1",
+                                   "--budget", "100000"],
+                                  ["infinite", "--l0", "-4", "--gamma", "0.1",
+                                   "--budget", "100000"],
+                                  ["debruijn", "--k", "25"]])
+def test_out_of_range_sizes_exit_2(capsys, monkeypatch, argv):
+    # l0 = 0 and -4 used to end in a math domain error traceback; k = 25 must
+    # be refused before the de Bruijn word is built, so building fails here
+    def build(k, seed):
+        raise AssertionError("the circuit was built")
+
+    monkeypatch.setattr("lz78lab.generators._eulerian_cycle", build)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_catastrophe_smallest_order_is_fast(capsys):
     import time
     t0 = time.perf_counter()

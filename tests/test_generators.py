@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lz78lab import (ParameterError, de_bruijn, is_de_bruijn, occurrences,
-                     parse, pref, pref_gt, star_census_ok, worst_case_word)
+from lz78lab import (ParameterError, de_bruijn, generators, is_de_bruijn,
+                     occurrences, parse, pref, pref_gt, star_census_ok,
+                     worst_case_word)
 
 from oracles import naive_kgram_census, naive_occurrences
 
@@ -58,11 +59,20 @@ def test_de_bruijn_prefix_forcing():
     assert de_bruijn(5, require_prefix="11011").word.to_text().startswith("11011")
 
 
-def test_de_bruijn_prefix_errors():
+def test_de_bruijn_prefix_errors(monkeypatch):
     with pytest.raises(ParameterError):
         de_bruijn(3, require_prefix="0" * 11)  # longer than the word
     with pytest.raises(ParameterError):
         de_bruijn(0)
+
+    # k = 25 is refused before the Eulerian circuit is built: k = 26 would
+    # need about 5.5 GB
+    def build(k, seed):
+        raise AssertionError("the circuit was built")
+
+    monkeypatch.setattr(generators, "_eulerian_cycle", build)
+    with pytest.raises(ParameterError, match=r"\[1, 24\]"):
+        de_bruijn(25)
 
 
 def test_de_bruijn_seed_variation():

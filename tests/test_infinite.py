@@ -42,6 +42,10 @@ def test_schedule_rejects_infeasible_l0():
     assert "level 0" in str(exc.value)
     with pytest.raises(ParameterError):
         schedule(256, 0.1, 0)
+    # refused before math.log2(l) or math.sqrt(l) sees a non-positive l
+    for l0 in (0, -4, 15):
+        with pytest.raises(ParameterError, match="l0 must be >= 16"):
+            schedule(l0, 0.1, 1)
 
 
 def test_schedule_out_of_theorem_flag():
@@ -162,6 +166,13 @@ def test_ratio_curve_consistency():
     for n, value in points:
         assert value == pytest.approx(comp_ratio(text[:n]), abs=1e-12)
     assert curve[-1][0] == 4000
+    # a word whose last block duplicates an earlier one: the final point
+    # counts the dictionary, not the blocks
+    x = "".join(rng.choice("01") for _ in range(60))
+    word = pref(x).to_text() + x[:3]
+    assert parse(word).dict_size < parse(word).block_count
+    curve = ratio_curve(word.encode(), 7)
+    assert curve[-1] == (len(word), pytest.approx(comp_ratio(word), abs=1e-12))
 
 
 def test_ratio_curve_stride_validation():
@@ -169,6 +180,9 @@ def test_ratio_curve_stride_validation():
         ratio_curve(b"01", 0)
     with pytest.raises(ParameterError):
         ratio_curve(b"", 1)
+    for bad in (b"0120", b"abc"):
+        with pytest.raises(ParameterError, match="invalid letter"):
+            ratio_curve(bad, 1)
     assert ratio_curve(b"0", 1) == [(1, 0.0)]
 
 

@@ -66,7 +66,7 @@ def test_size_bounds():
 
 def test_no_trigger_outputs_plain_prefix_word():
     cw = construct_toy(6)
-    if cw.chosen_i is None:
+    if cw.chains[0].chosen_i is None:
         assert cw.word == pref(cw.source)
         assert all(seg.kind == REGULAR for seg in cw.segments)
         stats = tree_stats(parse(cw.word.data))
@@ -88,16 +88,16 @@ def test_forced_loop_checkpoint_equals_scratch():
     b = construct_from_base(x, 3.0, scratch=True, meta={"k": 6})
     assert a.word == b.word
     assert a.segments == b.segments
-    assert a.chosen_i == b.chosen_i == 0
-    assert a.counters == b.counters
-    assert a.counters[0] > 0
+    assert a.chains == b.chains
+    assert a.chains[0].chosen_i == 0
+    assert a.chains[0].gadget_count > 0
 
 
 def test_forced_loop_invariants():
     x = _forced_base(120, 7)
     cw = construct_from_base(x, 3.0, meta={"k": 7})
     s = len(x)
-    assert cw.chosen_i == 0
+    assert cw.chains[0].chosen_i == 0
     assert cw.without_gadgets() == pref(x).data
     # every gadget sits immediately before a regular block in the second half
     for at, seg in enumerate(cw.segments):
@@ -109,7 +109,7 @@ def test_forced_loop_invariants():
     for prev, cur in zip(cw.segments, cw.segments[1:]):
         assert not (prev.kind == GADGET and cur.kind == GADGET)
     # termination bookkeeping: insertions stayed below the guard
-    assert cw.counters[0] <= s
+    assert cw.chains[0].gadget_count <= s
 
 
 @pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
@@ -233,7 +233,8 @@ def test_forced_loop_matches_naive_gadget_loop(length, seed, k):
     segments, i0, count, d = naive_gadget_loop(
         x.to_text(), "0", cw.meta["window"], lambda i, c: factory.make(i, c).decode())
     assert _oracle_segments(cw.word.data, cw.segments) == segments
-    assert (cw.chosen_i, cw.counters) == (i0, (count, d))
+    chain = cw.chains[0]
+    assert (chain.chosen_i, chain.gadget_count, chain.final_d) == (i0, count, d)
 
 
 def test_chaos_loop_matches_naive_gadget_loop():
@@ -261,7 +262,7 @@ def test_one_front_variant_same_letter_is_verify(toy_small=None):
     other = one_front_variant(cw, "1")
     assert other.front == "1"
     # prepending the other letter to a plain prefix word stays compressible
-    if cw.chosen_i is None:
+    if cw.chains[0].chosen_i is None:
         assert other.dic_aw <= 3 * (cw.chains[0].regular_count + 1)
 
 
