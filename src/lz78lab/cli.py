@@ -229,8 +229,9 @@ def cmd_infinite(args) -> int:
     cw = inf.build_prefix(sched, args.budget, args.seed)
     if args.out:
         write_word_file(args.out, cw.word, packed=args.packed)
-    plain = inf.ratio_curve(cw.word, max(1, len(cw.word) // 256))
-    front = inf.ratio_curve(b"0" + cw.word.data, max(1, len(cw.word) // 256))
+    stride = max(1, len(cw.word) // 256)
+    plain = inf.ratio_curve(cw.word, stride)
+    front = inf.prefix_ratios(cw.certified_red(), stride)
     separated, tail_plain, tail_front = inf.tail_separation(plain, front)
     _emit({
         "schema": 1,

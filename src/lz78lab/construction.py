@@ -16,18 +16,22 @@ full census each pass, is the correctness oracle).
 
 :func:`front_census` is the one census of a finished word: both verifiers,
 ``toy.one_front_variant`` and ``general.verify_general``, take the unit check
-and the per-chain violation counts from it.
+and the per-chain violation counts from it.  Its parse of 0w is the
+construction's own: :func:`finished_red` keeps the parser's blocks as
+``ConstructedWord.red``, and the verifiers certify them against the LZ'78
+definition (:func:`~lz78lab.parsing.certify`) instead of parsing 0w again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .alignment import GADGET, PADDING, REGULAR, locate, offset_counts
 from .errors import ConstructionError
-from .parsing import Parsing, StreamParser
+from .parsing import Parsing, StreamParser, certify
 from .words import Word
 
 @dataclass
@@ -58,6 +62,7 @@ class ChainRecord:
 @dataclass
 class ConstructedWord:
     word: Word
+    red: Parsing = field(repr=False)  # the construction's own parse of 0w, unchecked
     segments: list[Segment]
     chains: list[ChainRecord]
     gamma: float
@@ -67,6 +72,16 @@ class ConstructedWord:
     def source(self) -> Word:
         """The first chain's base word."""
         return self.chains[0].source
+
+    def certified_red(self) -> Parsing:
+        """``red`` once it is shown to be the LZ'78 parse of 0w: its letters
+        are 0w, and :func:`~lz78lab.parsing.certify` accepts its blocks.
+        Raises ``ConstructionError`` otherwise; ``red`` is left as it is."""
+        red, data = self.red, self.word.data
+        if not (len(red.data) == len(data) + 1 and red.data.startswith(b"0")
+                and red.data.endswith(data)):
+            raise ConstructionError("the construction's parse is not a parse of 0w")
+        return certify(red.data, red.starts, red.preds, red.last_is_duplicate)
 
     def segment_starts(self) -> list[int]:
         starts, acc = [], 0
@@ -108,8 +123,9 @@ def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
     parse follows the segments (see :func:`_green_units_ok`), the offset-i
     violations per chain, {chain: {offset: count}}, counting the red blocks
     that lie inside one regular segment, and the red blocks per chain."""
-    red_ends = red.starts[1:] + [len(red.data)]
-    index, offset, inside = locate(cw.segment_starts(), len(cw.word), red.starts,
+    red_starts = np.asarray(red.starts, dtype=np.int64)
+    red_ends = np.append(red_starts[1:], len(red.data))
+    index, offset, inside = locate(cw.segment_starts(), len(cw.word), red_starts,
                                    red_ends)
     regular = np.array([seg.kind == REGULAR for seg in cw.segments])
     # a red block belongs to the chain of the segment holding its first
@@ -122,6 +138,14 @@ def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
               for c in cw.chains}
     chain_red = {c.index: int(per_chain[c.index]) for c in cw.chains}
     return _green_units_ok(cw, green), counts, chain_red
+
+
+def finished_red(parser: StreamParser) -> Parsing:
+    """The parse of 0w that a construction's ``parser`` holds, as
+    ``ConstructedWord.red``: its block lists in ``array('q')``, 8 bytes a
+    block where a list of ints takes about 36."""
+    red = parser.finish()
+    return replace(red, starts=array("q", red.starts), preds=array("q", red.preds))
 
 
 def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .alignment import PADDING
 from .construction import (ChainRecord, ConstructedWord, Segment, build_chain,
-                           front_census)
+                           finished_red, front_census)
 from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import _gram_counts
 from .parsing import StreamParser, parse
@@ -272,12 +272,12 @@ def construct_general(params: Params, family: Family,
     if pad:
         segments.append(Segment(PADDING, pad, chain=-1))
         parser.feed(b"0" * pad)
-    word = Word(bytes(parser.buf[1:]))
+    red = finished_red(parser)
+    word = Word(red.data[1:])
     assert len(word) == params.n
     return ConstructedWord(
-        word=word, segments=segments, chains=chains, gamma=params.gamma,
-        meta={"params": params, "seed": family.seed, "w_prime": w_prime,
-              "front_dict_size": parser.completed})
+        word=word, red=red, segments=segments, chains=chains, gamma=params.gamma,
+        meta={"params": params, "seed": family.seed, "w_prime": w_prime})
 
 
 @dataclass(frozen=True)
@@ -307,11 +307,12 @@ class GeneralReport:
 
 
 def verify_general(cw: ConstructedWord) -> GeneralReport:
-    """Fresh parses of w and 0w, their
+    """A fresh parse of w, the construction's parse of 0w certified
+    (``cw.certified_red``) instead of parsed again, their
     :func:`~lz78lab.construction.front_census`, and all the per-chain checks."""
     params: Params = cw.meta["params"]
     green = parse(cw.word.data)
-    red = parse(b"0" + cw.word.data)
+    red = cw.certified_red()
     sync_ok, counts, chain_red = front_census(cw, green, red)
     cap = params.l / 2 + 2 * params.m + 1 + 2 * params.k * math.sqrt(params.l)
     caps_ok = True

@@ -13,10 +13,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
-from .construction import ConstructedWord, Segment
+from .construction import ConstructedWord, Segment, finished_red
 from .errors import ParameterError, SamplingError
 from .general import RETRY_CAP, _add_chain, _grams, check_p1
-from .parsing import StreamParser, parse, ratio_from_counts
+from .parsing import Parsing, StreamParser, parse, ratio_from_counts
 from .words import Word, random_word
 
 
@@ -126,7 +126,8 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     """Emit the first budget_n letters of the level construction.
 
     Words are sampled on demand; generation stops once the budget is covered
-    and the final chain is truncated.
+    and the final chain is truncated.  The parser is rolled back to the
+    truncation point, so ``red`` is the parse of 0w for the emitted prefix w.
     """
     l0 = sched.l0
     if budget_n < l0 * (l0 + 1) // 2:
@@ -161,10 +162,14 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
                 break
 
     full_len = parser.position - 1
-    word = Word(bytes(parser.buf[1:1 + budget_n]))
+    # cut the parse back to the prefix: its blocks are then those of 0w
+    removed = parser.rollback(budget_n + 1)
+    parser.feed(removed[:budget_n + 1 - parser.position])
+    red = finished_red(parser)
     segments = _truncate_segments(segments, budget_n)
     return ConstructedWord(
-        word=word, segments=segments, chains=chains, gamma=sched.gamma,
+        word=Word(red.data[1:]), red=red, segments=segments, chains=chains,
+        gamma=sched.gamma,
         meta={"schedule": sched, "seed": seed, "budget": budget_n,
               "generated": full_len, "words_per_level": words_per_level})
 
@@ -181,7 +186,14 @@ def _truncate_segments(segments: list[Segment], budget: int) -> list[Segment]:
 
 
 def ratio_curve(w, stride: int) -> list[tuple[int, float]]:
-    """compression ratio of each sampled prefix, from one parse of the word.
+    """compression ratio of each sampled prefix, from one parse of the word
+    (see :func:`prefix_ratios`)."""
+    return prefix_ratios(parse(w), stride)
+
+
+def prefix_ratios(p: Parsing, stride: int) -> list[tuple[int, float]]:
+    """compression ratio of every ``stride``-th prefix of the parsed word, and
+    of the whole word, read off the parse's blocks.
 
     The dictionary of a prefix is the word's blocks that end inside it, except
     a duplicate final block: a partial final block always duplicates an
@@ -189,15 +201,16 @@ def ratio_curve(w, stride: int) -> list[tuple[int, float]]:
     """
     if stride < 1:
         raise ParameterError("stride must be >= 1")
-    p = parse(w)
     total = len(p.data)
     if not total:
         raise ParameterError("the ratio curve needs a non-empty word")
-    ends = p.starts[1:] + [total]
     sizes = list(range(stride, total + 1, stride))
     if not sizes or sizes[-1] != total:
         sizes.append(total)
-    return [(n, ratio_from_counts(min(bisect_right(ends, n), p.dict_size), n))
+    # the blocks that end by letter n: those followed by a block starting by
+    # then, and the last block once n covers the word
+    return [(n, ratio_from_counts(
+                min(bisect_right(p.starts, n) - 1 + (n == total), p.dict_size), n))
             for n in sizes]
 
 

@@ -15,9 +15,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 
-from .errors import MalformedCodeError, ParameterError
+import numpy as np
+
+from .errors import ConstructionError, MalformedCodeError, ParameterError
 from .words import Word, as_bits
 
 
@@ -180,6 +184,21 @@ class StreamParser:
         self.block_start = boundary
         return removed
 
+    def finish(self) -> "Parsing":
+        """The parse of the letters fed so far, the in-progress block as its
+        trailing duplicate.  The block lists are handed over, not copied, and
+        the parser is left empty, as after :meth:`reset`."""
+        dup = self.in_progress()
+        if dup:
+            self.preds.append(self.tail_pred())
+            self.starts.append(self.block_start)
+        starts, preds = self.starts, self.preds
+        self.starts, self.preds = [], []
+        self.long_blocks.clear()       # freed before the letters are copied
+        data = bytes(self.buf)
+        self.reset()
+        return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
+
     def tail_pred(self) -> int:
         """Predecessor block index for the in-progress (duplicate) block."""
         head = bytes(self.buf[self.block_start:-1])
@@ -198,12 +217,13 @@ class Parsing:
 
     ``starts`` covers every block including a possible trailing duplicate;
     ``preds[i]`` is the block index of block i minus its last letter (-1 when
-    that prefix is the empty word).
+    that prefix is the empty word).  Both are lists, except in a
+    construction's ``ConstructedWord.red``, which holds them in ``array('q')``.
     """
 
     data: bytes
-    starts: list[int]
-    preds: list[int]
+    starts: Sequence[int]
+    preds: Sequence[int]
     last_is_duplicate: bool
 
     @property
@@ -237,15 +257,85 @@ class Parsing:
 
 def parse(w) -> Parsing:
     """Compute the unique LZ-parsing (empty word allowed)."""
-    data = as_bits(w)
     sp = StreamParser()
-    sp.feed(data)
-    dup = sp.in_progress()
-    if dup:
-        sp.preds.append(sp.tail_pred())
-        sp.starts.append(sp.block_start)
-    # the parser is discarded, so its lists are handed over rather than copied
-    return Parsing(data=data, starts=sp.starts, preds=sp.preds, last_is_duplicate=dup)
+    sp.feed(as_bits(w))
+    return sp.finish()
+
+
+def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
+    """Accept a claimed parse of ``data`` exactly when it is the LZ'78 parse.
+
+    The claim is read as :class:`Parsing` holds a parse, and checked against
+    the definition (Ziv and Lempel 1978) rather than recomputed:
+
+    1. the blocks tile ``data``: ``starts[0] == 0`` and the starts strictly
+       increase below ``len(data)``;
+    2. block i minus its last letter is block ``preds[i] < i``, or empty
+       when ``preds[i] == -1``;
+    3. no block but the last repeats an earlier one;
+    4. ``last_is_duplicate`` says whether the last one does.
+
+    Greedy matching follows, because the dictionary is prefix-closed: a
+    dictionary word longer than block i minus its last letter that prefixed
+    the rest of the word would have block i as a prefix, so block i would
+    repeat an earlier block.  Given rule 2, two blocks are equal exactly when
+    their (pred, last letter) pairs are, so rule 3 is checked on integer keys.
+    Returns the accepted parse, sharing the given lists; raises
+    ``ConstructionError`` naming the first block that breaks a rule.  Uses
+    no parser code, so it checks the parser independently.
+    """
+    data = as_bits(data)
+    count = len(starts)
+    if len(preds) != count:
+        raise ConstructionError(f"the parse claims {count} starts but {len(preds)} preds")
+    if not count:
+        if data or last_is_duplicate:
+            raise ConstructionError("the parse claims no blocks for a non-empty word"
+                                    if data else "the empty word has no duplicate block")
+        return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=False)
+
+    def bad(i, rule) -> ConstructionError:
+        return ConstructionError(f"block {i} of the claimed parse {rule}",
+                                 {"block": int(i), "start": int(starts[i])})
+
+    if starts[0] != 0:
+        raise bad(0, "does not start at 0")
+    first = np.asarray(starts, dtype=np.int64)
+    length = np.diff(first, append=len(data))
+    short = np.flatnonzero(length < 1)
+    if short.size:
+        raise bad(short[0], "is empty or ends past the word")
+    # rule 2: limit is the first block whose pred is out of range, whose
+    # length is not its pred's plus one, or whose letters differ from it
+    pred = np.asarray(preds, dtype=np.int64)
+    known = (pred >= -1) & (pred < np.arange(count))
+    base = np.where(known & (pred >= 0), length[np.clip(pred, 0, count - 1)], 0)
+    wrong = np.flatnonzero(~known | (length != base + 1))
+    limit = int(wrong[0]) if wrong.size else count
+    ends = chain(islice(starts, 1, None), (len(data),))
+    for i, a, b, q in zip(range(limit), starts, ends, preds):
+        if q >= 0 and data[a:b - 1] != data[starts[q]:starts[q + 1]]:
+            limit = i
+            break
+    # rule 3: again is the first block whose (pred, last letter) pair repeats
+    letters = np.frombuffer(data, dtype=np.uint8)[first + length - 1] & 1
+    keys = 2 * (pred + 1) + letters
+    order = np.argsort(keys, kind="stable")
+    repeat = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    again = int(repeat.min()) if repeat.size else count
+    if again < min(limit, count - 1):
+        raise bad(again, "repeats an earlier block")
+    if limit < count:
+        q = preds[limit]
+        if not known[limit]:
+            raise bad(limit, f"has pred {q}, which is neither -1 nor an earlier block")
+        raise bad(limit, f"minus its last letter is not block {q}" if q >= 0
+                  else "has pred -1 but is longer than one letter")
+    dup = again == count - 1
+    if bool(last_is_duplicate) != dup:
+        raise bad(count - 1, "repeats an earlier block, but is not claimed to" if dup
+                  else "is claimed to repeat an earlier block, but is new")
+    return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .construction import ConstructedWord, Segment, build_chain, front_census
+from .construction import (ConstructedWord, Segment, build_chain, finished_red,
+                           front_census)
 from .errors import ParameterError
 from .generators import de_bruijn
 from .parsing import StreamParser, parse
@@ -71,11 +72,9 @@ def construct_from_base(x: Word, gamma: float, scratch: bool = False, *,
     record = build_chain(parser, segments, 0, x, 0, window=window,
                          factory=ToyGadgetFactory(x.data), include_tail=True,
                          scratch=scratch)
-    word = Word(bytes(parser.buf[1:]))
-    info = dict(meta, window=window,
-                front_dict_size=parser.completed)  # dictionary of 0w, measured
-    return ConstructedWord(word=word, segments=segments, chains=[record],
-                           gamma=gamma, meta=info)
+    red = finished_red(parser)
+    return ConstructedWord(word=Word(red.data[1:]), red=red, segments=segments,
+                           chains=[record], gamma=gamma, meta=dict(meta, window=window))
 
 
 @dataclass(frozen=True)
@@ -101,21 +100,23 @@ class ToyReport:
 
 
 def verify_toy(cw: ConstructedWord) -> ToyReport:
-    """Independent verification pass: re-parses both words and re-censuses
-    them with :func:`~lz78lab.construction.front_census`."""
+    """Independent verification pass: parses w afresh, certifies the
+    construction's parse of 0w (``cw.certified_red``) instead of parsing 0w
+    again, and re-censuses both with
+    :func:`~lz78lab.construction.front_census`."""
     return one_front_variant(cw, "0")
 
 
 def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
-    """The verification report computed for ``a``+word instead of the
-    construction's own front letter: the chain's ``front_census`` counts at
-    offsets up to the window."""
+    """The verification report for the parse of ``a``+word: for the front 0,
+    the construction's own parse, certified; for 1, a fresh parse.  The
+    chain's ``front_census`` counts at offsets up to the window."""
     front = as_bits(a)
     if len(front) != 1:
         raise ParameterError("front must be a single letter")
     data = cw.word.data
     green = parse(data)
-    red = parse(front + data)
+    red = cw.certified_red() if front == b"0" else parse(front + data)
     units_ok, counts, _ = front_census(cw, green, red)
 
     chain = cw.chains[0]

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lz78lab import (construct_general, construct_toy, derive_params,
+from lz78lab import (construct_general, construct_toy, derive_params, parse,
                      sample_family, verify_general, verify_toy)
 
 
@@ -54,6 +54,14 @@ def general20():
         cw = construct_general(params, family)
         out[l] = (params, family, cw, verify_general(cw))
     return {"runs": out, "elapsed": time.perf_counter() - t0}
+
+
+def assert_is_parse_of_0w(red, word: bytes):
+    """A construction's handed-over parse ``red`` equals a fresh parse of 0w."""
+    fresh = parse(b"0" + word)
+    assert red.data == fresh.data
+    assert (list(red.starts), list(red.preds), red.last_is_duplicate) == (
+        fresh.starts, fresh.preds, fresh.last_is_duplicate)
 
 
 def criterion(num: int, passed: bool, detail: str) -> None:

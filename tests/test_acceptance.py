@@ -34,7 +34,7 @@ def test_criterion_1_footnote_reproduction(toy12, toy12_alternates):
 
     alt_sizes = []
     for seed, alt in toy12_alternates["alts"]:
-        size = alt.meta["front_dict_size"]
+        size = alt.red.dict_size
         alt_sizes.append(size)
         assert size >= 10 ** 5, f"seed {seed}: dic(0w) = {size}"
     assert elapsed <= 60, f"criterion 1 took {elapsed:.1f}s"
@@ -69,7 +69,7 @@ def test_criterion_2_universal_front_bound(toy12, toy12_alternates, gadget_suite
         base = math.sqrt(len(data) * dw)
         for letter in (b"0", b"1"):
             if letter == b"0":
-                daw = cw.meta["front_dict_size"]
+                daw = cw.red.dict_size
             else:
                 daw = parse(letter + data).dict_size
             constructed_worst = max(constructed_worst, daw / base)

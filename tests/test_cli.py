@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -305,3 +306,52 @@ def test_determinism_byte_identical(capsys):
                            "--max-len", "200", "--seed", "3")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def _shift_first_long_boundary(cw):
+    """``cw`` with one block boundary of its parse of 0w moved by a letter."""
+    import dataclasses
+    starts = list(cw.red.starts)
+    b = next(i for i in range(1, len(starts)) if starts[i] - starts[i - 1] > 1)
+    starts[b] -= 1
+    cw.red = dataclasses.replace(cw.red, starts=starts)
+    return cw
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("lz78lab.cli.construct_toy", ["catastrophe", "--k", "6"]),
+    ("lz78lab.cli.construct_toy", ["construct", "toy", "--k", "6"]),
+    ("lz78lab.general.construct_general",
+     ["construct", "general", "--n", str(1 << 14), "--l", "64", "--seed", "1"]),
+    ("lz78lab.infinite.build_prefix",
+     ["infinite", "--l0", "256", "--gamma", "0.1", "--budget", "150000", "--seed", "3"]),
+])
+def test_a_tampered_parse_of_0w_exits_1(capsys, monkeypatch, target, argv):
+    # the verifiers certify the construction's parse of 0w instead of
+    # parsing 0w again, so a wrong one must fail the command, not pass it
+    module, name = target.rsplit(".", 1)
+    build = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(target, lambda *a, **kw: _shift_first_long_boundary(build(*a, **kw)))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("failure: block")
+
+
+def test_catastrophe_feeds_three_letters_per_letter_of_w(capsys, monkeypatch):
+    # one parse of 0w (the construction's, certified), one of w and one of 1w:
+    # 3n + 2 letters fed in all, where re-parsing 0w fed 4n + 3
+    from lz78lab.parsing import StreamParser
+    fed = []
+    feed = StreamParser.feed
+
+    def counting(self, data):
+        fed.append(len(data))
+        return feed(self, data)
+
+    monkeypatch.setattr(StreamParser, "feed", counting)
+    code, out, _ = run(capsys, "catastrophe", "--k", "8", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["gadget_count"] == 0
+    assert sum(fed) == 3 * report["n"] + 2

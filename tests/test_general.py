@@ -10,6 +10,7 @@ from lz78lab.general import GeneralGadgetFactory
 import lz78lab.general as general_mod
 from lz78lab.parsing import StreamParser
 
+from conftest import assert_is_parse_of_0w
 from oracles import naive_classify, naive_parse
 
 
@@ -184,6 +185,38 @@ def test_verify_general_flags(small_build):
     assert len(rep.per_chain_red_blocks) == len(cw.chains)
 
 
+@pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])
+def test_construct_general_hands_over_the_parse_of_0w(small_build, reparse):
+    params, family, cw = small_build
+    if reparse == "scratch":
+        cw = construct_general(params, family, reparse=reparse)
+    assert sum(c.gadget_count for c in cw.chains) > 0
+    assert_is_parse_of_0w(cw.red, cw.word.data)
+
+
+def test_verify_general_rejects_a_tampered_parse_of_0w(small_build):
+    import dataclasses
+    params, family, cw = small_build
+    good = cw.red
+    report = verify_general(cw)
+    assert verify_general(cw) == report
+    assert cw.red is good
+    starts = list(good.starts)
+    starts[len(starts) // 3] -= 1
+    preds = list(good.preds)
+    preds[len(preds) // 2] = -1
+    try:
+        for bad in (dataclasses.replace(good, starts=starts),
+                    dataclasses.replace(good, preds=preds),
+                    dataclasses.replace(good, data=good.data[:-1] + b"1")):
+            cw.red = bad
+            with pytest.raises(ConstructionError):
+                verify_general(cw)
+    finally:
+        cw.red = good
+    assert verify_general(cw) == report
+
+
 def test_per_chain_violations_match_interval_oracle(small_build):
     params, family, cw = small_build
     assert sum(c.gadget_count for c in cw.chains) > 0
@@ -218,7 +251,7 @@ def _assert_same_build(cw, other):
     # whole records: resync_word, initial_violations, chosen_i, final_d,
     # start and length included
     assert other.chains == cw.chains
-    assert other.meta["front_dict_size"] == cw.meta["front_dict_size"]
+    assert other.red == cw.red
 
 
 def test_scratch_oracle_matches_checkpoint(small_build):

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -5,7 +6,9 @@ import pytest
 
 from lz78lab import (ParameterError, build_prefix, comp_ratio, parse, pref,
                      ratio_curve, schedule, tail_separation, worst_case_word)
-from lz78lab.infinite import _fresh_factors, _m_grams
+from lz78lab.infinite import _fresh_factors, _m_grams, prefix_ratios
+
+from conftest import assert_is_parse_of_0w
 
 
 def test_schedule_levels_double():
@@ -110,6 +113,29 @@ def test_build_prefix_budget_covering_level_zero_only():
     assert cw.meta["words_per_level"] == {0: 2}
     assert all(seg.kind != "padding" for seg in cw.segments)
     assert all(len(chain.source) == 256 for chain in cw.chains)
+
+
+def test_build_prefix_hands_over_the_parse_of_0w():
+    # three budgets: one that ends inside a block of 0w, one that ends on a
+    # block boundary, and one equal to the generated length
+    sched = schedule(256, 0.1, 1)
+    generated = build_prefix(sched, 40_000, seed=3).meta["generated"]
+    whole = build_prefix(sched, generated, seed=3)
+    starts = whole.red.starts
+    j = next(i for i in range(bisect.bisect(starts, 45_000), len(starts))
+             if starts[i + 1] - starts[i] > 1)
+    cases = {"inside": starts[j], "boundary": starts[j] - 1, "generated": generated}
+    for name, budget in cases.items():
+        cw = build_prefix(sched, budget, seed=3)
+        assert len(cw.word) == budget == len(cw.red.data) - 1, name
+        assert cw.meta["generated"] == generated, name
+        assert_is_parse_of_0w(cw.red, cw.word.data)
+        if name != "generated":
+            # a cut block is a prefix of a block, so it is in the dictionary
+            assert cw.red.last_is_duplicate == (name == "inside"), name
+        stride = budget // 97
+        assert prefix_ratios(cw.certified_red(), stride) == ratio_curve(
+            b"0" + cw.word.data, stride), name
 
 
 def test_cross_level_factor_uniqueness(two_level):

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lz78lab import (LzCode, MalformedCodeError, ParameterError, StreamParser,
-                     Word, comp_ratio, decode, encode, factor_census, parse, pref,
-                     tree_stats)
-from lz78lab.parsing import TRIE_DEPTH, ratio_from_counts
+from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterError,
+                     StreamParser, Word, comp_ratio, decode, encode, factor_census,
+                     parse, pref, tree_stats)
+from lz78lab.parsing import TRIE_DEPTH, certify, ratio_from_counts
 
 from oracles import naive_factor_census, naive_parse
 
@@ -76,6 +76,144 @@ def test_block_count_length_bound_exhaustive():
             k = p.block_count
             assert k * (k + 1) // 2 >= n
             assert p.dict_size >= math.isqrt(n)
+
+
+# --- the parse certificate: it must accept the parse and reject any other ---
+
+def claim(p):
+    """A parse as certify takes it, with copies of the lists to tamper with."""
+    return p.data, list(p.starts), list(p.preds), p.last_is_duplicate
+
+
+def split_last_letter(data, starts, preds, dup, b):
+    """Block b cut before its last letter, both pieces given their honest
+    preds: the head is block preds[b], the tail a single letter."""
+    q = preds[b]
+    head_pred = preds[q] if q >= 0 else -1
+    end = starts[b + 1] if b + 1 < len(starts) else len(data)
+    shifted = [p + (p > b) for p in preds]
+    return (data, starts[:b + 1] + [end - 1] + starts[b + 1:],
+            shifted[:b] + [head_pred, -1] + shifted[b + 1:], dup)
+
+
+def merged(data, starts, preds, dup, b):
+    """Blocks b and b + 1 claimed as one, with block b's pred."""
+    shifted = [p - (p > b) for p in preds]
+    return data, starts[:b + 1] + starts[b + 2:], shifted[:b + 1] + shifted[b + 2:], dup
+
+
+def certify_fails(data, starts, preds, dup):
+    with pytest.raises(ConstructionError) as info:
+        certify(data, starts, preds, dup)
+    return info.value
+
+
+@pytest.fixture(scope="module")
+def claimed_words():
+    """Short-block random words and long-block prefix words, ending in a
+    duplicate block or not."""
+    rng = random.Random(4242)
+    texts = ["".join(rng.choice("01") for _ in range(3000)) for _ in range(3)]
+    x = "".join(rng.choice("01") for _ in range(60))
+    texts += [pref(x).to_text(), "0" + pref(x).to_text(), pref(x).to_text() + x[:7]]
+    parses = [parse(t) for t in texts]
+    assert {p.last_is_duplicate for p in parses} == {True, False}
+    return parses
+
+
+def test_certify_accepts_the_parse(claimed_words):
+    for p in claimed_words:
+        data, starts, preds, dup = claim(p)
+        assert certify(data, starts, preds, dup) == p
+        assert (starts, preds) == (p.starts, p.preds)     # nothing consumed
+    assert certify(b"", [], [], False) == parse(b"")
+
+
+@settings(deadline=None)
+@given(words)
+def test_certify_accepts_parse_of_any_word(text):
+    p = parse(text)
+    assert certify(*claim(p)) == p
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_certify_rejects_a_shifted_boundary(claimed_words, shift):
+    for p in claimed_words:
+        for b in (1, p.block_count // 2, p.block_count - 1):
+            data, starts, preds, dup = claim(p)
+            starts[b] += shift
+            certify_fails(data, starts, preds, dup)
+
+
+def test_certify_rejects_merged_and_split_blocks(claimed_words):
+    for p in claimed_words:
+        last = p.block_count - 1
+        for b in (0, last // 2, last - 1):
+            err = certify_fails(*merged(*claim(p), b))
+            assert err.diagnostics["block"] == b
+        for b in (last // 2, last):
+            if p.block_length(b) > 1:
+                err = certify_fails(*split_last_letter(*claim(p), b))
+                assert "repeat" in str(err)
+
+
+def test_certify_rejects_a_wrong_pred(claimed_words):
+    same_length = 0
+    for p in claimed_words:
+        lengths = [p.block_length(i) for i in range(p.block_count)]
+        for b in (p.block_count // 3, p.block_count - 1):
+            q = p.preds[b]
+            # an earlier block as long as the true pred: only the letters differ
+            twins = [j for j in range(b) if j != q and lengths[j] == lengths[b] - 1]
+            same_length += bool(twins)
+            for wrong in twins[:1] + [q + 1 if q + 1 < b else q - 1]:
+                data, starts, preds, dup = claim(p)
+                preds[b] = wrong
+                err = certify_fails(data, starts, preds, dup)
+                assert err.diagnostics["block"] == b
+    assert same_length
+
+
+def test_certify_rejects_a_pred_not_before_its_block(claimed_words):
+    for p in claimed_words:
+        b = p.block_count // 2
+        for wrong in (b, b + 1, -2):
+            data, starts, preds, dup = claim(p)
+            preds[b] = wrong
+            err = certify_fails(data, starts, preds, dup)
+            assert err.diagnostics["block"] == b
+            assert "neither -1 nor an earlier block" in str(err)
+
+
+def test_certify_rejects_a_repeated_block():
+    # "0001" parses as 0|00|1; 0|0|01 keeps every pred honest but repeats "0"
+    assert parse("0001").starts == [0, 1, 3]
+    err = certify_fails(b"0001", [0, 1, 2], [-1, -1, 1], False)
+    assert err.diagnostics["block"] == 1
+    assert "repeats an earlier block" in str(err)
+
+
+def test_certify_rejects_a_wrong_duplicate_flag(claimed_words):
+    for p in claimed_words:
+        data, starts, preds, dup = claim(p)
+        err = certify_fails(data, starts, preds, not dup)
+        assert err.diagnostics["block"] == p.block_count - 1
+    assert certify_fails(b"", [], [], True)
+
+
+def test_certify_rejects_a_first_block_not_at_zero(claimed_words):
+    for p in claimed_words:
+        data, starts, preds, dup = claim(p)
+        starts[0] = 1
+        assert certify_fails(data, starts, preds, dup).diagnostics["block"] == 0
+        # every block honest, but the first letter left out of them
+        rest = parse(data[1:])
+        err = certify_fails(data, [s + 1 for s in rest.starts], rest.preds,
+                            rest.last_is_duplicate)
+        assert "does not start at 0" in str(err)
+    certify_fails(b"01", [], [], False)
+    certify_fails(b"01", [0, 1], [-1], False)
+    certify_fails(b"", [0], [-1], False)
 
 
 def test_encode_reference_example():

@@ -7,6 +7,7 @@ from lz78lab.alignment import GADGET, REGULAR
 from lz78lab.construction import front_census
 from lz78lab.toy import ToyGadgetFactory, construct_from_base, construct_toy
 
+from conftest import assert_is_parse_of_0w
 from oracles import naive_classify, naive_gadget_loop, naive_parse
 
 
@@ -285,3 +286,67 @@ def test_toy_census_matches_interval_oracle(k, seed, a):
                 and cw.segments[cls[2]].kind == REGULAR):
             violated.setdefault(cls[1], set()).add(cls[2])
     assert rep.violations == {i: len(g) for i, g in violated.items()}
+
+
+@pytest.mark.parametrize("scratch", [False, True])
+@pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
+                                           (200, 11, 7)])
+def test_forced_loop_hands_over_the_parse_of_0w(length, seed, k, scratch):
+    cw = construct_from_base(_forced_base(length, seed), 3.0, scratch=scratch,
+                             meta={"k": k})
+    assert cw.chains[0].gadget_count > 0
+    assert_is_parse_of_0w(cw.red, cw.word.data)
+
+
+@pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])
+def test_construct_toy_hands_over_the_parse_of_0w(reparse):
+    for k in (5, 8):
+        cw = construct_toy(k, reparse=reparse)
+        assert_is_parse_of_0w(cw.red, cw.word.data)
+
+
+@pytest.mark.parametrize("scratch", [False, True])
+def test_chaos_loop_hands_over_the_parse_of_0w(scratch):
+    from lz78lab.construction import build_chain
+    from lz78lab.parsing import StreamParser
+
+    for seed in range(12):
+        parser = StreamParser()
+        parser.feed(b"0")
+        build_chain(parser, [], 0, _forced_base(70, seed), 0, window=12,
+                    factory=_ChaosFactory(seed), include_tail=True, scratch=scratch)
+        red = parser.finish()
+        assert_is_parse_of_0w(red, red.data[1:])
+
+
+def test_verify_toy_certifies_without_consuming_the_parse():
+    cw = construct_from_base(_forced_base(120, 7), 3.0, meta={"k": 7})
+    red = cw.red
+    starts, preds = list(red.starts), list(red.preds)
+    assert verify_toy(cw) == verify_toy(cw)
+    assert cw.red is red
+    assert (list(red.starts), list(red.preds)) == (starts, preds)
+
+
+def test_verify_toy_rejects_a_tampered_parse_of_0w():
+    import dataclasses
+    from lz78lab import ConstructionError
+    cw = construct_toy(7)
+    good, report = cw.red, verify_toy(cw)
+    starts = list(good.starts)
+    starts[len(starts) // 2] += 1
+    preds = list(good.preds)
+    preds[-1] = len(preds) - 1
+    other = parse(b"0" + cw.word.data[::-1])
+    for bad in (dataclasses.replace(good, starts=starts),
+                dataclasses.replace(good, preds=preds),
+                dataclasses.replace(good, last_is_duplicate=not good.last_is_duplicate),
+                dataclasses.replace(good, data=b"1" + cw.word.data),
+                other):
+        cw.red = bad
+        with pytest.raises(ConstructionError):
+            verify_toy(cw)
+        # the front 1 is parsed afresh, whatever the construction handed over
+        assert one_front_variant(cw, "1").dic_aw == parse(b"1" + cw.word.data).dict_size
+    cw.red = good
+    assert verify_toy(cw) == report
