@@ -225,7 +225,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_infinite(args) -> int:
-    sched = _schedule_for_budget(args.l0, args.gamma, args.budget)
+    sched = inf.schedule_for_budget(args.l0, args.gamma, args.budget)
     cw = inf.build_prefix(sched, args.budget, args.seed)
     if args.out:
         write_word_file(args.out, cw.word, packed=args.packed)
@@ -248,17 +248,6 @@ def cmd_infinite(args) -> int:
         "tail_min_front": tail_front,
     }, "json")
     return OK if separated else VIOLATION
-
-
-def _schedule_for_budget(l0: int, gamma: float, budget: int) -> inf.Schedule:
-    levels = 1
-    while levels < 16:
-        sched = inf.schedule(l0, gamma, levels)
-        capacity = sum(lv.count * lv.l * (lv.l + 1) // 2 for lv in sched.levels)
-        if capacity >= budget:
-            return sched
-        levels += 1
-    return inf.schedule(l0, gamma, 16)
 
 
 def cmd_align(args) -> int:

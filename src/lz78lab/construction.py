@@ -14,12 +14,17 @@ needs to fix the next target; the pass that ends the loop feeds to the
 chain's end (a from-scratch mode, which re-parses the whole word and takes a
 full census each pass, is the correctness oracle).
 
-:func:`front_census` is the one census of a finished word: both verifiers,
-``toy.one_front_variant`` and ``general.verify_general``, take the unit check
-and the per-chain violation counts from it.  Its parse of 0w is the
-construction's own: :func:`finished_red` keeps the parser's blocks as
-``ConstructedWord.red``, and the verifiers certify them against the LZ'78
-definition (:func:`~lz78lab.parsing.certify`) instead of parsing 0w again.
+Every position in a constructed word comes from one place, :func:`_layout`,
+which turns a run of segments (a whole word or one chain) into its segment
+bounds and regular indices; the gadget loop, the verifiers' census, the
+chained construction's green words and the infinite construction's cut all
+read it.  :func:`front_census` is the one census of a finished word: both
+verifiers, ``toy.one_front_variant`` and ``general.verify_general``, take the
+unit check and the per-chain violation counts from it.  Its parse of 0w is
+the construction's own: :meth:`ConstructedWord.from_parser` hands the
+parser's blocks over as ``ConstructedWord.red``, and the verifiers certify
+them against the LZ'78 definition (:func:`~lz78lab.parsing.certify`) instead
+of parsing 0w again.
 """
 
 from __future__ import annotations
@@ -73,6 +78,19 @@ class ConstructedWord:
         """The first chain's base word."""
         return self.chains[0].source
 
+    @classmethod
+    def from_parser(cls, parser: StreamParser, segments: list[Segment],
+                    chains: list[ChainRecord], gamma: float,
+                    meta: dict) -> "ConstructedWord":
+        """The word w that ``parser`` holds after its front letter 0, with the
+        parser's parse of 0w as ``red``: its block lists in ``array('q')``, 8
+        bytes a block where a list of ints takes about 36.  The parser is left
+        empty."""
+        red = parser.finish()
+        red = replace(red, starts=array("q", red.starts), preds=array("q", red.preds))
+        return cls(word=Word(red.data[1:]), red=red, segments=segments,
+                   chains=chains, gamma=gamma, meta=meta)
+
     def certified_red(self) -> Parsing:
         """``red`` once it is shown to be the LZ'78 parse of 0w: its letters
         are 0w, and :func:`~lz78lab.parsing.certify` accepts its blocks.
@@ -84,68 +102,46 @@ class ConstructedWord:
         return certify(red.data, red.starts, red.preds, red.last_is_duplicate)
 
     def segment_starts(self) -> list[int]:
-        starts, acc = [], 0
-        for seg in self.segments:
-            starts.append(acc)
-            acc += seg.length
-        return starts
+        return _layout(self.segments)[0][:-1].tolist()
 
     def without_gadgets(self) -> bytes:
         """The word with gadget (and padding) segments removed."""
-        out = bytearray()
-        pos = 0
+        bounds, regular = _layout(self.segments)
+        bounds = bounds.tolist()
         data = self.word.data
-        for seg in self.segments:
-            if seg.kind == REGULAR:
-                out += data[pos:pos + seg.length]
-            pos += seg.length
-        return bytes(out)
-
-
-def _green_units_ok(cw: ConstructedWord, green: Parsing) -> bool:
-    """Whether the green parse follows the segments: one block per unit
-    (regular or gadget) segment, and any further blocks inside the padding."""
-    seg_starts = cw.segment_starts()
-    units = [s for s, seg in zip(seg_starts, cw.segments) if seg.kind != PADDING]
-    if green.starts[:len(units)] != units:
-        return False
-    # whatever follows the units must lie in the padding
-    if len(green.starts) > len(units):
-        pad_start = units[-1] + cw.segments[len(units) - 1].length if units else 0
-        if green.starts[len(units)] != pad_start:
-            return False
-    return True
+        return b"".join(data[a:b] for a, b, r in zip(bounds, bounds[1:], regular.tolist())
+                        if r >= 0)
 
 
 def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
     """The one census of a constructed word w, over the parsings of w (green)
     and of aw (red), which both verifiers read.  Returns whether the green
-    parse follows the segments (see :func:`_green_units_ok`), the offset-i
-    violations per chain, {chain: {offset: count}}, counting the red blocks
-    that lie inside one regular segment, and the red blocks per chain."""
+    parse follows the segments, the offset-i violations per chain, {chain:
+    {offset: count}}, counting the red blocks that lie inside one regular
+    segment, and the red blocks per chain.
+
+    The green parse follows the segments when it has one block per unit
+    (regular or gadget) segment and any further blocks lie in the padding:
+    the units come first, then at most one padding segment, so the green
+    starts must be the segment bounds up to the padding's start."""
+    bounds, regular = _layout(cw.segments)
+    units = sum(seg.kind != PADDING for seg in cw.segments)
+    head = list(green.starts[:units + 1])
+    units_ok = head == bounds[:max(len(head), units)].tolist()
+
     red_starts = np.asarray(red.starts, dtype=np.int64)
     red_ends = np.append(red_starts[1:], len(red.data))
-    index, offset, inside = locate(cw.segment_starts(), len(cw.word), red_starts,
-                                   red_ends)
-    regular = np.array([seg.kind == REGULAR for seg in cw.segments])
+    index, offset, inside = locate(bounds[:-1], len(cw.word), red_starts, red_ends)
     # a red block belongs to the chain of the segment holding its first
     # letter; aw's first block lies before every segment, the padding in none
     chain = np.where(index >= 0,
                      np.array([seg.chain for seg in cw.segments])[index], -1)
-    hit = inside & regular[index]
+    hit = inside & (regular[index] >= 0)
     per_chain = np.bincount(chain[chain >= 0], minlength=len(cw.chains))
     counts = {c.index: offset_counts(offset[hit & (chain == c.index)])
               for c in cw.chains}
     chain_red = {c.index: int(per_chain[c.index]) for c in cw.chains}
-    return _green_units_ok(cw, green), counts, chain_red
-
-
-def finished_red(parser: StreamParser) -> Parsing:
-    """The parse of 0w that a construction's ``parser`` holds, as
-    ``ConstructedWord.red``: its block lists in ``array('q')``, 8 bytes a
-    block where a list of ints takes about 36."""
-    red = parser.finish()
-    return replace(red, starts=array("q", red.starts), preds=array("q", red.preds))
+    return units_ok, counts, chain_red
 
 
 def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
@@ -174,7 +170,7 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
                     for t in range(s))
     first_new = parser.feed(b"".join(x[:q + 1 + t] for t in range(s)))
 
-    bounds, regular = _layout(segments, seg_lo, chain_start)
+    bounds, regular = _layout(segments[seg_lo:], chain_start)
     regs, offsets = _census(parser, bounds, regular, first_new, include_tail)
     record = ChainRecord(index=chain_index, source=source, q=q, regular_count=s,
                          chosen_i=None, gadget_count=0, final_d=None,
@@ -231,7 +227,7 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
                         Segment(GADGET, len(gadget), chain_index,
                                 gadget_i=i0, gadget_c=c))
         c += 1
-        bounds, regular = _layout(segments, seg_lo, chain_start)
+        bounds, regular = _layout(segments[seg_lo:], chain_start)
 
         if scratch:
             whole = bytes(parser.buf[:insert_at]) + gadget + bytes(parser.buf[insert_at:])
@@ -263,16 +259,15 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
     return record
 
 
-def _layout(segments: list[Segment], seg_lo: int, chain_start: int):
-    """The chain made of ``segments[seg_lo:]``, which starts at letter
-    ``chain_start`` of the word: its segment bounds (segment k spans
-    ``bounds[k]`` to ``bounds[k + 1]``) and regular indices (-1 for a
-    gadget)."""
-    chain = segments[seg_lo:]
-    lengths = np.fromiter((seg.length for seg in chain), np.int64, len(chain))
+def _layout(segments: list[Segment], start: int = 0):
+    """The one map from segments to positions: the run of ``segments`` (a
+    whole word, or one chain) laid from letter ``start`` of the word.  Returns
+    its segment bounds, segment k spanning ``bounds[k]`` to ``bounds[k + 1]``,
+    and each segment's regular index, -1 for a gadget or the padding."""
+    lengths = np.fromiter((seg.length for seg in segments), np.int64, len(segments))
     regular = np.fromiter((seg.reg_index if seg.kind == REGULAR else -1
-                           for seg in chain), np.int64, len(chain))
-    bounds = chain_start + np.concatenate(([0], np.cumsum(lengths)))
+                           for seg in segments), np.int64, len(segments))
+    bounds = start + np.concatenate(([0], np.cumsum(lengths)))
     return bounds, regular
 
 

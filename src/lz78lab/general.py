@@ -13,8 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 
 from .alignment import PADDING
-from .construction import (ChainRecord, ConstructedWord, Segment, build_chain,
-                           finished_red, front_census)
+from .construction import (ChainRecord, ConstructedWord, Segment, _layout,
+                           build_chain, front_census)
 from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import _gram_counts
 from .parsing import StreamParser, parse
@@ -233,18 +233,16 @@ def _add_chain(parser: StreamParser, segments: list[Segment], green_words: set[b
         raise ConstructionError(
             "the chain word's first fresh prefix lies beyond its bound",
             {"chain": chain_index, "q": q, "bound": q_max})
-    chain_green_start = parser.position - 1
-    h_red = 1 + chain_green_start + sum(t + 1 for t in range(q, l // 2 + 1))
+    h_red = parser.position + sum(t + 1 for t in range(q, l // 2 + 1))
     resolver = _make_u_resolver(parser, green_words, xb, m_int, h_red, chain_index)
     factory = GeneralGadgetFactory(xb, m_int, resolver)
     seg_lo = len(segments)
     record = build_chain(parser, segments, chain_index, xw, q, window=window,
                          factory=factory, include_tail=False, scratch=scratch)
     record.resync_word = factory.resolved_u
-    pos = 1 + chain_green_start
-    for seg in segments[seg_lo:]:
-        green_words.add(bytes(parser.buf[pos:pos + seg.length]))
-        pos += seg.length
+    # letter p of w is letter p + 1 of the parser's 0w
+    bounds = _layout(segments[seg_lo:], 1 + record.start)[0].tolist()
+    green_words.update(bytes(parser.buf[a:b]) for a, b in zip(bounds, bounds[1:]))
     return record
 
 
@@ -272,12 +270,11 @@ def construct_general(params: Params, family: Family,
     if pad:
         segments.append(Segment(PADDING, pad, chain=-1))
         parser.feed(b"0" * pad)
-    red = finished_red(parser)
-    word = Word(red.data[1:])
-    assert len(word) == params.n
-    return ConstructedWord(
-        word=word, red=red, segments=segments, chains=chains, gamma=params.gamma,
-        meta={"params": params, "seed": family.seed, "w_prime": w_prime})
+    cw = ConstructedWord.from_parser(
+        parser, segments, chains, params.gamma,
+        {"params": params, "seed": family.seed, "w_prime": w_prime})
+    assert len(cw.word) == params.n
+    return cw
 
 
 @dataclass(frozen=True)

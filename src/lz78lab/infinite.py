@@ -9,11 +9,12 @@ limit values, which are out of reach at desk scale.
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
-from .construction import ConstructedWord, Segment, finished_red
+from .construction import ConstructedWord, Segment, _layout
 from .errors import ParameterError, SamplingError
 from .general import RETRY_CAP, _add_chain, _grams, check_p1
 from .parsing import Parsing, StreamParser, parse, ratio_from_counts
@@ -94,6 +95,21 @@ def schedule(l0: int, gamma: float, levels: int) -> Schedule:
                     in_theorem_range=not notes, notes=tuple(notes))
 
 
+def schedule_for_budget(l0: int, gamma: float, budget: int) -> Schedule:
+    """The schedule of the fewest levels that can hold ``budget`` letters, a
+    level holding count * l(l+1)/2: the regular blocks of its count chains,
+    as in the one-chain floor of :func:`build_prefix`.
+
+    The search ends by 15 levels, where :func:`schedule` raises at the
+    latest: p_0 >= 1 forces p_14 above the bound of 1024 it puts on p.
+    """
+    for levels in itertools.count(1):
+        sched = schedule(l0, gamma, levels)
+        capacity = sum(lv.count * lv.l * (lv.l + 1) // 2 for lv in sched.levels)
+        if capacity >= budget:
+            return sched
+
+
 def _sample_level_word(seed: int, level: LevelParams, index: int,
                        corpus_grams: set[bytes], require_leading_one: bool) -> Word:
     for attempt in range(RETRY_CAP):
@@ -165,23 +181,20 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     # cut the parse back to the prefix: its blocks are then those of 0w
     removed = parser.rollback(budget_n + 1)
     parser.feed(removed[:budget_n + 1 - parser.position])
-    red = finished_red(parser)
-    segments = _truncate_segments(segments, budget_n)
-    return ConstructedWord(
-        word=Word(red.data[1:]), red=red, segments=segments, chains=chains,
-        gamma=sched.gamma,
-        meta={"schedule": sched, "seed": seed, "budget": budget_n,
-              "generated": full_len, "words_per_level": words_per_level})
+    return ConstructedWord.from_parser(
+        parser, _truncate_segments(segments, budget_n), chains, sched.gamma,
+        {"schedule": sched, "seed": seed, "budget": budget_n,
+         "generated": full_len, "words_per_level": words_per_level})
 
 
 def _truncate_segments(segments: list[Segment], budget: int) -> list[Segment]:
-    out, acc = [], 0
-    for seg in segments:
-        if acc >= budget:
-            break
-        out.append(seg if acc + seg.length <= budget
-                   else replace(seg, length=budget - acc))
-        acc += seg.length
+    """The segments that start before letter ``budget``, the last one cut
+    short to end there."""
+    bounds = _layout(segments)[0].tolist()
+    kept = bisect_left(bounds, budget, hi=len(segments))
+    out = segments[:kept]
+    if kept and bounds[kept] > budget:
+        out[-1] = replace(out[-1], length=budget - bounds[kept - 1])
     return out
 
 

@@ -79,10 +79,6 @@ class StreamParser:
     def position(self) -> int:
         return len(self.buf)
 
-    @property
-    def completed(self) -> int:
-        return len(self.starts)
-
     def in_progress(self) -> bool:
         return self.block_start != len(self.buf)
 
@@ -367,10 +363,8 @@ def encode(p: Parsing) -> LzCode:
 
 def decode(code: LzCode) -> Word:
     """Inverse of ``encode(parse(w))``; rejects forward references."""
-    entries = code.entries
-    lengths = []
-    out = bytearray()
-    for i, (pred, letter) in enumerate(entries):
+    blocks = [b""]                     # blocks[j + 1] is block j, blocks[0] empty
+    for i, (pred, letter) in enumerate(code.entries):
         if type(pred) is not int or type(letter) is not int:
             raise MalformedCodeError(f"entry {i} is not a pair of ints: {(pred, letter)}")
         if pred >= i:
@@ -378,17 +372,8 @@ def decode(code: LzCode) -> Word:
                 f"entry {i} references block {pred}, which does not exist yet")
         if pred < -1 or letter not in (0, 1):
             raise MalformedCodeError(f"entry {i} is malformed: {(pred, letter)}")
-        length = 1 if pred == -1 else lengths[pred] + 1
-        lengths.append(length)
-        # rebuild the block by walking predecessor links, letters come out reversed
-        letters = bytearray(length)
-        j, at = length - 1, i
-        while at != -1:
-            letters[j] = 48 + entries[at][1]
-            at = entries[at][0]
-            j -= 1
-        out.extend(letters)
-    return Word(bytes(out))
+        blocks.append(blocks[pred + 1] + (b"1" if letter else b"0"))
+    return Word(b"".join(blocks))
 
 
 def comp_ratio(w) -> float:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .construction import (ConstructedWord, Segment, build_chain, finished_red,
-                           front_census)
+from .construction import ConstructedWord, Segment, build_chain, front_census
 from .errors import ParameterError
 from .generators import de_bruijn
 from .parsing import StreamParser, parse
@@ -72,9 +71,8 @@ def construct_from_base(x: Word, gamma: float, scratch: bool = False, *,
     record = build_chain(parser, segments, 0, x, 0, window=window,
                          factory=ToyGadgetFactory(x.data), include_tail=True,
                          scratch=scratch)
-    red = finished_red(parser)
-    return ConstructedWord(word=Word(red.data[1:]), red=red, segments=segments,
-                           chains=[record], gamma=gamma, meta=dict(meta, window=window))
+    return ConstructedWord.from_parser(parser, segments, [record], gamma,
+                                       dict(meta, window=window))
 
 
 @dataclass(frozen=True)

@@ -64,5 +64,14 @@ def assert_is_parse_of_0w(red, word: bytes):
         fresh.starts, fresh.preds, fresh.last_is_duplicate)
 
 
+def assert_segments_tile(cw):
+    """The segments, placed at ``cw.segment_starts()``, lie end to end from
+    letter 0 to the end of the word, each as long as its ``length``."""
+    starts = cw.segment_starts()
+    ends = starts[1:] + [len(cw.word)]
+    assert starts[:1] == [0]
+    assert [b - a for a, b in zip(starts, ends)] == [seg.length for seg in cw.segments]
+
+
 def criterion(num: int, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE CRITERION {num}: {'PASS' if passed else 'FAIL'} - {detail}")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
@@ -10,7 +12,7 @@ from lz78lab.general import GeneralGadgetFactory
 import lz78lab.general as general_mod
 from lz78lab.parsing import StreamParser
 
-from conftest import assert_is_parse_of_0w
+from conftest import assert_is_parse_of_0w, assert_segments_tile
 from oracles import naive_classify, naive_parse
 
 
@@ -114,6 +116,29 @@ def test_construct_exact_length_and_padding(small_build):
     assert cw.meta["w_prime"] + pad == params.n
 
 
+def test_segment_starts_tile_the_padded_word(small_build):
+    assert_segments_tile(small_build[2])
+
+
+def test_front_census_unit_check(small_build):
+    # one green block per unit segment, then further blocks only from the
+    # padding's start on
+    params, family, cw = small_build
+    green, red = parse(cw.word.data), cw.certified_red()
+    *units, pad_start = cw.segment_starts()
+    assert cw.segments[-1].kind == PADDING and cw.segments[-1].length > 1
+
+    def units_ok(starts):
+        return front_census(cw, dataclasses.replace(green, starts=starts), red)[0]
+
+    assert units_ok(green.starts)
+    assert units_ok(units)
+    assert units_ok(units + [pad_start, pad_start + 1])
+    assert not units_ok(units[:-1])                    # fewer blocks than units
+    assert not units_ok(units + [pad_start + 1])       # starts inside the padding
+    assert not units_ok(units[:-1] + [units[-1] + 1, pad_start])
+
+
 def test_construct_prepad_length_floor(small_build):
     # chains alone cover at least (n/l^2) * (l-m+1)(l+m)/2 letters, i.e.
     # about half the target even before gadgets
@@ -195,7 +220,6 @@ def test_construct_general_hands_over_the_parse_of_0w(small_build, reparse):
 
 
 def test_verify_general_rejects_a_tampered_parse_of_0w(small_build):
-    import dataclasses
     params, family, cw = small_build
     good = cw.red
     report = verify_general(cw)

@@ -6,9 +6,10 @@ import pytest
 
 from lz78lab import (ParameterError, build_prefix, comp_ratio, parse, pref,
                      ratio_curve, schedule, tail_separation, worst_case_word)
-from lz78lab.infinite import _fresh_factors, _m_grams, prefix_ratios
+from lz78lab.infinite import (_fresh_factors, _m_grams, prefix_ratios,
+                               schedule_for_budget)
 
-from conftest import assert_is_parse_of_0w
+from conftest import assert_is_parse_of_0w, assert_segments_tile
 
 
 def test_schedule_levels_double():
@@ -55,6 +56,24 @@ def test_schedule_out_of_theorem_flag():
     sched = schedule(256, 0.1, 2)
     assert not sched.in_theorem_range
     assert any("gamma" in note for note in sched.notes)
+
+
+def test_schedule_for_budget_takes_the_fewest_levels_that_hold_it():
+    # a level holds count * l(l+1)/2 letters of regular blocks
+    def capacity(sched):
+        return sum(lv.count * lv.l * (lv.l + 1) // 2 for lv in sched.levels)
+
+    one, two = (capacity(schedule(256, 0.1, n)) for n in (1, 2))
+    for budget, levels in ((1, 1), (one, 1), (one + 1, 2), (two, 2), (two + 1, 3)):
+        assert schedule_for_budget(256, 0.1, budget) == schedule(256, 0.1, levels), budget
+    sched = schedule_for_budget(256, 0.1, 4_000_000)
+    assert capacity(sched) >= 4_000_000 > capacity(
+        schedule(256, 0.1, len(sched.levels) - 1))
+    # no schedule holds this much: schedule() refuses a level on the way
+    with pytest.raises(ParameterError, match="level"):
+        schedule_for_budget(256, 0.1, 10 ** 400)
+    with pytest.raises(ParameterError, match="l0 must be >= 16"):
+        schedule_for_budget(8, 0.1, 1000)
 
 
 def test_build_prefix_budget_guard():
@@ -136,6 +155,23 @@ def test_build_prefix_hands_over_the_parse_of_0w():
         stride = budget // 97
         assert prefix_ratios(cw.certified_red(), stride) == ratio_curve(
             b"0" + cw.word.data, stride), name
+
+
+def test_build_prefix_segments_tile_the_cut_word():
+    # one budget that ends on a segment bound, one that cuts the segment after it
+    sched = schedule(256, 0.1, 1)
+    generated = build_prefix(sched, 40_000, seed=3).meta["generated"]
+    whole = build_prefix(sched, generated, seed=3)
+    assert_segments_tile(whole)
+    starts = whole.segment_starts()
+    j = bisect.bisect(starts, 45_000)
+    assert whole.segments[j].length > 1
+    for budget, kept in ((starts[j], j), (starts[j] + 1, j + 1)):
+        cw = build_prefix(sched, budget, seed=3)
+        assert len(cw.word) == budget
+        assert_segments_tile(cw)
+        assert len(cw.segments) == kept
+        assert cw.segments[:j] == whole.segments[:j]
 
 
 def test_cross_level_factor_uniqueness(two_level):

@@ -7,7 +7,7 @@ from lz78lab.alignment import GADGET, REGULAR
 from lz78lab.construction import front_census
 from lz78lab.toy import ToyGadgetFactory, construct_from_base, construct_toy
 
-from conftest import assert_is_parse_of_0w
+from conftest import assert_is_parse_of_0w, assert_segments_tile
 from oracles import naive_classify, naive_gadget_loop, naive_parse
 
 
@@ -92,6 +92,12 @@ def test_forced_loop_checkpoint_equals_scratch():
     assert a.chains == b.chains
     assert a.chains[0].chosen_i == 0
     assert a.chains[0].gadget_count > 0
+
+
+def test_segment_starts_tile_a_word_with_gadgets():
+    cw = construct_from_base(_forced_base(90, 2), 3.0, meta={"k": 6})
+    assert cw.chains[0].gadget_count > 0
+    assert_segments_tile(cw)
 
 
 def test_forced_loop_invariants():
