@@ -92,8 +92,9 @@ def offset_counts(offsets) -> dict[int, int]:
 
 def classify(green: Parsing, red: Parsing) -> list[RedClass]:
     """Per-red-block tags; positions in aw map to w by subtracting one."""
-    index, offset, inside = locate(green.starts, len(green.data), red.starts,
-                                   red.starts[1:] + [len(red.data)])
+    red_starts = np.asarray(red.starts, dtype=np.int64)
+    index, offset, inside = locate(green.starts, len(green.data), red_starts,
+                                   np.append(red_starts[1:], len(red.data)))
     classes = []
     for gi, off, ok in zip(index.tolist(), offset.tolist(), inside.tolist()):
         if gi < 0:
@@ -135,15 +136,16 @@ def coverage_profile(ap: AlignedParsing) -> list[list[Coverage]]:
     """For each green block, the ordered red segments intersecting it."""
     green, red = ap.green, ap.red
     n_w = len(green.data)
-    red_ends = red.starts[1:] + [len(red.data)]
-    first, _, _ = locate(green.starts, n_w, red.starts, red_ends)
+    red_starts = np.asarray(red.starts, dtype=np.int64)
+    red_ends = np.append(red_starts[1:], len(red.data))
+    first, _, _ = locate(green.starts, n_w, red_starts, red_ends)
     # the green block holding each red block's last letter: locate that letter
     # as a one-letter block
-    last, _, _ = locate(green.starts, n_w, np.asarray(red_ends) - 1, red_ends)
-    bounds = green.starts + [n_w]
+    last, _, _ = locate(green.starts, n_w, red_ends - 1, red_ends)
+    bounds = [*green.starts, n_w]
     profile: list[list[Coverage]] = [[] for _ in range(green.block_count)]
     for b, (g0, g1, rs, re) in enumerate(zip(first.tolist(), last.tolist(),
-                                             red.starts, red_ends)):
+                                             red_starts.tolist(), red_ends.tolist())):
         if g0 < 0:
             continue
         for gi in range(g0, g1 + 1):

@@ -29,8 +29,7 @@ of parsing 0w again.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,11 +82,10 @@ class ConstructedWord:
                     chains: list[ChainRecord], gamma: float,
                     meta: dict) -> "ConstructedWord":
         """The word w that ``parser`` holds after its front letter 0, with the
-        parser's parse of 0w as ``red``: its block lists in ``array('q')``, 8
-        bytes a block where a list of ints takes about 36.  The parser is left
-        empty."""
+        parser's parse of 0w as ``red``, its block lists handed over as the
+        parser holds them (``array('q')`` in the kernel parser).  The parser
+        is left empty."""
         red = parser.finish()
-        red = replace(red, starts=array("q", red.starts), preds=array("q", red.preds))
         return cls(word=Word(red.data[1:]), red=red, segments=segments,
                    chains=chains, gamma=gamma, meta=meta)
 

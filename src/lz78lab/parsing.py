@@ -3,16 +3,29 @@
 Each block extends a previously seen block by one letter.  The dictionary is
 the set of distinct blocks; only the final block may duplicate an earlier one.
 
-``StreamParser`` keeps the dictionary in two tiers: blocks of at most
-``TRIE_DEPTH`` letters in a list trie walked letter by letter, longer blocks
-in a dict keyed by their bytes and found by galloping over hashed prefixes.
-Words whose blocks are long, such as the constructions' adversarial words,
-thus parse far faster than one lookup per letter allows.
+``StreamParser`` is the incremental parser that :func:`parse` and the
+constructions feed.  It is one of two classes with the same surface and the
+same results:
+
+- :class:`KernelStreamParser` runs the feed loop of the compiled kernel
+  ``_kernel.c`` over a flat int32 child array, one trie node per block.
+  :mod:`lz78lab.kernel` builds the kernel when this module is imported, and
+  ``StreamParser`` is this class whenever the kernel loads.
+- :class:`PyStreamParser` is pure Python.  It keeps the dictionary in two
+  tiers: blocks of at most ``TRIE_DEPTH`` letters in a list trie walked
+  letter by letter, longer blocks in a dict keyed by their bytes and found by
+  galloping over hashed prefixes.  It is the fallback when no compiler is
+  present, and the reference the kernel is tested against.
+
+:func:`certify` checks a claimed parse against the definition and uses no
+parser code, so it checks either class independently.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
@@ -21,16 +34,17 @@ from itertools import chain, islice
 
 import numpy as np
 
+from . import kernel
 from .errors import ConstructionError, MalformedCodeError, ParameterError
 from .words import Word, as_bits
 
 
 # Blocks of at most this many letters live in the list trie; longer ones are
-# found by probing the dict of long blocks (see StreamParser).
+# found by probing the dict of long blocks (see PyStreamParser).
 TRIE_DEPTH = 8
 
 
-class StreamParser:
+class PyStreamParser:
     """Incremental LZ'78 parser over an append-only letter stream.
 
     The dictionary has two tiers.  A block of at most ``TRIE_DEPTH`` letters
@@ -207,14 +221,163 @@ class StreamParser:
         return node - 1
 
 
+_KERNEL = kernel.load()
+MAX_NODES = 2 ** 31                # trie nodes the kernel can number: ids are int32
+FIRST_NODES = 1024                 # nodes a fresh child array holds; it doubles when full
+NEW_BLOCKS = 256                   # blocks one kernel call hands back at most
+
+
+class KernelStreamParser:
+    """Incremental LZ'78 parser whose feed loop is the compiled kernel.
+
+    The surface and the results are those of :class:`PyStreamParser`.  The
+    dictionary is a full binary trie in one flat int32 child array, one node
+    per block: node ``t`` is completed block ``t - 1`` (the root is node 0),
+    and ``child[2t + a]`` is its child by letter ``a``, or 0 for none.  The
+    node of the in-progress block carries across calls, so no feed walks a
+    block twice and feeding in pieces costs what feeding at once does.
+    ``starts`` and ``preds`` are ``array('q')``, 8 bytes a block.
+
+    A rollback unlinks each removed block's node from its parent's child
+    slot, then truncates the node count and the block arrays.
+    """
+
+    __slots__ = ("buf", "starts", "preds", "_state", "_ref", "_child", "_new")
+
+    def __init__(self):
+        self.buf = bytearray()
+        self.starts = array("q")     # start position of each completed block
+        self.preds = array("q")      # predecessor block index (-1 for the root)
+        # the starts, then the preds, of the blocks one kernel call completes,
+        # drained into starts and preds after the call
+        self._new = array("q", bytes(16 * NEW_BLOCKS))
+        new = self._new.buffer_info()[0]
+        st = self._state = kernel.State(new_starts=new, new_preds=new + 8 * NEW_BLOCKS,
+                                        new_cap=NEW_BLOCKS)
+        self._ref = ctypes.addressof(st)
+        self.reset()
+
+    def reset(self) -> None:
+        self.buf.clear()
+        del self.starts[:], self.preds[:]
+        cap = min(FIRST_NODES, MAX_NODES)
+        self._child = (ctypes.c_int32 * (2 * cap))()
+        st = self._state
+        st.child = ctypes.addressof(self._child)
+        st.node_cap, st.nodes = cap, 1
+        st.cur = st.pos = st.block_start = 0
+
+    @property
+    def position(self) -> int:
+        return len(self.buf)
+
+    @property
+    def block_start(self) -> int:
+        """Start position of the in-progress block."""
+        return self._state.block_start
+
+    @property
+    def child(self) -> list[int]:
+        """The child slots of the nodes in use, two per node."""
+        return self._child[:2 * self._state.nodes]
+
+    def in_progress(self) -> bool:
+        return self._state.cur != 0
+
+    def feed(self, data) -> int:
+        """Consume letters; returns the index of the first newly completed block.
+
+        ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``.
+        """
+        starts = self.starts
+        first_new = len(starts)
+        if type(data) is not bytes:
+            data = bytes(data)
+        self.buf += data
+        st = self._state
+        feed = _KERNEL.lz78_feed
+        n = len(data)
+        i = 0
+        while True:
+            i = feed(self._ref, data, i, n)
+            count = st.new_count
+            if count:
+                new = self._new
+                starts += new[:count]
+                self.preds += new[NEW_BLOCKS:NEW_BLOCKS + count]
+                st.new_count = 0
+            if i == n:
+                return first_new
+            if st.nodes == st.node_cap:
+                self._grow()
+
+    def _grow(self) -> None:
+        """Double the child array; the node ids must stay int32."""
+        st = self._state
+        if st.node_cap >= MAX_NODES:
+            del self.buf[st.pos:]      # the letters not parsed are not kept
+            raise ParameterError(
+                f"the parse needs more than {MAX_NODES} dictionary nodes, "
+                "beyond the parse kernel's int32 node ids")
+        cap = min(2 * st.node_cap, MAX_NODES)
+        child = (ctypes.c_int32 * (2 * cap))()
+        ctypes.memmove(child, self._child, 8 * st.nodes)
+        self._child = child
+        st.child = ctypes.addressof(child)
+        st.node_cap = cap
+
+    def rollback(self, pos: int) -> bytes:
+        """Rewind to the last block boundary at or before ``pos``.
+
+        Returns the removed letters (from that boundary to the current end);
+        the caller re-feeds them, edited, to continue.
+        """
+        starts = self.starts
+        st = self._state
+        kept = bisect_right(starts, pos)   # blocks that start at or before pos
+        boundary = starts[kept] if kept < len(starts) else st.block_start
+        if boundary > pos and kept:        # block kept - 1 ends after pos
+            kept -= 1
+            boundary = starts[kept]
+        _KERNEL.lz78_truncate(self._ref, self.preds.buffer_info()[0], kept)
+        removed = bytes(self.buf[boundary:])
+        del self.buf[boundary:]
+        del starts[kept:], self.preds[kept:]
+        st.pos = st.block_start = boundary
+        return removed
+
+    def finish(self) -> "Parsing":
+        """The parse of the letters fed so far, the in-progress block as its
+        trailing duplicate.  The block arrays are handed over, not copied, and
+        the parser is left empty, as after :meth:`reset`."""
+        dup = self.in_progress()
+        if dup:
+            self.preds.append(self.tail_pred())
+            self.starts.append(self.block_start)
+        starts, preds, buf = self.starts, self.preds, self.buf
+        self.starts, self.preds, self.buf = array("q"), array("q"), bytearray()
+        self.reset()                   # frees the trie before the letters are copied
+        return Parsing(data=bytes(buf), starts=starts, preds=preds, last_is_duplicate=dup)
+
+    def tail_pred(self) -> int:
+        """Predecessor block index for the in-progress (duplicate) block."""
+        cur = self._state.cur          # the in-progress block repeats block cur - 1
+        return self.preds[cur - 1] if cur else -1
+
+
+StreamParser = KernelStreamParser if _KERNEL is not None else PyStreamParser
+
+
 @dataclass(frozen=True)
 class Parsing:
     """The LZ-parsing of one word: ordered blocks plus the dictionary trie.
 
     ``starts`` covers every block including a possible trailing duplicate;
     ``preds[i]`` is the block index of block i minus its last letter (-1 when
-    that prefix is the empty word).  Both are lists, except in a
-    construction's ``ConstructedWord.red``, which holds them in ``array('q')``.
+    that prefix is the empty word).  :func:`parse` hands them out as lists;
+    :meth:`StreamParser.finish` hands over its parser's own, ``array('q')``
+    from the kernel parser, so a construction's ``ConstructedWord.red`` holds
+    8 bytes a block where a list of ints takes about 36.
     """
 
     data: bytes
@@ -255,7 +418,10 @@ def parse(w) -> Parsing:
     """Compute the unique LZ-parsing (empty word allowed)."""
     sp = StreamParser()
     sp.feed(as_bits(w))
-    return sp.finish()
+    p = sp.finish()
+    if type(p.starts) is array:        # the kernel's arrays, as the lists parse hands out
+        p = Parsing(p.data, p.starts.tolist(), p.preds.tolist(), p.last_is_duplicate)
+    return p
 
 
 def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:

@@ -7,8 +7,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lz78lab import (construct_general, construct_toy, derive_params, parse,
+from lz78lab import (construct_general, construct_toy, derive_params, parse, parsing,
                      sample_family, verify_general, verify_toy)
+
+KERNEL_LOADED = parsing.StreamParser is parsing.KernelStreamParser
+
+
+@pytest.fixture
+def python_parser(monkeypatch):
+    """Binds the pure-Python parser wherever lz78lab looks ``StreamParser``
+    up, as an import without the compiled kernel would."""
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("lz78lab")
+                and getattr(mod, "StreamParser", None) is parsing.StreamParser):
+            monkeypatch.setattr(mod, "StreamParser", parsing.PyStreamParser)
 
 
 def fuzz_word(seed: int, trial: int, max_len: int) -> bytes:

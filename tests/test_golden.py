@@ -1,11 +1,13 @@
 """Golden reports: stdout and exit code of fixed CLI commands.
 
 ``tests/golden/cases.json`` lists each command's argv and exit code, and
-``tests/golden/<name>.out`` holds its stdout.  Numbers are compared token by
-token: integers exactly, floats within ``rel_tol=1e-12`` (libm may differ by
-one ulp between machines); all other text, bools included, must match
-exactly.  Running this file as a script re-runs the listed commands and
-rewrites their exit codes and stdout from the current code.
+``tests/golden/<name>.out`` holds its stdout; no case writes to stderr.
+Numbers are compared token by token: integers exactly, floats within
+``rel_tol=1e-12`` (libm may differ by one ulp between machines); all other
+text, bools included, must match exactly.  The pure-Python parser must print
+the same bytes as the compiled kernel.  Running this file as a script
+re-runs the listed commands and rewrites their exit codes and stdout from
+the current code.
 """
 
 import contextlib
@@ -27,9 +29,10 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 def run_case(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
+    assert err.getvalue() == ""        # every case reports on stdout only
     return code, out.getvalue()
 
 
@@ -55,6 +58,14 @@ def test_golden_report(name):
     code, out = run_case(CASES[name]["argv"])
     assert code == CASES[name]["exit"]
     assert_same_report(out, (GOLDEN / f"{name}.out").read_text())
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_report_is_the_same_on_the_python_parser(name, request):
+    argv = CASES[name]["argv"]
+    want = run_case(argv)
+    request.getfixturevalue("python_parser")
+    assert run_case(argv) == want
 
 
 def test_report_comparison_tolerates_only_float_rounding():

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterError,
-                     StreamParser, Word, comp_ratio, decode, encode, factor_census,
+                     Word, comp_ratio, decode, encode, factor_census,
                      parse, pref, tree_stats)
-from lz78lab.parsing import TRIE_DEPTH, certify, ratio_from_counts
+from lz78lab.parsing import (TRIE_DEPTH, KernelStreamParser, PyStreamParser, certify,
+                             ratio_from_counts)
 
+from conftest import KERNEL_LOADED, fuzz_word
 from oracles import naive_factor_census, naive_parse
+
+# the equivalence tests below run on both parser classes (CI fails when the
+# compiled kernel is not loaded, so they never pass on the fallback alone)
+PARSERS = (KernelStreamParser, PyStreamParser) if KERNEL_LOADED else (PyStreamParser,)
 
 words = st.text(alphabet="01", max_size=400)
 
@@ -341,42 +347,54 @@ def test_tree_stats_empty_and_path():
 
 
 def assert_same_state(sp, fresh, content):
+    """Two parsers of one class hold the same public state and the same trie."""
+    assert type(sp) is type(fresh)
     assert sp.buf == fresh.buf == content
     assert sp.starts == fresh.starts
     assert sp.preds == fresh.preds
-    assert sp.c0 == fresh.c0
-    assert sp.c1 == fresh.c1
-    # in block order, which rollback relies on to pop removed long blocks
-    assert list(sp.long_blocks.items()) == list(fresh.long_blocks.items())
     assert sp.block_start == fresh.block_start
+    if isinstance(sp, KernelStreamParser):
+        assert sp.child == fresh.child
+    else:
+        assert sp.c0 == fresh.c0
+        assert sp.c1 == fresh.c1
+        # in block order, which rollback relies on to pop removed long blocks
+        assert list(sp.long_blocks.items()) == list(fresh.long_blocks.items())
 
 
-def fed_at_once(content: bytes) -> StreamParser:
-    sp = StreamParser()
+def fed_at_once(content: bytes, cls):
+    sp = cls()
     sp.feed(content)
     return sp
+
+
+def parse_with(cls, text: str):
+    sp = cls()
+    sp.feed(text.encode())
+    return sp.finish()
 
 
 def test_stream_parser_rollback_matches_fresh_parse():
     # rollback to arbitrary positions, splice in new content, and compare the
     # final state against a parser fed the edited word in one shot
-    rng = random.Random(1234)
-    for _ in range(60):
-        sp = StreamParser()
-        content = bytearray()
-        for _ in range(rng.randrange(1, 6)):
-            piece = bytes(rng.choice(b"01") for _ in range(rng.randrange(1, 400)))
-            if content and rng.random() < 0.7:
-                pos = rng.randrange(len(content) + 1)
-                removed = sp.rollback(pos)
-                assert bytes(content[len(content) - len(removed):]) == removed
-                insert_cut = pos - sp.position
-                sp.feed(removed[:insert_cut] + piece + removed[insert_cut:])
-                content[pos:pos] = piece
-            else:
-                sp.feed(piece)
-                content += piece
-        assert_same_state(sp, fed_at_once(bytes(content)), content)
+    for cls in PARSERS:
+        rng = random.Random(1234)
+        for _ in range(60):
+            sp = cls()
+            content = bytearray()
+            for _ in range(rng.randrange(1, 6)):
+                piece = bytes(rng.choice(b"01") for _ in range(rng.randrange(1, 400)))
+                if content and rng.random() < 0.7:
+                    pos = rng.randrange(len(content) + 1)
+                    removed = sp.rollback(pos)
+                    assert bytes(content[len(content) - len(removed):]) == removed
+                    insert_cut = pos - sp.position
+                    sp.feed(removed[:insert_cut] + piece + removed[insert_cut:])
+                    content[pos:pos] = piece
+                else:
+                    sp.feed(piece)
+                    content += piece
+            assert_same_state(sp, fed_at_once(bytes(content), cls), content)
 
 
 def two_tier_words(rng, count):
@@ -395,52 +413,85 @@ def two_tier_words(rng, count):
 
 
 def test_two_tier_parse_matches_naive_oracle():
-    rng = random.Random(808)
-    lengths = set()
-    for text in two_tier_words(rng, 450):
-        p = parse(text)
-        blocks = naive_parse(text)
-        assert [b.decode() for b in p.blocks()] == blocks
-        # each predecessor is the block minus its last letter (or the root)
-        index = {b: i for i, b in enumerate(blocks[:p.dict_size])}
-        assert p.preds == [index.get(b[:-1], -1) for b in blocks]
-        assert decode(encode(p)).to_text() == text
-        lengths.update(len(b) for b in blocks)
-    assert {TRIE_DEPTH, TRIE_DEPTH + 1} <= lengths
-    assert max(lengths) > 4 * TRIE_DEPTH
+    for cls in PARSERS:
+        rng = random.Random(808)
+        lengths = set()
+        for text in two_tier_words(rng, 450):
+            p = parse_with(cls, text)
+            blocks = naive_parse(text)
+            assert [b.decode() for b in p.blocks()] == blocks
+            # each predecessor is the block minus its last letter (or the root)
+            index = {b: i for i, b in enumerate(blocks[:p.dict_size])}
+            assert list(p.preds) == [index.get(b[:-1], -1) for b in blocks]
+            assert decode(encode(p)).to_text() == text
+            lengths.update(len(b) for b in blocks)
+        assert {TRIE_DEPTH, TRIE_DEPTH + 1} <= lengths
+        assert max(lengths) > 4 * TRIE_DEPTH
 
 
 def test_feeding_in_pieces_and_after_reset_equals_one_shot():
-    rng = random.Random(909)
-    for text in two_tier_words(rng, 150):
-        content = text.encode()
-        sp = StreamParser()
-        at = 0
-        while at < len(content):
-            step = rng.randrange(1, 3 * TRIE_DEPTH)
-            sp.feed(content[at:at + step])
-            at += step
-        assert_same_state(sp, fed_at_once(content), content)
-        sp.reset()
-        sp.feed(content[::-1])
-        assert_same_state(sp, fed_at_once(content[::-1]), content[::-1])
+    for cls in PARSERS:
+        rng = random.Random(909)
+        for text in two_tier_words(rng, 150):
+            content = text.encode()
+            sp = cls()
+            at = 0
+            while at < len(content):
+                step = rng.randrange(1, 3 * TRIE_DEPTH)
+                sp.feed(content[at:at + step])
+                at += step
+            assert_same_state(sp, fed_at_once(content, cls), content)
+            sp.reset()
+            sp.feed(content[::-1])
+            assert_same_state(sp, fed_at_once(content[::-1], cls), content[::-1])
 
 
 def test_tail_pred_of_in_progress_duplicates():
     # a word ending inside a duplicate of a short or long block, fed in pieces
-    rng = random.Random(1010)
-    x = "".join(rng.choice("01") for _ in range(40))
-    base = pref(x).to_text()
-    for cut in range(1, len(x) + 1):
-        text = base + x[:cut]
-        sp = StreamParser()
-        sp.feed(text[:len(base) + cut // 2].encode())
-        sp.feed(text[len(base) + cut // 2:].encode())
-        fresh = fed_at_once(text.encode())
-        assert sp.in_progress() and fresh.in_progress()
-        expected = naive_parse(text).index(x[:cut - 1]) if cut > 1 else -1
-        assert sp.tail_pred() == fresh.tail_pred() == expected
-        assert parse(text).preds[-1] == expected
+    for cls in PARSERS:
+        rng = random.Random(1010)
+        x = "".join(rng.choice("01") for _ in range(40))
+        base = pref(x).to_text()
+        for cut in range(1, len(x) + 1):
+            text = base + x[:cut]
+            sp = cls()
+            sp.feed(text[:len(base) + cut // 2].encode())
+            sp.feed(text[len(base) + cut // 2:].encode())
+            fresh = fed_at_once(text.encode(), cls)
+            assert sp.in_progress() and fresh.in_progress()
+            expected = naive_parse(text).index(x[:cut - 1]) if cut > 1 else -1
+            assert sp.tail_pred() == fresh.tail_pred() == expected
+            assert parse_with(cls, text).preds[-1] == expected
+            assert parse(text).preds[-1] == expected
+
+
+def finished_as_lists(p):
+    return p.data, list(p.starts), list(p.preds), p.last_is_duplicate
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_kernel_parser_matches_python_parser_seeded():
+    from lz78lab import construct_toy
+
+    def same(text):
+        kernel, python = KernelStreamParser(), PyStreamParser()
+        kernel.feed(text)
+        python.feed(text)
+        assert (kernel.in_progress(), kernel.tail_pred()) == (
+            python.in_progress(), python.tail_pred())
+        assert finished_as_lists(kernel.finish()) == finished_as_lists(python.finish())
+
+    # fuzz-short words, 1 to 2,000 letters, behind both front letters
+    for trial in range(400):
+        word = fuzz_word(14, trial, 2000)
+        for front in (b"0", b"1"):
+            same(front + word)
+    # pref(x): the ascending prefixes of x, joined, so blocks grow by one
+    rng = random.Random(1414)
+    for length in (1, 2, 9, 40, 300):
+        same(pref("".join(rng.choice("01") for _ in range(length))).data)
+    # the 0w of catastrophe --k 8 (its defaults: gamma 3, seed 0)
+    same(b"0" + construct_toy(8, 3.0, seed=0).word.data)
 
 
 @st.composite
@@ -457,16 +508,17 @@ def edit_scripts(draw):
 @given(edit_scripts())
 def test_rollback_and_refeed_property(script):
     word, edits = script
-    sp = fed_at_once(word)
-    content = bytearray(word)
-    for frac, piece in edits:
-        pos = int(frac * len(content))
-        removed = sp.rollback(pos)
-        assert bytes(content[sp.position:]) == removed
-        cut = pos - sp.position
-        sp.feed(removed[:cut] + piece.encode() + removed[cut:])
-        content[pos:pos] = piece.encode()
-    assert_same_state(sp, fed_at_once(bytes(content)), content)
+    for cls in PARSERS:
+        sp = fed_at_once(word, cls)
+        content = bytearray(word)
+        for frac, piece in edits:
+            pos = int(frac * len(content))
+            removed = sp.rollback(pos)
+            assert bytes(content[sp.position:]) == removed
+            cut = pos - sp.position
+            sp.feed(removed[:cut] + piece.encode() + removed[cut:])
+            content[pos:pos] = piece.encode()
+        assert_same_state(sp, fed_at_once(bytes(content), cls), content)
 
 
 def test_word_type():
