@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .alignment import PADDING
 from .construction import (ChainRecord, ConstructedWord, Segment, _layout,
                            build_chain, front_census)
@@ -161,7 +163,10 @@ def sample_family(params: Params, seed: int) -> Family:
 class GeneralGadgetFactory:
     """Chain gadgets: offset i>0 replays the violated prefix up to
     max(i, m), flips one letter, then pads from x[0..m-1] followed by ones;
-    offset 0 starts from a word seen only by the front parsing."""
+    offset 0 starts from the resynchronization word u that ``u_resolver``
+    picks once, on the first offset-0 gadget: the shortest, then the least,
+    block of the front parsing that ends by the chain's half point, has at
+    most m letters and is no block of the plain parsing."""
 
     def __init__(self, x: bytes, m_int: int, u_resolver):
         self.x = x
@@ -184,31 +189,39 @@ class GeneralGadgetFactory:
 
 def _make_u_resolver(parser: StreamParser, green_words: set[bytes], x: bytes,
                      m_int: int, h_red: int, chain_index: int):
+    """The resynchronization word u of an offset-0 chain, picked when called.
+
+    u is the shortest, then the least in byte order, of the blocks the
+    parser has completed that end by ``h_red``, have at most ``m_int``
+    letters, are not in ``green_words`` and are not a prefix of x; raises
+    ``ConstructionError`` when there is none.  The plain parsing's words are
+    ``green_words`` and the chain's regulars x[0..q], ..., x; the shorter
+    prefixes of x are in ``green_words``, so a block is plain exactly when it
+    is in ``green_words`` or prefixes x.  The choice costs a few numpy passes
+    over the block starts, then a sort of the blocks of each short length
+    until one qualifies; red blocks are distinct, so nothing ties."""
     def resolve() -> bytes:
-        # the plain parsing's words are green_words and the chain's regulars
-        # x[0..q], ..., x; the shorter prefixes of x are in green_words, so
-        # a block is plain exactly when it is in green_words or prefixes x
-        starts = parser.starts
-        best = None
-        for b in range(len(starts)):
-            end = starts[b + 1] if b + 1 < len(starts) else parser.block_start
-            if end > h_red:
-                break
-            length = end - starts[b]
-            if length > m_int:
-                continue
-            wb = bytes(parser.buf[starts[b]:end])
-            if wb in green_words or x.startswith(wb):
-                continue
-            key = (length, wb)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            raise ConstructionError(
-                "no resynchronization word of size <= m exists in the front "
-                "parsing but outside the plain parsing",
-                {"chain": chain_index, "m": m_int, "half_point": h_red})
-        return best[1]
+        # a view of the kernel's array('q') (a copy of PyStreamParser's
+        # list); the array cannot grow while a view of it lives, so the
+        # masked copies below replace it before anything can raise
+        starts = np.asarray(parser.starts, dtype=np.int64)
+        # the last completed block ends where the block in progress starts
+        # (cut to no end at all when no block is complete)
+        ends = np.append(starts[1:], parser.block_start)[:len(starts)]
+        count = np.searchsorted(ends, h_red, side="right")   # ends increase
+        lengths = ends[:count] - starts[:count]
+        short = lengths <= m_int
+        lengths, starts = lengths[short], starts[:count][short]
+        buf = parser.buf
+        for length in np.flatnonzero(np.bincount(lengths)).tolist():
+            for word in sorted(bytes(buf[s:s + length])
+                               for s in starts[lengths == length].tolist()):
+                if word not in green_words and not x.startswith(word):
+                    return word
+        raise ConstructionError(
+            "no resynchronization word of size <= m exists in the front "
+            "parsing but outside the plain parsing",
+            {"chain": chain_index, "m": m_int, "half_point": h_red})
 
     return resolve
 

@@ -6,12 +6,14 @@ SHA-256 of the source and the flags: the package's ``__pycache__/``, or a
 private folder under ``tempfile.gettempdir()`` when that is not writable.
 Later imports only open the cached library with :mod:`ctypes`.  The build
 runs at import rather than at the first parse, so no parse, and no timing
-of one, ever includes it.  A build
-writes a temporary file and renames it into place, so a concurrent import
-never opens a half-written library.  Without a compiler, or when the build
-or the load fails, :func:`load` returns None and the parser falls back to
-pure Python.  The loader never writes to stdout or stderr: the compiler's
-output is captured and dropped.
+of one, ever includes it.  A build writes a temporary file and renames it
+into place, so a concurrent import never opens a half-written library.  A
+build into the package's cache deletes the libraries that earlier sources
+left there; the temp-dir folder, which other checkouts may share, is never
+pruned.  Without a compiler, or when the build or the load fails,
+:func:`load` returns None and the parser falls back to pure Python.  The
+loader never writes to stdout or stderr: the compiler's output is captured
+and dropped.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ except ImportError:
         from hashlib import sha256
 
 SOURCE = Path(__file__).with_name("_kernel.c")
+PACKAGE_CACHE = Path(__file__).parent / "__pycache__"
 FLAGS = ("-O2", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 60
 
@@ -55,11 +58,10 @@ def compiler() -> str | None:
 def cache_dir() -> Path | None:
     """The package's ``__pycache__/`` when it is writable, else a folder under
     the temp dir that only this user can write, else None."""
-    own = Path(__file__).parent / "__pycache__"
     with suppress(OSError):
-        own.mkdir(exist_ok=True)
-    if os.access(own, os.W_OK):
-        return own
+        PACKAGE_CACHE.mkdir(exist_ok=True)
+    if os.access(PACKAGE_CACHE, os.W_OK):
+        return PACKAGE_CACHE
     if not hasattr(os, "getuid"):
         return None
     try:
@@ -90,6 +92,8 @@ def load():
     lib = _open(path) if path.is_file() else None
     if lib is None and _build(source, path):
         lib = _open(path)
+        if folder == PACKAGE_CACHE:
+            _prune(path)
     return lib
 
 
@@ -116,6 +120,17 @@ def _build(source: bytes, path: Path) -> bool:
     finally:
         with suppress(OSError):
             os.unlink(tmp)
+
+
+def _prune(keep: Path) -> None:
+    """Delete the package cache's libraries other than ``keep``: builds of
+    earlier sources.  The shared temp-dir folder is never pruned, since
+    checkouts of different sources may take turns to use it."""
+    with suppress(OSError):
+        for old in keep.parent.glob("_kernel-*.so"):
+            if old != keep:
+                with suppress(OSError):
+                    old.unlink()
 
 
 def _open(path: Path):

@@ -11,15 +11,17 @@ from lz78lab import (construct_general, construct_toy, derive_params, parse, par
                      sample_family, verify_general, verify_toy)
 
 KERNEL_LOADED = parsing.StreamParser is parsing.KernelStreamParser
+PARSERS = ((parsing.KernelStreamParser, parsing.PyStreamParser) if KERNEL_LOADED
+           else (parsing.PyStreamParser,))
 
 
 @pytest.fixture
 def python_parser(monkeypatch):
     """Binds the pure-Python parser wherever lz78lab looks ``StreamParser``
     up, as an import without the compiled kernel would."""
+    bound = parsing.StreamParser       # read once: the loop rebinds parsing's own
     for name, mod in list(sys.modules.items()):
-        if (name.startswith("lz78lab")
-                and getattr(mod, "StreamParser", None) is parsing.StreamParser):
+        if name.startswith("lz78lab") and getattr(mod, "StreamParser", None) is bound:
             monkeypatch.setattr(mod, "StreamParser", parsing.PyStreamParser)
 
 

@@ -112,3 +112,14 @@ def naive_gadget_loop(x: str, front: str, window: int, make):
         at = segments.index(("regular", x[:target + 1], target))
         segments.insert(at, ("gadget", make(i0, c), (i0, c)))
         c += 1
+
+
+def naive_resync_word(blocks, ends, green_words, x, m, h_red):
+    """The resynchronization word from its definition: the shortest, then
+    the least, of the front parsing's blocks that end by ``h_red``, have at
+    most ``m`` letters, are not in ``green_words`` and do not prefix x; None
+    when no block qualifies."""
+    candidates = {b for b, end in zip(blocks, ends)
+                  if end <= h_red and len(b) <= m
+                  and b not in green_words and not x.startswith(b)}
+    return min(candidates, key=lambda b: (len(b), b), default=None)

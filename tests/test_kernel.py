@@ -128,6 +128,28 @@ def test_a_truncated_cached_library_is_rebuilt_or_skipped(cache, tmp_path, monke
     assert capfd.readouterr() == ("", "")
 
 
+def test_a_build_prunes_stale_libraries_from_the_package_cache_only(tmp_path, monkeypatch,
+                                                                   capfd):
+    if kernel.compiler() is None:
+        pytest.skip("no C compiler")
+    package, temp = tmp_path / "package", tmp_path / "temp"
+    stale = ["_kernel-0123456789abcdef.so", "_kernel-0123456789abcdefXYZ.tmp"]
+    for folder in (package, temp):
+        folder.mkdir()
+        for name in stale:
+            (folder / name).write_bytes(b"stale")
+    current = kernel.library_name(kernel.SOURCE.read_bytes())
+    monkeypatch.setattr(kernel, "PACKAGE_CACHE", package)
+    assert kernel.cache_dir() == package
+    assert kernel.load() is not None
+    # another build's temporary file is not a library, and stays
+    assert sorted(p.name for p in package.iterdir()) == sorted([current, stale[1]])
+    monkeypatch.setattr(kernel, "cache_dir", lambda: temp)
+    assert kernel.load() is not None
+    assert sorted(p.name for p in temp.iterdir()) == sorted([current, *stale])
+    assert capfd.readouterr() == ("", "")
+
+
 def test_an_unwritable_package_caches_in_a_private_temp_folder(tmp_path, monkeypatch):
     package_cache = Path(kernel.__file__).parent / "__pycache__"
     access = os.access

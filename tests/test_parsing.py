@@ -10,12 +10,12 @@ from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterErr
 from lz78lab.parsing import (TRIE_DEPTH, KernelStreamParser, PyStreamParser, certify,
                              ratio_from_counts)
 
-from conftest import KERNEL_LOADED, fuzz_word
+from conftest import KERNEL_LOADED, PARSERS, fuzz_word
 from oracles import naive_factor_census, naive_parse
 
-# the equivalence tests below run on both parser classes (CI fails when the
-# compiled kernel is not loaded, so they never pass on the fallback alone)
-PARSERS = (KernelStreamParser, PyStreamParser) if KERNEL_LOADED else (PyStreamParser,)
+# the equivalence tests below run on each class of conftest.PARSERS (CI fails
+# when the compiled kernel is not loaded, so they never pass on the fallback
+# alone)
 
 words = st.text(alphabet="01", max_size=400)
 
