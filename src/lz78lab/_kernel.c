@@ -1,4 +1,5 @@
-/* LZ'78 feed kernel behind lz78lab.parsing.KernelStreamParser.
+/* LZ'78 feed kernel behind lz78lab.parsing.KernelStreamParser, and the
+ * letter check of rule 2 behind lz78lab.parsing.certify.
  *
  * The dictionary is a full binary trie in one flat int32 child array: node
  * t >= 1 is completed block t - 1, node 0 is the root, and child[2t + a] is
@@ -9,6 +10,7 @@
  * Build: cc -O2 -shared -fPIC -o _kernel.so _kernel.c
  */
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {
     int32_t *child;       /* 2 slots per node; the slots of unused nodes are 0 */
@@ -64,4 +66,25 @@ void lz78_truncate(lz78_state *s, const int64_t *preds, int64_t kept)
     }
     s->nodes = kept + 1;
     s->cur = 0;
+}
+
+/* Rule 2 of certify, for the letters: the first block i below limit whose
+ * letters but its last differ from block preds[i] (a pred of -1, the empty
+ * word, always matches), or limit when none does.  Block i ends where block
+ * i + 1 starts, the last block at n.  The caller has checked the starts, the
+ * preds and the lengths below limit, so every compare stays in data[0..n).
+ * Reads no lz78_state: the check shares no code with lz78_feed. */
+int64_t lz78_first_mismatch(const unsigned char *data, int64_t n,
+                            const int64_t *starts, const int64_t *preds,
+                            int64_t count, int64_t limit)
+{
+    for (int64_t i = 0; i < limit; i++) {
+        int64_t q = preds[i];
+        if (q < 0)
+            continue;
+        int64_t end = i + 1 < count ? starts[i + 1] : n;
+        if (memcmp(data + starts[i], data + starts[q], (size_t)(end - starts[i] - 1)))
+            return i;
+    }
+    return limit;
 }

@@ -1,4 +1,11 @@
-"""Build and load the compiled LZ'78 feed kernel, ``_kernel.c``.
+"""Build and load the compiled LZ'78 kernel, ``_kernel.c``.
+
+The library holds the feed loop and the rollback of
+:class:`~lz78lab.parsing.KernelStreamParser` (``lz78_feed``,
+``lz78_truncate``), and the letter comparison of rule 2 of
+:func:`~lz78lab.parsing.certify` (``lz78_first_mismatch``), which shares no
+code with the feed loop.  A library that lacks any of the three loads as
+None.
 
 :func:`load` runs when :mod:`lz78lab.parsing` is imported.  It compiles the
 C source with ``gcc -O2 -shared -fPIC`` (or ``cc``) into a cache keyed by the
@@ -11,9 +18,9 @@ into place, so a concurrent import never opens a half-written library.  A
 build into the package's cache deletes the libraries that earlier sources
 left there; the temp-dir folder, which other checkouts may share, is never
 pruned.  Without a compiler, or when the build or the load fails,
-:func:`load` returns None and the parser falls back to pure Python.  The
-loader never writes to stdout or stderr: the compiler's output is captured
-and dropped.
+:func:`load` returns None, and the parser and certify fall back to pure
+Python.  The loader never writes to stdout or stderr: the compiler's output
+is captured and dropped.
 """
 
 from __future__ import annotations
@@ -139,10 +146,14 @@ def _open(path: Path):
         # parser's buffers while the kernel writes them
         lib = ctypes.PyDLL(str(path))
         feed, truncate = lib.lz78_feed, lib.lz78_truncate
+        mismatch = lib.lz78_first_mismatch
     except (OSError, AttributeError):
         return None
     feed.argtypes = (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64)
     feed.restype = ctypes.c_int64
     truncate.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     truncate.restype = None
+    mismatch.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                         ctypes.c_int64, ctypes.c_int64)
+    mismatch.restype = ctypes.c_int64
     return lib

@@ -18,7 +18,10 @@ same results:
   present, and the reference the kernel is tested against.
 
 :func:`certify` checks a claimed parse against the definition and uses no
-parser code, so it checks either class independently.
+parser code, so it checks either class independently.  Its rules run in
+numpy, but for rule 2's letter comparison: the kernel's
+``lz78_first_mismatch``, which shares no code with the feed loop, or without
+the kernel a Python loop, which the tests also run as its oracle.
 """
 
 from __future__ import annotations
@@ -444,7 +447,10 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
     their (pred, last letter) pairs are, so rule 3 is checked on integer keys.
     Returns the accepted parse, sharing the given lists; raises
     ``ConstructionError`` naming the first block that breaks a rule.  Uses
-    no parser code, so it checks the parser independently.
+    no parser code, so it checks the parser independently.  Rule 2's letters
+    are compared by the kernel's ``lz78_first_mismatch`` when the kernel is
+    loaded, else by a Python loop; both stop at the same block, so the result
+    and the error are the same either way.
     """
     data = as_bits(data)
     count = len(starts)
@@ -462,27 +468,37 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
 
     if starts[0] != 0:
         raise bad(0, "does not start at 0")
-    first = np.asarray(starts, dtype=np.int64)
+    # zero-copy views of array('q') claims, contiguous int64 for the kernel
+    first = np.ascontiguousarray(starts, dtype=np.int64)
     length = np.diff(first, append=len(data))
     short = np.flatnonzero(length < 1)
     if short.size:
         raise bad(short[0], "is empty or ends past the word")
     # rule 2: limit is the first block whose pred is out of range, whose
     # length is not its pred's plus one, or whose letters differ from it
-    pred = np.asarray(preds, dtype=np.int64)
+    pred = np.ascontiguousarray(preds, dtype=np.int64)
     known = (pred >= -1) & (pred < np.arange(count))
     base = np.where(known & (pred >= 0), length[np.clip(pred, 0, count - 1)], 0)
     wrong = np.flatnonzero(~known | (length != base + 1))
     limit = int(wrong[0]) if wrong.size else count
-    ends = chain(islice(starts, 1, None), (len(data),))
-    for i, a, b, q in zip(range(limit), starts, ends, preds):
-        if q >= 0 and data[a:b - 1] != data[starts[q]:starts[q + 1]]:
-            limit = i
-            break
-    # rule 3: again is the first block whose (pred, last letter) pair repeats
-    letters = np.frombuffer(data, dtype=np.uint8)[first + length - 1] & 1
-    keys = 2 * (pred + 1) + letters
-    order = np.argsort(keys, kind="stable")
+    # the blocks below limit tile data and are one letter longer than their
+    # preds, so the kernel's compares stay in bounds
+    if _KERNEL is not None:
+        limit = _KERNEL.lz78_first_mismatch(data, len(data), first.ctypes.data,
+                                            pred.ctypes.data, count, limit)
+    else:
+        ends = chain(islice(starts, 1, None), (len(data),))
+        for i, a, b, q in zip(range(limit), starts, ends, preds):
+            if q >= 0 and data[a:b - 1] != data[starts[q]:starts[q + 1]]:
+                limit = i
+                break
+    # rule 3: again is the first block below limit whose (pred, last letter)
+    # pair repeats.  Below limit the keys lie in [0, 2 * limit), so a count
+    # finds the blocks that share a key, and only those are sorted
+    letters = np.frombuffer(data, dtype=np.uint8)[first[:limit] + length[:limit] - 1] & 1
+    keys = 2 * (pred[:limit] + 1) + letters
+    shared = np.flatnonzero(np.bincount(keys)[keys] > 1)
+    order = shared[np.argsort(keys[shared], kind="stable")]
     repeat = order[1:][keys[order[1:]] == keys[order[:-1]]]
     again = int(repeat.min()) if repeat.size else count
     if again < min(limit, count - 1):

@@ -1,10 +1,12 @@
 """Binary words: immutable bit sequences with text and packed I/O.
 
-A word is stored as one ASCII byte ('0'/'1') per letter.  That is the fastest
-layout for the sequential parsers in this package (one list lookup per byte
-for short blocks, one hashed slice per probe for long ones);
-the dense 64-bit packed layout is used only as an on-disk format for large
-artifacts (see :func:`pack_word` / :func:`unpack_word`).
+A word is stored as one ASCII byte ('0'/'1') per letter.  The compiled
+kernel walks the parse trie by the low bit of each byte, and certify's rule-2
+check compares blocks with ``memcmp`` on the bytes, so neither converts the
+word; the pure-Python fallback parser indexes its trie lists by the bytes and
+hashes slices of them.  The dense 64-bit packed layout is used only as an
+on-disk format for large artifacts (see :func:`pack_word` /
+:func:`unpack_word`).
 """
 
 from __future__ import annotations

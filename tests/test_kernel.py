@@ -163,6 +163,47 @@ def test_an_unwritable_package_caches_in_a_private_temp_folder(tmp_path, monkeyp
     assert kernel.cache_dir() is None
 
 
+def test_a_library_without_the_rule_2_check_loads_as_none(cache, tmp_path, monkeypatch,
+                                                          capfd):
+    """A kernel source from before lz78_first_mismatch builds, but its library
+    is not used: certify would have no compiled check to call."""
+    if kernel.compiler() is None:
+        pytest.skip("no C compiler")
+    source = kernel.SOURCE.read_bytes()
+    old = tmp_path / "_kernel.c"
+    old.write_bytes(source[:source.index(b"/* Rule 2 of certify")])
+    monkeypatch.setattr(kernel, "SOURCE", old)
+    assert kernel.load() is None
+    assert [p.name for p in cache.iterdir()] == [kernel.library_name(old.read_bytes())]
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_first_mismatch_compares_each_block_minus_its_last_letter():
+    def first_mismatch(data, limit):
+        return parsing._KERNEL.lz78_first_mismatch(
+            data, len(data), starts.ctypes.data, preds.ctypes.data, len(starts), limit)
+
+    # 0|1|00|01|10|000|11
+    data = b"0100011000011"
+    starts = np.array([0, 1, 2, 4, 6, 8, 11], dtype=np.int64)
+    preds = np.array([-1, -1, 0, 0, 1, 2, 1], dtype=np.int64)
+    assert parsing.parse(data).starts == starts.tolist()
+    assert parsing.parse(data).preds == preds.tolist()
+    assert first_mismatch(data, 7) == 7
+    assert first_mismatch(data, 3) == 3
+    # the head of block 2, whose pred is block 0
+    assert first_mismatch(b"0110011000011", 7) == 2
+    # the last letter of block 5's head, and of the last block's
+    assert first_mismatch(b"0100011001011", 7) == 5
+    assert first_mismatch(b"0100011000001", 7) == 6
+    # the last letter of block 2: block 5, which extends it, differs first
+    assert first_mismatch(b"0101011000011", 7) == 5
+    assert first_mismatch(b"0101011000011", 5) == 5
+    # the first of two mismatches
+    assert first_mismatch(b"0110011001011", 7) == 2
+
+
 @pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
 def test_node_ids_past_int32_raise_a_clear_error(monkeypatch):
     assert parsing.MAX_NODES == np.iinfo(np.int32).max + 1

@@ -1,12 +1,14 @@
 import math
 import random
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterError,
-                     Word, comp_ratio, decode, encode, factor_census,
-                     parse, pref, tree_stats)
+                     Word, comp_ratio, construct_toy, decode, encode, factor_census,
+                     parse, parsing, pref, tree_stats)
 from lz78lab.parsing import (TRIE_DEPTH, KernelStreamParser, PyStreamParser, certify,
                              ratio_from_counts)
 
@@ -86,6 +88,41 @@ def test_block_count_length_bound_exhaustive():
 
 # --- the parse certificate: it must accept the parse and reject any other ---
 
+# certify compares rule 2's letters with the kernel's lz78_first_mismatch when
+# the kernel is loaded, else with a Python loop, its oracle; every certify test
+# below runs both forms through certify_both
+CERTIFY_FORMS = ("kernel", "python") if KERNEL_LOADED else ("python",)
+
+
+def certify_in(form, data, starts, preds, dup):
+    with pytest.MonkeyPatch.context() as mp:
+        if form == "python":
+            mp.setattr(parsing, "_KERNEL", None)
+        try:
+            return certify(data, starts, preds, dup)
+        except ConstructionError as err:
+            return err
+
+
+def outcome(result):
+    """What the two forms must agree on: the accepted parse, or the error's
+    message and diagnostics."""
+    if isinstance(result, ConstructionError):
+        return str(result), tuple(result.diagnostics.items())
+    return result.data, tuple(result.starts), tuple(result.preds), result.last_is_duplicate
+
+
+def certify_both(data, starts, preds, dup):
+    """certify in every form; the forms must agree.  Returns the accepted
+    parse, or raises the error."""
+    results = [certify_in(form, data, starts, preds, dup) for form in CERTIFY_FORMS]
+    assert len({outcome(r) for r in results}) == 1, results
+    if isinstance(results[0], ConstructionError):
+        raise results[0]
+    assert results[0].starts is starts and results[0].preds is preds
+    return results[0]
+
+
 def claim(p):
     """A parse as certify takes it, with copies of the lists to tamper with."""
     return p.data, list(p.starts), list(p.preds), p.last_is_duplicate
@@ -110,7 +147,7 @@ def merged(data, starts, preds, dup, b):
 
 def certify_fails(data, starts, preds, dup):
     with pytest.raises(ConstructionError) as info:
-        certify(data, starts, preds, dup)
+        certify_both(data, starts, preds, dup)
     return info.value
 
 
@@ -130,16 +167,16 @@ def claimed_words():
 def test_certify_accepts_the_parse(claimed_words):
     for p in claimed_words:
         data, starts, preds, dup = claim(p)
-        assert certify(data, starts, preds, dup) == p
+        assert certify_both(data, starts, preds, dup) == p
         assert (starts, preds) == (p.starts, p.preds)     # nothing consumed
-    assert certify(b"", [], [], False) == parse(b"")
+    assert certify_both(b"", [], [], False) == parse(b"")
 
 
 @settings(deadline=None)
 @given(words)
 def test_certify_accepts_parse_of_any_word(text):
     p = parse(text)
-    assert certify(*claim(p)) == p
+    assert certify_both(*claim(p)) == p
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -197,6 +234,12 @@ def test_certify_rejects_a_repeated_block():
     err = certify_fails(b"0001", [0, 1, 2], [-1, -1, 1], False)
     assert err.diagnostics["block"] == 1
     assert "repeats an earlier block" in str(err)
+    # one-letter blocks with honest preds: the first block to repeat is named,
+    # whichever letter its group has
+    for data, first in ((b"1100", 1), (b"1001", 2), (b"0110", 2), (b"10110", 2)):
+        err = certify_fails(data, list(range(len(data))), [-1] * len(data), False)
+        assert err.diagnostics["block"] == first
+        assert "repeats an earlier block" in str(err)
 
 
 def test_certify_rejects_a_wrong_duplicate_flag(claimed_words):
@@ -220,6 +263,128 @@ def test_certify_rejects_a_first_block_not_at_zero(claimed_words):
     certify_fails(b"01", [], [], False)
     certify_fails(b"01", [0, 1], [-1], False)
     certify_fails(b"", [0], [-1], False)
+
+
+def flip(data: bytes, at: int) -> bytes:
+    return data[:at] + (b"1" if data[at] == ord("0") else b"0") + data[at + 1:]
+
+
+@pytest.fixture(scope="module")
+def toy8_red():
+    return construct_toy(8, 3.0, seed=0).red
+
+
+def naive_claim(data: bytes):
+    """The parse of data as certify takes it, from oracles.naive_parse."""
+    blocks = naive_parse(data.decode())
+    index, starts, preds, at = {"": -1}, [], [], 0
+    for i, b in enumerate(blocks):
+        starts.append(at)
+        preds.append(index[b[:-1]])
+        index.setdefault(b, i)
+        at += len(b)
+    return starts, preds, bool(blocks) and index[blocks[-1]] != len(blocks) - 1
+
+
+def judged(data, starts, preds, dup):
+    """certify_both's error, or None; certify accepts exactly the claim of
+    the naive parse."""
+    try:
+        certify_both(data, starts, preds, dup)
+    except ConstructionError as err:
+        assert (list(starts), list(preds), dup) != naive_claim(data)
+        return err
+    assert (list(starts), list(preds), dup) == naive_claim(data)
+    return None
+
+
+def test_certify_forms_agree_on_tampered_claims(toy8_red):
+    """Flipped letters, preds swapped between blocks of equal length and
+    shifted boundaries, on random words and a constructed 0w: both forms
+    accept, or both raise the same error at the same block, and they accept
+    exactly the naive parse."""
+    rng = random.Random(1616)
+    parses = [parse(fuzz_word(16, t, 3000)) for t in range(12)] + [toy8_red]
+    letter_rejects = 0
+    for p in parses:
+        count = p.block_count
+        lengths = [p.block_length(i) for i in range(count)]
+        by_length = {}
+        for i, n in enumerate(lengths):
+            by_length.setdefault(n, []).append(i)
+        for b in rng.sample(range(count), min(count, 6)):
+            start, end = p.block_bounds(b)
+            # the first letter, the letter before the last, the last, any
+            for at in {start, max(start, end - 2), end - 1, rng.randrange(start, end)}:
+                data, starts, preds, dup = claim(p)
+                err = judged(flip(data, at), starts, preds, dup)
+                letter_rejects += "minus its last letter is not block" in str(err)
+            twins = [j for j in by_length[lengths[b]] if p.preds[j] != p.preds[b]]
+            if twins:
+                data, starts, preds, dup = claim(p)
+                j = rng.choice(twins)
+                preds[b], preds[j] = preds[j], preds[b]
+                assert judged(data, starts, preds, dup)
+            if b:
+                for shift in (-1, 1):
+                    data, starts, preds, dup = claim(p)
+                    starts[b] += shift
+                    assert judged(data, starts, preds, dup)
+    assert letter_rejects > 50
+
+
+def test_certify_forms_reject_a_letter_under_a_pred_0_block():
+    """Block 0 is one letter; a later block that extends it has pred 0, and
+    flipping its first letter breaks rule 2 at that block alone."""
+    p = parse(fuzz_word(16, 99, 3000))
+    b = p.preds.index(0)
+    data, starts, preds, dup = claim(p)
+    err = certify_fails(flip(data, starts[b]), starts, preds, dup)
+    assert err.diagnostics["block"] == b
+    assert "minus its last letter is not block 0" in str(err)
+
+
+def test_a_flipped_letter_in_the_last_long_block_of_a_toy_0w():
+    red = construct_toy(9, 3.0, seed=0).red
+    count = len(red.starts)
+    longest = max(red.block_length(i) for i in range(count))
+    b = max(i for i in range(count) if red.block_length(i) == longest)
+    start, end = red.block_bounds(b)
+    assert end - start > 64
+    for at in (start, (start + end) // 2, end - 2):
+        results = [certify_in(form, flip(red.data, at), red.starts, red.preds,
+                              red.last_is_duplicate) for form in CERTIFY_FORMS]
+        for err in results:
+            assert isinstance(err, ConstructionError)
+            assert err.diagnostics == {"block": b, "start": start}
+            assert str(err) == (f"block {b} of the claimed parse minus its last "
+                                f"letter is not block {red.preds[b]}")
+
+
+def containers(values):
+    a = np.array(list(values), dtype=np.int64)
+    return [list(values), array("q", values), a, np.repeat(a, 2)[::2]]
+
+
+def test_certify_takes_lists_arrays_and_numpy_claims(toy8_red):
+    """A claim's starts and preds as lists, array('q'), numpy int64 and a
+    non-contiguous numpy view: every container, in every form, gives the
+    result of the lists."""
+    p = parse(fuzz_word(16, 7, 3000))
+    b = p.block_count // 2
+    data = p.data
+    claims = [claim(p), claim(toy8_red),
+              (flip(data, p.block_bounds(b)[1] - 2), list(p.starts), list(p.preds),
+               p.last_is_duplicate),
+              (data, list(p.starts), p.preds[:b] + [p.preds[b] + 1] + p.preds[b + 1:],
+               p.last_is_duplicate)]
+    for data, starts, preds, dup in claims:
+        want = {outcome(certify_in(form, data, starts, preds, dup)) for form in CERTIFY_FORMS}
+        assert len(want) == 1
+        for s, q in zip(containers(starts), containers(preds)):
+            got = {outcome(certify_in(form, data, s, q, dup)) for form in CERTIFY_FORMS}
+            assert got == want
+    assert not containers([1, 2, 3])[3].flags.c_contiguous
 
 
 def test_encode_reference_example():
