@@ -4,8 +4,9 @@ Each block extends a previously seen block by one letter.  The dictionary is
 the set of distinct blocks; only the final block may duplicate an earlier one.
 
 ``StreamParser`` is the incremental parser that :func:`parse` and the
-constructions feed.  It is one of two classes with the same surface and the
-same results:
+constructions feed; :func:`parse` returns its blocks as lists over the
+caller's own letters, and never finishes it.  It is one of two classes with
+the same surface and the same results:
 
 - :class:`KernelStreamParser` runs the feed loop of the compiled kernel
   ``_kernel.c`` over a flat int32 child array, one trie node per block.
@@ -201,10 +202,7 @@ class PyStreamParser:
         """The parse of the letters fed so far, the in-progress block as its
         trailing duplicate.  The block lists are handed over, not copied, and
         the parser is left empty, as after :meth:`reset`."""
-        dup = self.in_progress()
-        if dup:
-            self.preds.append(self.tail_pred())
-            self.starts.append(self.block_start)
+        dup = _close_duplicate(self)
         starts, preds = self.starts, self.preds
         self.starts, self.preds = [], []
         self.long_blocks.clear()       # freed before the letters are copied
@@ -353,10 +351,7 @@ class KernelStreamParser:
         """The parse of the letters fed so far, the in-progress block as its
         trailing duplicate.  The block arrays are handed over, not copied, and
         the parser is left empty, as after :meth:`reset`."""
-        dup = self.in_progress()
-        if dup:
-            self.preds.append(self.tail_pred())
-            self.starts.append(self.block_start)
+        dup = _close_duplicate(self)
         starts, preds, buf = self.starts, self.preds, self.buf
         self.starts, self.preds, self.buf = array("q"), array("q"), bytearray()
         self.reset()                   # frees the trie before the letters are copied
@@ -371,16 +366,25 @@ class KernelStreamParser:
 StreamParser = KernelStreamParser if _KERNEL is not None else PyStreamParser
 
 
+def _close_duplicate(sp) -> bool:
+    """Close ``sp``'s in-progress block as the trailing duplicate; True if there was one."""
+    dup = sp.in_progress()
+    if dup:
+        sp.preds.append(sp.tail_pred())
+        sp.starts.append(sp.block_start)
+    return dup
+
+
 @dataclass(frozen=True)
 class Parsing:
     """The LZ-parsing of one word: ordered blocks plus the dictionary trie.
 
     ``starts`` covers every block including a possible trailing duplicate;
     ``preds[i]`` is the block index of block i minus its last letter (-1 when
-    that prefix is the empty word).  :func:`parse` hands them out as lists;
-    :meth:`StreamParser.finish` hands over its parser's own, ``array('q')``
-    from the kernel parser, so a construction's ``ConstructedWord.red`` holds
-    8 bytes a block where a list of ints takes about 36.
+    that prefix is the empty word).  :func:`parse` hands out lists over the
+    caller's bytes; :meth:`StreamParser.finish` hands over its parser's arrays,
+    ``array('q')`` from the kernel, and a copy of its letters, so a
+    construction's ``ConstructedWord.red`` holds 8 bytes a block, not a list's 36.
     """
 
     data: bytes
@@ -418,13 +422,18 @@ class Parsing:
 
 
 def parse(w) -> Parsing:
-    """Compute the unique LZ-parsing (empty word allowed)."""
+    """Compute the unique LZ-parsing (empty word allowed).  Its ``data`` is the
+    caller's validated letters, not a copy: ``w`` itself for ``bytes`` and
+    ``w.data`` for a ``Word``.  ``starts`` and ``preds`` are lists."""
+    data = as_bits(w)
     sp = StreamParser()
-    sp.feed(as_bits(w))
-    p = sp.finish()
-    if type(p.starts) is array:        # the kernel's arrays, as the lists parse hands out
-        p = Parsing(p.data, p.starts.tolist(), p.preds.tolist(), p.last_is_duplicate)
-    return p
+    sp.feed(data)
+    dup = _close_duplicate(sp)
+    starts, preds = sp.starts, sp.preds
+    del sp                             # frees the trie and buf before the lists are built
+    if type(starts) is array:          # the kernel's arrays, as the lists parse hands out
+        starts, preds = starts.tolist(), preds.tolist()
+    return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
 
 
 def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -11,6 +12,7 @@ from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterErr
                      parse, parsing, pref, tree_stats)
 from lz78lab.parsing import (TRIE_DEPTH, KernelStreamParser, PyStreamParser, certify,
                              ratio_from_counts)
+from lz78lab.words import as_bits
 
 from conftest import KERNEL_LOADED, PARSERS, fuzz_word
 from oracles import naive_factor_census, naive_parse
@@ -72,7 +74,47 @@ def test_partition_and_prefix_closure(text):
 @settings(deadline=None)
 @given(words)
 def test_parse_deterministic(text):
-    assert parse(text).starts == parse(text).starts
+    assert parse(text) == parse(text)
+
+
+@pytest.mark.parametrize("cls", PARSERS, ids=lambda cls: cls.__name__)
+def test_parse_holds_the_callers_letters(cls, monkeypatch):
+    monkeypatch.setattr(parsing, "StreamParser", cls)
+    data = b"0001010100011"
+    assert parse(data).data is data
+    word = Word(data)
+    assert parse(word).data is word.data
+    for w in ("0110", bytearray(b"0110")):
+        p = parse(w)
+        assert type(p.data) is bytes and p.data == as_bits(w)
+    # the empty word, one letter, trailing duplicates and block-boundary ends
+    endings = set()
+    for text in ("", "0", "1", "010", "01011", "0101", "00010110100001", "0001010100011"):
+        p = parse(text)
+        assert type(p.starts) is list and type(p.preds) is list
+        blocks = naive_parse(text)
+        assert [b.decode() for b in p.blocks()] == blocks
+        index = {b: i for i, b in enumerate(blocks[:p.dict_size])}
+        assert p.preds == [index.get(b[:-1], -1) for b in blocks]
+        assert p.last_is_duplicate == (blocks[-1] in blocks[:-1] if blocks else False)
+        endings.add(p.last_is_duplicate)
+    assert endings == {False, True}
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_parse_peak_memory_per_letter():
+    # the parse keeps the caller's letters: inside it live only the parser's
+    # letter copy and block arrays, then the block lists (about 1.1 bytes a letter
+    # here; a second copy of the letters would make it above 2)
+    data = b"1" + construct_toy(10).word.data
+    tracemalloc.start()
+    try:
+        p = parse(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(data), f"{peak / len(data):.2f} bytes per letter"
+    assert p.data is data
 
 
 def test_block_count_length_bound_exhaustive():
