@@ -1,7 +1,7 @@
 """Build and load the compiled LZ'78 kernel, ``_kernel.c``.
 
 The library holds the feed loop and the rollback of
-:class:`~lz78lab.parsing.KernelStreamParser` (``lz78_feed``,
+:class:`~lz78lab.parsing.StreamParser` (``lz78_feed``,
 ``lz78_truncate``), and the letter comparison of rule 2 of
 :func:`~lz78lab.parsing.certify` (``lz78_first_mismatch``), which shares no
 code with the feed loop.  A library that lacks any of the three loads as
@@ -18,8 +18,8 @@ into place, so a concurrent import never opens a half-written library.  A
 build into the package's cache deletes the libraries that earlier sources
 left there; the temp-dir folder, which other checkouts may share, is never
 pruned.  Without a compiler, or when the build or the load fails,
-:func:`load` returns None, and the parser and certify fall back to pure
-Python.  The loader never writes to stdout or stderr: the compiler's output
+:func:`load` returns None, and the parser and certify fall back to their
+pure-Python loops.  The loader never writes to stdout or stderr: the compiler's output
 is captured and dropped.
 """
 

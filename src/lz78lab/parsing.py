@@ -3,23 +3,18 @@
 Each block extends a previously seen block by one letter.  The dictionary is
 the set of distinct blocks; only the final block may duplicate an earlier one.
 
-``StreamParser`` is the incremental parser that :func:`parse` and the
+:class:`StreamParser` is the incremental parser that :func:`parse` and the
 constructions feed; :func:`parse` returns its blocks as lists over the
-caller's own letters, and never finishes it.  It is one of two classes with
-the same surface and the same results:
-
-- :class:`KernelStreamParser` runs the feed loop of the compiled kernel
-  ``_kernel.c`` over a flat int32 child array, one trie node per block.
-  :mod:`lz78lab.kernel` builds the kernel when this module is imported, and
-  ``StreamParser`` is this class whenever the kernel loads.
-- :class:`PyStreamParser` is pure Python.  It keeps the dictionary in two
-  tiers: blocks of at most ``TRIE_DEPTH`` letters in a list trie walked
-  letter by letter, longer blocks in a dict keyed by their bytes and found by
-  galloping over hashed prefixes.  It is the fallback when no compiler is
-  present, and the reference the kernel is tested against.
+caller's own letters, and never finishes it.  Its feed loop and its rollback
+are the compiled kernel ``_kernel.c``, which :mod:`lz78lab.kernel` builds
+when this module is imported.  When the kernel did not load (``_KERNEL`` is
+None), the same methods run :func:`_feed_py` and :func:`_truncate_py`, line
+for line transliterations of the kernel's ``lz78_feed`` and ``lz78_truncate``
+over the same state and the same child array; they are the fallback without
+a compiler, and the tests run both modes, also on one parser.
 
 :func:`certify` checks a claimed parse against the definition and uses no
-parser code, so it checks either class independently.  Its rules run in
+parser code, so it checks either mode independently.  Its rules run in
 numpy, but for rule 2's letter comparison: the kernel's
 ``lz78_first_mismatch``, which shares no code with the feed loop, or without
 the kernel a Python loop, which the tests also run as its oracle.
@@ -43,204 +38,27 @@ from .errors import ConstructionError, MalformedCodeError, ParameterError
 from .words import Word, as_bits
 
 
-# Blocks of at most this many letters live in the list trie; longer ones are
-# found by probing the dict of long blocks (see PyStreamParser).
-TRIE_DEPTH = 8
+_KERNEL = kernel.load()
+MAX_NODES = 2 ** 31                # trie nodes the parser can number: ids are int32
+FIRST_NODES = 1024                 # nodes a fresh child array holds; it doubles when full
+NEW_BLOCKS = 256                   # blocks one feed step hands back at most
 
 
-class PyStreamParser:
+class StreamParser:
     """Incremental LZ'78 parser over an append-only letter stream.
 
-    The dictionary has two tiers.  A block of at most ``TRIE_DEPTH`` letters
-    is a node of a trie held in two child lists, ``c0`` and ``c1``: node
-    ``t`` is completed block ``t - 1`` (the root is node 0), and
-    ``c0[t]``/``c1[t]`` is its child by letter 0/1, or 0 for none.  A longer
-    block is a key of ``long_blocks``, its bytes mapped to its block index.
-    Every block, the in-progress one included, is walked from its start:
-    letter by letter down the trie, and once that reaches depth
-    ``TRIE_DEPTH``, on in ``long_blocks``.  The blocks longer than
-    ``TRIE_DEPTH`` are closed under taking prefixes longer than
-    ``TRIE_DEPTH`` (the dictionary is prefix-closed), so the longest one that
-    prefixes the rest of the stream is found by galloping from the previous
-    long match length and bisecting.  A long block then costs a few hashed
-    slices instead of one lookup per letter.
+    The dictionary is a full binary trie in one flat int32 child array, one
+    node per block: node ``t`` is completed block ``t - 1`` (the root is node
+    0), and ``child[2t + a]`` is its child by letter ``a``, or 0 for none.
+    The node of the in-progress block carries across calls, so no feed walks
+    a block twice and feeding in pieces costs what feeding at once does.
+    ``starts`` and ``preds`` are ``array('q')``, 8 bytes a block.
 
     Supports rolling the parse back to an earlier position, which is what
     makes the adaptive constructions affordable: after an insertion only the
-    suffix is re-parsed, never the whole word.  Blocks, trie nodes and
-    ``long_blocks`` entries are all created in block order, and a rollback
-    removes a suffix of them: it unlinks each removed short block from its
-    trie parent and pops the removed long blocks off the end of
-    ``long_blocks``, without hashing their bytes.
-    """
-
-    __slots__ = ("buf", "c0", "c1", "long_blocks", "starts", "preds", "block_start")
-
-    def __init__(self):
-        self.buf = bytearray()
-        self.c0 = [0]          # child by letter 0 of each trie node
-        self.c1 = [0]          # child by letter 1 of each trie node
-        self.long_blocks = {}  # bytes of each block longer than TRIE_DEPTH -> index
-        self.starts = []       # start position of each completed block
-        self.preds = []        # predecessor block index (-1 for the root)
-        self.block_start = 0   # start position of the in-progress block
-
-    def reset(self) -> None:
-        self.buf.clear()
-        self.c0[:] = self.c1[:] = [0]
-        self.long_blocks.clear()
-        self.starts.clear()
-        self.preds.clear()
-        self.block_start = 0
-
-    @property
-    def position(self) -> int:
-        return len(self.buf)
-
-    def in_progress(self) -> bool:
-        return self.block_start != len(self.buf)
-
-    def feed(self, data) -> int:
-        """Consume letters; returns the index of the first newly completed block.
-
-        ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``.  A call
-        walks the in-progress block again from its start, so feed long pieces
-        rather than single letters.
-        """
-        starts = self.starts
-        preds = self.preds
-        c0 = self.c0
-        c1 = self.c1
-        kids = [c0, c1] * 128          # kids[letter] is the child list of letter & 1
-        get = self.long_blocks.get
-        first_new = len(starts)
-        buf = self.buf
-        origin = self.block_start
-        text = bytes(buf[origin:]) + data   # the in-progress block, then the new letters
-        buf.extend(data)
-        n = len(text)
-        view = memoryview(text)
-        bs = j = node = 0              # block start in text, next letter, trie node
-        guess = TRIE_DEPTH + 1
-        while True:
-            for j, ch in enumerate(view[j:], j):
-                child = kids[ch][node]
-                if child:
-                    node = child
-                elif j - bs < TRIE_DEPTH:
-                    kids[ch][node] = len(c0)
-                    c0.append(0)
-                    c1.append(0)
-                    starts.append(origin + bs)
-                    preds.append(node - 1)
-                    bs = j + 1
-                    node = 0
-                else:
-                    break              # the match goes on in the long tier
-            else:
-                break
-            # text[bs:bs+lo] is block lo_id; find the longest block it extends to
-            lo, lo_id = TRIE_DEPTH, node - 1
-            hi = n - bs + 1            # lengths >= hi are out of reach
-            t, step = (guess if guess > lo else lo + 1), 1
-            while hi - lo > 1:
-                if not lo < t < hi:
-                    t = (lo + hi) // 2
-                idx = get(text[bs:bs + t])
-                if idx is None:
-                    hi, t = t, t - step
-                else:
-                    lo, lo_id, t = t, idx, t + step
-                step <<= 1
-            if bs + lo == n:
-                break                  # the rest of the stream is a known block
-            guess = lo
-            self.long_blocks[text[bs:bs + lo + 1]] = len(starts)
-            c0.append(0)
-            c1.append(0)
-            starts.append(origin + bs)
-            preds.append(lo_id)
-            bs = j = bs + lo + 1
-            node = 0
-        self.block_start = origin + bs
-        return first_new
-
-    def rollback(self, pos: int) -> bytes:
-        """Rewind to the last block boundary at or before ``pos``.
-
-        Returns the removed letters (from that boundary to the current end);
-        the caller re-feeds them, edited, to continue.
-        """
-        starts = self.starts
-        preds = self.preds
-        buf = self.buf
-        kept = bisect_right(starts, pos)   # blocks that start at or before pos
-        boundary = starts[kept] if kept < len(starts) else self.block_start
-        if boundary > pos and kept:        # block kept - 1 ends after pos
-            kept -= 1
-            boundary = starts[kept]
-        kids = [self.c0, self.c1] * 128
-        long_count = 0
-        for start, end, pred in zip(starts[kept:], starts[kept + 1:] + [self.block_start],
-                                    preds[kept:]):
-            if end - start > TRIE_DEPTH:
-                long_count += 1
-            else:
-                kids[buf[end - 1]][pred + 1] = 0
-        # the removed long blocks are the last entries of long_blocks
-        popitem = self.long_blocks.popitem
-        for _ in range(long_count):
-            popitem()
-        removed = bytes(buf[boundary:])
-        del buf[boundary:]
-        del starts[kept:], preds[kept:]
-        del self.c0[kept + 1:], self.c1[kept + 1:]
-        self.block_start = boundary
-        return removed
-
-    def finish(self) -> "Parsing":
-        """The parse of the letters fed so far, the in-progress block as its
-        trailing duplicate.  The block lists are handed over, not copied, and
-        the parser is left empty, as after :meth:`reset`."""
-        dup = _close_duplicate(self)
-        starts, preds = self.starts, self.preds
-        self.starts, self.preds = [], []
-        self.long_blocks.clear()       # freed before the letters are copied
-        data = bytes(self.buf)
-        self.reset()
-        return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
-
-    def tail_pred(self) -> int:
-        """Predecessor block index for the in-progress (duplicate) block."""
-        head = bytes(self.buf[self.block_start:-1])
-        if len(head) > TRIE_DEPTH:
-            return self.long_blocks[head]
-        kids = [self.c0, self.c1] * 128
-        node = 0
-        for ch in head:
-            node = kids[ch][node]
-        return node - 1
-
-
-_KERNEL = kernel.load()
-MAX_NODES = 2 ** 31                # trie nodes the kernel can number: ids are int32
-FIRST_NODES = 1024                 # nodes a fresh child array holds; it doubles when full
-NEW_BLOCKS = 256                   # blocks one kernel call hands back at most
-
-
-class KernelStreamParser:
-    """Incremental LZ'78 parser whose feed loop is the compiled kernel.
-
-    The surface and the results are those of :class:`PyStreamParser`.  The
-    dictionary is a full binary trie in one flat int32 child array, one node
-    per block: node ``t`` is completed block ``t - 1`` (the root is node 0),
-    and ``child[2t + a]`` is its child by letter ``a``, or 0 for none.  The
-    node of the in-progress block carries across calls, so no feed walks a
-    block twice and feeding in pieces costs what feeding at once does.
-    ``starts`` and ``preds`` are ``array('q')``, 8 bytes a block.
-
-    A rollback unlinks each removed block's node from its parent's child
-    slot, then truncates the node count and the block arrays.
+    suffix is re-parsed, never the whole word.  A rollback unlinks each
+    removed block's node from its parent's child slot, then truncates the
+    node count and the block arrays.
     """
 
     __slots__ = ("buf", "starts", "preds", "_state", "_ref", "_child", "_new")
@@ -249,8 +67,8 @@ class KernelStreamParser:
         self.buf = bytearray()
         self.starts = array("q")     # start position of each completed block
         self.preds = array("q")      # predecessor block index (-1 for the root)
-        # the starts, then the preds, of the blocks one kernel call completes,
-        # drained into starts and preds after the call
+        # the starts, then the preds, of the blocks one feed step completes,
+        # drained into starts and preds after the step
         self._new = array("q", bytes(16 * NEW_BLOCKS))
         new = self._new.buffer_info()[0]
         st = self._state = kernel.State(new_starts=new, new_preds=new + 8 * NEW_BLOCKS,
@@ -296,11 +114,14 @@ class KernelStreamParser:
             data = bytes(data)
         self.buf += data
         st = self._state
-        feed = _KERNEL.lz78_feed
+        if _KERNEL is not None:
+            feed, ref = _KERNEL.lz78_feed, self._ref
+        else:
+            feed, ref = _feed_py, self
         n = len(data)
         i = 0
         while True:
-            i = feed(self._ref, data, i, n)
+            i = feed(ref, data, i, n)
             count = st.new_count
             if count:
                 new = self._new
@@ -319,7 +140,7 @@ class KernelStreamParser:
             del self.buf[st.pos:]      # the letters not parsed are not kept
             raise ParameterError(
                 f"the parse needs more than {MAX_NODES} dictionary nodes, "
-                "beyond the parse kernel's int32 node ids")
+                "beyond the parser's int32 node ids")
         cap = min(2 * st.node_cap, MAX_NODES)
         child = (ctypes.c_int32 * (2 * cap))()
         ctypes.memmove(child, self._child, 8 * st.nodes)
@@ -340,7 +161,10 @@ class KernelStreamParser:
         if boundary > pos and kept:        # block kept - 1 ends after pos
             kept -= 1
             boundary = starts[kept]
-        _KERNEL.lz78_truncate(self._ref, self.preds.buffer_info()[0], kept)
+        if _KERNEL is not None:
+            _KERNEL.lz78_truncate(self._ref, self.preds.buffer_info()[0], kept)
+        else:
+            _truncate_py(self, self.preds, kept)
         removed = bytes(self.buf[boundary:])
         del self.buf[boundary:]
         del starts[kept:], self.preds[kept:]
@@ -363,7 +187,48 @@ class KernelStreamParser:
         return self.preds[cur - 1] if cur else -1
 
 
-StreamParser = KernelStreamParser if _KERNEL is not None else PyStreamParser
+def _feed_py(sp: StreamParser, data: bytes, i: int, n: int) -> int:
+    """``lz78_feed`` of ``_kernel.c`` in Python, over ``sp``'s state and child
+    array: feeds ``data[i:n]``, stops early when the child array or the
+    new-block buffer is full, and returns the index of the first letter not
+    consumed."""
+    s = sp._state
+    child = memoryview(sp._child).cast("B").cast("i")
+    new = sp._new
+    nodes, cur, count = s.nodes, s.cur, s.new_count
+    node_cap, block_start = s.node_cap, s.block_start
+    base = s.pos - i                   # position of data[0]
+    for i, letter in enumerate(memoryview(data)[i:n], i):
+        slot = 2 * cur + (letter & 1)
+        if nxt := child[slot]:
+            cur = nxt
+            continue
+        if nodes == node_cap or count == NEW_BLOCKS:
+            break
+        child[slot] = nodes
+        nodes += 1
+        new[count] = block_start
+        new[NEW_BLOCKS + count] = cur - 1
+        count += 1
+        block_start = base + i + 1
+        cur = 0
+    else:
+        i = n
+    s.nodes, s.cur, s.new_count = nodes, cur, count
+    s.pos, s.block_start = base + i, block_start
+    return i
+
+
+def _truncate_py(sp: StreamParser, preds, kept: int) -> None:
+    """``lz78_truncate`` of ``_kernel.c`` in Python: drops the blocks from
+    block ``kept`` on, unlinking each one's node from its parent's slot."""
+    s = sp._state
+    child = memoryview(sp._child).cast("B").cast("i")
+    for t in range(s.nodes - 1, kept, -1):
+        slot = 2 * (preds[t - 1] + 1)
+        child[slot + (child[slot + 1] == t)] = 0
+    s.nodes = kept + 1
+    s.cur = 0
 
 
 def _close_duplicate(sp) -> bool:
@@ -382,9 +247,9 @@ class Parsing:
     ``starts`` covers every block including a possible trailing duplicate;
     ``preds[i]`` is the block index of block i minus its last letter (-1 when
     that prefix is the empty word).  :func:`parse` hands out lists over the
-    caller's bytes; :meth:`StreamParser.finish` hands over its parser's arrays,
-    ``array('q')`` from the kernel, and a copy of its letters, so a
-    construction's ``ConstructedWord.red`` holds 8 bytes a block, not a list's 36.
+    caller's bytes; :meth:`StreamParser.finish` hands over its parser's
+    ``array('q')`` arrays and a copy of its letters, so a construction's
+    ``ConstructedWord.red`` holds 8 bytes a block, not a list's 36.
     """
 
     data: bytes
@@ -431,9 +296,8 @@ def parse(w) -> Parsing:
     dup = _close_duplicate(sp)
     starts, preds = sp.starts, sp.preds
     del sp                             # frees the trie and buf before the lists are built
-    if type(starts) is array:          # the kernel's arrays, as the lists parse hands out
-        starts, preds = starts.tolist(), preds.tolist()
-    return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
+    return Parsing(data=data, starts=starts.tolist(), preds=preds.tolist(),
+                   last_is_duplicate=dup)
 
 
 def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:

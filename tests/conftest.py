@@ -1,5 +1,6 @@
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -10,19 +11,34 @@ sys.path.insert(0, str(Path(__file__).parent))
 from lz78lab import (construct_general, construct_toy, derive_params, parse, parsing,
                      sample_family, verify_general, verify_toy)
 
-KERNEL_LOADED = parsing.StreamParser is parsing.KernelStreamParser
-PARSERS = ((parsing.KernelStreamParser, parsing.PyStreamParser) if KERNEL_LOADED
-           else (parsing.PyStreamParser,))
+KERNEL = parsing._KERNEL
+KERNEL_LOADED = KERNEL is not None
+# the modes the parser runs in: the compiled kernel, when it loaded, and the
+# pure-Python loops that stand in for it without a compiler
+PARSERS = ("kernel", "python") if KERNEL_LOADED else ("python",)
+
+
+@contextmanager
+def parser_mode(mode: str):
+    """Runs the parser and certify in ``mode``, also inside another mode:
+    "python" binds ``parsing._KERNEL`` to None, as an import without the
+    kernel would, and "kernel" binds it to the loaded kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parsing, "_KERNEL", None if mode == "python" else KERNEL)
+        yield
+
+
+@pytest.fixture(params=PARSERS)
+def mode(request):
+    """A test that takes it runs once in each mode of ``PARSERS``."""
+    with parser_mode(request.param):
+        yield request.param
 
 
 @pytest.fixture
 def python_parser(monkeypatch):
-    """Binds the pure-Python parser wherever lz78lab looks ``StreamParser``
-    up, as an import without the compiled kernel would."""
-    bound = parsing.StreamParser       # read once: the loop rebinds parsing's own
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("lz78lab") and getattr(mod, "StreamParser", None) is bound:
-            monkeypatch.setattr(mod, "StreamParser", parsing.PyStreamParser)
+    """The parser and certify run their pure-Python loops for the test."""
+    monkeypatch.setattr(parsing, "_KERNEL", None)
 
 
 def fuzz_word(seed: int, trial: int, max_len: int) -> bytes:

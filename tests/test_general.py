@@ -14,7 +14,7 @@ from lz78lab.infinite import build_prefix, schedule_for_budget
 from lz78lab import parsing
 from lz78lab.parsing import StreamParser
 
-from conftest import KERNEL_LOADED, PARSERS, assert_is_parse_of_0w, assert_segments_tile
+from conftest import assert_is_parse_of_0w, assert_segments_tile
 from oracles import naive_classify, naive_parse, naive_resync_word
 
 
@@ -310,7 +310,7 @@ def test_scratch_oracle_matches_checkpoint_on_later_offset_0_chains():
 def resolved(monkeypatch):
     """Each offset-0 resolve of the builds a test runs, checked against
     :func:`naive_resync_word` on the parser as the resolver saw it: a list
-    of (chain, resolved word, oracle word, parser class)."""
+    of (chain, resolved word, oracle word, parser mode)."""
     seen = []
     make = general_mod._make_u_resolver
 
@@ -323,7 +323,8 @@ def resolved(monkeypatch):
             ends = starts[1:] + [parser.block_start]
             blocks = [bytes(parser.buf[a:b]) for a, b in zip(starts, ends)]
             seen.append((chain_index, word, naive_resync_word(
-                blocks, ends, green_words, x, m_int, h_red), type(parser)))
+                blocks, ends, green_words, x, m_int, h_red),
+                         "python" if parsing._KERNEL is None else "kernel"))
             return word
 
         return checked
@@ -332,16 +333,7 @@ def resolved(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("parser_class", ["kernel", "python"])
-def test_resync_word_matches_the_oracle_on_every_offset_0_chain(parser_class, resolved,
-                                                                request):
-    if parser_class == "python":
-        request.getfixturevalue("python_parser")
-        bound = parsing.PyStreamParser
-    elif KERNEL_LOADED:
-        bound = parsing.KernelStreamParser
-    else:
-        pytest.skip("the compiled kernel did not load")
+def test_resync_word_matches_the_oracle_on_every_offset_0_chain(mode, resolved):
     # later chains resolve 3- and 4-letter words among ~10^5 earlier blocks
     build_prefix(schedule_for_budget(256, 0.1, 4_000_000), 4_000_000, 0)
     params = derive_params(1 << 16, 64)
@@ -349,14 +341,13 @@ def test_resync_word_matches_the_oracle_on_every_offset_0_chain(parser_class, re
     assert [(c, word) for c, word, _, _ in resolved] == [
         (0, b"0"), (1, b"00"), (11, b"100"), (31, b"0010"),
         (0, b"0"), (8, b"110"), (9, b"0001")]
-    assert all(word == want and cls is bound for _, word, want, cls in resolved)
+    assert all(word == want and seen == mode for _, word, want, seen in resolved)
 
 
-@pytest.mark.parametrize("parser_class", PARSERS, ids=lambda cls: cls.__name__)
-def test_resync_word_selection_rule(parser_class):
+def test_resync_word_selection_rule(mode):
     # blocks 0 | 1 | 00 | 01 | 000 | 001 | 10 | 11 of the front parsing,
     # ending at letters 1, 2, 4, 6, 9, 12, 14 and 16
-    parser = parser_class()
+    parser = StreamParser()
     parser.feed(b"0" b"1" b"00" b"01" b"000" b"001" b"10" b"11")
 
     def resolve(green_words, x, m_int, h_red):
@@ -373,9 +364,8 @@ def test_resync_word_selection_rule(parser_class):
     assert info.value.diagnostics == {"chain": 7, "m": 2, "half_point": 13}
 
 
-@pytest.mark.parametrize("parser_class", PARSERS, ids=lambda cls: cls.__name__)
-def test_resync_word_raise_leaves_the_parser_growable(parser_class):
-    parser = parser_class()
+def test_resync_word_raise_leaves_the_parser_growable(mode):
+    parser = StreamParser()
     parser.feed(b"0")
     resolve = general_mod._make_u_resolver(parser, set(), b"0110", 4, 1, 3)
     with pytest.raises(ConstructionError) as info:
@@ -384,7 +374,7 @@ def test_resync_word_raise_leaves_the_parser_growable(parser_class):
     # the traceback in info keeps the resolver's frame alive
     parser.feed(b"1" * 64 + b"01" * 64)
     assert parser.position == 1 + 192
-    empty = general_mod._make_u_resolver(parser_class(), set(), b"1", 4, 0, 5)
+    empty = general_mod._make_u_resolver(StreamParser(), set(), b"1", 4, 0, 5)
     with pytest.raises(ConstructionError):
         empty()
 

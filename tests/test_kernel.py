@@ -17,12 +17,12 @@ from lz78lab import kernel, parsing
 from lz78lab.cli import main
 from lz78lab.errors import ParameterError
 
-from conftest import KERNEL_LOADED
+from conftest import KERNEL_LOADED, PARSERS, parser_mode
 
 CATASTROPHE_K8 = ["catastrophe", "--k", "8", "--format", "json"]
 
 # runs a CLI command in a fresh interpreter whose loader finds no compiler and
-# an empty cache, then checks which parser class the import bound
+# an empty cache, once the import has bound no kernel
 WITHOUT_KERNEL = """
 import sys
 import tempfile
@@ -34,7 +34,7 @@ for name in [m for m in sys.modules if m.startswith("lz78lab") and m != "lz78lab
     del sys.modules[name]
 from lz78lab import parsing
 from lz78lab.cli import main
-if parsing.StreamParser is not parsing.PyStreamParser:
+if parsing._KERNEL is not None:
     sys.exit(99)
 sys.exit(main(sys.argv[2:]))
 """
@@ -204,16 +204,17 @@ def test_first_mismatch_compares_each_block_minus_its_last_letter():
     assert first_mismatch(b"0110011001011", 7) == 2
 
 
-@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
 def test_node_ids_past_int32_raise_a_clear_error(monkeypatch):
     assert parsing.MAX_NODES == np.iinfo(np.int32).max + 1
     monkeypatch.setattr(parsing, "MAX_NODES", 64)
     rng = random.Random(3)
     word = bytes(rng.choice(b"01") for _ in range(2000))
-    sp = parsing.KernelStreamParser()
-    sp.feed(word[:50])
-    with pytest.raises(ParameterError, match="int32"):
-        sp.feed(word[50:])
-    # the parser keeps the letters it parsed, and only those
-    assert len(sp.starts) == 63
-    assert word.startswith(bytes(sp.buf)) and sp.block_start <= sp.position < len(word)
+    for mode in PARSERS:
+        with parser_mode(mode):
+            sp = parsing.StreamParser()
+            sp.feed(word[:50])
+            with pytest.raises(ParameterError, match="int32"):
+                sp.feed(word[50:])
+        # the parser keeps the letters it parsed, and only those
+        assert len(sp.starts) == 63
+        assert word.startswith(bytes(sp.buf)) and sp.block_start <= sp.position < len(word)

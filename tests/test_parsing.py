@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterError,
                      Word, comp_ratio, construct_toy, decode, encode, factor_census,
-                     parse, parsing, pref, tree_stats)
-from lz78lab.parsing import (TRIE_DEPTH, KernelStreamParser, PyStreamParser, certify,
-                             ratio_from_counts)
+                     parse, pref, tree_stats)
+from lz78lab.parsing import StreamParser, certify, ratio_from_counts
 from lz78lab.words import as_bits
 
-from conftest import KERNEL_LOADED, PARSERS, fuzz_word
+from conftest import KERNEL_LOADED, PARSERS, fuzz_word, parser_mode
 from oracles import naive_factor_census, naive_parse
 
-# the equivalence tests below run on each class of conftest.PARSERS (CI fails
+# the equivalence tests below run in each mode of conftest.PARSERS (CI fails
 # when the compiled kernel is not loaded, so they never pass on the fallback
 # alone)
 
@@ -77,9 +76,7 @@ def test_parse_deterministic(text):
     assert parse(text) == parse(text)
 
 
-@pytest.mark.parametrize("cls", PARSERS, ids=lambda cls: cls.__name__)
-def test_parse_holds_the_callers_letters(cls, monkeypatch):
-    monkeypatch.setattr(parsing, "StreamParser", cls)
+def test_parse_holds_the_callers_letters(mode):
     data = b"0001010100011"
     assert parse(data).data is data
     word = Word(data)
@@ -132,14 +129,11 @@ def test_block_count_length_bound_exhaustive():
 
 # certify compares rule 2's letters with the kernel's lz78_first_mismatch when
 # the kernel is loaded, else with a Python loop, its oracle; every certify test
-# below runs both forms through certify_both
-CERTIFY_FORMS = ("kernel", "python") if KERNEL_LOADED else ("python",)
+# below runs both forms, the modes of conftest.PARSERS, through certify_both
 
 
 def certify_in(form, data, starts, preds, dup):
-    with pytest.MonkeyPatch.context() as mp:
-        if form == "python":
-            mp.setattr(parsing, "_KERNEL", None)
+    with parser_mode(form):
         try:
             return certify(data, starts, preds, dup)
         except ConstructionError as err:
@@ -157,7 +151,7 @@ def outcome(result):
 def certify_both(data, starts, preds, dup):
     """certify in every form; the forms must agree.  Returns the accepted
     parse, or raises the error."""
-    results = [certify_in(form, data, starts, preds, dup) for form in CERTIFY_FORMS]
+    results = [certify_in(form, data, starts, preds, dup) for form in PARSERS]
     assert len({outcome(r) for r in results}) == 1, results
     if isinstance(results[0], ConstructionError):
         raise results[0]
@@ -395,7 +389,7 @@ def test_a_flipped_letter_in_the_last_long_block_of_a_toy_0w():
     assert end - start > 64
     for at in (start, (start + end) // 2, end - 2):
         results = [certify_in(form, flip(red.data, at), red.starts, red.preds,
-                              red.last_is_duplicate) for form in CERTIFY_FORMS]
+                              red.last_is_duplicate) for form in PARSERS]
         for err in results:
             assert isinstance(err, ConstructionError)
             assert err.diagnostics == {"block": b, "start": start}
@@ -421,10 +415,10 @@ def test_certify_takes_lists_arrays_and_numpy_claims(toy8_red):
               (data, list(p.starts), p.preds[:b] + [p.preds[b] + 1] + p.preds[b + 1:],
                p.last_is_duplicate)]
     for data, starts, preds, dup in claims:
-        want = {outcome(certify_in(form, data, starts, preds, dup)) for form in CERTIFY_FORMS}
+        want = {outcome(certify_in(form, data, starts, preds, dup)) for form in PARSERS}
         assert len(want) == 1
         for s, q in zip(containers(starts), containers(preds)):
-            got = {outcome(certify_in(form, data, s, q, dup)) for form in CERTIFY_FORMS}
+            got = {outcome(certify_in(form, data, s, q, dup)) for form in PARSERS}
             assert got == want
     assert not containers([1, 2, 3])[3].flags.c_contiguous
 
@@ -554,29 +548,30 @@ def test_tree_stats_empty_and_path():
 
 
 def assert_same_state(sp, fresh, content):
-    """Two parsers of one class hold the same public state and the same trie."""
-    assert type(sp) is type(fresh)
+    """Two parsers hold the same public state and the same trie, slot for
+    slot, whichever modes fed them."""
     assert sp.buf == fresh.buf == content
     assert sp.starts == fresh.starts
     assert sp.preds == fresh.preds
     assert sp.block_start == fresh.block_start
-    if isinstance(sp, KernelStreamParser):
-        assert sp.child == fresh.child
-    else:
-        assert sp.c0 == fresh.c0
-        assert sp.c1 == fresh.c1
-        # in block order, which rollback relies on to pop removed long blocks
-        assert list(sp.long_blocks.items()) == list(fresh.long_blocks.items())
+    assert sp.child == fresh.child
 
 
-def fed_at_once(content: bytes, cls):
-    sp = cls()
-    sp.feed(content)
+def fed_at_once(content: bytes, mode: str):
+    with parser_mode(mode):
+        sp = StreamParser()
+        sp.feed(content)
     return sp
 
 
-def parse_with(cls, text: str):
-    sp = cls()
+def assert_fed_alike(sp, content: bytes):
+    """``sp`` holds the state of a parser fed ``content`` at once, in each mode."""
+    for mode in PARSERS:
+        assert_same_state(sp, fed_at_once(content, mode), content)
+
+
+def parse_with(text: str):
+    sp = StreamParser()
     sp.feed(text.encode())
     return sp.finish()
 
@@ -584,28 +579,29 @@ def parse_with(cls, text: str):
 def test_stream_parser_rollback_matches_fresh_parse():
     # rollback to arbitrary positions, splice in new content, and compare the
     # final state against a parser fed the edited word in one shot
-    for cls in PARSERS:
+    for mode in PARSERS:
         rng = random.Random(1234)
         for _ in range(60):
-            sp = cls()
+            sp = StreamParser()
             content = bytearray()
-            for _ in range(rng.randrange(1, 6)):
-                piece = bytes(rng.choice(b"01") for _ in range(rng.randrange(1, 400)))
-                if content and rng.random() < 0.7:
-                    pos = rng.randrange(len(content) + 1)
-                    removed = sp.rollback(pos)
-                    assert bytes(content[len(content) - len(removed):]) == removed
-                    insert_cut = pos - sp.position
-                    sp.feed(removed[:insert_cut] + piece + removed[insert_cut:])
-                    content[pos:pos] = piece
-                else:
-                    sp.feed(piece)
-                    content += piece
-            assert_same_state(sp, fed_at_once(bytes(content), cls), content)
+            with parser_mode(mode):
+                for _ in range(rng.randrange(1, 6)):
+                    piece = bytes(rng.choice(b"01") for _ in range(rng.randrange(1, 400)))
+                    if content and rng.random() < 0.7:
+                        pos = rng.randrange(len(content) + 1)
+                        removed = sp.rollback(pos)
+                        assert bytes(content[len(content) - len(removed):]) == removed
+                        insert_cut = pos - sp.position
+                        sp.feed(removed[:insert_cut] + piece + removed[insert_cut:])
+                        content[pos:pos] = piece
+                    else:
+                        sp.feed(piece)
+                        content += piece
+            assert_fed_alike(sp, bytes(content))
 
 
 def two_tier_words(rng, count):
-    """Random words, pref(x) and a.pref(x): blocks on both sides of TRIE_DEPTH."""
+    """Random words, pref(x) and a.pref(x): blocks of 8 letters, of 9, and far longer."""
     out = []
     for trial in range(count):
         x = "".join(rng.choice("01") for _ in range(rng.randrange(1, 70)))
@@ -620,56 +616,60 @@ def two_tier_words(rng, count):
 
 
 def test_two_tier_parse_matches_naive_oracle():
-    for cls in PARSERS:
+    for mode in PARSERS:
         rng = random.Random(808)
         lengths = set()
-        for text in two_tier_words(rng, 450):
-            p = parse_with(cls, text)
-            blocks = naive_parse(text)
-            assert [b.decode() for b in p.blocks()] == blocks
-            # each predecessor is the block minus its last letter (or the root)
-            index = {b: i for i, b in enumerate(blocks[:p.dict_size])}
-            assert list(p.preds) == [index.get(b[:-1], -1) for b in blocks]
-            assert decode(encode(p)).to_text() == text
-            lengths.update(len(b) for b in blocks)
-        assert {TRIE_DEPTH, TRIE_DEPTH + 1} <= lengths
-        assert max(lengths) > 4 * TRIE_DEPTH
+        with parser_mode(mode):
+            for text in two_tier_words(rng, 450):
+                p = parse_with(text)
+                blocks = naive_parse(text)
+                assert [b.decode() for b in p.blocks()] == blocks
+                # each predecessor is the block minus its last letter (or the root)
+                index = {b: i for i, b in enumerate(blocks[:p.dict_size])}
+                assert list(p.preds) == [index.get(b[:-1], -1) for b in blocks]
+                assert decode(encode(p)).to_text() == text
+                lengths.update(len(b) for b in blocks)
+        assert {8, 8 + 1} <= lengths
+        assert max(lengths) > 4 * 8
 
 
 def test_feeding_in_pieces_and_after_reset_equals_one_shot():
-    for cls in PARSERS:
+    for mode in PARSERS:
         rng = random.Random(909)
         for text in two_tier_words(rng, 150):
             content = text.encode()
-            sp = cls()
-            at = 0
-            while at < len(content):
-                step = rng.randrange(1, 3 * TRIE_DEPTH)
-                sp.feed(content[at:at + step])
-                at += step
-            assert_same_state(sp, fed_at_once(content, cls), content)
+            sp = StreamParser()
+            with parser_mode(mode):
+                at = 0
+                while at < len(content):
+                    step = rng.randrange(1, 3 * 8)
+                    sp.feed(content[at:at + step])
+                    at += step
+            assert_fed_alike(sp, content)
             sp.reset()
-            sp.feed(content[::-1])
-            assert_same_state(sp, fed_at_once(content[::-1], cls), content[::-1])
+            with parser_mode(mode):
+                sp.feed(content[::-1])
+            assert_fed_alike(sp, content[::-1])
 
 
 def test_tail_pred_of_in_progress_duplicates():
     # a word ending inside a duplicate of a short or long block, fed in pieces
-    for cls in PARSERS:
+    for mode in PARSERS:
         rng = random.Random(1010)
         x = "".join(rng.choice("01") for _ in range(40))
         base = pref(x).to_text()
         for cut in range(1, len(x) + 1):
             text = base + x[:cut]
-            sp = cls()
-            sp.feed(text[:len(base) + cut // 2].encode())
-            sp.feed(text[len(base) + cut // 2:].encode())
-            fresh = fed_at_once(text.encode(), cls)
-            assert sp.in_progress() and fresh.in_progress()
-            expected = naive_parse(text).index(x[:cut - 1]) if cut > 1 else -1
-            assert sp.tail_pred() == fresh.tail_pred() == expected
-            assert parse_with(cls, text).preds[-1] == expected
-            assert parse(text).preds[-1] == expected
+            with parser_mode(mode):
+                sp = StreamParser()
+                sp.feed(text[:len(base) + cut // 2].encode())
+                sp.feed(text[len(base) + cut // 2:].encode())
+                fresh = fed_at_once(text.encode(), mode)
+                assert sp.in_progress() and fresh.in_progress()
+                expected = naive_parse(text).index(x[:cut - 1]) if cut > 1 else -1
+                assert sp.tail_pred() == fresh.tail_pred() == expected
+                assert parse_with(text).preds[-1] == expected
+                assert parse(text).preds[-1] == expected
 
 
 def finished_as_lists(p):
@@ -681,9 +681,8 @@ def test_kernel_parser_matches_python_parser_seeded():
     from lz78lab import construct_toy
 
     def same(text):
-        kernel, python = KernelStreamParser(), PyStreamParser()
-        kernel.feed(text)
-        python.feed(text)
+        kernel, python = fed_at_once(text, "kernel"), fed_at_once(text, "python")
+        assert_same_state(kernel, python, text)
         assert (kernel.in_progress(), kernel.tail_pred()) == (
             python.in_progress(), python.tail_pred())
         assert finished_as_lists(kernel.finish()) == finished_as_lists(python.finish())
@@ -701,6 +700,46 @@ def test_kernel_parser_matches_python_parser_seeded():
     same(b"0" + construct_toy(8, 3.0, seed=0).word.data)
 
 
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_modes_mixed_mid_stream_match_the_kernel_alone():
+    # feed, rollback and reset calls on one parser, each call in a mode drawn
+    # at random, against the same calls on a parser the kernel alone runs;
+    # the words outgrow FIRST_NODES, so Python steps double the child array
+    rng = random.Random(1818)
+    python_grows = 0
+    for _ in range(30):
+        mixed, alone = StreamParser(), StreamParser()
+        content = bytearray()
+        for _ in range(rng.randrange(1, 16)):
+            mode, call = rng.choice(PARSERS), rng.random()
+            if call < 0.1:
+                mixed.reset()
+                alone.reset()
+                content.clear()
+            elif content and call < 0.4:
+                pos = rng.randrange(len(content) + 1)
+                with parser_mode(mode):
+                    removed = mixed.rollback(pos)
+                with parser_mode("kernel"):
+                    assert alone.rollback(pos) == removed
+                del content[mixed.position:]
+            else:
+                x = "".join(rng.choice("01") for _ in range(rng.randrange(1, 60)))
+                piece = (pref(x).data if call < 0.55 else
+                         bytes(rng.choice(b"01") for _ in range(rng.randrange(1, 6000))))
+                cap = mixed._state.node_cap
+                with parser_mode(mode):
+                    mixed.feed(piece)
+                python_grows += mode == "python" and mixed._state.node_cap > cap
+                with parser_mode("kernel"):
+                    alone.feed(piece)
+                content += piece
+            assert_same_state(mixed, alone, content)
+        p = mixed.finish()
+        assert [b.decode() for b in p.blocks()] == naive_parse(content.decode())
+    assert python_grows
+
+
 @st.composite
 def edit_scripts(draw):
     """A word with long blocks, then edits: (position fraction, inserted piece)."""
@@ -715,17 +754,18 @@ def edit_scripts(draw):
 @given(edit_scripts())
 def test_rollback_and_refeed_property(script):
     word, edits = script
-    for cls in PARSERS:
-        sp = fed_at_once(word, cls)
+    for mode in PARSERS:
+        sp = fed_at_once(word, mode)
         content = bytearray(word)
-        for frac, piece in edits:
-            pos = int(frac * len(content))
-            removed = sp.rollback(pos)
-            assert bytes(content[sp.position:]) == removed
-            cut = pos - sp.position
-            sp.feed(removed[:cut] + piece.encode() + removed[cut:])
-            content[pos:pos] = piece.encode()
-        assert_same_state(sp, fed_at_once(bytes(content), cls), content)
+        with parser_mode(mode):
+            for frac, piece in edits:
+                pos = int(frac * len(content))
+                removed = sp.rollback(pos)
+                assert bytes(content[sp.position:]) == removed
+                cut = pos - sp.position
+                sp.feed(removed[:cut] + piece.encode() + removed[cut:])
+                content[pos:pos] = piece.encode()
+        assert_fed_alike(sp, bytes(content))
 
 
 def test_word_type():
