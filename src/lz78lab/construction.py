@@ -82,9 +82,8 @@ class ConstructedWord:
                     chains: list[ChainRecord], gamma: float,
                     meta: dict) -> "ConstructedWord":
         """The word w that ``parser`` holds after its front letter 0, with the
-        parser's parse of 0w as ``red``, its block lists handed over as the
-        parser holds them (``array('q')`` in the kernel parser).  The parser
-        is left empty."""
+        parser's parse of 0w as ``red``, its blocks handed over as views of
+        the parser's block arrays, not copied.  The parser is left empty."""
         red = parser.finish()
         return cls(word=Word(red.data[1:]), red=red, segments=segments,
                    chains=chains, gamma=gamma, meta=meta)
@@ -275,11 +274,10 @@ def _census(parser: StreamParser, bounds, regular, from_block: int,
     of the chain laid out by :func:`_layout`, with the in-progress block when
     ``include_tail``.  Returns their regular indices and offsets, in word
     order."""
-    blocks = parser.starts[from_block:]
-    blocks.append(parser.block_start)
+    tail = [parser.block_start]
     if include_tail and parser.in_progress():
-        blocks.append(parser.position)
-    blocks = np.array(blocks, dtype=np.int64)
+        tail.append(parser.position)
+    blocks = np.append(parser.starts[from_block:], tail)
     index, offset, inside = locate(bounds[:-1], int(bounds[-1]), blocks[:-1], blocks[1:])
     reg = regular[index]
     hit = inside & (reg >= 0)

@@ -201,9 +201,6 @@ def _make_u_resolver(parser: StreamParser, green_words: set[bytes], x: bytes,
     over the block starts, then a sort of the blocks of each short length
     until one qualifies; red blocks are distinct, so nothing ties."""
     def resolve() -> bytes:
-        # a zero-copy view of the parser's array('q'); the array cannot grow
-        # while a view of it lives, so the masked copies below replace it
-        # before anything can raise
         starts = np.asarray(parser.starts, dtype=np.int64)
         # the last completed block ends where the block in progress starts
         # (cut to no end at all when no block is complete)

@@ -51,11 +51,10 @@ BUILD_TIMEOUT_S = 60
 class State(ctypes.Structure):
     """``lz78_state`` of ``_kernel.c``, field for field."""
 
-    _fields_ = [("child", ctypes.c_void_p), ("node_cap", ctypes.c_int64),
+    _fields_ = [("child", ctypes.c_void_p), ("starts", ctypes.c_void_p),
+                ("preds", ctypes.c_void_p), ("node_cap", ctypes.c_int64),
                 ("nodes", ctypes.c_int64), ("cur", ctypes.c_int64),
-                ("pos", ctypes.c_int64), ("block_start", ctypes.c_int64),
-                ("new_starts", ctypes.c_void_p), ("new_preds", ctypes.c_void_p),
-                ("new_cap", ctypes.c_int64), ("new_count", ctypes.c_int64)]
+                ("pos", ctypes.c_int64), ("block_start", ctypes.c_int64)]
 
 
 def compiler() -> str | None:
@@ -151,7 +150,7 @@ def _open(path: Path):
         return None
     feed.argtypes = (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64)
     feed.restype = ctypes.c_int64
-    truncate.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
+    truncate.argtypes = (ctypes.c_void_p, ctypes.c_int64)
     truncate.restype = None
     mismatch.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                          ctypes.c_int64, ctypes.c_int64)

@@ -10,8 +10,8 @@ are the compiled kernel ``_kernel.c``, which :mod:`lz78lab.kernel` builds
 when this module is imported.  When the kernel did not load (``_KERNEL`` is
 None), the same methods run :func:`_feed_py` and :func:`_truncate_py`, line
 for line transliterations of the kernel's ``lz78_feed`` and ``lz78_truncate``
-over the same state and the same child array; they are the fallback without
-a compiler, and the tests run both modes, also on one parser.
+over the same state and the same arrays; they are the fallback without a
+compiler, and the tests run both modes, also on one parser.
 
 :func:`certify` checks a claimed parse against the definition and uses no
 parser code, so it checks either mode independently.  Its rules run in
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
@@ -40,8 +39,7 @@ from .words import Word, as_bits
 
 _KERNEL = kernel.load()
 MAX_NODES = 2 ** 31                # trie nodes the parser can number: ids are int32
-FIRST_NODES = 1024                 # nodes a fresh child array holds; it doubles when full
-NEW_BLOCKS = 256                   # blocks one feed step hands back at most
+FIRST_NODES = 1024                 # nodes fresh arrays hold; they double when full
 
 
 class StreamParser:
@@ -50,41 +48,55 @@ class StreamParser:
     The dictionary is a full binary trie in one flat int32 child array, one
     node per block: node ``t`` is completed block ``t - 1`` (the root is node
     0), and ``child[2t + a]`` is its child by letter ``a``, or 0 for none.
-    The node of the in-progress block carries across calls, so no feed walks
-    a block twice and feeding in pieces costs what feeding at once does.
-    ``starts`` and ``preds`` are ``array('q')``, 8 bytes a block.
+    The feed loop writes block ``t - 1``'s start and pred in place, at index
+    ``t - 1`` of two int64 arrays of as many nodes, so the block count is the
+    node count minus one.  The node of the in-progress block carries across
+    calls, so no feed walks a block twice and feeding in pieces costs what
+    feeding at once does.
 
     Supports rolling the parse back to an earlier position, which is what
     makes the adaptive constructions affordable: after an insertion only the
     suffix is re-parsed, never the whole word.  A rollback unlinks each
     removed block's node from its parent's child slot, then truncates the
-    node count and the block arrays.
+    node count.
     """
 
-    __slots__ = ("buf", "starts", "preds", "_state", "_ref", "_child", "_new")
+    __slots__ = ("buf", "_state", "_ref", "_child", "_starts", "_preds")
 
     def __init__(self):
         self.buf = bytearray()
-        self.starts = array("q")     # start position of each completed block
-        self.preds = array("q")      # predecessor block index (-1 for the root)
-        # the starts, then the preds, of the blocks one feed step completes,
-        # drained into starts and preds after the step
-        self._new = array("q", bytes(16 * NEW_BLOCKS))
-        new = self._new.buffer_info()[0]
-        st = self._state = kernel.State(new_starts=new, new_preds=new + 8 * NEW_BLOCKS,
-                                        new_cap=NEW_BLOCKS)
+        st = self._state = kernel.State()
         self._ref = ctypes.addressof(st)
         self.reset()
 
     def reset(self) -> None:
+        """Empty the parser into fresh arrays; a parse that :meth:`finish`
+        handed over keeps reading the old ones."""
         self.buf.clear()
-        del self.starts[:], self.preds[:]
-        cap = min(FIRST_NODES, MAX_NODES)
-        self._child = (ctypes.c_int32 * (2 * cap))()
+        self._allocate(min(FIRST_NODES, MAX_NODES))
         st = self._state
-        st.child = ctypes.addressof(self._child)
-        st.node_cap, st.nodes = cap, 1
+        st.nodes = 1
         st.cur = st.pos = st.block_start = 0
+
+    def _allocate(self, cap: int) -> None:
+        """Point the state at fresh zeroed arrays of ``cap`` nodes."""
+        self._child = (ctypes.c_int32 * (2 * cap))()
+        self._starts, self._preds = (ctypes.c_int64 * cap)(), (ctypes.c_int64 * cap)()
+        st = self._state
+        st.child, st.starts, st.preds = map(ctypes.addressof,
+                                            (self._child, self._starts, self._preds))
+        st.node_cap = cap
+
+    @property
+    def starts(self) -> memoryview:
+        """Start position of each completed block: a zero-copy view, valid until
+        the next feed or rollback, which may write over it or leave it stale."""
+        return _view(self._starts, "q")[:self._state.nodes - 1]
+
+    @property
+    def preds(self) -> memoryview:
+        """Predecessor block of each completed block (-1 for the root), a view as ``starts``."""
+        return _view(self._preds, "q")[:self._state.nodes - 1]
 
     @property
     def position(self) -> int:
@@ -108,45 +120,34 @@ class StreamParser:
 
         ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``.
         """
-        starts = self.starts
-        first_new = len(starts)
+        first_new = self._state.nodes - 1
         if type(data) is not bytes:
             data = bytes(data)
         self.buf += data
-        st = self._state
         if _KERNEL is not None:
             feed, ref = _KERNEL.lz78_feed, self._ref
         else:
             feed, ref = _feed_py, self
         n = len(data)
-        i = 0
-        while True:
+        i = feed(ref, data, 0, n)
+        while i < n:
+            self._grow()
             i = feed(ref, data, i, n)
-            count = st.new_count
-            if count:
-                new = self._new
-                starts += new[:count]
-                self.preds += new[NEW_BLOCKS:NEW_BLOCKS + count]
-                st.new_count = 0
-            if i == n:
-                return first_new
-            if st.nodes == st.node_cap:
-                self._grow()
+        return first_new
 
     def _grow(self) -> None:
-        """Double the child array; the node ids must stay int32."""
+        """Double the arrays; the node ids must stay int32."""
         st = self._state
         if st.node_cap >= MAX_NODES:
             del self.buf[st.pos:]      # the letters not parsed are not kept
             raise ParameterError(
                 f"the parse needs more than {MAX_NODES} dictionary nodes, "
                 "beyond the parser's int32 node ids")
-        cap = min(2 * st.node_cap, MAX_NODES)
-        child = (ctypes.c_int32 * (2 * cap))()
-        ctypes.memmove(child, self._child, 8 * st.nodes)
-        self._child = child
-        st.child = ctypes.addressof(child)
-        st.node_cap = cap
+        old = self._child, self._starts, self._preds
+        self._allocate(min(2 * st.node_cap, MAX_NODES))
+        # 8 bytes a node in each: two int32 child slots, or one int64 entry
+        for new, kept in zip((self._child, self._starts, self._preds), old):
+            ctypes.memmove(new, kept, 8 * st.nodes)
 
     def rollback(self, pos: int) -> bytes:
         """Rewind to the last block boundary at or before ``pos``.
@@ -162,12 +163,11 @@ class StreamParser:
             kept -= 1
             boundary = starts[kept]
         if _KERNEL is not None:
-            _KERNEL.lz78_truncate(self._ref, self.preds.buffer_info()[0], kept)
+            _KERNEL.lz78_truncate(self._ref, kept)
         else:
-            _truncate_py(self, self.preds, kept)
+            _truncate_py(self, kept)
         removed = bytes(self.buf[boundary:])
         del self.buf[boundary:]
-        del starts[kept:], self.preds[kept:]
         st.pos = st.block_start = boundary
         return removed
 
@@ -175,55 +175,59 @@ class StreamParser:
         """The parse of the letters fed so far, the in-progress block as its
         trailing duplicate.  The block arrays are handed over, not copied, and
         the parser is left empty, as after :meth:`reset`."""
-        dup = _close_duplicate(self)
-        starts, preds, buf = self.starts, self.preds, self.buf
-        self.starts, self.preds, self.buf = array("q"), array("q"), bytearray()
+        count, dup = _close_duplicate(self)
+        starts, preds = _view(self._starts, "q")[:count], _view(self._preds, "q")[:count]
+        buf, self.buf = self.buf, bytearray()
         self.reset()                   # frees the trie before the letters are copied
         return Parsing(data=bytes(buf), starts=starts, preds=preds, last_is_duplicate=dup)
 
     def tail_pred(self) -> int:
         """Predecessor block index for the in-progress (duplicate) block."""
         cur = self._state.cur          # the in-progress block repeats block cur - 1
-        return self.preds[cur - 1] if cur else -1
+        return self._preds[cur - 1] if cur else -1
+
+
+def _view(array, fmt: str) -> memoryview:
+    """A ctypes array as a memoryview whose items are Python ints."""
+    return memoryview(array).cast("B").cast(fmt)
 
 
 def _feed_py(sp: StreamParser, data: bytes, i: int, n: int) -> int:
-    """``lz78_feed`` of ``_kernel.c`` in Python, over ``sp``'s state and child
-    array: feeds ``data[i:n]``, stops early when the child array or the
-    new-block buffer is full, and returns the index of the first letter not
-    consumed."""
+    """``lz78_feed`` of ``_kernel.c`` in Python, over ``sp``'s state and
+    arrays: feeds ``data[i:n]``, stops early when the arrays are full, and
+    returns the index of the first letter not consumed."""
     s = sp._state
-    child = memoryview(sp._child).cast("B").cast("i")
-    new = sp._new
-    nodes, cur, count = s.nodes, s.cur, s.new_count
-    node_cap, block_start = s.node_cap, s.block_start
+    child = _view(sp._child, "i")
+    starts, preds = _view(sp._starts, "q"), _view(sp._preds, "q")
+    nodes, cur, block_start = s.nodes, s.cur, s.block_start
+    node_cap = s.node_cap
     base = s.pos - i                   # position of data[0]
     for i, letter in enumerate(memoryview(data)[i:n], i):
         slot = 2 * cur + (letter & 1)
         if nxt := child[slot]:
             cur = nxt
             continue
-        if nodes == node_cap or count == NEW_BLOCKS:
+        if nodes == node_cap:
             break
         child[slot] = nodes
+        starts[nodes - 1] = block_start
+        preds[nodes - 1] = cur - 1
         nodes += 1
-        new[count] = block_start
-        new[NEW_BLOCKS + count] = cur - 1
-        count += 1
         block_start = base + i + 1
         cur = 0
     else:
         i = n
-    s.nodes, s.cur, s.new_count = nodes, cur, count
-    s.pos, s.block_start = base + i, block_start
+    s.nodes, s.cur, s.block_start = nodes, cur, block_start
+    s.pos = base + i
     return i
 
 
-def _truncate_py(sp: StreamParser, preds, kept: int) -> None:
+def _truncate_py(sp: StreamParser, kept: int) -> None:
     """``lz78_truncate`` of ``_kernel.c`` in Python: drops the blocks from
     block ``kept`` on, unlinking each one's node from its parent's slot."""
     s = sp._state
-    child = memoryview(sp._child).cast("B").cast("i")
+    child = _view(sp._child, "i")
+    preds = sp._preds
     for t in range(s.nodes - 1, kept, -1):
         slot = 2 * (preds[t - 1] + 1)
         child[slot + (child[slot + 1] == t)] = 0
@@ -231,24 +235,28 @@ def _truncate_py(sp: StreamParser, preds, kept: int) -> None:
     s.cur = 0
 
 
-def _close_duplicate(sp) -> bool:
-    """Close ``sp``'s in-progress block as the trailing duplicate; True if there was one."""
-    dup = sp.in_progress()
+def _close_duplicate(sp: StreamParser) -> tuple[int, bool]:
+    """Close ``sp``'s in-progress block as the trailing duplicate, written at
+    index ``nodes - 1``, which a later feed writes over.  Returns the block
+    count with it, and whether there was one."""
+    st = sp._state
+    count, dup = st.nodes - 1, st.cur != 0
     if dup:
-        sp.preds.append(sp.tail_pred())
-        sp.starts.append(sp.block_start)
-    return dup
+        sp._starts[count] = st.block_start
+        sp._preds[count] = sp.tail_pred()
+    return count + dup, dup
 
 
 @dataclass(frozen=True)
 class Parsing:
-    """The LZ-parsing of one word: ordered blocks plus the dictionary trie.
+    """The LZ-parsing of one word: its blocks in order, each a start and a pred.
 
     ``starts`` covers every block including a possible trailing duplicate;
     ``preds[i]`` is the block index of block i minus its last letter (-1 when
-    that prefix is the empty word).  :func:`parse` hands out lists over the
-    caller's bytes; :meth:`StreamParser.finish` hands over its parser's
-    ``array('q')`` arrays and a copy of its letters, so a construction's
+    that prefix is the empty word), so the preds encode the dictionary trie.
+    :func:`parse` hands out lists over the caller's bytes;
+    :meth:`StreamParser.finish` hands over int64 views of its parser's block
+    arrays and a copy of its letters, so a construction's
     ``ConstructedWord.red`` holds 8 bytes a block, not a list's 36.
     """
 
@@ -293,10 +301,10 @@ def parse(w) -> Parsing:
     data = as_bits(w)
     sp = StreamParser()
     sp.feed(data)
-    dup = _close_duplicate(sp)
-    starts, preds = sp.starts, sp.preds
+    count, dup = _close_duplicate(sp)
+    starts, preds = sp._starts, sp._preds
     del sp                             # frees the trie and buf before the lists are built
-    return Parsing(data=data, starts=starts.tolist(), preds=preds.tolist(),
+    return Parsing(data=data, starts=starts[:count], preds=preds[:count],
                    last_is_duplicate=dup)
 
 
@@ -341,7 +349,7 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
 
     if starts[0] != 0:
         raise bad(0, "does not start at 0")
-    # zero-copy views of array('q') claims, contiguous int64 for the kernel
+    # zero-copy views of int64 claims, as a finished parser's, contiguous for the kernel
     first = np.ascontiguousarray(starts, dtype=np.int64)
     length = np.diff(first, append=len(data))
     short = np.flatnonzero(length < 1)
@@ -403,6 +411,12 @@ class LzCode:
 
     @classmethod
     def from_json_obj(cls, obj) -> "LzCode":
+        """The code that :meth:`to_json_obj` wrote; :func:`decode` checks the values."""
+        if type(obj) is not list:
+            raise MalformedCodeError(f"the code must be a list, not {type(obj).__name__}")
+        for i, e in enumerate(obj):
+            if type(e) is not dict or not e.keys() >= {"pred", "letter"}:
+                raise MalformedCodeError(f"entry {i} is not a pred/letter object: {e!r:.40}")
         return cls([(e["pred"], e["letter"]) for e in obj])
 
 

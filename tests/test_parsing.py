@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterError,
                      Word, comp_ratio, construct_toy, decode, encode, factor_census,
                      parse, pref, tree_stats)
-from lz78lab.parsing import StreamParser, certify, ratio_from_counts
+from lz78lab.parsing import FIRST_NODES, StreamParser, certify, ratio_from_counts
 from lz78lab.words import as_bits
 
 from conftest import KERNEL_LOADED, PARSERS, fuzz_word, parser_mode
@@ -463,6 +463,12 @@ def test_decode_rejects_non_int_entries():
                 {"pred": -1, "letter": "1"}, {"pred": "-1", "letter": 0}]:
         with pytest.raises(MalformedCodeError):
             decode(LzCode.from_json_obj([bad]))
+    # not a list of objects with both keys: named, not a KeyError or TypeError
+    for obj, named in [([{"pred": -1}], "entry 0 .*{'pred': -1}"), ([[-1, 0]], "entry 0 .*-1, 0"),
+                       ([None], "entry 0 .*None"), ({"pred": -1, "letter": 0}, "not dict"),
+                       (5, "not int")]:
+        with pytest.raises(MalformedCodeError, match=named):
+            LzCode.from_json_obj(obj)
 
 
 def test_code_json_round_trip():
@@ -738,6 +744,31 @@ def test_modes_mixed_mid_stream_match_the_kernel_alone():
         p = mixed.finish()
         assert [b.decode() for b in p.blocks()] == naive_parse(content.decode())
     assert python_grows
+
+
+def test_a_finished_parse_and_a_held_view_survive_the_parsers_reuse(mode):
+    # finish hands its block arrays over and reset allocates fresh ones, so
+    # the parse is not written over when the parser runs on; the arrays never
+    # resize, so a view of them does not stop a feed or a rollback (the view
+    # itself is valid only until the next one)
+    rng = random.Random(1919)
+    first, second = (bytes(rng.choice(b"01") for _ in range(30 * FIRST_NODES))
+                     for _ in range(2))
+    starts, preds, dup = naive_claim(first)
+    assert len(starts) > FIRST_NODES
+    sp = StreamParser()
+    sp.feed(first)
+    p = sp.finish()
+    sp.feed(second[:len(second) // 2])
+    held = np.asarray(sp.starts)
+    sp.feed(second[len(second) // 2:])
+    assert sp._state.node_cap > FIRST_NODES
+    sp.rollback(len(second) // 4)
+    sp.feed(second[sp.position:])
+    assert list(sp.starts) == naive_claim(second)[0][:len(sp.starts)]
+    sp.reset()
+    del sp, held
+    assert (list(p.starts), list(p.preds), p.last_is_duplicate) == (starts, preds, dup)
 
 
 @st.composite
