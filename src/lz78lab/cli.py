@@ -20,7 +20,7 @@ from . import infinite as inf
 from .alignment import align, alignment_report
 from .errors import ConstructionError, MalformedCodeError, ParameterError, SamplingError
 from .generators import de_bruijn
-from .parsing import comp_ratio, encode, parse, ratio_from_counts, tree_stats
+from .parsing import MAX_NODES, comp_ratio, encode, parse, ratio_from_counts, tree_stats
 from .toy import construct_toy, one_front_variant, verify_toy
 from .words import Word, random_word, read_word_file, write_word_file
 
@@ -174,6 +174,11 @@ def cmd_bound_fuzz(args) -> int:
         raise ParameterError("trials must be >= 1")
     if args.max_len < 1:
         raise ParameterError("max-len must be >= 1")
+    if args.max_len > MAX_NODES - 2:
+        raise ParameterError(f"max-len must be <= {MAX_NODES - 2} "
+                             "for the parser's node ids")
+    if args.seed < 0:
+        raise ParameterError(f"seed must be >= 0, not {args.seed}")
     worst = 0.0
     worst_at = None
     for trial in range(args.trials):

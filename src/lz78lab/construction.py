@@ -82,8 +82,8 @@ class ConstructedWord:
                     chains: list[ChainRecord], gamma: float,
                     meta: dict) -> "ConstructedWord":
         """The word w that ``parser`` holds after its front letter 0, with the
-        parser's parse of 0w as ``red``, its blocks handed over as views of
-        the parser's block arrays, not copied.  The parser is left empty."""
+        parser's parse of 0w as ``red``, its blocks exact-size copies of the
+        parser's block arrays.  The parser is left empty."""
         red = parser.finish()
         return cls(word=Word(red.data[1:]), red=red, segments=segments,
                    chains=chains, gamma=gamma, meta=meta)
@@ -142,7 +142,7 @@ def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
 
 
 def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
-                source: Word, q: int, *, window: int, factory, include_tail: bool,
+                source: Word, q: int, *, window: int, gadgets, include_tail: bool,
                 scratch: bool = False) -> ChainRecord:
     """Append the chain of the prefixes x[0..q], ..., x of ``source`` x as
     regular blocks, and run its gadget-insertion loop.
@@ -152,6 +152,8 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
     chain's regular blocks only, for offsets in [0, window].
 
     The chain is fed whole once, for the census that picks the hot offset i0.
+    Then ``gadgets(i0)`` is called, once, while the parser still holds that
+    whole feed; it returns ``make``, and ``make(c)`` is the chain's gadget c.
     After that, each insertion rolls the parsing back to the insertion point
     and feeds the letters after it lazily, a doubling number of segments at a
     time, only until the census holds d + 1 violations at i0: completed
@@ -183,6 +185,7 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
             "violation trade-off rules out",
             {"chain": chain_index, "indices": hot})
     i0 = hot[0]
+    make = gadgets(i0)
 
     pending = memoryview(b"")       # the chain's letters not yet fed
 
@@ -216,10 +219,7 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
         target = violated[d - 1]
         at = int(np.flatnonzero(regular == target)[0])
         insert_at = 1 + int(bounds[at])
-        # the first call for offset 0 resolves the resynchronization word from
-        # the parser's blocks, so it comes before any rollback, while the
-        # whole chain is fed
-        gadget = factory.make(i0, c)
+        gadget = make(c)
         segments.insert(seg_lo + at,
                         Segment(GADGET, len(gadget), chain_index,
                                 gadget_i=i0, gadget_c=c))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .construction import (ChainRecord, ConstructedWord, Segment, _layout,
                            build_chain, front_census)
 from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import _gram_counts
-from .parsing import StreamParser, parse
+from .parsing import MAX_NODES, StreamParser, parse
 from .words import Word, as_bits, random_word
 
 
@@ -57,6 +58,9 @@ def derive_params(n: int, l: int, gamma: float = 10.0, exact: bool = False) -> P
         raise ParameterError("l must be >= 16")
     if n < l:
         raise ParameterError("n must be at least l")
+    if n > MAX_NODES - 2:
+        raise ParameterError(f"n must be <= {MAX_NODES - 2} "
+                             "for the parser's node ids")
     p = math.log2(n / (l * l))
     if p < -1e-9:
         raise ParameterError(f"l={l} exceeds sqrt(n): the chain count 2^p would be < 1")
@@ -160,36 +164,23 @@ def sample_family(params: Params, seed: int) -> Family:
          "last_failure": last_failure})
 
 
-class GeneralGadgetFactory:
-    """Chain gadgets: offset i>0 replays the violated prefix up to
-    max(i, m), flips one letter, then pads from x[0..m-1] followed by ones;
-    offset 0 starts from the resynchronization word u that ``u_resolver``
-    picks once, on the first offset-0 gadget: the shortest, then the least,
-    block of the front parsing that ends by the chain's half point, has at
-    most m letters and is no block of the plain parsing."""
-
-    def __init__(self, x: bytes, m_int: int, u_resolver):
-        self.x = x
-        self.m = m_int
-        self.u_resolver = u_resolver
-        self.resolved_u: bytes | None = None
-        self.pad = x[:m_int] + b"1" * len(x)
-
-    def make(self, i: int, c: int) -> bytes:
-        if i == 0:
-            if self.resolved_u is None:
-                self.resolved_u = self.u_resolver()
-            return self.resolved_u + self.x[:1] * c
-        mp = max(i, self.m)
-        if mp >= len(self.x):
-            raise ConstructionError("gadget head does not fit inside the chain word",
-                                    {"i": i, "m": self.m, "l": len(self.x)})
-        return self.x[:mp] + bytes([self.x[mp] ^ 1]) + self.pad[:c]
+def _chain_gadget(x: bytes, m: int, u: bytes | None, i: int, c: int) -> bytes:
+    """Gadget c of offset i for a chain of word x: offset i > 0 replays the
+    violated prefix up to max(i, m), flips one letter, then pads from
+    x[0..m-1] followed by ones; offset 0 repeats x's first letter after the
+    resynchronization word u of :func:`_resync_word`."""
+    if i == 0:
+        return u + x[:1] * c
+    mp = max(i, m)
+    if mp >= len(x):
+        raise ConstructionError("gadget head does not fit inside the chain word",
+                                {"i": i, "m": m, "l": len(x)})
+    return x[:mp] + bytes([x[mp] ^ 1]) + (x[:m] + b"1" * c)[:c]
 
 
-def _make_u_resolver(parser: StreamParser, green_words: set[bytes], x: bytes,
-                     m_int: int, h_red: int, chain_index: int):
-    """The resynchronization word u of an offset-0 chain, picked when called.
+def _resync_word(parser: StreamParser, green_words: set[bytes], x: bytes,
+                 m_int: int, h_red: int, chain_index: int) -> bytes:
+    """The resynchronization word u of an offset-0 chain.
 
     u is the shortest, then the least in byte order, of the blocks the
     parser has completed that end by ``h_red``, have at most ``m_int``
@@ -200,27 +191,24 @@ def _make_u_resolver(parser: StreamParser, green_words: set[bytes], x: bytes,
     is in ``green_words`` or prefixes x.  The choice costs a few numpy passes
     over the block starts, then a sort of the blocks of each short length
     until one qualifies; red blocks are distinct, so nothing ties."""
-    def resolve() -> bytes:
-        starts = np.asarray(parser.starts, dtype=np.int64)
-        # the last completed block ends where the block in progress starts
-        # (cut to no end at all when no block is complete)
-        ends = np.append(starts[1:], parser.block_start)[:len(starts)]
-        count = np.searchsorted(ends, h_red, side="right")   # ends increase
-        lengths = ends[:count] - starts[:count]
-        short = lengths <= m_int
-        lengths, starts = lengths[short], starts[:count][short]
-        buf = parser.buf
-        for length in np.flatnonzero(np.bincount(lengths)).tolist():
-            for word in sorted(bytes(buf[s:s + length])
-                               for s in starts[lengths == length].tolist()):
-                if word not in green_words and not x.startswith(word):
-                    return word
-        raise ConstructionError(
-            "no resynchronization word of size <= m exists in the front "
-            "parsing but outside the plain parsing",
-            {"chain": chain_index, "m": m_int, "half_point": h_red})
-
-    return resolve
+    starts = np.asarray(parser.starts, dtype=np.int64)
+    # the last completed block ends where the block in progress starts
+    # (cut to no end at all when no block is complete)
+    ends = np.append(starts[1:], parser.block_start)[:len(starts)]
+    count = np.searchsorted(ends, h_red, side="right")   # ends increase
+    lengths = ends[:count] - starts[:count]
+    short = lengths <= m_int
+    lengths, starts = lengths[short], starts[:count][short]
+    buf = parser.buf
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        for word in sorted(bytes(buf[s:s + length])
+                           for s in starts[lengths == length].tolist()):
+            if word not in green_words and not x.startswith(word):
+                return word
+    raise ConstructionError(
+        "no resynchronization word of size <= m exists in the front "
+        "parsing but outside the plain parsing",
+        {"chain": chain_index, "m": m_int, "half_point": h_red})
 
 
 def _add_chain(parser: StreamParser, segments: list[Segment], green_words: set[bytes],
@@ -232,7 +220,8 @@ def _add_chain(parser: StreamParser, segments: list[Segment], green_words: set[b
     block of the plain parsing (its words are ``green_words``), and raises
     when q exceeds ``q_max``.  Then lays the chain of the prefixes x[0..q],
     ..., x with :func:`~lz78lab.construction.build_chain`, runs its gadget
-    loop, and adds the chain's unit words to ``green_words`` for later
+    loop with :func:`_chain_gadget`, u from :func:`_resync_word` at a hot
+    offset 0, and adds the chain's unit words to ``green_words`` for later
     chains."""
     xb = xw.data
     l = len(xb)
@@ -244,12 +233,18 @@ def _add_chain(parser: StreamParser, segments: list[Segment], green_words: set[b
             "the chain word's first fresh prefix lies beyond its bound",
             {"chain": chain_index, "q": q, "bound": q_max})
     h_red = parser.position + sum(t + 1 for t in range(q, l // 2 + 1))
-    resolver = _make_u_resolver(parser, green_words, xb, m_int, h_red, chain_index)
-    factory = GeneralGadgetFactory(xb, m_int, resolver)
+    u = None
+
+    def gadgets(i0: int):
+        nonlocal u
+        if i0 == 0:
+            u = _resync_word(parser, green_words, xb, m_int, h_red, chain_index)
+        return partial(_chain_gadget, xb, m_int, u, i0)
+
     seg_lo = len(segments)
     record = build_chain(parser, segments, chain_index, xw, q, window=window,
-                         factory=factory, include_tail=False, scratch=scratch)
-    record.resync_word = factory.resolved_u
+                         gadgets=gadgets, include_tail=False, scratch=scratch)
+    record.resync_word = u
     # letter p of w is letter p + 1 of the parser's 0w
     bounds = _layout(segments[seg_lo:], 1 + record.start)[0].tolist()
     green_words.update(bytes(parser.buf[a:b]) for a, b in zip(bounds, bounds[1:]))

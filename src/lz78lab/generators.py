@@ -66,6 +66,8 @@ def de_bruijn(k: int, require_prefix=None, seed: int = 0) -> DeBruijnWord:
     # about ten bytes per letter: `debruijn --k 22` peaks at 73 MB, k = 24 at 205 MB
     if not 1 <= k <= 24:
         raise ParameterError("order k must be in [1, 24]")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, not {seed}")
     n = 1 << k
     prefix = as_bits(require_prefix) if require_prefix is not None else b""
     if len(prefix) > n + k - 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .construction import ConstructedWord, Segment, _layout
 from .errors import ParameterError, SamplingError
 from .general import RETRY_CAP, _add_chain, _grams, check_p1
-from .parsing import Parsing, StreamParser, parse, ratio_from_counts
+from .parsing import MAX_NODES, Parsing, StreamParser, parse, ratio_from_counts
 from .words import Word, random_word
 
 
@@ -150,6 +150,9 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
         raise ParameterError(
             f"budget {budget_n} cannot cover one full level-0 chain "
             f"(~{l0 * (l0 + 1) // 2} letters)")
+    if budget_n > MAX_NODES - 2:
+        raise ParameterError(f"budget must be <= {MAX_NODES - 2} "
+                             "for the parser's node ids")
     parser = StreamParser()
     parser.feed(b"0")
     segments: list[Segment] = []

@@ -70,8 +70,8 @@ class StreamParser:
         self.reset()
 
     def reset(self) -> None:
-        """Empty the parser into fresh arrays; a parse that :meth:`finish`
-        handed over keeps reading the old ones."""
+        """Empty the parser into fresh arrays; the views that :attr:`starts`
+        and :attr:`preds` gave out keep reading the old ones."""
         self.buf.clear()
         self._allocate(min(FIRST_NODES, MAX_NODES))
         st = self._state
@@ -173,10 +173,12 @@ class StreamParser:
 
     def finish(self) -> "Parsing":
         """The parse of the letters fed so far, the in-progress block as its
-        trailing duplicate.  The block arrays are handed over, not copied, and
-        the parser is left empty, as after :meth:`reset`."""
+        trailing duplicate.  The blocks are handed over as exact-size int64
+        copies, so none of the doubled arrays' slack outlives the parser,
+        which is left empty, as after :meth:`reset`."""
         count, dup = _close_duplicate(self)
-        starts, preds = _view(self._starts, "q")[:count], _view(self._preds, "q")[:count]
+        starts, preds = (memoryview(_view(array, "q")[:count].tobytes()).cast("q")
+                         for array in (self._starts, self._preds))
         buf, self.buf = self.buf, bytearray()
         self.reset()                   # frees the trie before the letters are copied
         return Parsing(data=bytes(buf), starts=starts, preds=preds, last_is_duplicate=dup)
@@ -255,8 +257,8 @@ class Parsing:
     ``preds[i]`` is the block index of block i minus its last letter (-1 when
     that prefix is the empty word), so the preds encode the dictionary trie.
     :func:`parse` hands out lists over the caller's bytes;
-    :meth:`StreamParser.finish` hands over int64 views of its parser's block
-    arrays and a copy of its letters, so a construction's
+    :meth:`StreamParser.finish` hands over exact-size int64 copies of its
+    parser's block arrays and a copy of its letters, so a construction's
     ``ConstructedWord.red`` holds 8 bytes a block, not a list's 36.
     """
 

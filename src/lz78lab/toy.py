@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from .construction import ConstructedWord, Segment, build_chain, front_census
 from .errors import ParameterError
@@ -19,21 +20,14 @@ from .parsing import StreamParser, parse
 from .words import Word, as_bits
 
 
-class ToyGadgetFactory:
-    """Gadgets for the explicit construction.
-
-    Offset 0 uses "1" then zeroes; offset i>0 uses the length-i prefix of x,
-    the flipped next letter, then ones.  For a fixed offset they form a chain
-    of one-letter extensions, and none of them is a prefix of x.
-    """
-
-    def __init__(self, x: bytes):
-        self.x = x
-
-    def make(self, i: int, c: int) -> bytes:
-        if i == 0:
-            return b"1" + b"0" * c
-        return self.x[:i] + bytes([self.x[i] ^ 1]) + b"1" * c
+def _toy_gadget(x: bytes, i: int, c: int) -> bytes:
+    """Gadget c of offset i for the explicit construction: "1" then zeroes
+    for offset 0; for i > 0 the length-i prefix of x, the flipped next
+    letter, then ones.  For a fixed offset they form a chain of one-letter
+    extensions, and none of them is a prefix of x."""
+    if i == 0:
+        return b"1" + b"0" * c
+    return x[:i] + bytes([x[i] ^ 1]) + b"1" * c
 
 
 def construct_toy(k: int, gamma: float = 3.0, seed: int = 0,
@@ -69,8 +63,8 @@ def construct_from_base(x: Word, gamma: float, scratch: bool = False, *,
     parser.feed(b"0")
     segments: list[Segment] = []
     record = build_chain(parser, segments, 0, x, 0, window=window,
-                         factory=ToyGadgetFactory(x.data), include_tail=True,
-                         scratch=scratch)
+                         gadgets=lambda i: partial(_toy_gadget, x.data, i),
+                         include_tail=True, scratch=scratch)
     return ConstructedWord.from_parser(parser, segments, [record], gamma,
                                        dict(meta, window=window))
 

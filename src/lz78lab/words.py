@@ -39,6 +39,8 @@ def as_bits(w) -> bytes:
 def random_word(entropy, length: int) -> bytes:
     """``length`` uniform letters from PCG64 on ``SeedSequence(entropy)``, the
     one seeded letter draw: published entropy lists reproduce their words."""
+    if any(e < 0 for e in entropy):
+        raise ParameterError(f"seed entropy must be >= 0, not {list(entropy)}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     return (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
 

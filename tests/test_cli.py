@@ -172,6 +172,47 @@ def test_out_of_range_sizes_exit_2(capsys, monkeypatch, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "general", "--n", "65536", "--l", "64", "--seed", "-1"],
+    ["family-sample", "--n", "65536", "--l", "64", "--seed", "-1"],
+    ["construct", "toy", "--k", "6", "--seed", "-1"],
+    ["catastrophe", "--k", "6", "--seed", "-3"],
+    ["debruijn", "--k", "5", "--seed", "-2"],
+    ["infinite", "--l0", "256", "--gamma", "0.1", "--budget", "100000", "--seed", "-1"],
+    ["bound-fuzz", "--trials", "3", "--seed", "-1"],
+], ids=["construct-general", "family-sample", "construct-toy", "catastrophe",
+        "debruijn", "infinite", "bound-fuzz"])
+def test_negative_seed_exits_2(capsys, argv):
+    # numpy's SeedSequence used to end these in a ValueError traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["family-sample", "--n", str(10 ** 30), "--l", "1024"],
+    ["construct", "general", "--n", str(1 << 34), "--l", "1024"],
+    ["infinite", "--l0", "256", "--gamma", "0.1", "--budget", str(10 ** 12)],
+    ["bound-fuzz", "--trials", "1", "--max-len", str(10 ** 15)],
+], ids=["family-sample", "construct-general", "infinite", "bound-fuzz"])
+def test_lengths_beyond_the_parsers_node_ids_exit_2(capsys, monkeypatch, argv):
+    # each would need more than parsing.MAX_NODES dictionary nodes; they used
+    # to run until stopped or fail allocating, so drawing and parsing fail here
+    def fail(*args, **kwargs):
+        raise AssertionError("a word was drawn or parsed")
+
+    for target in ("lz78lab.general.random_word", "lz78lab.infinite.random_word",
+                   "lz78lab.cli.random_word", "lz78lab.cli.parse",
+                   "lz78lab.parsing.StreamParser.feed"):
+        monkeypatch.setattr(target, fail)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "for the parser's node ids" in err
+
+
 def test_catastrophe_smallest_order_is_fast(capsys):
     import time
     t0 = time.perf_counter()

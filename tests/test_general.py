@@ -8,7 +8,6 @@ from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
                      verify_general)
 from lz78lab.alignment import GADGET, PADDING, REGULAR
 from lz78lab.construction import front_census
-from lz78lab.general import GeneralGadgetFactory
 import lz78lab.general as general_mod
 from lz78lab.infinite import build_prefix, schedule_for_budget
 from lz78lab import parsing
@@ -312,24 +311,19 @@ def resolved(monkeypatch):
     :func:`naive_resync_word` on the parser as the resolver saw it: a list
     of (chain, resolved word, oracle word, parser mode)."""
     seen = []
-    make = general_mod._make_u_resolver
+    resolve = general_mod._resync_word
 
-    def checked_resolver(parser, green_words, x, m_int, h_red, chain_index):
-        resolve = make(parser, green_words, x, m_int, h_red, chain_index)
+    def checked(parser, green_words, x, m_int, h_red, chain_index):
+        word = resolve(parser, green_words, x, m_int, h_red, chain_index)
+        starts = list(parser.starts)
+        ends = starts[1:] + [parser.block_start]
+        blocks = [bytes(parser.buf[a:b]) for a, b in zip(starts, ends)]
+        seen.append((chain_index, word, naive_resync_word(
+            blocks, ends, green_words, x, m_int, h_red),
+                     "python" if parsing._KERNEL is None else "kernel"))
+        return word
 
-        def checked():
-            word = resolve()
-            starts = list(parser.starts)
-            ends = starts[1:] + [parser.block_start]
-            blocks = [bytes(parser.buf[a:b]) for a, b in zip(starts, ends)]
-            seen.append((chain_index, word, naive_resync_word(
-                blocks, ends, green_words, x, m_int, h_red),
-                         "python" if parsing._KERNEL is None else "kernel"))
-            return word
-
-        return checked
-
-    monkeypatch.setattr(general_mod, "_make_u_resolver", checked_resolver)
+    monkeypatch.setattr(general_mod, "_resync_word", checked)
     return seen
 
 
@@ -344,6 +338,42 @@ def test_resync_word_matches_the_oracle_on_every_offset_0_chain(mode, resolved):
     assert all(word == want and seen == mode for _, word, want, seen in resolved)
 
 
+@pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])
+def test_each_hot_chain_asks_for_its_gadgets_once_on_its_whole_feed(
+        monkeypatch, mode, reparse):
+    # the offset-0 resolve reads the parser's blocks, so the gadgets of a
+    # chain are asked for with the whole chain fed and before any rollback
+    rollbacks = []
+    rollback = StreamParser.rollback
+
+    def counting(self, pos):
+        rollbacks.append(pos)
+        return rollback(self, pos)
+
+    build = general_mod.build_chain
+    seen = []
+
+    def checked(parser, segments, chain_index, source, q, *, gadgets, **kw):
+        fed = b"".join(source.data[:t] for t in range(q + 1, len(source) + 1))
+        start, before, calls = parser.position, len(rollbacks), []
+
+        def asked(i0):
+            calls.append((i0, bytes(parser.buf[start:]) == fed, len(rollbacks) - before))
+            return gadgets(i0)
+
+        record = build(parser, segments, chain_index, source, q, gadgets=asked, **kw)
+        seen.append((record.chosen_i, calls))
+        return record
+
+    monkeypatch.setattr(StreamParser, "rollback", counting)
+    monkeypatch.setattr(general_mod, "build_chain", checked)
+    params = derive_params(1 << 16, 64)
+    cw = construct_general(params, sample_family(params, seed=0), reparse=reparse)
+    assert seen == [(i, [] if i is None else [(i, True, 0)]) for i, _ in seen]
+    assert [j for j, (_, calls) in enumerate(seen) if calls] == [0, 8, 9]
+    assert [c.resync_word for c in cw.chains if c.chosen_i == 0] == [b"0", b"110", b"0001"]
+
+
 def test_resync_word_selection_rule(mode):
     # blocks 0 | 1 | 00 | 01 | 000 | 001 | 10 | 11 of the front parsing,
     # ending at letters 1, 2, 4, 6, 9, 12, 14 and 16
@@ -351,7 +381,7 @@ def test_resync_word_selection_rule(mode):
     parser.feed(b"0" b"1" b"00" b"01" b"000" b"001" b"10" b"11")
 
     def resolve(green_words, x, m_int, h_red):
-        return general_mod._make_u_resolver(parser, green_words, x, m_int, h_red, 7)()
+        return general_mod._resync_word(parser, green_words, x, m_int, h_red, 7)
 
     green = {b"1", b"01"}
     # 0, 00 and 001 prefix x; 000 is least but longer than 10 and 11
@@ -367,16 +397,14 @@ def test_resync_word_selection_rule(mode):
 def test_resync_word_raise_leaves_the_parser_growable(mode):
     parser = StreamParser()
     parser.feed(b"0")
-    resolve = general_mod._make_u_resolver(parser, set(), b"0110", 4, 1, 3)
     with pytest.raises(ConstructionError) as info:
-        resolve()
+        general_mod._resync_word(parser, set(), b"0110", 4, 1, 3)
     assert info.value.diagnostics == {"chain": 3, "m": 4, "half_point": 1}
     # the traceback in info keeps the resolver's frame alive
     parser.feed(b"1" * 64 + b"01" * 64)
     assert parser.position == 1 + 192
-    empty = general_mod._make_u_resolver(StreamParser(), set(), b"1", 4, 0, 5)
     with pytest.raises(ConstructionError):
-        empty()
+        general_mod._resync_word(StreamParser(), set(), b"1", 4, 0, 5)
 
 
 def test_add_chain_rejects_a_first_fresh_prefix_beyond_its_bound():
@@ -413,15 +441,17 @@ def test_construct_general_letters_fed_per_output_letter(monkeypatch, small_buil
 
 def test_general_gadget_shapes():
     x = b"10110100" * 8   # l = 64
-    f = GeneralGadgetFactory(x, 6, lambda: b"0")
-    g0 = f.make(0, 0)
+    def make(i, c):
+        return general_mod._chain_gadget(x, 6, b"0", i, c)
+
+    g0 = make(0, 0)
     assert g0 == b"0"
-    assert f.make(0, 3) == b"0111"     # u + first-letter repeats
-    g = f.make(2, 0)
+    assert make(0, 3) == b"0111"     # u + first-letter repeats
+    g = make(2, 0)
     assert g == x[:6] + bytes([x[6] ^ 1])          # m' = max(2, 6) = 6
-    g = f.make(9, 4)
+    g = make(9, 4)
     assert g == x[:9] + bytes([x[9] ^ 1]) + x[:4]  # m' = 9, pad from x[0..m-1]
-    g = f.make(2, 8)
+    g = make(2, 8)
     assert g == x[:6] + bytes([x[6] ^ 1]) + x[:6] + b"11"
 
 

@@ -11,7 +11,7 @@ from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterErr
                      Word, comp_ratio, construct_toy, decode, encode, factor_census,
                      parse, pref, tree_stats)
 from lz78lab.parsing import FIRST_NODES, StreamParser, certify, ratio_from_counts
-from lz78lab.words import as_bits
+from lz78lab.words import as_bits, random_word
 
 from conftest import KERNEL_LOADED, PARSERS, fuzz_word, parser_mode
 from oracles import naive_factor_census, naive_parse
@@ -747,8 +747,8 @@ def test_modes_mixed_mid_stream_match_the_kernel_alone():
 
 
 def test_a_finished_parse_and_a_held_view_survive_the_parsers_reuse(mode):
-    # finish hands its block arrays over and reset allocates fresh ones, so
-    # the parse is not written over when the parser runs on; the arrays never
+    # finish hands copies of its blocks over and reset allocates fresh arrays,
+    # so the parse is not written over when the parser runs on; the arrays never
     # resize, so a view of them does not stop a feed or a rollback (the view
     # itself is valid only until the next one)
     rng = random.Random(1919)
@@ -769,6 +769,21 @@ def test_a_finished_parse_and_a_held_view_survive_the_parsers_reuse(mode):
     sp.reset()
     del sp, held
     assert (list(p.starts), list(p.preds), p.last_is_duplicate) == (starts, preds, dup)
+
+
+def test_a_finished_parse_holds_exactly_its_blocks(mode):
+    # the parser's arrays double as they fill; the parse that finish hands
+    # over keeps none of their slack, one int64 entry a block in each buffer
+    word = random_word([7], 40 * FIRST_NODES)
+    assert parse(word).block_count > 2 * FIRST_NODES
+    for letters in (b"", b"0", word, b"1" + word):
+        sp = StreamParser()
+        sp.feed(letters)
+        p = sp.finish()
+        assert p.block_count == parse(letters).block_count
+        for blocks in (p.starts, p.preds):
+            assert blocks.format == "q"
+            assert memoryview(blocks.obj).nbytes == 8 * p.block_count
 
 
 @st.composite

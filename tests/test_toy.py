@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,21 +7,21 @@ from lz78lab import (ParameterError, Word, one_front_variant, parse, pref,
                      tree_stats, verify_toy)
 from lz78lab.alignment import GADGET, REGULAR
 from lz78lab.construction import front_census
-from lz78lab.toy import ToyGadgetFactory, construct_from_base, construct_toy
+from lz78lab.toy import _toy_gadget, construct_from_base, construct_toy
 
 from conftest import assert_is_parse_of_0w, assert_segments_tile
 from oracles import naive_classify, naive_gadget_loop, naive_parse
 
 
 def test_gadget_shapes():
-    f = ToyGadgetFactory(b"0110")
-    assert f.make(0, 0) == b"1"
-    assert f.make(0, 3) == b"1000"
-    assert f.make(2, 0) == b"010"      # x[:2] + flipped x[2]
-    assert f.make(2, 2) == b"01011"
+    x = b"0110"
+    assert _toy_gadget(x, 0, 0) == b"1"
+    assert _toy_gadget(x, 0, 3) == b"1000"
+    assert _toy_gadget(x, 2, 0) == b"010"      # x[:2] + flipped x[2]
+    assert _toy_gadget(x, 2, 2) == b"01011"
     # fixed-offset gadgets form a prefix chain
     for c in range(4):
-        assert f.make(2, c + 1).startswith(f.make(2, c))
+        assert _toy_gadget(x, 2, c + 1).startswith(_toy_gadget(x, 2, c))
 
 
 def test_parameter_validation():
@@ -165,23 +167,23 @@ def test_front_census_counts_regular_segments_only(length, seed, k):
     assert counts[0] == {i: len(g) for i, g in violated.items()}
 
 
-class _ChaosFactory:
-    """Deterministic but structure-free gadgets: exercises the insertion loop
-    under content with no helpful parsing properties at all."""
+def _chaos_gadgets(seed):
+    """``build_chain``'s ``gadgets`` for deterministic but structure-free
+    gadgets, whatever the offset: exercises the insertion loop under content
+    with no helpful parsing properties at all."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xC4A05])))
 
-    def __init__(self, seed):
-        self.rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([seed, 0xC4A05])))
-
-    def make(self, i, c):
-        length = 1 + int(self.rng.integers(1, 8)) + c % 5
-        bits = self.rng.integers(0, 2, size=length, dtype=np.uint8)
+    def make(c):
+        length = 1 + int(rng.integers(1, 8)) + c % 5
+        bits = rng.integers(0, 2, size=length, dtype=np.uint8)
         return (bits + ord("0")).tobytes()
+
+    return lambda i0: make
 
 
 def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
     # the rollback path must match full re-parsing no matter what bytes the
-    # factory produces; chaos gadgets also force plenty of failed insertions.
+    # gadgets hold; chaos gadgets also force plenty of failed insertions.
     # A checkpoint pass feeds only as far as its next target, so a rollback
     # from short of the chain's end shows a pass that stopped early
     from lz78lab.construction import build_chain
@@ -204,7 +206,7 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
             parser.feed(b"0")
             segments = []
             record = build_chain(parser, segments, 0, x, 0, window=12,
-                                 factory=_ChaosFactory(seed), include_tail=True,
+                                 gadgets=_chaos_gadgets(seed), include_tail=True,
                                  scratch=scratch)
             results.append((bytes(parser.buf), list(segments), record))
         assert results[0] == results[1], f"seed {seed}"
@@ -219,6 +221,43 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
             early += fed < chain_end
         rollbacks += len(gadgets)
     assert early > 0, f"none of {rollbacks} passes stopped before the chain's end"
+
+
+@pytest.mark.parametrize("scratch", [False, True])
+def test_gadgets_are_asked_once_per_hot_chain_on_its_whole_feed(scratch):
+    # build_chain asks for a chain's gadgets right after the census picks the
+    # hot offset: the whole chain fed and no rollback yet
+    from lz78lab.construction import build_chain
+    from lz78lab.parsing import StreamParser
+
+    class CountingParser(StreamParser):
+        __slots__ = ("rollbacks",)
+
+        def rollback(self, pos):
+            self.rollbacks += 1
+            return super().rollback(pos)
+
+    asked_chains = 0
+    for seed in range(12):
+        x = _forced_base(70, seed)
+        fed = b"0" + b"".join(x.data[:t] for t in range(1, len(x) + 1))
+        for gadgets in (_chaos_gadgets(seed), lambda i: partial(_toy_gadget, x.data, i)):
+            parser = CountingParser()
+            parser.rollbacks = 0
+            parser.feed(b"0")
+            calls = []
+
+            def asked(i0):
+                calls.append((i0, bytes(parser.buf) == fed, parser.rollbacks))
+                return gadgets(i0)
+
+            record = build_chain(parser, [], 0, x, 0, window=12, gadgets=asked,
+                                 include_tail=True, scratch=scratch)
+            want = [] if record.chosen_i is None else [(record.chosen_i, True, 0)]
+            assert calls == want, f"seed {seed}"
+            assert bool(calls) == (record.gadget_count > 0)
+            asked_chains += bool(calls)
+    assert asked_chains >= 12
 
 
 def _oracle_segments(data: bytes, segments) -> list:
@@ -236,9 +275,8 @@ def _oracle_segments(data: bytes, segments) -> list:
 def test_forced_loop_matches_naive_gadget_loop(length, seed, k):
     x = _forced_base(length, seed)
     cw = construct_from_base(x, 3.0, meta={"k": k})
-    factory = ToyGadgetFactory(x.data)
     segments, i0, count, d = naive_gadget_loop(
-        x.to_text(), "0", cw.meta["window"], lambda i, c: factory.make(i, c).decode())
+        x.to_text(), "0", cw.meta["window"], lambda i, c: _toy_gadget(x.data, i, c).decode())
     assert _oracle_segments(cw.word.data, cw.segments) == segments
     chain = cw.chains[0]
     assert (chain.chosen_i, chain.gadget_count, chain.final_d) == (i0, count, d)
@@ -254,10 +292,10 @@ def test_chaos_loop_matches_naive_gadget_loop():
         parser.feed(b"0")
         segments = []
         record = build_chain(parser, segments, 0, x, 0, window=12,
-                             factory=_ChaosFactory(seed), include_tail=True)
-        chaos = _ChaosFactory(seed)
+                             gadgets=_chaos_gadgets(seed), include_tail=True)
+        chaos = _chaos_gadgets(seed)(None)
         expected = naive_gadget_loop(x.to_text(), "0", 12,
-                                     lambda i, c: chaos.make(i, c).decode())
+                                     lambda i, c: chaos(c).decode())
         got = (_oracle_segments(bytes(parser.buf[1:]), segments), record.chosen_i,
                record.gadget_count, record.final_d)
         assert got == expected, f"seed {seed}"
@@ -320,7 +358,7 @@ def test_chaos_loop_hands_over_the_parse_of_0w(scratch):
         parser = StreamParser()
         parser.feed(b"0")
         build_chain(parser, [], 0, _forced_base(70, seed), 0, window=12,
-                    factory=_ChaosFactory(seed), include_tail=True, scratch=scratch)
+                    gadgets=_chaos_gadgets(seed), include_tail=True, scratch=scratch)
         red = parser.finish()
         assert_is_parse_of_0w(red, red.data[1:])
 
