@@ -7,12 +7,14 @@ violations, insert gadgets ahead of the violated blocks.  The toy chain starts
 at q = 0; a general chain starts at its first prefix that is not yet a block
 of the plain parsing, which ``general._add_chain`` finds.  The loop's only
 bookkeeping is the list of regulars violated at the chosen offset, in word
-order, whose d-th entry is the next target.  Every insertion edits the word
-mid-stream, so the parsing is rolled back to the last block boundary before
-the edit, and the rest of the chain is fed again only as far as the census
-needs to fix the next target; the pass that ends the loop feeds to the
-chain's end (a from-scratch mode, which re-parses the whole word and takes a
-full census each pass, is the correctness oracle).
+order, whose d-th entry is the next target.  A construction owns its word
+0w as one ``bytearray`` tape, and the parser holds only the parse of it.
+Every insertion edits the tape mid-stream, in place, so the parsing is
+rolled back to the last block boundary before the edit, and the rest of the
+chain is fed again from the tape only as far as the census needs to fix the
+next target; the pass that ends the loop feeds to the chain's end (a
+from-scratch mode, which re-parses the whole tape and takes a full census
+each pass, is the correctness oracle).
 
 Every position in a constructed word comes from one place, :func:`_layout`,
 which turns a run of segments (a whole word or one chain) into its segment
@@ -22,9 +24,9 @@ read it.  :func:`front_census` is the one census of a finished word: both
 verifiers, ``toy.one_front_variant`` and ``general.verify_general``, take the
 unit check and the per-chain violation counts from it.  Its parse of 0w is
 the construction's own: :meth:`ConstructedWord.from_parser` hands the
-parser's blocks over as ``ConstructedWord.red``, and the verifiers certify
-them against the LZ'78 definition (:func:`~lz78lab.parsing.certify`) instead
-of parsing 0w again.
+parser's blocks over the tape's letters as ``ConstructedWord.red``, and the
+verifiers certify them against the LZ'78 definition
+(:func:`~lz78lab.parsing.certify`) instead of parsing 0w again.
 """
 
 from __future__ import annotations
@@ -78,13 +80,14 @@ class ConstructedWord:
         return self.chains[0].source
 
     @classmethod
-    def from_parser(cls, parser: StreamParser, segments: list[Segment],
-                    chains: list[ChainRecord], gamma: float,
+    def from_parser(cls, parser: StreamParser, tape: bytearray,
+                    segments: list[Segment], chains: list[ChainRecord], gamma: float,
                     meta: dict) -> "ConstructedWord":
-        """The word w that ``parser`` holds after its front letter 0, with the
-        parser's parse of 0w as ``red``, its blocks exact-size copies of the
-        parser's block arrays.  The parser is left empty."""
-        red = parser.finish()
+        """The word w after the front letter 0 of ``tape``, with ``parser``'s
+        parse of the tape as ``red``, its blocks exact-size copies of the
+        parser's block arrays.  The parser and the tape are left empty."""
+        red = parser.finish(tape)
+        tape.clear()                  # red.data holds the letters now
         return cls(word=Word(red.data[1:]), red=red, segments=segments,
                    chains=chains, gamma=gamma, meta=meta)
 
@@ -141,39 +144,44 @@ def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
     return units_ok, counts, chain_red
 
 
-def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
-                source: Word, q: int, *, window: int, gadgets, include_tail: bool,
-                scratch: bool = False) -> ChainRecord:
+def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
+                chain_index: int, source: Word, q: int, *, window: int, gadgets,
+                include_tail: bool, scratch: bool = False) -> ChainRecord:
     """Append the chain of the prefixes x[0..q], ..., x of ``source`` x as
-    regular blocks, and run its gadget-insertion loop.
+    regular blocks to ``tape``, and run its gadget-insertion loop.
 
-    ``parser`` must already hold the front letter plus all previous chains,
-    and holds the whole chain on return.  Violations are counted against the
-    chain's regular blocks only, for offsets in [0, window].
+    ``tape`` must hold the front letter plus all previous chains, all fed to
+    ``parser``; on return it holds the whole chain, gadgets included, all
+    fed.  Violations are counted against the chain's regular blocks only, for
+    offsets in [0, window].
 
     The chain is fed whole once, for the census that picks the hot offset i0.
     Then ``gadgets(i0)`` is called, once, while the parser still holds that
     whole feed; it returns ``make``, and ``make(c)`` is the chain's gadget c.
-    After that, each insertion rolls the parsing back to the insertion point
-    and feeds the letters after it lazily, a doubling number of segments at a
-    time, only until the census holds d + 1 violations at i0: completed
-    blocks never change, so those fix the next pass exactly.  Only the pass
-    that ends the loop feeds to the chain's end.  With ``scratch`` every pass
-    parses the whole word afresh and takes a full census instead.
+    After that, each gadget goes into the tape in place, the parsing is rolled
+    back to the insertion point, and the tape after it is fed lazily, a
+    doubling number of segments at a time, only until the census holds d + 1
+    violations at i0: completed blocks never change, so those fix the next
+    pass exactly.  Only the pass that ends the loop feeds to the chain's end.
+    With ``scratch`` every pass parses the whole tape afresh and takes a full
+    census instead.
     """
     x = source.data
     s = len(x) - q
-    chain_start = parser.position - 1
+    chain_start = len(tape) - 1
     seg_lo = len(segments)
     segments.extend(Segment(REGULAR, q + 1 + t, chain_index, reg_index=t)
                     for t in range(s))
-    first_new = parser.feed(b"".join(x[:q + 1 + t] for t in range(s)))
+    letters = b"".join(x[:q + 1 + t] for t in range(s))
+    first_new = parser.feed(letters)
+    tape += letters
+    del letters                     # the tape holds them now
 
     bounds, regular = _layout(segments[seg_lo:], chain_start)
     regs, offsets = _census(parser, bounds, regular, first_new, include_tail)
     record = ChainRecord(index=chain_index, source=source, q=q, regular_count=s,
                          chosen_i=None, gadget_count=0, final_d=None,
-                         start=chain_start, length=parser.position - 1 - chain_start,
+                         start=chain_start, length=len(tape) - 1 - chain_start,
                          initial_violations=offset_counts(offsets[offsets <= window]))
 
     hot = [i for i, v in record.initial_violations.items() if 2 * v > s]
@@ -187,17 +195,12 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
     i0 = hot[0]
     make = gadgets(i0)
 
-    pending = memoryview(b"")       # the chain's letters not yet fed
-
     def advance(end: int) -> list[int]:
-        """Feed the pending letters up to letter ``end`` of aw; returns the
-        regulars that the newly completed red blocks violate at i0."""
-        nonlocal pending
-        take = end - parser.position
-        first = parser.feed(bytes(pending[:take]))
-        pending = pending[take:]
+        """Feed the tape up to letter ``end`` of aw; returns the regulars that
+        the newly completed red blocks violate at i0."""
+        first = parser.feed(tape[parser.position:end])
         regs, offsets = _census(parser, bounds, regular, first,
-                                include_tail and not pending)
+                                include_tail and parser.position == len(tape))
         return regs[offsets == i0].tolist()
 
     d = s // 2 + 1
@@ -220,6 +223,7 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
         at = int(np.flatnonzero(regular == target)[0])
         insert_at = 1 + int(bounds[at])
         gadget = make(c)
+        tape[insert_at:insert_at] = gadget
         segments.insert(seg_lo + at,
                         Segment(GADGET, len(gadget), chain_index,
                                 gadget_i=i0, gadget_c=c))
@@ -227,16 +231,13 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
         bounds, regular = _layout(segments[seg_lo:], chain_start)
 
         if scratch:
-            whole = bytes(parser.buf[:insert_at]) + gadget + bytes(parser.buf[insert_at:])
             parser.reset()
-            parser.feed(whole)
+            parser.feed(tape)
             regs, offsets = _census(parser, bounds, regular, first_new, include_tail)
             violated = regs[offsets == i0].tolist()
             continue
 
-        removed = parser.rollback(insert_at)
-        cut = insert_at - parser.position
-        pending = memoryview(removed[:cut] + gadget + removed[cut:] + pending)
+        parser.rollback(insert_at)
         # The rollback keeps every block that ends at or before insert_at, so
         # the d - 1 violations before the target, whose regulars all end
         # there, carry over.  No other kept block is a violation, and the
@@ -244,7 +245,7 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
         # prefix-closed), so only the newly completed blocks need a census.
         violated = violated[:d - 1]
         hi, step = at + 1, 1            # the target is now segment at + 1
-        while len(violated) <= d and pending:
+        while len(violated) <= d and parser.position < len(tape):
             violated += advance(1 + int(bounds[min(hi + 1, len(bounds) - 1)]))
             hi += step
             step *= 2
@@ -252,7 +253,7 @@ def build_chain(parser: StreamParser, segments: list[Segment], chain_index: int,
     record.chosen_i = i0
     record.gadget_count = c
     record.final_d = d
-    record.length = parser.position - 1 - chain_start
+    record.length = len(tape) - 1 - chain_start
     return record
 
 

@@ -178,19 +178,20 @@ def _chain_gadget(x: bytes, m: int, u: bytes | None, i: int, c: int) -> bytes:
     return x[:mp] + bytes([x[mp] ^ 1]) + (x[:m] + b"1" * c)[:c]
 
 
-def _resync_word(parser: StreamParser, green_words: set[bytes], x: bytes,
-                 m_int: int, h_red: int, chain_index: int) -> bytes:
+def _resync_word(parser: StreamParser, tape: bytearray, green_words: set[bytes],
+                 x: bytes, m_int: int, h_red: int, chain_index: int) -> bytes:
     """The resynchronization word u of an offset-0 chain.
 
-    u is the shortest, then the least in byte order, of the blocks the
-    parser has completed that end by ``h_red``, have at most ``m_int``
-    letters, are not in ``green_words`` and are not a prefix of x; raises
-    ``ConstructionError`` when there is none.  The plain parsing's words are
-    ``green_words`` and the chain's regulars x[0..q], ..., x; the shorter
-    prefixes of x are in ``green_words``, so a block is plain exactly when it
-    is in ``green_words`` or prefixes x.  The choice costs a few numpy passes
-    over the block starts, then a sort of the blocks of each short length
-    until one qualifies; red blocks are distinct, so nothing ties."""
+    u is the shortest, then the least in byte order, of the blocks of
+    ``tape`` the parser has completed that end by ``h_red``, have at most
+    ``m_int`` letters, are not in ``green_words`` and are not a prefix of x;
+    raises ``ConstructionError`` when there is none.  The plain parsing's
+    words are ``green_words`` and the chain's regulars x[0..q], ..., x; the
+    shorter prefixes of x are in ``green_words``, so a block is plain exactly
+    when it is in ``green_words`` or prefixes x.  The choice costs a few
+    numpy passes over the block starts, then a sort of the blocks of each
+    short length until one qualifies; red blocks are distinct, so nothing
+    ties."""
     starts = np.asarray(parser.starts, dtype=np.int64)
     # the last completed block ends where the block in progress starts
     # (cut to no end at all when no block is complete)
@@ -199,9 +200,8 @@ def _resync_word(parser: StreamParser, green_words: set[bytes], x: bytes,
     lengths = ends[:count] - starts[:count]
     short = lengths <= m_int
     lengths, starts = lengths[short], starts[:count][short]
-    buf = parser.buf
     for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        for word in sorted(bytes(buf[s:s + length])
+        for word in sorted(bytes(tape[s:s + length])
                            for s in starts[lengths == length].tolist()):
             if word not in green_words and not x.startswith(word):
                 return word
@@ -211,9 +211,9 @@ def _resync_word(parser: StreamParser, green_words: set[bytes], x: bytes,
         {"chain": chain_index, "m": m_int, "half_point": h_red})
 
 
-def _add_chain(parser: StreamParser, segments: list[Segment], green_words: set[bytes],
-              chain_index: int, xw: Word, *, q_max: int, m_int: int, window: int,
-              scratch: bool = False) -> ChainRecord:
+def _add_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
+               green_words: set[bytes], chain_index: int, xw: Word, *, q_max: int,
+               m_int: int, window: int, scratch: bool = False) -> ChainRecord:
     """The one chain set-up of the chained and the infinite construction.
 
     Finds q, the first prefix x[0..q] of the chain word x that is not yet a
@@ -232,22 +232,22 @@ def _add_chain(parser: StreamParser, segments: list[Segment], green_words: set[b
         raise ConstructionError(
             "the chain word's first fresh prefix lies beyond its bound",
             {"chain": chain_index, "q": q, "bound": q_max})
-    h_red = parser.position + sum(t + 1 for t in range(q, l // 2 + 1))
+    h_red = len(tape) + sum(t + 1 for t in range(q, l // 2 + 1))
     u = None
 
     def gadgets(i0: int):
         nonlocal u
         if i0 == 0:
-            u = _resync_word(parser, green_words, xb, m_int, h_red, chain_index)
+            u = _resync_word(parser, tape, green_words, xb, m_int, h_red, chain_index)
         return partial(_chain_gadget, xb, m_int, u, i0)
 
     seg_lo = len(segments)
-    record = build_chain(parser, segments, chain_index, xw, q, window=window,
+    record = build_chain(parser, tape, segments, chain_index, xw, q, window=window,
                          gadgets=gadgets, include_tail=False, scratch=scratch)
     record.resync_word = u
-    # letter p of w is letter p + 1 of the parser's 0w
+    # letter p of w is letter p + 1 of the tape's 0w
     bounds = _layout(segments[seg_lo:], 1 + record.start)[0].tolist()
-    green_words.update(bytes(parser.buf[a:b]) for a, b in zip(bounds, bounds[1:]))
+    green_words.update(bytes(tape[a:b]) for a, b in zip(bounds, bounds[1:]))
     return record
 
 
@@ -257,16 +257,16 @@ def construct_general(params: Params, family: Family,
     zero padding to exactly n letters."""
     if reparse not in ("checkpoint", "scratch"):
         raise ParameterError(f"unknown reparse mode {reparse!r}")
-    parser = StreamParser()
-    parser.feed(b"0")
+    parser, tape = StreamParser(), bytearray(b"0")
+    parser.feed(tape)
     segments: list[Segment] = []
     green_words: set[bytes] = set()
-    chains = [_add_chain(parser, segments, green_words, j, xw, q_max=params.l // 2,
+    chains = [_add_chain(parser, tape, segments, green_words, j, xw, q_max=params.l // 2,
                          m_int=params.m_int, window=params.window,
                          scratch=reparse == "scratch")
               for j, xw in enumerate(family.words)]
 
-    w_prime = parser.position - 1
+    w_prime = len(tape) - 1
     if w_prime > params.n:
         raise ConstructionError(
             "construction overflowed the target length, which the size bound "
@@ -275,8 +275,9 @@ def construct_general(params: Params, family: Family,
     if pad:
         segments.append(Segment(PADDING, pad, chain=-1))
         parser.feed(b"0" * pad)
+        tape += b"0" * pad
     cw = ConstructedWord.from_parser(
-        parser, segments, chains, params.gamma,
+        parser, tape, segments, chains, params.gamma,
         {"params": params, "seed": family.seed, "w_prime": w_prime})
     assert len(cw.word) == params.n
     return cw

@@ -142,8 +142,9 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     """Emit the first budget_n letters of the level construction.
 
     Words are sampled on demand; generation stops once the budget is covered
-    and the final chain is truncated.  The parser is rolled back to the
-    truncation point, so ``red`` is the parse of 0w for the emitted prefix w.
+    and the final chain is truncated.  The tape is cut and the parser rolled
+    back to the truncation point, so ``red`` is the parse of 0w for the
+    emitted prefix w.
     """
     l0 = sched.l0
     if budget_n < l0 * (l0 + 1) // 2:
@@ -153,8 +154,8 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     if budget_n > MAX_NODES - 2:
         raise ParameterError(f"budget must be <= {MAX_NODES - 2} "
                              "for the parser's node ids")
-    parser = StreamParser()
-    parser.feed(b"0")
+    parser, tape = StreamParser(), bytearray(b"0")
+    parser.feed(tape)
     segments: list[Segment] = []
     green_words: set[bytes] = set()
     corpus: list[bytes] = []
@@ -163,7 +164,7 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     chains = []
     words_per_level: dict[int, int] = {}
     for level in sched.levels:
-        if parser.position - 1 >= budget_n:
+        if len(tape) - 1 >= budget_n:
             break
         if level.m_eff != grams_m:
             grams_m = level.m_eff
@@ -171,21 +172,22 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
         for widx in range(level.count):
             xw = _sample_level_word(seed, level, widx, corpus_grams,
                                     require_leading_one=not chains)
-            chains.append(_add_chain(parser, segments, green_words, len(chains),
+            chains.append(_add_chain(parser, tape, segments, green_words, len(chains),
                                      xw, q_max=level.m_eff, m_int=level.m_eff,
                                      window=level.window))
             words_per_level[level.index] = words_per_level.get(level.index, 0) + 1
             corpus.append(xw.data)
             corpus_grams |= _m_grams([xw.data], grams_m)
-            if parser.position - 1 >= budget_n:
+            if len(tape) - 1 >= budget_n:
                 break
 
-    full_len = parser.position - 1
-    # cut the parse back to the prefix: its blocks are then those of 0w
-    removed = parser.rollback(budget_n + 1)
-    parser.feed(removed[:budget_n + 1 - parser.position])
+    full_len = len(tape) - 1
+    # cut the tape and its parse back to the prefix: the blocks are then those of 0w
+    del tape[budget_n + 1:]
+    parser.rollback(budget_n + 1)
+    parser.feed(tape[parser.position:])
     return ConstructedWord.from_parser(
-        parser, _truncate_segments(segments, budget_n), chains, sched.gamma,
+        parser, tape, _truncate_segments(segments, budget_n), chains, sched.gamma,
         {"schedule": sched, "seed": seed, "budget": budget_n,
          "generated": full_len, "words_per_level": words_per_level})
 

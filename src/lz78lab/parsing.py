@@ -4,8 +4,9 @@ Each block extends a previously seen block by one letter.  The dictionary is
 the set of distinct blocks; only the final block may duplicate an earlier one.
 
 :class:`StreamParser` is the incremental parser that :func:`parse` and the
-constructions feed; :func:`parse` returns its blocks as lists over the
-caller's own letters, and never finishes it.  Its feed loop and its rollback
+constructions feed.  It holds the dictionary and the blocks, never the
+letters: those stay with the caller, and :func:`parse` returns its blocks as
+lists over the caller's own bytes.  Its feed loop and its rollback
 are the compiled kernel ``_kernel.c``, which :mod:`lz78lab.kernel` builds
 when this module is imported.  When the kernel did not load (``_KERNEL`` is
 None), the same methods run :func:`_feed_py` and :func:`_truncate_py`, line
@@ -43,7 +44,7 @@ FIRST_NODES = 1024                 # nodes fresh arrays hold; they double when f
 
 
 class StreamParser:
-    """Incremental LZ'78 parser over an append-only letter stream.
+    """Incremental LZ'78 parser: it keeps the dictionary, its caller the letters.
 
     The dictionary is a full binary trie in one flat int32 child array, one
     node per block: node ``t`` is completed block ``t - 1`` (the root is node
@@ -52,7 +53,7 @@ class StreamParser:
     ``t - 1`` of two int64 arrays of as many nodes, so the block count is the
     node count minus one.  The node of the in-progress block carries across
     calls, so no feed walks a block twice and feeding in pieces costs what
-    feeding at once does.
+    feeding at once does.  A feed only walks the trie; ``position`` counts the letters.
 
     Supports rolling the parse back to an earlier position, which is what
     makes the adaptive constructions affordable: after an insertion only the
@@ -61,10 +62,9 @@ class StreamParser:
     node count.
     """
 
-    __slots__ = ("buf", "_state", "_ref", "_child", "_starts", "_preds")
+    __slots__ = ("_state", "_ref", "_child", "_starts", "_preds")
 
     def __init__(self):
-        self.buf = bytearray()
         st = self._state = kernel.State()
         self._ref = ctypes.addressof(st)
         self.reset()
@@ -72,7 +72,6 @@ class StreamParser:
     def reset(self) -> None:
         """Empty the parser into fresh arrays; the views that :attr:`starts`
         and :attr:`preds` gave out keep reading the old ones."""
-        self.buf.clear()
         self._allocate(min(FIRST_NODES, MAX_NODES))
         st = self._state
         st.nodes = 1
@@ -100,7 +99,7 @@ class StreamParser:
 
     @property
     def position(self) -> int:
-        return len(self.buf)
+        return self._state.pos
 
     @property
     def block_start(self) -> int:
@@ -123,7 +122,6 @@ class StreamParser:
         first_new = self._state.nodes - 1
         if type(data) is not bytes:
             data = bytes(data)
-        self.buf += data
         if _KERNEL is not None:
             feed, ref = _KERNEL.lz78_feed, self._ref
         else:
@@ -139,7 +137,6 @@ class StreamParser:
         """Double the arrays; the node ids must stay int32."""
         st = self._state
         if st.node_cap >= MAX_NODES:
-            del self.buf[st.pos:]      # the letters not parsed are not kept
             raise ParameterError(
                 f"the parse needs more than {MAX_NODES} dictionary nodes, "
                 "beyond the parser's int32 node ids")
@@ -149,11 +146,12 @@ class StreamParser:
         for new, kept in zip((self._child, self._starts, self._preds), old):
             ctypes.memmove(new, kept, 8 * st.nodes)
 
-    def rollback(self, pos: int) -> bytes:
+    def rollback(self, pos: int) -> range:
         """Rewind to the last block boundary at or before ``pos``.
 
-        Returns the removed letters (from that boundary to the current end);
-        the caller re-feeds them, edited, to continue.
+        Returns the positions of the removed letters, from that boundary to
+        the old end; the caller feeds its letters from there on, edited, to
+        continue.
         """
         starts = self.starts
         st = self._state
@@ -166,22 +164,20 @@ class StreamParser:
             _KERNEL.lz78_truncate(self._ref, kept)
         else:
             _truncate_py(self, kept)
-        removed = bytes(self.buf[boundary:])
-        del self.buf[boundary:]
+        removed = range(boundary, st.pos)
         st.pos = st.block_start = boundary
         return removed
 
-    def finish(self) -> "Parsing":
-        """The parse of the letters fed so far, the in-progress block as its
-        trailing duplicate.  The blocks are handed over as exact-size int64
-        copies, so none of the doubled arrays' slack outlives the parser,
-        which is left empty, as after :meth:`reset`."""
+    def finish(self, data) -> "Parsing":
+        """The parse of ``data``, the letters fed so far (kept as ``bytes``, a
+        copy unless they are), the in-progress block as its trailing duplicate.
+        The blocks are handed over as exact-size int64 copies, so none of the
+        doubled arrays' slack outlives the parser, left empty as by :meth:`reset`."""
         count, dup = _close_duplicate(self)
         starts, preds = (memoryview(_view(array, "q")[:count].tobytes()).cast("q")
                          for array in (self._starts, self._preds))
-        buf, self.buf = self.buf, bytearray()
         self.reset()                   # frees the trie before the letters are copied
-        return Parsing(data=bytes(buf), starts=starts, preds=preds, last_is_duplicate=dup)
+        return Parsing(data=bytes(data), starts=starts, preds=preds, last_is_duplicate=dup)
 
     def tail_pred(self) -> int:
         """Predecessor block index for the in-progress (duplicate) block."""
@@ -258,7 +254,7 @@ class Parsing:
     that prefix is the empty word), so the preds encode the dictionary trie.
     :func:`parse` hands out lists over the caller's bytes;
     :meth:`StreamParser.finish` hands over exact-size int64 copies of its
-    parser's block arrays and a copy of its letters, so a construction's
+    parser's block arrays over its caller's letters, so a construction's
     ``ConstructedWord.red`` holds 8 bytes a block, not a list's 36.
     """
 
@@ -305,7 +301,7 @@ def parse(w) -> Parsing:
     sp.feed(data)
     count, dup = _close_duplicate(sp)
     starts, preds = sp._starts, sp._preds
-    del sp                             # frees the trie and buf before the lists are built
+    del sp                             # frees the trie before the lists are built
     return Parsing(data=data, starts=starts[:count], preds=preds[:count],
                    last_is_duplicate=dup)
 

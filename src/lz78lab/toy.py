@@ -59,13 +59,13 @@ def construct_from_base(x: Word, gamma: float, scratch: bool = False, *,
     if reach >= len(x) - 1:
         raise ParameterError("gamma*k must stay below the number of regular blocks")
     window = int(reach)
-    parser = StreamParser()
-    parser.feed(b"0")
+    parser, tape = StreamParser(), bytearray(b"0")
+    parser.feed(tape)
     segments: list[Segment] = []
-    record = build_chain(parser, segments, 0, x, 0, window=window,
+    record = build_chain(parser, tape, segments, 0, x, 0, window=window,
                          gadgets=lambda i: partial(_toy_gadget, x.data, i),
                          include_tail=True, scratch=scratch)
-    return ConstructedWord.from_parser(parser, segments, [record], gamma,
+    return ConstructedWord.from_parser(parser, tape, segments, [record], gamma,
                                        dict(meta, window=window))
 
 

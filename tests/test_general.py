@@ -313,11 +313,11 @@ def resolved(monkeypatch):
     seen = []
     resolve = general_mod._resync_word
 
-    def checked(parser, green_words, x, m_int, h_red, chain_index):
-        word = resolve(parser, green_words, x, m_int, h_red, chain_index)
+    def checked(parser, tape, green_words, x, m_int, h_red, chain_index):
+        word = resolve(parser, tape, green_words, x, m_int, h_red, chain_index)
         starts = list(parser.starts)
         ends = starts[1:] + [parser.block_start]
-        blocks = [bytes(parser.buf[a:b]) for a, b in zip(starts, ends)]
+        blocks = [bytes(tape[a:b]) for a, b in zip(starts, ends)]
         seen.append((chain_index, word, naive_resync_word(
             blocks, ends, green_words, x, m_int, h_red),
                      "python" if parsing._KERNEL is None else "kernel"))
@@ -341,8 +341,9 @@ def test_resync_word_matches_the_oracle_on_every_offset_0_chain(mode, resolved):
 @pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])
 def test_each_hot_chain_asks_for_its_gadgets_once_on_its_whole_feed(
         monkeypatch, mode, reparse):
-    # the offset-0 resolve reads the parser's blocks, so the gadgets of a
-    # chain are asked for with the whole chain fed and before any rollback
+    # the offset-0 resolve reads the parser's blocks over the tape, so the
+    # gadgets of a chain are asked for with the whole chain on the tape and
+    # fed, and before any rollback
     rollbacks = []
     rollback = StreamParser.rollback
 
@@ -353,15 +354,16 @@ def test_each_hot_chain_asks_for_its_gadgets_once_on_its_whole_feed(
     build = general_mod.build_chain
     seen = []
 
-    def checked(parser, segments, chain_index, source, q, *, gadgets, **kw):
+    def checked(parser, tape, segments, chain_index, source, q, *, gadgets, **kw):
         fed = b"".join(source.data[:t] for t in range(q + 1, len(source) + 1))
-        start, before, calls = parser.position, len(rollbacks), []
+        start, before, calls = len(tape), len(rollbacks), []
 
         def asked(i0):
-            calls.append((i0, bytes(parser.buf[start:]) == fed, len(rollbacks) - before))
+            whole = tape[start:] == fed and parser.position == len(tape)
+            calls.append((i0, whole, len(rollbacks) - before))
             return gadgets(i0)
 
-        record = build(parser, segments, chain_index, source, q, gadgets=asked, **kw)
+        record = build(parser, tape, segments, chain_index, source, q, gadgets=asked, **kw)
         seen.append((record.chosen_i, calls))
         return record
 
@@ -377,11 +379,11 @@ def test_each_hot_chain_asks_for_its_gadgets_once_on_its_whole_feed(
 def test_resync_word_selection_rule(mode):
     # blocks 0 | 1 | 00 | 01 | 000 | 001 | 10 | 11 of the front parsing,
     # ending at letters 1, 2, 4, 6, 9, 12, 14 and 16
-    parser = StreamParser()
-    parser.feed(b"0" b"1" b"00" b"01" b"000" b"001" b"10" b"11")
+    parser, tape = StreamParser(), bytearray(b"0" b"1" b"00" b"01" b"000" b"001" b"10" b"11")
+    parser.feed(tape)
 
     def resolve(green_words, x, m_int, h_red):
-        return general_mod._resync_word(parser, green_words, x, m_int, h_red, 7)
+        return general_mod._resync_word(parser, tape, green_words, x, m_int, h_red, 7)
 
     green = {b"1", b"01"}
     # 0, 00 and 001 prefix x; 000 is least but longer than 10 and 11
@@ -395,28 +397,30 @@ def test_resync_word_selection_rule(mode):
 
 
 def test_resync_word_raise_leaves_the_parser_growable(mode):
-    parser = StreamParser()
-    parser.feed(b"0")
+    parser, tape = StreamParser(), bytearray(b"0")
+    parser.feed(tape)
     with pytest.raises(ConstructionError) as info:
-        general_mod._resync_word(parser, set(), b"0110", 4, 1, 3)
+        general_mod._resync_word(parser, tape, set(), b"0110", 4, 1, 3)
     assert info.value.diagnostics == {"chain": 3, "m": 4, "half_point": 1}
-    # the traceback in info keeps the resolver's frame alive
-    parser.feed(b"1" * 64 + b"01" * 64)
-    assert parser.position == 1 + 192
+    # the traceback in info keeps the resolver's frame alive; it must hold
+    # no view of the tape, or the tape could not resize
+    tape += b"1" * 64 + b"01" * 64
+    parser.feed(tape[parser.position:])
+    assert parser.position == len(tape) == 1 + 192
     with pytest.raises(ConstructionError):
-        general_mod._resync_word(StreamParser(), set(), b"1", 4, 0, 5)
+        general_mod._resync_word(StreamParser(), bytearray(), set(), b"1", 4, 0, 5)
 
 
 def test_add_chain_rejects_a_first_fresh_prefix_beyond_its_bound():
     x = Word.from_text("1011" * 16)
-    parser = StreamParser()
-    parser.feed(b"0")
+    parser, tape = StreamParser(), bytearray(b"0")
+    parser.feed(tape)
     green_words = {x.data[:1], x.data[:2], x.data[:3]}
     with pytest.raises(ConstructionError) as info:
-        general_mod._add_chain(parser, [], green_words, 0, x, q_max=2,
+        general_mod._add_chain(parser, tape, [], green_words, 0, x, q_max=2,
                                m_int=8, window=8)
     assert info.value.diagnostics["q"] == 3
-    assert parser.position == 1
+    assert parser.position == len(tape) == 1
 
 
 def test_construct_general_letters_fed_per_output_letter(monkeypatch, small_build):

@@ -215,9 +215,10 @@ def test_node_ids_past_int32_raise_a_clear_error(monkeypatch):
             sp.feed(word[:50])
             with pytest.raises(ParameterError, match="int32"):
                 sp.feed(word[50:])
-        # the parser keeps the letters it parsed, and only those, and the
-        # blocks that the feed wrote into its full arrays before it stopped
+        # the parser's position counts the letters it parsed, and only those,
+        # and it keeps the blocks that the feed wrote into its full arrays
+        # before it stopped
         assert len(sp.starts) == 63
-        assert word.startswith(bytes(sp.buf)) and sp.block_start <= sp.position < len(word)
-        full = parsing.parse(bytes(sp.buf))
+        assert 50 < sp.position < len(word) and sp.block_start <= sp.position
+        full = parsing.parse(word[:sp.position])
         assert list(sp.starts) == full.starts[:63] and list(sp.preds) == full.preds[:63]

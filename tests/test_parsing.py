@@ -100,9 +100,10 @@ def test_parse_holds_the_callers_letters(mode):
 
 @pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
 def test_parse_peak_memory_per_letter():
-    # the parse keeps the caller's letters: inside it live only the parser's
-    # letter copy and block arrays, then the block lists (about 1.1 bytes a letter
-    # here; a second copy of the letters would make it above 2)
+    # the parse keeps the caller's letters: its peak is the letter check's
+    # transient in as_bits (about 1.0 byte a letter), then only the parser's
+    # block arrays and the block lists (about 0.1); a copy of the letters
+    # taken before the check would make it above 2
     data = b"1" + construct_toy(10).word.data
     tracemalloc.start()
     try:
@@ -112,6 +113,23 @@ def test_parse_peak_memory_per_letter():
         tracemalloc.stop()
     assert peak <= 1.5 * len(data), f"{peak / len(data):.2f} bytes per letter"
     assert p.data is data
+
+
+def test_a_feed_keeps_no_copy_of_the_letters(mode):
+    # the letters stay with the caller: a feed only walks the trie, so all it
+    # allocates is the parser's doubled arrays, 24 bytes a node for the 1,034
+    # blocks of this 1w (0.09 bytes a letter); a copy of the letters would
+    # add 1.0 byte a letter
+    data = b"1" + construct_toy(10).word.data
+    sp = StreamParser()
+    tracemalloc.start()
+    try:
+        sp.feed(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * len(data), f"{peak / len(data):.3f} bytes per letter"
+    assert sp.position == len(data)
 
 
 def test_block_count_length_bound_exhaustive():
@@ -556,7 +574,7 @@ def test_tree_stats_empty_and_path():
 def assert_same_state(sp, fresh, content):
     """Two parsers hold the same public state and the same trie, slot for
     slot, whichever modes fed them."""
-    assert sp.buf == fresh.buf == content
+    assert sp.position == fresh.position == len(content)
     assert sp.starts == fresh.starts
     assert sp.preds == fresh.preds
     assert sp.block_start == fresh.block_start
@@ -579,7 +597,7 @@ def assert_fed_alike(sp, content: bytes):
 def parse_with(text: str):
     sp = StreamParser()
     sp.feed(text.encode())
-    return sp.finish()
+    return sp.finish(text.encode())
 
 
 def test_stream_parser_rollback_matches_fresh_parse():
@@ -596,14 +614,39 @@ def test_stream_parser_rollback_matches_fresh_parse():
                     if content and rng.random() < 0.7:
                         pos = rng.randrange(len(content) + 1)
                         removed = sp.rollback(pos)
-                        assert bytes(content[len(content) - len(removed):]) == removed
-                        insert_cut = pos - sp.position
-                        sp.feed(removed[:insert_cut] + piece + removed[insert_cut:])
+                        assert removed == range(sp.position, len(content))
+                        assert sp.position <= pos
                         content[pos:pos] = piece
+                        sp.feed(content[sp.position:])
                     else:
                         sp.feed(piece)
                         content += piece
             assert_fed_alike(sp, bytes(content))
+
+
+def test_rollback_returns_the_positions_of_the_removed_letters(mode):
+    # after random feeds, rollback(pos) returns range(boundary, old end): the
+    # boundary is the new position, a block start at or before pos, and the
+    # length is the count of letters removed; the parser then holds the
+    # parse of the letters kept
+    rng = random.Random(2121)
+    for _ in range(40):
+        content = bytes(rng.choice(b"01") for _ in range(rng.randrange(1, 3000)))
+        sp = StreamParser()
+        at = 0
+        while at < len(content):
+            step = rng.randrange(1, 400)
+            sp.feed(content[at:at + step])
+            at += step
+        for _ in range(3):
+            end, pos = sp.position, rng.randrange(sp.position + 1)
+            r = sp.rollback(pos)
+            assert type(r) is range and r.step == 1
+            assert r.start == sp.position == sp.block_start and sp.position <= pos
+            assert r.stop == end and len(r) == end - sp.position
+            assert_fed_alike(sp, content[:sp.position])
+            sp.feed(content[sp.position:end])
+        assert_fed_alike(sp, content[:end])
 
 
 def two_tier_words(rng, count):
@@ -691,7 +734,7 @@ def test_kernel_parser_matches_python_parser_seeded():
         assert_same_state(kernel, python, text)
         assert (kernel.in_progress(), kernel.tail_pred()) == (
             python.in_progress(), python.tail_pred())
-        assert finished_as_lists(kernel.finish()) == finished_as_lists(python.finish())
+        assert finished_as_lists(kernel.finish(text)) == finished_as_lists(python.finish(text))
 
     # fuzz-short words, 1 to 2,000 letters, behind both front letters
     for trial in range(400):
@@ -741,7 +784,8 @@ def test_modes_mixed_mid_stream_match_the_kernel_alone():
                     alone.feed(piece)
                 content += piece
             assert_same_state(mixed, alone, content)
-        p = mixed.finish()
+        p = mixed.finish(content)
+        assert p.data == content
         assert [b.decode() for b in p.blocks()] == naive_parse(content.decode())
     assert python_grows
 
@@ -758,7 +802,7 @@ def test_a_finished_parse_and_a_held_view_survive_the_parsers_reuse(mode):
     assert len(starts) > FIRST_NODES
     sp = StreamParser()
     sp.feed(first)
-    p = sp.finish()
+    p = sp.finish(first)
     sp.feed(second[:len(second) // 2])
     held = np.asarray(sp.starts)
     sp.feed(second[len(second) // 2:])
@@ -779,7 +823,8 @@ def test_a_finished_parse_holds_exactly_its_blocks(mode):
     for letters in (b"", b"0", word, b"1" + word):
         sp = StreamParser()
         sp.feed(letters)
-        p = sp.finish()
+        p = sp.finish(letters)
+        assert p.data is letters
         assert p.block_count == parse(letters).block_count
         for blocks in (p.starts, p.preds):
             assert blocks.format == "q"
@@ -807,10 +852,10 @@ def test_rollback_and_refeed_property(script):
             for frac, piece in edits:
                 pos = int(frac * len(content))
                 removed = sp.rollback(pos)
-                assert bytes(content[sp.position:]) == removed
-                cut = pos - sp.position
-                sp.feed(removed[:cut] + piece.encode() + removed[cut:])
+                assert removed == range(sp.position, len(content))
+                assert sp.position <= pos
                 content[pos:pos] = piece.encode()
+                sp.feed(content[sp.position:])
         assert_fed_alike(sp, bytes(content))
 
 

@@ -201,14 +201,15 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
         x = _forced_base(70, seed)
         results = []
         for scratch in (True, False):     # checkpoint last: read below
-            parser = RecordingParser()
+            parser, tape = RecordingParser(), bytearray(b"0")
             parser.rollback_from = []
-            parser.feed(b"0")
+            parser.feed(tape)
             segments = []
-            record = build_chain(parser, segments, 0, x, 0, window=12,
+            record = build_chain(parser, tape, segments, 0, x, 0, window=12,
                                  gadgets=_chaos_gadgets(seed), include_tail=True,
                                  scratch=scratch)
-            results.append((bytes(parser.buf), list(segments), record))
+            assert parser.position == len(tape)
+            results.append((bytes(tape), list(segments), record))
         assert results[0] == results[1], f"seed {seed}"
         # before gadget j went in, the chain ended short of its final end by
         # the gadgets j, j + 1, ... inserted from then on
@@ -216,7 +217,7 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
                          key=lambda seg: seg.gadget_c)
         assert len(parser.rollback_from) == len(gadgets)
         for j, fed in enumerate(parser.rollback_from):
-            chain_end = len(parser.buf) - sum(seg.length for seg in gadgets[j:])
+            chain_end = len(tape) - sum(seg.length for seg in gadgets[j:])
             assert fed <= chain_end
             early += fed < chain_end
         rollbacks += len(gadgets)
@@ -242,16 +243,17 @@ def test_gadgets_are_asked_once_per_hot_chain_on_its_whole_feed(scratch):
         x = _forced_base(70, seed)
         fed = b"0" + b"".join(x.data[:t] for t in range(1, len(x) + 1))
         for gadgets in (_chaos_gadgets(seed), lambda i: partial(_toy_gadget, x.data, i)):
-            parser = CountingParser()
+            parser, tape = CountingParser(), bytearray(b"0")
             parser.rollbacks = 0
-            parser.feed(b"0")
+            parser.feed(tape)
             calls = []
 
             def asked(i0):
-                calls.append((i0, bytes(parser.buf) == fed, parser.rollbacks))
+                whole = tape == fed and parser.position == len(fed)
+                calls.append((i0, whole, parser.rollbacks))
                 return gadgets(i0)
 
-            record = build_chain(parser, [], 0, x, 0, window=12, gadgets=asked,
+            record = build_chain(parser, tape, [], 0, x, 0, window=12, gadgets=asked,
                                  include_tail=True, scratch=scratch)
             want = [] if record.chosen_i is None else [(record.chosen_i, True, 0)]
             assert calls == want, f"seed {seed}"
@@ -288,15 +290,15 @@ def test_chaos_loop_matches_naive_gadget_loop():
 
     for seed in range(12):
         x = _forced_base(70, seed)
-        parser = StreamParser()
-        parser.feed(b"0")
+        parser, tape = StreamParser(), bytearray(b"0")
+        parser.feed(tape)
         segments = []
-        record = build_chain(parser, segments, 0, x, 0, window=12,
+        record = build_chain(parser, tape, segments, 0, x, 0, window=12,
                              gadgets=_chaos_gadgets(seed), include_tail=True)
         chaos = _chaos_gadgets(seed)(None)
         expected = naive_gadget_loop(x.to_text(), "0", 12,
                                      lambda i, c: chaos(c).decode())
-        got = (_oracle_segments(bytes(parser.buf[1:]), segments), record.chosen_i,
+        got = (_oracle_segments(bytes(tape[1:]), segments), record.chosen_i,
                record.gadget_count, record.final_d)
         assert got == expected, f"seed {seed}"
 
@@ -355,11 +357,12 @@ def test_chaos_loop_hands_over_the_parse_of_0w(scratch):
     from lz78lab.parsing import StreamParser
 
     for seed in range(12):
-        parser = StreamParser()
-        parser.feed(b"0")
-        build_chain(parser, [], 0, _forced_base(70, seed), 0, window=12,
+        parser, tape = StreamParser(), bytearray(b"0")
+        parser.feed(tape)
+        build_chain(parser, tape, [], 0, _forced_base(70, seed), 0, window=12,
                     gadgets=_chaos_gadgets(seed), include_tail=True, scratch=scratch)
-        red = parser.finish()
+        red = parser.finish(tape)
+        assert red.data == tape
         assert_is_parse_of_0w(red, red.data[1:])
 
 
