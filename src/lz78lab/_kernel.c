@@ -1,5 +1,5 @@
-/* LZ'78 feed kernel behind lz78lab.parsing.StreamParser, and the letter
- * check of rule 2 behind lz78lab.parsing.certify.
+/* LZ'78 feed kernel behind lz78lab.parsing.StreamParser, and the rule
+ * loop behind lz78lab.parsing.certify.
  *
  * The dictionary is a full binary trie in one flat int32 child array: node
  * t >= 1 is completed block t - 1, node 0 is the root, and child[2t + a] is
@@ -69,23 +69,30 @@ void lz78_truncate(lz78_state *s, int64_t kept)
     s->cur = 0;
 }
 
-/* Rule 2 of certify, for the letters: the first block i below limit whose
- * letters but its last differ from block preds[i] (a pred of -1, the empty
- * word, always matches), or limit when none does.  Block i ends where block
- * i + 1 starts, the last block at n.  The caller has checked the starts, the
- * preds and the lengths below limit, so every compare stays in data[0..n).
- * Reads no lz78_state: the check shares no code with lz78_feed. */
-int64_t lz78_first_mismatch(const unsigned char *data, int64_t n,
-                            const int64_t *starts, const int64_t *preds,
-                            int64_t count, int64_t limit)
+/* The rules of certify, checked block by block in word order.  Block i
+ * spans starts[i] to starts[i + 1], the last block to n.  Rule 1: block 0
+ * starts at 0, and each block is non-empty and ends by n.  Rule 2: preds[i]
+ * is -1 or an earlier block, and block i is one letter longer than it (than
+ * the empty word for -1), with the same letters before its last.  Rule 3:
+ * its key, 2 (preds[i] + 1) plus its last letter, is not yet set in seen,
+ * 2 count zero bytes; given rule 2, equal blocks have equal keys.  Returns
+ * 4 i + rule for the first block i that breaks a rule, else 4 count; a
+ * repeat at the last block is the trailing duplicate.  Reads no lz78_state:
+ * the check shares no code with lz78_feed. */
+int64_t lz78_certify(const unsigned char *data, int64_t n, const int64_t *starts,
+                     const int64_t *preds, int64_t count, unsigned char *seen)
 {
-    for (int64_t i = 0; i < limit; i++) {
-        int64_t q = preds[i];
-        if (q < 0)
-            continue;
-        int64_t end = i + 1 < count ? starts[i + 1] : n;
-        if (memcmp(data + starts[i], data + starts[q], (size_t)(end - starts[i] - 1)))
-            return i;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t a = starts[i], b = i + 1 < count ? starts[i + 1] : n, q = preds[i];
+        if ((i == 0 && a != 0) || b <= a || b > n)
+            return 4 * i + 1;
+        if (q < -1 || q >= i || b - a != (q < 0 ? 0 : starts[q + 1] - starts[q]) + 1
+            || (q >= 0 && memcmp(data + a, data + starts[q], (size_t)(b - a - 1))))
+            return 4 * i + 2;
+        int64_t key = 2 * (q + 1) + (data[b - 1] & 1);
+        if (seen[key])
+            return 4 * i + 3;
+        seen[key] = 1;
     }
-    return limit;
+    return 4 * count;
 }

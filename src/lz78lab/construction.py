@@ -198,7 +198,8 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     def advance(end: int) -> list[int]:
         """Feed the tape up to letter ``end`` of aw; returns the regulars that
         the newly completed red blocks violate at i0."""
-        first = parser.feed(tape[parser.position:end])
+        # a view, so only feed copies the letters; it is gone before the tape grows
+        first = parser.feed(memoryview(tape)[parser.position:end])
         regs, offsets = _census(parser, bounds, regular, first,
                                 include_tail and parser.position == len(tape))
         return regs[offsets == i0].tolist()

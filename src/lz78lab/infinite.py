@@ -185,7 +185,7 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     # cut the tape and its parse back to the prefix: the blocks are then those of 0w
     del tape[budget_n + 1:]
     parser.rollback(budget_n + 1)
-    parser.feed(tape[parser.position:])
+    parser.feed(memoryview(tape)[parser.position:])   # a view: feed copies once
     return ConstructedWord.from_parser(
         parser, tape, _truncate_segments(segments, budget_n), chains, sched.gamma,
         {"schedule": sched, "seed": seed, "budget": budget_n,

@@ -2,10 +2,9 @@
 
 The library holds the feed loop and the rollback of
 :class:`~lz78lab.parsing.StreamParser` (``lz78_feed``,
-``lz78_truncate``), and the letter comparison of rule 2 of
-:func:`~lz78lab.parsing.certify` (``lz78_first_mismatch``), which shares no
-code with the feed loop.  A library that lacks any of the three loads as
-None.
+``lz78_truncate``), and the rule loop of
+:func:`~lz78lab.parsing.certify` (``lz78_certify``), which shares no code
+with the feed loop.  A library that lacks any of the three loads as None.
 
 :func:`load` runs when :mod:`lz78lab.parsing` is imported.  It compiles the
 C source with ``gcc -O2 -shared -fPIC`` (or ``cc``) into a cache keyed by the
@@ -145,14 +144,14 @@ def _open(path: Path):
         # parser's buffers while the kernel writes them
         lib = ctypes.PyDLL(str(path))
         feed, truncate = lib.lz78_feed, lib.lz78_truncate
-        mismatch = lib.lz78_first_mismatch
+        certify = lib.lz78_certify
     except (OSError, AttributeError):
         return None
     feed.argtypes = (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64)
     feed.restype = ctypes.c_int64
     truncate.argtypes = (ctypes.c_void_p, ctypes.c_int64)
     truncate.restype = None
-    mismatch.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                         ctypes.c_int64, ctypes.c_int64)
-    mismatch.restype = ctypes.c_int64
+    certify.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                        ctypes.c_int64, ctypes.c_void_p)
+    certify.restype = ctypes.c_int64
     return lib

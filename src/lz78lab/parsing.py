@@ -15,10 +15,11 @@ over the same state and the same arrays; they are the fallback without a
 compiler, and the tests run both modes, also on one parser.
 
 :func:`certify` checks a claimed parse against the definition and uses no
-parser code, so it checks either mode independently.  Its rules run in
-numpy, but for rule 2's letter comparison: the kernel's
-``lz78_first_mismatch``, which shares no code with the feed loop, or without
-the kernel a Python loop, which the tests also run as its oracle.
+parser code, so it checks either mode independently.  Its rules are one
+loop over the blocks in word order: the kernel's ``lz78_certify``, which
+shares no code with the feed loop, or without the kernel
+:func:`_certify_py`, its line for line transliteration, which the tests
+also run as its oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -325,11 +325,10 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
     repeat an earlier block.  Given rule 2, two blocks are equal exactly when
     their (pred, last letter) pairs are, so rule 3 is checked on integer keys.
     Returns the accepted parse, sharing the given lists; raises
-    ``ConstructionError`` naming the first block that breaks a rule.  Uses
-    no parser code, so it checks the parser independently.  Rule 2's letters
-    are compared by the kernel's ``lz78_first_mismatch`` when the kernel is
-    loaded, else by a Python loop; both stop at the same block, so the result
-    and the error are the same either way.
+    ``ConstructionError`` naming the first block, in word order, that breaks
+    a rule.  Uses no parser code, so it checks the parser independently.
+    Rules 1 to 3 are one pass over the blocks, the kernel's ``lz78_certify``
+    or without it :func:`_certify_py`, so either mode gives the same result.
     """
     data = as_bits(data)
     count = len(starts)
@@ -341,58 +340,51 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
                                     if data else "the empty word has no duplicate block")
         return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=False)
 
-    def bad(i, rule) -> ConstructionError:
-        return ConstructionError(f"block {i} of the claimed parse {rule}",
-                                 {"block": int(i), "start": int(starts[i])})
-
-    if starts[0] != 0:
-        raise bad(0, "does not start at 0")
     # zero-copy views of int64 claims, as a finished parser's, contiguous for the kernel
-    first = np.ascontiguousarray(starts, dtype=np.int64)
-    length = np.diff(first, append=len(data))
-    short = np.flatnonzero(length < 1)
-    if short.size:
-        raise bad(short[0], "is empty or ends past the word")
-    # rule 2: limit is the first block whose pred is out of range, whose
-    # length is not its pred's plus one, or whose letters differ from it
-    pred = np.ascontiguousarray(preds, dtype=np.int64)
-    known = (pred >= -1) & (pred < np.arange(count))
-    base = np.where(known & (pred >= 0), length[np.clip(pred, 0, count - 1)], 0)
-    wrong = np.flatnonzero(~known | (length != base + 1))
-    limit = int(wrong[0]) if wrong.size else count
-    # the blocks below limit tile data and are one letter longer than their
-    # preds, so the kernel's compares stay in bounds
+    first, pred = (np.ascontiguousarray(c, dtype=np.int64) for c in (starts, preds))
+    seen = np.zeros(2 * count, dtype=np.uint8)
     if _KERNEL is not None:
-        limit = _KERNEL.lz78_first_mismatch(data, len(data), first.ctypes.data,
-                                            pred.ctypes.data, count, limit)
+        code = _KERNEL.lz78_certify(data, len(data), first.ctypes.data, pred.ctypes.data,
+                                    count, seen.ctypes.data)
     else:
-        ends = chain(islice(starts, 1, None), (len(data),))
-        for i, a, b, q in zip(range(limit), starts, ends, preds):
-            if q >= 0 and data[a:b - 1] != data[starts[q]:starts[q + 1]]:
-                limit = i
-                break
-    # rule 3: again is the first block below limit whose (pred, last letter)
-    # pair repeats.  Below limit the keys lie in [0, 2 * limit), so a count
-    # finds the blocks that share a key, and only those are sorted
-    letters = np.frombuffer(data, dtype=np.uint8)[first[:limit] + length[:limit] - 1] & 1
-    keys = 2 * (pred[:limit] + 1) + letters
-    shared = np.flatnonzero(np.bincount(keys)[keys] > 1)
-    order = shared[np.argsort(keys[shared], kind="stable")]
-    repeat = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    again = int(repeat.min()) if repeat.size else count
-    if again < min(limit, count - 1):
-        raise bad(again, "repeats an earlier block")
-    if limit < count:
-        q = preds[limit]
-        if not known[limit]:
-            raise bad(limit, f"has pred {q}, which is neither -1 nor an earlier block")
-        raise bad(limit, f"minus its last letter is not block {q}" if q >= 0
+        code = _certify_py(data, len(data), memoryview(first), memoryview(pred), count,
+                           memoryview(seen))
+    block, rule = divmod(code, 4)
+    dup = code == 4 * count - 1        # rule 3 at the last block: the trailing duplicate
+    if block == count or dup:
+        if bool(last_is_duplicate) == dup:
+            return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
+        block, reason = count - 1, ("repeats an earlier block, but is not claimed to" if dup
+                                    else "is claimed to repeat an earlier block, but is new")
+    elif rule == 1:                    # block 0 breaks it first when starts[0] != 0
+        reason = "does not start at 0" if starts[0] != 0 else "is empty or ends past the word"
+    elif rule == 3:
+        reason = "repeats an earlier block"
+    elif not -1 <= (q := preds[block]) < block:
+        reason = f"has pred {q}, which is neither -1 nor an earlier block"
+    else:
+        reason = (f"minus its last letter is not block {q}" if q >= 0
                   else "has pred -1 but is longer than one letter")
-    dup = again == count - 1
-    if bool(last_is_duplicate) != dup:
-        raise bad(count - 1, "repeats an earlier block, but is not claimed to" if dup
-                  else "is claimed to repeat an earlier block, but is new")
-    return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
+    raise ConstructionError(f"block {block} of the claimed parse {reason}",
+                            {"block": int(block), "start": int(starts[block])})
+
+
+def _certify_py(data: bytes, n: int, starts, preds, count: int, seen) -> int:
+    """``lz78_certify`` of ``_kernel.c`` in Python, over the same arguments:
+    returns 4 i + rule for the first block i that breaks a rule of
+    :func:`certify`, else 4 count."""
+    for i in range(count):
+        a, b, q = starts[i], starts[i + 1] if i + 1 < count else n, preds[i]
+        if (i == 0 and a != 0) or b <= a or b > n:
+            return 4 * i + 1
+        if (q < -1 or q >= i or b - a != (0 if q < 0 else starts[q + 1] - starts[q]) + 1
+                or (q >= 0 and data[a:b - 1] != data[starts[q]:starts[q] + b - a - 1])):
+            return 4 * i + 2
+        key = 2 * (q + 1) + (data[b - 1] & 1)
+        if seen[key]:
+            return 4 * i + 3
+        seen[key] = 1
+    return 4 * count
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Binary words: immutable bit sequences with text and packed I/O.
 
 A word is stored as one ASCII byte ('0'/'1') per letter.  The compiled
-kernel walks the parse trie by the low bit of each byte, and certify's rule-2
-check compares blocks with ``memcmp`` on the bytes, so neither converts the
-word; the pure-Python fallback walks the same int32 child array by the same
-low bit.  The dense 64-bit packed layout is used only as an
-on-disk format for large artifacts (see :func:`pack_word` /
+kernel walks the parse trie by the low bit of each byte, and certify's rule
+loop compares blocks with ``memcmp`` on the bytes, so neither converts the
+word; the pure-Python fallbacks walk the same int32 child array by the same
+low bit and compare the same byte slices.  The dense 64-bit packed layout is
+used only as an on-disk format for large artifacts (see :func:`pack_word` /
 :func:`unpack_word`).
 """
 

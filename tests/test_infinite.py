@@ -1,6 +1,8 @@
 import bisect
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,7 @@ from lz78lab import (ParameterError, build_prefix, comp_ratio, parse, pref,
                      ratio_curve, schedule, tail_separation, worst_case_word)
 from lz78lab.infinite import (_fresh_factors, _m_grams, prefix_ratios,
                                schedule_for_budget)
+from lz78lab.parsing import StreamParser
 
 from conftest import assert_is_parse_of_0w, assert_segments_tile
 
@@ -87,6 +90,33 @@ def two_level():
     sched = schedule(256, 0.1, 2)
     cw = build_prefix(sched, 250_000, seed=3)
     return sched, cw
+
+
+def test_a_re_feed_holds_no_copy_of_the_tape(mode, monkeypatch):
+    """The gadget loop re-feeds the tape through a view: at each re-feed of
+    512 letters or more, the line that calls it holds under 512 bytes (the
+    view objects), where a slice of the tape would hold a copy of the letters,
+    113 bytes more than it feeds.  The feed copies them once.  The cut's last
+    feed, which also passes a view, is at most one block, under 512 letters."""
+    feed, held = StreamParser.feed, []
+
+    def traced_feed(self, data):
+        if len(data) >= 512:
+            caller = sys._getframe(1)
+            line = tracemalloc.Filter(True, caller.f_code.co_filename, caller.f_lineno)
+            traces = tracemalloc.take_snapshot().filter_traces([line]).traces
+            held.append((caller.f_code.co_name, len(data), sum(t.size for t in traces)))
+        return feed(self, data)
+
+    monkeypatch.setattr(StreamParser, "feed", traced_feed)
+    tracemalloc.start()
+    try:
+        build_prefix(schedule(256, 0.1, 1), 33_000, seed=0)
+    finally:
+        tracemalloc.stop()
+    refeeds = [(n, size) for name, n, size in held if name == "advance"]
+    assert max(n for n, _ in refeeds) > 2048
+    assert all(size < 512 for _, size in refeeds), refeeds
 
 
 def test_build_prefix_reaches_level_one(two_level):

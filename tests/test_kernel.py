@@ -17,7 +17,7 @@ from lz78lab import kernel, parsing
 from lz78lab.cli import main
 from lz78lab.errors import ParameterError
 
-from conftest import KERNEL_LOADED, PARSERS, parser_mode
+from conftest import KERNEL, KERNEL_LOADED, PARSERS, parser_mode
 
 CATASTROPHE_K8 = ["catastrophe", "--k", "8", "--format", "json"]
 
@@ -165,43 +165,72 @@ def test_an_unwritable_package_caches_in_a_private_temp_folder(tmp_path, monkeyp
 
 def test_a_library_without_the_rule_2_check_loads_as_none(cache, tmp_path, monkeypatch,
                                                           capfd):
-    """A kernel source from before lz78_first_mismatch builds, but its library
-    is not used: certify would have no compiled check to call."""
+    """A kernel source from before lz78_certify builds, but its library is
+    not used: certify would have no compiled rule loop to call."""
     if kernel.compiler() is None:
         pytest.skip("no C compiler")
     source = kernel.SOURCE.read_bytes()
     old = tmp_path / "_kernel.c"
-    old.write_bytes(source[:source.index(b"/* Rule 2 of certify")])
+    old.write_bytes(source[:source.index(b"/* The rules of certify")])
     monkeypatch.setattr(kernel, "SOURCE", old)
     assert kernel.load() is None
     assert [p.name for p in cache.iterdir()] == [kernel.library_name(old.read_bytes())]
     assert capfd.readouterr() == ("", "")
 
 
-@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
-def test_first_mismatch_compares_each_block_minus_its_last_letter():
-    def first_mismatch(data, limit):
-        return parsing._KERNEL.lz78_first_mismatch(
-            data, len(data), starts.ctypes.data, preds.ctypes.data, len(starts), limit)
+def rule_codes(data, starts, preds):
+    """The code of certify's rule loop for a claim, from every form: the
+    kernel's lz78_certify, when it loaded, and parsing._certify_py."""
+    s, q = (np.array(c, dtype=np.int64) for c in (starts, preds))
+    count = len(s)
+    codes = [parsing._certify_py(data, len(data), memoryview(s), memoryview(q), count,
+                                 bytearray(2 * count))]
+    if KERNEL_LOADED:
+        seen = np.zeros(2 * count, dtype=np.uint8)
+        codes.append(KERNEL.lz78_certify(data, len(data), s.ctypes.data, q.ctypes.data,
+                                         count, seen.ctypes.data))
+    return codes
 
+
+def test_certify_rule_loop_gives_the_same_code_in_both_forms():
+    """4 i + rule for the first block i, in word order, that breaks a rule,
+    else 4 count; rule 3 at the last block is the trailing duplicate."""
     # 0|1|00|01|10|000|11
     data = b"0100011000011"
-    starts = np.array([0, 1, 2, 4, 6, 8, 11], dtype=np.int64)
-    preds = np.array([-1, -1, 0, 0, 1, 2, 1], dtype=np.int64)
-    assert parsing.parse(data).starts == starts.tolist()
-    assert parsing.parse(data).preds == preds.tolist()
-    assert first_mismatch(data, 7) == 7
-    assert first_mismatch(data, 3) == 3
-    # the head of block 2, whose pred is block 0
-    assert first_mismatch(b"0110011000011", 7) == 2
-    # the last letter of block 5's head, and of the last block's
-    assert first_mismatch(b"0100011001011", 7) == 5
-    assert first_mismatch(b"0100011000001", 7) == 6
-    # the last letter of block 2: block 5, which extends it, differs first
-    assert first_mismatch(b"0101011000011", 7) == 5
-    assert first_mismatch(b"0101011000011", 5) == 5
-    # the first of two mismatches
-    assert first_mismatch(b"0110011001011", 7) == 2
+    starts, preds = [0, 1, 2, 4, 6, 8, 11], [-1, -1, 0, 0, 1, 2, 1]
+    assert (parsing.parse(data).starts, parsing.parse(data).preds) == (starts, preds)
+    dup = parsing.parse(b"0001010100011")
+    assert dup.last_is_duplicate and dup.block_count == 7
+    table = [
+        (data, starts, preds, 4 * 7),                          # the parse
+        (b"", [], [], 0),                                       # the empty parse
+        (dup.data, dup.starts, dup.preds, 4 * 6 + 3),           # its last block repeats
+        # rule 1: block 0 not at 0, an empty block, a block past the word (which
+        # breaks rule 2 as well), a last block at the word's end
+        (data, [1, 1, 2, 4, 6, 8, 11], preds, 4 * 0 + 1),
+        (data, [0, 1, 1, 4, 6, 8, 11], preds, 4 * 1 + 1),
+        (data, [0, 1, 2, 4, 6, 8, 14], preds, 4 * 5 + 1),
+        (data[:11], starts, preds, 4 * 6 + 1),
+        # rule 2: a pred that is not -1 or earlier, a wrong length, and the
+        # letters: block 2's head (pred 0), block 5's last head letter, block 6's
+        (data, starts, [-1, -1, 0, 3, 1, 2, 1], 4 * 3 + 2),
+        (data, starts, [-1, -1, 0, -2, 1, 2, 1], 4 * 3 + 2),
+        (data, starts, [-1, -1, 0, 100, 1, 2, 1], 4 * 3 + 2),
+        (data, starts, [-1, -5, 0, 0, 1, 2, 1], 4 * 1 + 2),   # a one-letter block
+        (data, starts, [-1, -1, 0, 0, -1, 2, 1], 4 * 4 + 2),
+        (data, starts, [-1, -1, 0, 0, 1, 0, 1], 4 * 5 + 2),
+        (b"0110011000011", starts, preds, 4 * 2 + 2),
+        (b"0100011001011", starts, preds, 4 * 5 + 2),
+        (b"0100011000001", starts, preds, 4 * 6 + 2),
+        (b"0110011001011", starts, preds, 4 * 2 + 2),          # the first of two
+        # rule 3: "0" twice, though a later block is empty; block 2's last
+        # letter flipped makes it block 3, before block 5's head differs
+        (b"0001", [0, 1, 2], [-1, -1, 1], 4 * 1 + 3),
+        (b"0101011000011", starts, preds, 4 * 3 + 3),
+        (b"00011", [0, 1, 2, 4, 4], [-1, -1, 1, -1, -1], 4 * 1 + 3),
+    ]
+    for data, starts, preds, code in table:
+        assert rule_codes(data, starts, preds) == [code] * len(PARSERS), (data, starts)
 
 
 def test_node_ids_past_int32_raise_a_clear_error(monkeypatch):

@@ -145,9 +145,9 @@ def test_block_count_length_bound_exhaustive():
 
 # --- the parse certificate: it must accept the parse and reject any other ---
 
-# certify compares rule 2's letters with the kernel's lz78_first_mismatch when
-# the kernel is loaded, else with a Python loop, its oracle; every certify test
-# below runs both forms, the modes of conftest.PARSERS, through certify_both
+# certify runs its rules as the kernel's lz78_certify when the kernel is
+# loaded, else as parsing._certify_py, its oracle; every certify test below
+# runs both forms, the modes of conftest.PARSERS, through certify_both
 
 
 def certify_in(form, data, starts, preds, dup):
@@ -317,6 +317,32 @@ def test_certify_rejects_a_first_block_not_at_zero(claimed_words):
     certify_fails(b"01", [], [], False)
     certify_fails(b"01", [0, 1], [-1], False)
     certify_fails(b"", [0], [-1], False)
+
+
+def test_certify_names_the_first_faulty_block_in_word_order():
+    # block 1 repeats block 0 and block 3 is empty: block 1 is named
+    err = certify_fails(b"00011", [0, 1, 2, 4, 4], [-1, -1, 1, -1, -1], False)
+    assert str(err) == "block 1 of the claimed parse repeats an earlier block"
+    assert err.diagnostics == {"block": 1, "start": 1}
+    # block 1 ends past the word, and block 2 after it is empty
+    err = certify_fails(b"0001", [0, 1, 5, 3], [-1, 0, -1, -1], False)
+    assert str(err) == "block 1 of the claimed parse is empty or ends past the word"
+    assert err.diagnostics == {"block": 1, "start": 1}
+
+
+def test_certify_allocates_under_4_bytes_a_block(mode):
+    # the claim is the finished parser's int64 memoryviews, read in place:
+    # beyond as_bits' scratch buffer of the letters, certify allocates only
+    # the rule-3 table, 2 bytes a block
+    cw = construct_toy(10)
+    count, n = cw.red.block_count, len(cw.red.data)
+    tracemalloc.start()
+    try:
+        assert cw.certified_red() == cw.red
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - n < 4 * count, f"{(peak - n) / count:.2f} bytes per block"
 
 
 def flip(data: bytes, at: int) -> bytes:
