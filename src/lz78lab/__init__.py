@@ -14,7 +14,7 @@ from .generators import (DeBruijnWord, de_bruijn, is_de_bruijn, occurrences,
 from .infinite import (Schedule, build_prefix, ratio_curve, schedule,
                        tail_separation)
 from .parsing import (LzCode, Parsing, StreamParser, TreeStats, comp_ratio,
-                      decode, encode, factor_census, parse, tree_stats)
+                      decode, dict_size, encode, factor_census, parse, tree_stats)
 from .toy import ToyReport, construct_toy, one_front_variant, verify_toy
 from .words import Word, pack_word, read_word_file, unpack_word, write_word_file
 
@@ -27,7 +27,7 @@ __all__ = [
     "Schedule", "Segment", "StreamParser", "ToyReport", "TreeStats",
     "ViolationTable", "Word", "align", "build_prefix", "check_p1", "check_p2",
     "comp_ratio", "construct_general", "construct_toy", "coverage_profile",
-    "de_bruijn", "decode", "derive_params", "encode", "factor_census",
+    "de_bruijn", "decode", "derive_params", "dict_size", "encode", "factor_census",
     "is_de_bruijn", "load_family", "occurrences", "one_front_variant",
     "pack_word", "parse", "pref", "pref_gt", "ratio_curve", "read_word_file",
     "sample_family", "save_family", "schedule", "star_census_ok",

@@ -20,7 +20,8 @@ from . import infinite as inf
 from .alignment import align, alignment_report
 from .errors import ConstructionError, MalformedCodeError, ParameterError, SamplingError
 from .generators import de_bruijn
-from .parsing import MAX_NODES, comp_ratio, encode, parse, ratio_from_counts, tree_stats
+from .parsing import (MAX_NODES, comp_ratio, dict_size, encode, parse, ratio_from_counts,
+                      tree_stats)
 from .toy import construct_toy, one_front_variant, verify_toy
 from .words import Word, random_word, read_word_file, write_word_file
 
@@ -126,7 +127,7 @@ def cmd_construct_general(args) -> int:
 def cmd_catastrophe(args) -> int:
     cw = construct_toy(args.k, gamma=args.gamma, seed=args.seed)
     report = verify_toy(cw)
-    dic_1w = parse(b"1" + cw.word.data).dict_size
+    dic_1w = dict_size(b"1", cw.word)   # fed in two pieces: 1w is never built
     front_bound = 3 * math.sqrt(len(cw.word) * report.dic_w)
     front_bound_ok = report.dic_aw <= front_bound
     obj = {

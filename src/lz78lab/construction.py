@@ -40,6 +40,9 @@ from .errors import ConstructionError
 from .parsing import Parsing, StreamParser, certify
 from .words import Word
 
+CENSUS_SLICE = 1 << 14            # red blocks a census places at once
+
+
 @dataclass
 class Segment:
     kind: str                     # regular | gadget | padding
@@ -129,19 +132,40 @@ def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
     head = list(green.starts[:units + 1])
     units_ok = head == bounds[:max(len(head), units)].tolist()
 
-    red_starts = np.asarray(red.starts, dtype=np.int64)
-    red_ends = np.append(red_starts[1:], len(red.data))
-    index, offset, inside = locate(bounds[:-1], len(cw.word), red_starts, red_ends)
-    # a red block belongs to the chain of the segment holding its first
-    # letter; aw's first block lies before every segment, the padding in none
-    chain = np.where(index >= 0,
-                     np.array([seg.chain for seg in cw.segments])[index], -1)
-    hit = inside & (regular[index] >= 0)
-    per_chain = np.bincount(chain[chain >= 0], minlength=len(cw.chains))
-    counts = {c.index: offset_counts(offset[hit & (chain == c.index)])
+    # the red blocks are placed CENSUS_SLICE at a time, so the temporaries do
+    # not grow with them; each slice's hits are counted by the key chain *
+    # width + offset, and the counts added up
+    segment_chain = np.array([seg.chain for seg in cw.segments])
+    width = len(cw.word) + 1            # above every offset
+    per_chain = np.zeros(len(cw.chains), dtype=np.int64)
+    keys, tally = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for edges in _edge_slices(red.starts, [len(red.data)]):
+        index, offset, inside = locate(bounds[:-1], len(cw.word), edges[:-1], edges[1:])
+        # a red block belongs to the chain of the segment holding its first
+        # letter; aw's first block lies before every segment, the padding in none
+        chain = np.where(index >= 0, segment_chain[index], -1)
+        per_chain += np.bincount(chain[chain >= 0], minlength=len(cw.chains))
+        hit = inside & (regular[index] >= 0)
+        keys, tally = _add_counts(keys, tally, chain[hit] * width + offset[hit])
+    hit_chain, hit_offset = np.divmod(keys, width)
+    cut = np.searchsorted(hit_chain, np.arange(len(cw.chains) + 1)).tolist()
+    counts = {c.index: dict(zip(hit_offset[cut[c.index]:cut[c.index + 1]].tolist(),
+                                tally[cut[c.index]:cut[c.index + 1]].tolist()))
               for c in cw.chains}
     chain_red = {c.index: int(per_chain[c.index]) for c in cw.chains}
     return units_ok, counts, chain_red
+
+
+def _add_counts(keys, tally, values):
+    """The ascending distinct ``keys`` and their counts ``tally``, with the
+    occurrences of ``values`` added."""
+    found, count = np.unique(values, return_counts=True)
+    at = np.searchsorted(keys, found)
+    known = at < len(keys)
+    known[known] = keys[at[known]] == found[known]
+    tally[at[known]] += count[known]
+    new = ~known
+    return np.insert(keys, at[new], found[new]), np.insert(tally, at[new], count[new])
 
 
 def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
@@ -172,17 +196,17 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     seg_lo = len(segments)
     segments.extend(Segment(REGULAR, q + 1 + t, chain_index, reg_index=t)
                     for t in range(s))
-    letters = b"".join(x[:q + 1 + t] for t in range(s))
-    first_new = parser.feed(letters)
-    tape += letters
-    del letters                     # the tape holds them now
+    for t in range(s):
+        tape += x[:q + 1 + t]
+    # a view, so only feed copies the letters, a slice at a time
+    first_new = parser.feed(memoryview(tape)[parser.position:])
 
     bounds, regular = _layout(segments[seg_lo:], chain_start)
-    regs, offsets = _census(parser, bounds, regular, first_new, include_tail)
+    regs, offsets = _census(parser, bounds, regular, first_new, include_tail, window)
     record = ChainRecord(index=chain_index, source=source, q=q, regular_count=s,
                          chosen_i=None, gadget_count=0, final_d=None,
                          start=chain_start, length=len(tape) - 1 - chain_start,
-                         initial_violations=offset_counts(offsets[offsets <= window]))
+                         initial_violations=offset_counts(offsets))
 
     hot = [i for i, v in record.initial_violations.items() if 2 * v > s]
     if not hot:
@@ -201,7 +225,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         # a view, so only feed copies the letters; it is gone before the tape grows
         first = parser.feed(memoryview(tape)[parser.position:end])
         regs, offsets = _census(parser, bounds, regular, first,
-                                include_tail and parser.position == len(tape))
+                                include_tail and parser.position == len(tape), window)
         return regs[offsets == i0].tolist()
 
     d = s // 2 + 1
@@ -234,7 +258,8 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         if scratch:
             parser.reset()
             parser.feed(tape)
-            regs, offsets = _census(parser, bounds, regular, first_new, include_tail)
+            regs, offsets = _census(parser, bounds, regular, first_new, include_tail,
+                                    window)
             violated = regs[offsets == i0].tolist()
             continue
 
@@ -271,16 +296,36 @@ def _layout(segments: list[Segment], start: int = 0):
 
 
 def _census(parser: StreamParser, bounds, regular, from_block: int,
-            include_tail: bool):
+            include_tail: bool, window: int):
     """The red blocks from ``from_block`` on that lie inside one regular block
-    of the chain laid out by :func:`_layout`, with the in-progress block when
-    ``include_tail``.  Returns their regular indices and offsets, in word
-    order."""
+    of the chain laid out by :func:`_layout`, at an offset up to ``window``,
+    with the in-progress block when ``include_tail``.  Returns their regular
+    indices and offsets, in word order."""
     tail = [parser.block_start]
     if include_tail and parser.in_progress():
         tail.append(parser.position)
-    blocks = np.append(parser.starts[from_block:], tail)
-    index, offset, inside = locate(bounds[:-1], int(bounds[-1]), blocks[:-1], blocks[1:])
-    reg = regular[index]
-    hit = inside & (reg >= 0)
-    return reg[hit], offset[hit]
+    regs, offsets = [], []
+    for edges in _edge_slices(parser.starts[from_block:], tail):
+        index, offset, inside = locate(bounds[:-1], int(bounds[-1]), edges[:-1], edges[1:])
+        reg = regular[index]
+        hit = inside & (reg >= 0) & (offset <= window)
+        regs.append(reg[hit])
+        offsets.append(offset[hit])
+    if len(regs) == 1:
+        return regs[0], offsets[0]
+    return np.concatenate(regs), np.concatenate(offsets)
+
+
+def _edge_slices(starts, tail):
+    """The blocks that ``starts`` begin, the ``tail`` of positions after them
+    closing the last ones, as int64 arrays of their edges, CENSUS_SLICE
+    blocks at most: each slice ends on the edge that begins the next.  There
+    is always a slice, without a block when there is no block."""
+    n = len(starts)
+    last = n + len(tail) - 1           # the index of the last edge
+    for lo in range(0, max(last, 1), CENSUS_SLICE):
+        hi = min(lo + CENSUS_SLICE, last)
+        edges = np.asarray(starts[lo:hi + 1], dtype=np.int64)
+        if hi >= n:
+            edges = np.append(edges, tail[max(lo - n, 0):hi + 1 - n])
+        yield edges

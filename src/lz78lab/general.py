@@ -314,7 +314,7 @@ def verify_general(cw: ConstructedWord) -> GeneralReport:
     (``cw.certified_red``) instead of parsed again, their
     :func:`~lz78lab.construction.front_census`, and all the per-chain checks."""
     params: Params = cw.meta["params"]
-    green = parse(cw.word.data)
+    green = parse(cw.word)           # a Word's letters were checked when it was made
     red = cw.certified_red()
     sync_ok, counts, chain_red = front_census(cw, green, red)
     cap = params.l / 2 + 2 * params.m + 1 + 2 * params.k * math.sqrt(params.l)

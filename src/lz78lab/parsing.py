@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kernel
 from .errors import ConstructionError, MalformedCodeError, ParameterError
-from .words import Word, as_bits
+from .words import SLICE, Word, as_bits
 
 
 _KERNEL = kernel.load()
@@ -117,20 +117,27 @@ class StreamParser:
     def feed(self, data) -> int:
         """Consume letters; returns the index of the first newly completed block.
 
-        ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``.
+        ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``: ``bytes``
+        are read in place, and any other buffer (a ``bytearray`` tape, a
+        ``memoryview`` of one) is copied ``words.SLICE`` letters at a time.
         """
         first_new = self._state.nodes - 1
-        if type(data) is not bytes:
-            data = bytes(data)
         if _KERNEL is not None:
             feed, ref = _KERNEL.lz78_feed, self._ref
         else:
             feed, ref = _feed_py, self
-        n = len(data)
-        i = feed(ref, data, 0, n)
-        while i < n:
-            self._grow()
-            i = feed(ref, data, i, n)
+        if type(data) is bytes:
+            pieces = (data,)
+        else:
+            view = memoryview(data)
+            pieces = (bytes(view[lo:lo + SLICE]) for lo in range(0, len(view), SLICE))
+        for piece in pieces:
+            n = len(piece)
+            i = feed(ref, piece, 0, n)
+            while i < n:
+                self._grow()
+                i = feed(ref, piece, i, n)
+            del piece                  # before the next slice is copied
         return first_new
 
     def _grow(self) -> None:
@@ -435,13 +442,23 @@ def decode(code: LzCode) -> Word:
     return Word(b"".join(blocks))
 
 
+def dict_size(*pieces) -> int:
+    """The dictionary size of the parse of the pieces' concatenation, each
+    piece a Word / str / bytes as :func:`parse` takes.  They are fed to one
+    parser in turn, so the concatenation is never built: the front-lettered
+    ``dict_size(b"1", w)`` holds no copy of w."""
+    sp = StreamParser()
+    for piece in pieces:
+        sp.feed(as_bits(piece))
+    return sp._state.nodes - 1         # the completed blocks; a trailing duplicate is not new
+
+
 def comp_ratio(w) -> float:
     """Compression ratio k*log2(k)/|w| with k the dictionary size."""
     data = as_bits(w)
     if not data:
         raise ParameterError("compression ratio is undefined for the empty word")
-    k = parse(data).dict_size
-    return ratio_from_counts(k, len(data))
+    return ratio_from_counts(dict_size(data), len(data))
 
 
 def ratio_from_counts(dict_size: int, length: int) -> float:

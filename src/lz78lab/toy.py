@@ -107,7 +107,7 @@ def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
     if len(front) != 1:
         raise ParameterError("front must be a single letter")
     data = cw.word.data
-    green = parse(data)
+    green = parse(cw.word)           # a Word's letters were checked when it was made
     red = cw.certified_red() if front == b"0" else parse(front + data)
     units_ok, counts, _ = front_census(cw, green, red)
 

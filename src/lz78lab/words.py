@@ -18,8 +18,16 @@ from .errors import ParameterError
 PACKED_MAGIC = b"LZCW"
 
 
+SLICE = 1 << 14                    # letters a pass over a whole word copies at once
+
+
 def as_bits(w) -> bytes:
-    """Coerce a Word / str / bytes into validated ASCII '0'/'1' bytes."""
+    """Coerce a Word / str / bytes into validated ASCII '0'/'1' bytes.
+
+    ``bytes`` come back as they are, not copied.  The letters are checked
+    SLICE at a time, so the check allocates two buffers of at most SLICE
+    bytes, whatever the word's length; a word that fits in one is checked in
+    place, by one ``translate``."""
     if isinstance(w, Word):
         return w.data
     if isinstance(w, str):
@@ -29,10 +37,15 @@ def as_bits(w) -> bytes:
         data = bytes(w)
     else:
         raise TypeError(f"cannot interpret {type(w).__name__} as a binary word")
-    if data.translate(None, b"01"):
-        bad = next(i for i, ch in enumerate(data) if ch not in b"01")
-        letter = w[bad] if isinstance(w, str) else chr(data[bad])
-        raise ParameterError(f"invalid letter at offset {bad}: {letter!r}")
+    if len(data) > SLICE or data.translate(None, b"01"):
+        for lo in range(0, len(data), SLICE):
+            piece = data[lo:lo + SLICE]
+            if rest := piece.translate(None, b"01"):
+                # the first letter left is the first bad one, and no earlier
+                # copy of it is in the piece
+                bad = lo + piece.index(rest[0])
+                letter = w[bad] if isinstance(w, str) else chr(data[bad])
+                raise ParameterError(f"invalid letter at offset {bad}: {letter!r}")
     return data
 
 

@@ -7,6 +7,7 @@ from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
                      load_family, parse, pref_gt, sample_family, save_family,
                      verify_general)
 from lz78lab.alignment import GADGET, PADDING, REGULAR
+from lz78lab import construction
 from lz78lab.construction import front_census
 import lz78lab.general as general_mod
 from lz78lab.infinite import build_prefix, schedule_for_budget
@@ -303,6 +304,22 @@ def test_scratch_oracle_matches_checkpoint_on_later_offset_0_chains():
     assert [(c.chosen_i, c.resync_word) for c in cw.chains[8:10]] == [
         (0, b"110"), (0, b"0001")]
     _assert_same_build(cw, construct_general(params, family, reparse="scratch"))
+
+
+def test_censuses_add_up_over_slices_spanning_chains(monkeypatch):
+    # with census slices of a few red blocks, slices end inside chains and
+    # gadgets and span chain bounds; the builds and the per-chain counts
+    # added up over them are those of one slice
+    params = derive_params(1 << 16, 64)
+    family = sample_family(params, seed=0)
+    want = construct_general(params, family)
+    want_census = front_census(want, parse(want.word), want.red)
+    assert len(want.chains) > 8 and sum(c.gadget_count for c in want.chains) > 0
+    monkeypatch.setattr(construction, "CENSUS_SLICE", 5)
+    got = construct_general(params, family)
+    _assert_same_build(want, got)
+    assert front_census(got, parse(got.word), got.red) == want_census
+    assert verify_general(got) == verify_general(want)
 
 
 @pytest.fixture

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterError,
-                     Word, comp_ratio, construct_toy, decode, encode, factor_census,
-                     parse, pref, tree_stats)
+                     Word, comp_ratio, construct_toy, decode, dict_size, encode,
+                     factor_census, parse, parsing, pref, tree_stats)
 from lz78lab.parsing import FIRST_NODES, StreamParser, certify, ratio_from_counts
-from lz78lab.words import as_bits, random_word
+from lz78lab.words import SLICE, as_bits, random_word
 
 from conftest import KERNEL_LOADED, PARSERS, fuzz_word, parser_mode
 from oracles import naive_factor_census, naive_parse
@@ -100,10 +100,10 @@ def test_parse_holds_the_callers_letters(mode):
 
 @pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
 def test_parse_peak_memory_per_letter():
-    # the parse keeps the caller's letters: its peak is the letter check's
-    # transient in as_bits (about 1.0 byte a letter), then only the parser's
-    # block arrays and the block lists (about 0.1); a copy of the letters
-    # taken before the check would make it above 2
+    # the parse keeps the caller's letters, and as_bits checks them a slice
+    # at a time: the peak is the parser's block arrays and the block lists
+    # for the 1,034 blocks of this 1w (about 0.2 bytes a letter), where a
+    # check of the whole word at once made it above 1
     data = b"1" + construct_toy(10).word.data
     tracemalloc.start()
     try:
@@ -111,25 +111,81 @@ def test_parse_peak_memory_per_letter():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * len(data), f"{peak / len(data):.2f} bytes per letter"
+    assert peak <= 0.25 * len(data), f"{peak / len(data):.2f} bytes per letter"
     assert p.data is data
 
 
 def test_a_feed_keeps_no_copy_of_the_letters(mode):
     # the letters stay with the caller: a feed only walks the trie, so all it
     # allocates is the parser's doubled arrays, 24 bytes a node for the 1,034
-    # blocks of this 1w (0.09 bytes a letter); a copy of the letters would
-    # add 1.0 byte a letter
+    # blocks of this 1w (0.09 bytes a letter), and for a buffer that is not
+    # bytes one copied slice of SLICE letters at a time; a copy of the
+    # letters would add 1.0 byte a letter
     data = b"1" + construct_toy(10).word.data
-    sp = StreamParser()
-    tracemalloc.start()
-    try:
-        sp.feed(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.1 * len(data), f"{peak / len(data):.3f} bytes per letter"
-    assert sp.position == len(data)
+    for letters, scratch in ((data, 0), (bytearray(data), SLICE),
+                             (memoryview(bytearray(data)), SLICE)):
+        sp = StreamParser()
+        tracemalloc.start()
+        try:
+            sp.feed(letters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - scratch < 0.1 * len(data), \
+            f"{type(letters).__name__}: {(peak - scratch) / len(data):.3f} bytes per letter"
+        assert sp.position == len(data)
+
+
+def test_a_feed_in_slices_keeps_its_blocks(mode):
+    # a buffer that is not bytes is fed a slice at a time; blocks that span
+    # slices, and the arrays doubling mid-slice, give the parse of the bytes
+    data = b"1" + construct_toy(7).word.data
+    want = parse(data)
+    for letters in (bytearray(data), memoryview(bytearray(data))[:]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parsing, "SLICE", 7)
+            sp = StreamParser()
+            assert sp.feed(letters) == 0
+        assert sp.position == len(data)
+        got = sp.finish(letters)
+        assert (got.data, list(got.starts), list(got.preds), got.last_is_duplicate) == (
+            want.data, want.starts, want.preds, want.last_is_duplicate)
+
+
+@pytest.mark.parametrize("at", [0, 4_000_000 - 3, 5 * SLICE - 1, 5 * SLICE])
+def test_a_bad_letter_deep_in_a_long_word_is_named_at_its_offset(at):
+    # the letters are checked a slice at a time, and the offset is found
+    # inside the slice that fails, also at the slice bounds; another bad
+    # letter and a repeat of the first one after it leave the offset as it was
+    word = bytearray(b"01" * 2_000_000)
+    word[at] = ord("2")
+    word[at + 1:at + 2] = b"x"
+    if at + 2 < len(word):
+        word[at + 2] = ord("2")
+    for w in (bytes(word), bytearray(word), word.decode("ascii")):
+        with pytest.raises(ParameterError) as err:
+            as_bits(w)
+        assert str(err.value) == f"invalid letter at offset {at}: '2'"
+    with pytest.raises(ParameterError, match=f"^invalid letter at offset {at + 1}: 'é'$"):
+        as_bits(word.decode("ascii")[:at] + "0é" + "1" * 9)
+    assert as_bits(b"01" * 2_000_000) == b"01" * 2_000_000
+
+
+@pytest.mark.parametrize("front", [b"0", b"1"])
+def test_dict_size_feeds_the_pieces_in_turn(mode, front):
+    # dict_size(a, w) is the dictionary size of the parse of aw, also for the
+    # empty word and for words whose blocks grow the trie past its first
+    # arrays, while a and w are fed in turn and aw is never built
+    toy = construct_toy(8).word
+    for w in (b"", b"0", b"1", "0110", Word(b"0001010100011"), toy,
+              random_word([3], 5 * FIRST_NODES), b"01" * (3 * FIRST_NODES)):
+        data = as_bits(w)
+        assert dict_size(front, w) == parse(front + data).dict_size
+        assert dict_size(w) == parse(data).dict_size
+    assert dict_size() == dict_size(b"") == 0
+    assert dict_size(b"00", b"0", b"1", b"1") == parse(b"00011").dict_size == 3
+    with pytest.raises(ParameterError, match="offset 1"):
+        dict_size(front, "0a")
 
 
 def test_block_count_length_bound_exhaustive():
@@ -331,18 +387,19 @@ def test_certify_names_the_first_faulty_block_in_word_order():
 
 
 def test_certify_allocates_under_4_bytes_a_block(mode):
-    # the claim is the finished parser's int64 memoryviews, read in place:
-    # beyond as_bits' scratch buffer of the letters, certify allocates only
-    # the rule-3 table, 2 bytes a block
+    # the claim is the finished parser's int64 memoryviews, read in place, and
+    # as_bits checks the letters a slice at a time: certify allocates only
+    # the rule-3 table, 2 bytes a block, where a check of the whole word at
+    # once added 1 byte a letter
     cw = construct_toy(10)
-    count, n = cw.red.block_count, len(cw.red.data)
+    count = cw.red.block_count
     tracemalloc.start()
     try:
         assert cw.certified_red() == cw.red
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - n < 4 * count, f"{(peak - n) / count:.2f} bytes per block"
+    assert peak < 4 * count, f"{peak / count:.2f} bytes per block"
 
 
 def flip(data: bytes, at: int) -> bytes:

@@ -1,12 +1,15 @@
+import tracemalloc
+from array import array
 from functools import partial
 
 import numpy as np
 import pytest
 
-from lz78lab import (ParameterError, Word, one_front_variant, parse, pref,
+from lz78lab import (ParameterError, Word, construction, one_front_variant, parse, pref,
                      tree_stats, verify_toy)
 from lz78lab.alignment import GADGET, REGULAR
-from lz78lab.construction import front_census
+from lz78lab.construction import ConstructedWord, _edge_slices, build_chain, front_census
+from lz78lab.parsing import StreamParser
 from lz78lab.toy import _toy_gadget, construct_from_base, construct_toy
 
 from conftest import assert_is_parse_of_0w, assert_segments_tile
@@ -165,6 +168,74 @@ def test_front_census_counts_regular_segments_only(length, seed, k):
     assert in_gadget > 0
     _, counts, _ = front_census(cw, parse(cw.word.data), parse(b"0" + cw.word.data))
     assert counts[0] == {i: len(g) for i, g in violated.items()}
+
+
+def test_edge_slices_cover_every_block_once(monkeypatch):
+    monkeypatch.setattr(construction, "CENSUS_SLICE", 3)
+    for n in range(10):
+        starts = list(range(0, 10 * n, 10))
+        for tail in ([10 * n], [10 * n, 10 * n + 4]):
+            for given in (starts, memoryview(array("q", starts))):
+                slices = list(_edge_slices(given, tail))
+                assert slices and all(len(edges) <= 4 for edges in slices)
+                assert all(a[-1] == b[0] for a, b in zip(slices, slices[1:]))
+                edges = [int(e) for edges in slices for e in edges[1:]]
+                assert [int(slices[0][0])] + edges == starts + tail
+
+
+@pytest.mark.parametrize("census_slice", [1, 2, 7])
+def test_censuses_add_up_over_slices_of_blocks(monkeypatch, census_slice):
+    # the gadget loop's census and front_census place the red blocks a slice
+    # at a time: with slices of a few blocks, the counts added up over the
+    # slices are those of one slice, for the checkpoint and scratch loops,
+    # chaos gadgets and red blocks inside gadgets included
+    def builds():
+        for length, seed, k in ((90, 2, 6), (200, 11, 7), (150, 9, 7)):
+            for scratch in (False, True):
+                yield construct_from_base(_forced_base(length, seed), 3.0, scratch,
+                                          meta={"k": k})
+        for seed in range(4):
+            parser, tape = StreamParser(), bytearray(b"0")
+            parser.feed(tape)
+            record = build_chain(parser, tape, [], 0, _forced_base(70, seed), 0,
+                                 window=12, gadgets=_chaos_gadgets(seed),
+                                 include_tail=True)
+            yield bytes(tape), record
+
+    def censuses(built):
+        return [front_census(cw, parse(cw.word), parse(front + cw.word.data))
+                for cw in built if isinstance(cw, ConstructedWord)
+                for front in (b"0", b"1")]
+
+    want = list(builds())
+    assert sum(cw.chains[0].gadget_count for cw in want[:6]) > 0
+    monkeypatch.setattr(construction, "CENSUS_SLICE", census_slice)
+    got = list(builds())
+    for a, b in zip(got, want):
+        if isinstance(a, ConstructedWord):
+            assert (a.word, a.segments, a.chains) == (b.word, b.segments, b.chains)
+            assert_is_parse_of_0w(a.red, b.word.data)
+        else:
+            assert a == b
+    assert censuses(got) == censuses(want)
+
+
+def test_front_census_scratch_does_not_grow_with_the_blocks(toy12):
+    # front_census places the red blocks CENSUS_SLICE at a time, so its
+    # numpy temporaries are sized by a slice and by the 4,107 segments, about
+    # 1.4 MB for the 208,682 red blocks of the k = 12 toy word; placing them
+    # all at once took 52 bytes a block, 10.9 MB
+    cw = toy12["cw"]
+    green, red = parse(cw.word), cw.red
+    assert red.block_count > 12 * construction.CENSUS_SLICE
+    tracemalloc.start()
+    try:
+        units_ok, counts, _ = front_census(cw, green, red)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert units_ok and counts[0]
+    assert peak < 2 * 2 ** 20, f"{peak / 2 ** 20:.2f} MB"
 
 
 def _chaos_gadgets(seed):
