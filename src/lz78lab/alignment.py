@@ -7,9 +7,9 @@ or more green blocks, or an offset-i block contained in one green block.
 :func:`locate` answers "which green block holds this red block, and at what
 offset?" for a whole run of red blocks at once.  The classification and the
 violation table here use it over a plain parsing of w; ``construction`` uses
-it for the gadget loop's census and for :func:`~lz78lab.construction.front_census`,
-the one census of a constructed word, whose green blocks are its segments and
-which both verifiers read.
+it in its one census of the red blocks inside the segments of a constructed
+word, which the gadget loop and :func:`~lz78lab.construction.front_census`,
+read by both verifiers, share.
 """
 
 from __future__ import annotations

@@ -20,17 +20,20 @@ Every position in a constructed word comes from one place, :func:`_layout`,
 which turns a run of segments (a whole word or one chain) into its segment
 bounds and regular indices; the gadget loop, the verifiers' census, the
 chained construction's green words and the infinite construction's cut all
-read it.  :func:`front_census` is the one census of a finished word: both
-verifiers, ``toy.one_front_variant`` and ``general.verify_general``, take the
-unit check and the per-chain violation counts from it.  Its parse of 0w is
-the construction's own: :meth:`ConstructedWord.from_parser` hands the
-parser's blocks over the tape's letters as ``ConstructedWord.red``, and the
-verifiers certify them against the LZ'78 definition
-(:func:`~lz78lab.parsing.certify`) instead of parsing 0w again.
+read it.  :func:`_census` is the one count of the red blocks inside a
+regular, a slice of blocks at a time: the gadget loop reads it over the
+parser's blocks, and :func:`front_census`, the census of a finished word that
+both verifiers (``toy.one_front_variant``, ``general.verify_general``) read,
+over the block starts of a parse of aw.  Their parse of 0w is the
+construction's own: :meth:`ConstructedWord.from_parser` hands the parser's
+blocks over the tape's letters as ``ConstructedWord.red``, and the verifiers
+certify them against the LZ'78 definition (:func:`~lz78lab.parsing.certify`)
+instead of parsing 0w again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,12 +119,13 @@ class ConstructedWord:
                         if r >= 0)
 
 
-def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
-    """The one census of a constructed word w, over the parsings of w (green)
-    and of aw (red), which both verifiers read.  Returns whether the green
-    parse follows the segments, the offset-i violations per chain, {chain:
-    {offset: count}}, counting the red blocks that lie inside one regular
-    segment, and the red blocks per chain.
+def front_census(cw: ConstructedWord, green: Parsing, red_starts):
+    """The one census of a constructed word w, over the parsing of w (green)
+    and the block starts ``red_starts`` of a parsing of aw, which both
+    verifiers read.  Returns whether the green parse follows the segments,
+    the offset-i violations per chain, {chain: {offset: count}}, counting the
+    red blocks that lie inside one regular segment, and the red blocks per
+    chain, those whose first letter lies in the chain.
 
     The green parse follows the segments when it has one block per unit
     (regular or gadget) segment and any further blocks lie in the padding:
@@ -132,40 +136,23 @@ def front_census(cw: ConstructedWord, green: Parsing, red: Parsing):
     head = list(green.starts[:units + 1])
     units_ok = head == bounds[:max(len(head), units)].tolist()
 
-    # the red blocks are placed CENSUS_SLICE at a time, so the temporaries do
-    # not grow with them; each slice's hits are counted by the key chain *
-    # width + offset, and the counts added up
+    # one (chain, offset) tally, as wide as the longest regular segment: the
+    # offsets inside a regular are all below it, so the window drops none, and
+    # the padding, which may be far longer, sets no width
     segment_chain = np.array([seg.chain for seg in cw.segments])
-    width = len(cw.word) + 1            # above every offset
-    per_chain = np.zeros(len(cw.chains), dtype=np.int64)
-    keys, tally = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    for edges in _edge_slices(red.starts, [len(red.data)]):
-        index, offset, inside = locate(bounds[:-1], len(cw.word), edges[:-1], edges[1:])
-        # a red block belongs to the chain of the segment holding its first
-        # letter; aw's first block lies before every segment, the padding in none
-        chain = np.where(index >= 0, segment_chain[index], -1)
-        per_chain += np.bincount(chain[chain >= 0], minlength=len(cw.chains))
-        hit = inside & (regular[index] >= 0)
-        keys, tally = _add_counts(keys, tally, chain[hit] * width + offset[hit])
-    hit_chain, hit_offset = np.divmod(keys, width)
-    cut = np.searchsorted(hit_chain, np.arange(len(cw.chains) + 1)).tolist()
-    counts = {c.index: dict(zip(hit_offset[cut[c.index]:cut[c.index + 1]].tolist(),
-                                tally[cut[c.index]:cut[c.index + 1]].tolist()))
-              for c in cw.chains}
-    chain_red = {c.index: int(per_chain[c.index]) for c in cw.chains}
+    width = int(np.diff(bounds)[regular >= 0].max(initial=0))
+    tally = np.zeros(len(cw.chains) * width, dtype=np.int64)
+    for index, offset in _census(red_starts, [len(cw.word) + 1], bounds, regular, width):
+        np.add.at(tally, segment_chain[index] * width + offset, 1)
+    counts, chain_red = {}, {}
+    for c in cw.chains:
+        row = tally[c.index * width:(c.index + 1) * width]
+        hit = np.flatnonzero(row)
+        counts[c.index] = dict(zip(hit.tolist(), row[hit].tolist()))
+        # letter p of aw is letter p - 1 of w
+        chain_red[c.index] = (bisect_left(red_starts, c.start + c.length + 1)
+                              - bisect_left(red_starts, c.start + 1))
     return units_ok, counts, chain_red
-
-
-def _add_counts(keys, tally, values):
-    """The ascending distinct ``keys`` and their counts ``tally``, with the
-    occurrences of ``values`` added."""
-    found, count = np.unique(values, return_counts=True)
-    at = np.searchsorted(keys, found)
-    known = at < len(keys)
-    known[known] = keys[at[known]] == found[known]
-    tally[at[known]] += count[known]
-    new = ~known
-    return np.insert(keys, at[new], found[new]), np.insert(tally, at[new], count[new])
 
 
 def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
@@ -202,7 +189,19 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     first_new = parser.feed(memoryview(tape)[parser.position:])
 
     bounds, regular = _layout(segments[seg_lo:], chain_start)
-    regs, offsets = _census(parser, bounds, regular, first_new, include_tail, window)
+
+    def census(first: int, tail: bool):
+        """The regular indices and offsets of the red blocks from block
+        ``first`` on that lie inside one of the chain's regulars, at an
+        offset up to ``window``, with the in-progress block when ``tail``."""
+        ends = [parser.block_start]
+        if tail and parser.in_progress():
+            ends.append(parser.position)
+        index, offset = map(np.concatenate, zip(*_census(parser.starts[first:], ends,
+                                                         bounds, regular, window)))
+        return regular[index], offset
+
+    regs, offsets = census(first_new, include_tail)
     record = ChainRecord(index=chain_index, source=source, q=q, regular_count=s,
                          chosen_i=None, gadget_count=0, final_d=None,
                          start=chain_start, length=len(tape) - 1 - chain_start,
@@ -224,8 +223,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         the newly completed red blocks violate at i0."""
         # a view, so only feed copies the letters; it is gone before the tape grows
         first = parser.feed(memoryview(tape)[parser.position:end])
-        regs, offsets = _census(parser, bounds, regular, first,
-                                include_tail and parser.position == len(tape), window)
+        regs, offsets = census(first, include_tail and parser.position == len(tape))
         return regs[offsets == i0].tolist()
 
     d = s // 2 + 1
@@ -258,8 +256,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         if scratch:
             parser.reset()
             parser.feed(tape)
-            regs, offsets = _census(parser, bounds, regular, first_new, include_tail,
-                                    window)
+            regs, offsets = census(first_new, include_tail)
             violated = regs[offsets == i0].tolist()
             continue
 
@@ -295,25 +292,15 @@ def _layout(segments: list[Segment], start: int = 0):
     return bounds, regular
 
 
-def _census(parser: StreamParser, bounds, regular, from_block: int,
-            include_tail: bool, window: int):
-    """The red blocks from ``from_block`` on that lie inside one regular block
-    of the chain laid out by :func:`_layout`, at an offset up to ``window``,
-    with the in-progress block when ``include_tail``.  Returns their regular
-    indices and offsets, in word order."""
-    tail = [parser.block_start]
-    if include_tail and parser.in_progress():
-        tail.append(parser.position)
-    regs, offsets = [], []
-    for edges in _edge_slices(parser.starts[from_block:], tail):
+def _census(starts, tail, bounds, regular, window: int):
+    """The one census: for each slice of the red blocks that ``starts`` begin
+    and ``tail`` closes (:func:`_edge_slices`), the segment indices and
+    offsets of those that lie inside one regular segment of the run laid out
+    by :func:`_layout`, at an offset up to ``window``, in word order."""
+    for edges in _edge_slices(starts, tail):
         index, offset, inside = locate(bounds[:-1], int(bounds[-1]), edges[:-1], edges[1:])
-        reg = regular[index]
-        hit = inside & (reg >= 0) & (offset <= window)
-        regs.append(reg[hit])
-        offsets.append(offset[hit])
-    if len(regs) == 1:
-        return regs[0], offsets[0]
-    return np.concatenate(regs), np.concatenate(offsets)
+        hit = inside & (regular[index] >= 0) & (offset <= window)
+        yield index[hit], offset[hit]
 
 
 def _edge_slices(starts, tail):

@@ -316,7 +316,7 @@ def verify_general(cw: ConstructedWord) -> GeneralReport:
     params: Params = cw.meta["params"]
     green = parse(cw.word)           # a Word's letters were checked when it was made
     red = cw.certified_red()
-    sync_ok, counts, chain_red = front_census(cw, green, red)
+    sync_ok, counts, chain_red = front_census(cw, green, red.starts)
     cap = params.l / 2 + 2 * params.m + 1 + 2 * params.k * math.sqrt(params.l)
     caps_ok = True
     pairs_ok = True

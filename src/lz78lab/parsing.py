@@ -455,10 +455,10 @@ def dict_size(*pieces) -> int:
 
 def comp_ratio(w) -> float:
     """Compression ratio k*log2(k)/|w| with k the dictionary size."""
-    data = as_bits(w)
-    if not data:
+    w = Word(w)                        # the one check: dict_size takes a Word as it is
+    if not len(w):
         raise ParameterError("compression ratio is undefined for the empty word")
-    return ratio_from_counts(dict_size(data), len(data))
+    return ratio_from_counts(dict_size(w), len(w))
 
 
 def ratio_from_counts(dict_size: int, length: int) -> float:

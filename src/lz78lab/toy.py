@@ -13,6 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
+import numpy as np
+
 from .construction import ConstructedWord, Segment, build_chain, front_census
 from .errors import ParameterError
 from .generators import de_bruijn
@@ -101,15 +103,25 @@ def verify_toy(cw: ConstructedWord) -> ToyReport:
 
 def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
     """The verification report for the parse of ``a``+word: for the front 0,
-    the construction's own parse, certified; for 1, a fresh parse.  The
+    the construction's own parse, certified; for 1, a fresh parse, of the
+    front and then the word fed to one parser, so 1w is never built.  The
     chain's ``front_census`` counts at offsets up to the window."""
     front = as_bits(a)
     if len(front) != 1:
         raise ParameterError("front must be a single letter")
     data = cw.word.data
     green = parse(cw.word)           # a Word's letters were checked when it was made
-    red = cw.certified_red() if front == b"0" else parse(front + data)
-    units_ok, counts, _ = front_census(cw, green, red)
+    if front == b"0":
+        red = cw.certified_red()
+        red_starts, dic_aw = red.starts, red.dict_size
+    else:
+        sp = StreamParser()
+        sp.feed(front)
+        sp.feed(data)
+        # the completed blocks, then the in-progress one as a trailing duplicate
+        dic_aw = len(sp.starts)
+        red_starts = np.append(sp.starts, sp.block_start)[:dic_aw + sp.in_progress()]
+    units_ok, counts, _ = front_census(cw, green, red_starts)
 
     chain = cw.chains[0]
     s = chain.regular_count
@@ -128,11 +140,11 @@ def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
     n = len(data)
     return ToyReport(
         n=n, s=s, k=k, gamma=cw.gamma, front=front.decode(),
-        dic_w=green.dict_size, dic_aw=red.dict_size,
+        dic_w=green.dict_size, dic_aw=dic_aw,
         chosen_i=chain.chosen_i, gadget_count=chain.gadget_count,
         violations=violations,
         upper_bound_ok=green.dict_size <= 3 * math.sqrt(2 / 5) * math.sqrt(n),
         violations_ok=violations_ok,
-        front_ratio=red.dict_size / n ** 0.75,
+        front_ratio=dic_aw / n ** 0.75,
         green_units_ok=units_ok,
     )

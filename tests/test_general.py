@@ -131,7 +131,7 @@ def test_front_census_unit_check(small_build):
     assert cw.segments[-1].kind == PADDING and cw.segments[-1].length > 1
 
     def units_ok(starts):
-        return front_census(cw, dataclasses.replace(green, starts=starts), red)[0]
+        return front_census(cw, dataclasses.replace(green, starts=starts), red.starts)[0]
 
     assert units_ok(green.starts)
     assert units_ok(units)
@@ -265,7 +265,7 @@ def test_per_chain_violations_match_interval_oracle(small_build):
                 red_per_chain[c.index] += 1
         lo += len(block)
     _, counts, chain_red = front_census(cw, parse(cw.word.data),
-                                        parse(b"0" + cw.word.data))
+                                        parse(b"0" + cw.word.data).starts)
     assert counts == {c: {i: len(g) for i, g in per.items()}
                       for c, per in violated.items()}
     assert chain_red == red_per_chain
@@ -313,12 +313,12 @@ def test_censuses_add_up_over_slices_spanning_chains(monkeypatch):
     params = derive_params(1 << 16, 64)
     family = sample_family(params, seed=0)
     want = construct_general(params, family)
-    want_census = front_census(want, parse(want.word), want.red)
+    want_census = front_census(want, parse(want.word), want.red.starts)
     assert len(want.chains) > 8 and sum(c.gadget_count for c in want.chains) > 0
     monkeypatch.setattr(construction, "CENSUS_SLICE", 5)
     got = construct_general(params, family)
     _assert_same_build(want, got)
-    assert front_census(got, parse(got.word), got.red) == want_census
+    assert front_census(got, parse(got.word), got.red.starts) == want_census
     assert verify_general(got) == verify_general(want)
 
 

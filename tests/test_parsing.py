@@ -597,6 +597,8 @@ def test_comp_ratio_values():
     assert comp_ratio("0") == 0.0
     with pytest.raises(ParameterError):
         comp_ratio("")
+    with pytest.raises(ParameterError, match="offset 1"):
+        comp_ratio("0a1")
 
 
 def test_comp_ratio_of_prefix_word():

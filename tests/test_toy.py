@@ -5,11 +5,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lz78lab import (ParameterError, Word, construction, one_front_variant, parse, pref,
-                     tree_stats, verify_toy)
+from lz78lab import (ParameterError, Word, construct_general, construction, derive_params,
+                     one_front_variant, parse, pref, sample_family, tree_stats, verify_toy)
 from lz78lab.alignment import GADGET, REGULAR
 from lz78lab.construction import ConstructedWord, _edge_slices, build_chain, front_census
 from lz78lab.parsing import StreamParser
+from lz78lab import toy
 from lz78lab.toy import _toy_gadget, construct_from_base, construct_toy
 
 from conftest import assert_is_parse_of_0w, assert_segments_tile
@@ -166,7 +167,7 @@ def test_front_census_counts_regular_segments_only(length, seed, k):
         else:
             in_gadget += 1
     assert in_gadget > 0
-    _, counts, _ = front_census(cw, parse(cw.word.data), parse(b"0" + cw.word.data))
+    _, counts, _ = front_census(cw, parse(cw.word.data), parse(b"0" + cw.word.data).starts)
     assert counts[0] == {i: len(g) for i, g in violated.items()}
 
 
@@ -188,7 +189,8 @@ def test_censuses_add_up_over_slices_of_blocks(monkeypatch, census_slice):
     # the gadget loop's census and front_census place the red blocks a slice
     # at a time: with slices of a few blocks, the counts added up over the
     # slices are those of one slice, for the checkpoint and scratch loops,
-    # chaos gadgets and red blocks inside gadgets included
+    # chaos gadgets and red blocks inside gadgets included, and so are both
+    # fronts' reports, the parse of 1w fed in two pieces included
     def builds():
         for length, seed, k in ((90, 2, 6), (200, 11, 7), (150, 9, 7)):
             for scratch in (False, True):
@@ -203,12 +205,14 @@ def test_censuses_add_up_over_slices_of_blocks(monkeypatch, census_slice):
             yield bytes(tape), record
 
     def censuses(built):
-        return [front_census(cw, parse(cw.word), parse(front + cw.word.data))
+        return [(front_census(cw, parse(cw.word), parse(front + cw.word.data).starts),
+                 one_front_variant(cw, front))
                 for cw in built if isinstance(cw, ConstructedWord)
                 for front in (b"0", b"1")]
 
     want = list(builds())
     assert sum(cw.chains[0].gadget_count for cw in want[:6]) > 0
+    want_censuses = censuses(want)
     monkeypatch.setattr(construction, "CENSUS_SLICE", census_slice)
     got = list(builds())
     for a, b in zip(got, want):
@@ -217,25 +221,46 @@ def test_censuses_add_up_over_slices_of_blocks(monkeypatch, census_slice):
             assert_is_parse_of_0w(a.red, b.word.data)
         else:
             assert a == b
-    assert censuses(got) == censuses(want)
+    assert censuses(got) == want_censuses
 
 
 def test_front_census_scratch_does_not_grow_with_the_blocks(toy12):
-    # front_census places the red blocks CENSUS_SLICE at a time, so its
-    # numpy temporaries are sized by a slice and by the 4,107 segments, about
-    # 1.4 MB for the 208,682 red blocks of the k = 12 toy word; placing them
-    # all at once took 52 bytes a block, 10.9 MB
+    # front_census places the red blocks CENSUS_SLICE at a time into one
+    # (chain, offset) tally as wide as the longest regular segment, so its
+    # scratch is sized by a slice and by the segments: about 1.4 MB for the
+    # 208,682 red blocks of the k = 12 toy word, and 0.5 MB for a general
+    # word whose 130,452-letter padding is far longer than its regulars
+    # (n = 2^18, l = 2^8, 4 chains).  Placing the blocks all at once took 52
+    # bytes a block, 10.9 MB, and a tally as wide as the padding 4.5 MB
+    toy = toy12["cw"]
+    assert toy.red.block_count > 12 * construction.CENSUS_SLICE
+    params = derive_params(1 << 18, 256)
+    general = construct_general(params, sample_family(params, seed=0))
+    assert len(general.chains) == 4 and general.segments[-1].length == 130452
+    for cw in (toy, general):
+        green = parse(cw.word)
+        tracemalloc.start()
+        try:
+            units_ok, counts, _ = front_census(cw, green, cw.red.starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert units_ok and counts[0]
+        assert peak < 2 * 2 ** 20, f"{peak / 2 ** 20:.2f} MB"
+
+
+def test_one_front_variant_never_builds_1w(toy12):
+    # the front 1 and the word are fed to one parser in turn, so no copy of
+    # the letters is made: a joined copy of 1w took 1.12 bytes a letter
     cw = toy12["cw"]
-    green, red = parse(cw.word), cw.red
-    assert red.block_count > 12 * construction.CENSUS_SLICE
     tracemalloc.start()
     try:
-        units_ok, counts, _ = front_census(cw, green, red)
+        report = one_front_variant(cw, "1")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert units_ok and counts[0]
-    assert peak < 2 * 2 ** 20, f"{peak / 2 ** 20:.2f} MB"
+    assert report.dic_aw == parse(b"1" + cw.word.data).dict_size
+    assert peak < 0.5 * len(cw.word), f"{peak / len(cw.word):.2f} bytes a letter"
 
 
 def _chaos_gadgets(seed):
@@ -382,6 +407,24 @@ def test_one_front_variant_same_letter_is_verify(toy_small=None):
     # prepending the other letter to a plain prefix word stays compressible
     if cw.chains[0].chosen_i is None:
         assert other.dic_aw <= 3 * (cw.chains[0].regular_count + 1)
+
+
+@pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (60, 5, 6)])
+def test_one_front_variant_censuses_every_block_of_1w(monkeypatch, length, seed, k):
+    # 1w of these bases ends in a trailing duplicate, which the parser holds
+    # as its in-progress block: the census must read it too
+    cw = construct_from_base(_forced_base(length, seed), 3.0, meta={"k": k})
+    want = parse(b"1" + cw.word.data)
+    assert want.last_is_duplicate
+    censused = []
+
+    def spy(cw, green, red_starts):
+        censused.append(list(red_starts))
+        return front_census(cw, green, red_starts)
+
+    monkeypatch.setattr(toy, "front_census", spy)
+    assert one_front_variant(cw, "1").dic_aw == want.dict_size
+    assert censused == [list(want.starts)]
 
 
 def test_one_front_variant_rejects_words():
