@@ -1,5 +1,6 @@
-/* LZ'78 feed kernel behind lz78lab.parsing.StreamParser, and the rule
- * loop behind lz78lab.parsing.certify.
+/* LZ'78 feed kernel behind lz78lab.parsing.StreamParser, the rule loop
+ * behind lz78lab.parsing.certify, and the seeded byte stream behind
+ * lz78lab.words.random_word.
  *
  * The dictionary is a full binary trie in one flat int32 child array: node
  * t >= 1 is completed block t - 1, node 0 is the root, and child[2t + a] is
@@ -7,7 +8,9 @@
  * are written in place, at starts[t - 1] and preds[t - 1], so nodes - 1 is
  * the block count.  cur is the node of the in-progress block, so a feed
  * resumes where the last one stopped.  The Python side owns the arrays and
- * doubles them when they are full.
+ * doubles them when they are full; lz78_truncate to block 0 empties a parser
+ * that parse keeps for the next call.  The seeded stream reproduces numpy's
+ * SeedSequence and PCG64 and needs unsigned __int128 (gcc, clang).
  * Build: cc -O2 -shared -fPIC -o _kernel.so _kernel.c
  */
 #include <stdint.h>
@@ -95,4 +98,70 @@ int64_t lz78_certify(const unsigned char *data, int64_t n, const int64_t *starts
         seen[key] = 1;
     }
     return 4 * count;
+}
+
+/* numpy's SeedSequence and PCG64, so a seeded draw costs no Generator.  The
+ * pool is SeedSequence(entropy)'s: 4 words, each entropy word hashmixed in,
+ * every pool word mixed into every other, then each entropy word past the
+ * fourth mixed into all four.  generate_state(4, uint64) hashes the pool
+ * cyclically into 8 uint32, read as 4 little-endian uint64; PCG64 seeds its
+ * state from words 0 and 1 and its increment from words 2 and 3 (high word
+ * first), and each next64 is a step and the XSL-RR 128/64 output. */
+__extension__ typedef unsigned __int128 lz78_u128;
+
+static uint32_t lz78_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t lz78_mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> 16;
+}
+
+/* Write the first n bytes of the next64 stream of PCG64 on
+ * SeedSequence(entropy), each next64 little-endian; entropy is the count
+ * uint32 words that numpy makes of the entropy list, each value split into
+ * its 32-bit words, low word first. */
+void lz78_pcg64_bytes(const uint32_t *entropy, int64_t count, unsigned char *out, int64_t n)
+{
+    uint32_t pool[4], hash_const = 0x43b0d7e5u, state[8];
+    for (int i = 0; i < 4; i++)
+        pool[i] = lz78_hashmix(i < count ? entropy[i] : 0, &hash_const);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = lz78_mix(pool[dst], lz78_hashmix(pool[src], &hash_const));
+    for (int64_t src = 4; src < count; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = lz78_mix(pool[dst], lz78_hashmix(entropy[src], &hash_const));
+    hash_const = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ hash_const;
+        hash_const *= 0x58f38dedu;
+        value *= hash_const;
+        state[i] = value ^ value >> 16;
+    }
+    lz78_u128 word[4], mult = (lz78_u128)2549297995355413924u << 64 | 4865540595714422341u;
+    for (int i = 0; i < 4; i++)
+        word[i] = (uint64_t)state[2 * i + 1] << 32 | state[2 * i];
+    lz78_u128 inc = (word[2] << 64 | word[3]) << 1 | 1;
+    lz78_u128 pcg = inc;                  /* a step from state 0 */
+    pcg = (pcg + (word[0] << 64 | word[1])) * mult + inc;
+    for (int64_t i = 0; i < n; i += 8) {
+        pcg = pcg * mult + inc;
+        uint64_t x = (uint64_t)(pcg >> 64) ^ (uint64_t)pcg;
+        unsigned rot = (unsigned)(pcg >> 122);
+        x = x >> rot | x << (-rot & 63);
+        if (n - i >= 8)
+            for (int j = 0; j < 8; j++)
+                out[i + j] = (unsigned char)(x >> 8 * j);
+        else
+            for (int64_t j = i; j < n; j++, x >>= 8)
+                out[j] = (unsigned char)x;
+    }
 }

@@ -13,8 +13,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import general as gen
 from . import infinite as inf
 from .alignment import align, alignment_report
@@ -23,7 +21,7 @@ from .generators import de_bruijn
 from .parsing import (MAX_NODES, comp_ratio, dict_size, encode, parse, ratio_from_counts,
                       tree_stats)
 from .toy import construct_toy, one_front_variant, verify_toy
-from .words import Word, random_word, read_word_file, write_word_file
+from .words import Word, random_unit, random_word, read_word_file, write_word_file
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
@@ -161,9 +159,9 @@ def cmd_catastrophe(args) -> int:
                   and report.green_units_ok and front_bound_ok) else VIOLATION
 
 
-def _fuzz_length(rng, max_len: int) -> int:
-    # log-uniform in [1, max_len]
-    return max(1, int(round(max_len ** rng.random())))
+def _fuzz_length(seed: int, trial: int, max_len: int) -> int:
+    # log-uniform in [1, max_len], from the stream on [seed, trial, 0xF]
+    return max(1, int(round(max_len ** random_unit([seed, trial, 0xF]))))
 
 
 def _fuzz_word(seed: int, trial: int, length: int) -> bytes:
@@ -183,9 +181,7 @@ def cmd_bound_fuzz(args) -> int:
     worst = 0.0
     worst_at = None
     for trial in range(args.trials):
-        lrng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([args.seed, trial, 0xF])))
-        length = _fuzz_length(lrng, args.max_len)
+        length = _fuzz_length(args.seed, trial, args.max_len)
         data = _fuzz_word(args.seed, trial, length)
         dw = parse(data).dict_size
         base = math.sqrt(len(data) * dw)

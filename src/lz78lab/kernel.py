@@ -2,9 +2,10 @@
 
 The library holds the feed loop and the rollback of
 :class:`~lz78lab.parsing.StreamParser` (``lz78_feed``,
-``lz78_truncate``), and the rule loop of
-:func:`~lz78lab.parsing.certify` (``lz78_certify``), which shares no code
-with the feed loop.  A library that lacks any of the three loads as None.
+``lz78_truncate``), the rule loop of :func:`~lz78lab.parsing.certify`
+(``lz78_certify``), which shares no code with the feed loop, and numpy's
+seeded PCG64 byte stream behind :func:`~lz78lab.words.random_word`
+(``lz78_pcg64_bytes``).  A library that lacks any of the four loads as None.
 
 :func:`load` runs when :mod:`lz78lab.parsing` is imported.  It compiles the
 C source with ``gcc -O2 -shared -fPIC`` (or ``cc``) into a cache keyed by the
@@ -17,9 +18,10 @@ into place, so a concurrent import never opens a half-written library.  A
 build into the package's cache deletes the libraries that earlier sources
 left there; the temp-dir folder, which other checkouts may share, is never
 pruned.  Without a compiler, or when the build or the load fails,
-:func:`load` returns None, and the parser and certify fall back to their
-pure-Python loops.  The loader never writes to stdout or stderr: the compiler's output
-is captured and dropped.
+:func:`load` returns None, the parser and certify fall back to their
+pure-Python loops, and the seeded draws to numpy's Generator.  The loader
+never writes to stdout or stderr: the compiler's output is captured and
+dropped.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def _open(path: Path):
         # parser's buffers while the kernel writes them
         lib = ctypes.PyDLL(str(path))
         feed, truncate = lib.lz78_feed, lib.lz78_truncate
-        certify = lib.lz78_certify
+        certify, pcg64_bytes = lib.lz78_certify, lib.lz78_pcg64_bytes
     except (OSError, AttributeError):
         return None
     feed.argtypes = (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64)
@@ -154,4 +156,6 @@ def _open(path: Path):
     certify.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                         ctypes.c_int64, ctypes.c_void_p)
     certify.restype = ctypes.c_int64
+    pcg64_bytes.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+    pcg64_bytes.restype = None
     return lib

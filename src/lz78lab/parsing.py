@@ -304,13 +304,46 @@ def parse(w) -> Parsing:
     caller's validated letters, not a copy: ``w`` itself for ``bytes`` and
     ``w.data`` for a ``Word``.  ``starts`` and ``preds`` are lists."""
     data = as_bits(w)
-    sp = StreamParser()
+    sp = _spare()
     sp.feed(data)
     count, dup = _close_duplicate(sp)
     starts, preds = sp._starts, sp._preds
-    del sp                             # frees the trie before the lists are built
-    return Parsing(data=data, starts=starts[:count], preds=preds[:count],
-                   last_is_duplicate=dup)
+    if sp._state.node_cap != FIRST_NODES:
+        sp = None                      # frees a grown trie before the lists are built
+    p = Parsing(data=data, starts=starts[:count], preds=preds[:count], last_is_duplicate=dup)
+    if sp is not None:
+        _keep(sp)                      # only once its arrays are read
+    return p
+
+
+# parsers whose arrays never grew, emptied, for the next parse or dict_size:
+# a fresh parser's set-up, a State and three zeroed arrays, is a quarter of a
+# short word's parse.  list pop and append are atomic under the GIL, so
+# threads never share one
+_SPARES: list[StreamParser] = []
+
+
+def _spare() -> StreamParser:
+    try:
+        return _SPARES.pop()           # no test first: another thread may pop between
+    except IndexError:
+        return StreamParser()
+
+
+def _keep(sp: StreamParser) -> None:
+    """Empty ``sp`` and keep it as a spare, unless its arrays grew: then it
+    is dropped, so a long parse's arrays do not outlive it.  Every used
+    slot is unlinked, as a rollback to the start would, so all are 0 again.
+    A parser whose feed raised never gets here."""
+    st = sp._state
+    if st.node_cap != FIRST_NODES:
+        return
+    if _KERNEL is not None:
+        _KERNEL.lz78_truncate(sp._ref, 0)
+    else:
+        _truncate_py(sp, 0)
+    st.pos = st.block_start = 0
+    _SPARES.append(sp)
 
 
 def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
@@ -447,10 +480,12 @@ def dict_size(*pieces) -> int:
     piece a Word / str / bytes as :func:`parse` takes.  They are fed to one
     parser in turn, so the concatenation is never built: the front-lettered
     ``dict_size(b"1", w)`` holds no copy of w."""
-    sp = StreamParser()
+    sp = _spare()
     for piece in pieces:
         sp.feed(as_bits(piece))
-    return sp._state.nodes - 1         # the completed blocks; a trailing duplicate is not new
+    count = sp._state.nodes - 1        # the completed blocks; a trailing duplicate is not new
+    _keep(sp)
+    return count
 
 
 def comp_ratio(w) -> float:

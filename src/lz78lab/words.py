@@ -11,6 +11,10 @@ used only as an on-disk format for large artifacts (see :func:`pack_word` /
 
 from __future__ import annotations
 
+import ctypes
+import operator
+import sys
+
 import numpy as np
 
 from .errors import ParameterError
@@ -51,11 +55,70 @@ def as_bits(w) -> bytes:
 
 def random_word(entropy, length: int) -> bytes:
     """``length`` uniform letters from PCG64 on ``SeedSequence(entropy)``, the
-    one seeded letter draw: published entropy lists reproduce their words."""
-    if any(e < 0 for e in entropy):
-        raise ParameterError(f"seed entropy must be >= 0, not {list(entropy)}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    return (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
+    one seeded letter draw: published entropy lists reproduce their words.
+
+    numpy's ``Generator.integers(0, 2, dtype=uint8)`` defines the letters and
+    draws them without the kernel; the kernel's ``lz78_pcg64_bytes`` gives
+    the same stream bytes without building a Generator.  Letter i is the top
+    bit of stream byte i: numpy takes one byte per letter by Lemire's method
+    with range 2, which rejects no byte and yields ``(2 * byte) >> 8``."""
+    words = _entropy_words(entropy)
+    length = operator.index(length)
+    if length < 0:
+        raise ParameterError(f"word length must be >= 0, not {length}")
+    lib = _kernel()
+    if lib is None:
+        rng = _generator(entropy)
+        return (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
+    return _pcg64_bytes(lib, words, length).translate(_TOP_BIT)
+
+
+def random_unit(entropy) -> float:
+    """The first ``Generator.random()`` of PCG64 on ``SeedSequence(entropy)``,
+    a double in [0, 1): the top 53 bits of the stream's first next64 times
+    2^-53.  numpy draws it without the kernel, as for :func:`random_word`."""
+    words = _entropy_words(entropy)
+    lib = _kernel()
+    if lib is None:
+        return _generator(entropy).random()
+    return (int.from_bytes(_pcg64_bytes(lib, words, 8), "little") >> 11) * 2.0 ** -53
+
+
+_TOP_BIT = bytes(ord("0") + (byte >> 7) for byte in range(256))   # stream byte -> letter
+
+
+def _kernel():
+    """The kernel that :mod:`lz78lab.parsing` bound, read at each draw: the
+    parsing module imports this one, and the tests unbind it there."""
+    return sys.modules[f"{__package__}.parsing"]._KERNEL
+
+
+def _generator(entropy) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def _entropy_words(entropy) -> list[int]:
+    """The uint32 words that ``SeedSequence`` makes of ``entropy``: each value's
+    32-bit words, low word first, and one 0 for 0."""
+    words = []
+    for value in map(operator.index, entropy):
+        if value < 0:
+            raise ParameterError(f"seed entropy must be >= 0, not {list(entropy)}")
+        while True:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+            if not value:
+                break
+    return words
+
+
+def _pcg64_bytes(lib, words: list[int], count: int) -> bytes:
+    """The first ``count`` bytes of the kernel's stream on the entropy ``words``."""
+    # a buffer of the next power of two: ctypes looks up a new array type for
+    # each size, which costs more than the draw of a short word
+    out = (ctypes.c_char * (1 << count.bit_length()))()
+    lib.lz78_pcg64_bytes((ctypes.c_uint32 * len(words))(*words), len(words), out, count)
+    return out.raw[:count]
 
 
 class Word:

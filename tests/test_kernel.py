@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import lz78lab
-from lz78lab import kernel, parsing
+from lz78lab import kernel, parsing, words
 from lz78lab.cli import main
 from lz78lab.errors import ParameterError
+from lz78lab.words import random_unit, random_word
 
 from conftest import KERNEL, KERNEL_LOADED, PARSERS, parser_mode
 
@@ -176,6 +177,65 @@ def test_a_library_without_the_rule_2_check_loads_as_none(cache, tmp_path, monke
     assert kernel.load() is None
     assert [p.name for p in cache.iterdir()] == [kernel.library_name(old.read_bytes())]
     assert capfd.readouterr() == ("", "")
+
+
+def test_a_library_without_the_seeded_stream_loads_as_none(cache, tmp_path, monkeypatch,
+                                                            capfd):
+    """A kernel source from before lz78_pcg64_bytes builds, but its library
+    is not used: the seeded draws would have no compiled stream to call."""
+    if kernel.compiler() is None:
+        pytest.skip("no C compiler")
+    source = kernel.SOURCE.read_bytes()
+    old = tmp_path / "_kernel.c"
+    old.write_bytes(source[:source.index(b"/* numpy's SeedSequence")])
+    monkeypatch.setattr(kernel, "SOURCE", old)
+    assert kernel.load() is None
+    assert [p.name for p in cache.iterdir()] == [kernel.library_name(old.read_bytes())]
+    assert capfd.readouterr() == ("", "")
+
+
+def numpy_generator(entropy) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def test_seeded_draws_are_numpys_bit_for_bit(mode):
+    """random_word's letters and random_unit's double are those of numpy's
+    Generator on SeedSequence(entropy), in both modes.  The entropies hold
+    0, values of 2^32 and above and of 2^64 and above, and lists of more than
+    4 uint32 words, which SeedSequence mixes in after its 4-word pool."""
+    rng = random.Random(2525)
+    values = (lambda: 0, lambda: rng.randrange(16), lambda: rng.randrange(1 << 32),
+              lambda: rng.randrange(1 << 32, 1 << 64), lambda: rng.randrange(1 << 64, 1 << 96))
+    lengths = (0, 1, 7, 8, 9)
+    seen = set()
+    for trial in range(5000):
+        entropy = [rng.choice(values)() for _ in range(rng.randrange(1, 7))]
+        length = lengths[trial] if trial < len(lengths) else rng.randrange(3001)
+        want = numpy_generator(entropy).integers(0, 2, size=length, dtype=np.uint8)
+        assert random_word(entropy, length) == (want + ord("0")).tobytes(), entropy
+        assert random_unit(entropy) == numpy_generator(entropy).random(), entropy
+        # a value of 2^32 and above is 2 uint32 words, of 2^64 and above 3
+        uint32_words = [max(1, -(-v.bit_length() // 32)) for v in entropy]
+        seen.update(uint32_words)
+        seen.add(sum(uint32_words) > 4)
+    assert seen >= {1, 2, 3, True, False}
+
+
+def test_a_negative_entropy_or_length_is_refused_before_drawing(monkeypatch):
+    class NoKernel:
+        def __getattr__(self, name):
+            raise AssertionError(f"the kernel's {name} was called")
+
+    def no_numpy(entropy):
+        raise AssertionError("numpy's Generator was built")
+
+    monkeypatch.setattr(words, "_generator", no_numpy)
+    for kernel_lib in (NoKernel(), None):
+        monkeypatch.setattr(parsing, "_KERNEL", kernel_lib)
+        for draw in (lambda: random_word([3, -1], 5), lambda: random_word([3], -1),
+                     lambda: random_unit([-2**40]), lambda: random_unit([0, 1, 2, 3, -5])):
+            with pytest.raises(ParameterError, match=">= 0"):
+                draw()
 
 
 def rule_codes(data, starts, preds):

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from array import array
 
@@ -914,6 +916,88 @@ def test_a_finished_parse_holds_exactly_its_blocks(mode):
         for blocks in (p.starts, p.preds):
             assert blocks.format == "q"
             assert memoryview(blocks.obj).nbytes == 8 * p.block_count
+
+
+def assert_spares_are_empty():
+    """Every kept spare parser is as a fresh one: its arrays never grew, and
+    no node, child slot, letter or in-progress block is left in it."""
+    for sp in parsing._SPARES:
+        st_ = sp._state
+        assert st_.node_cap == FIRST_NODES
+        assert (st_.nodes, st_.cur, st_.pos, st_.block_start) == (1, 0, 0, 0)
+        assert not any(sp._child)
+
+
+def test_spare_parsers_give_the_oracles_parse(mode):
+    # fuzz-short words behind both front letters, each parse and dict_size
+    # run on the spare the last one left; every 50 words a parse and a
+    # dict_size whose arrays grow, so their parsers are dropped, not kept
+    grown = random_word([25], 20 * FIRST_NODES)
+    for trial in range(2000):
+        word = fuzz_word(25, trial, 2000)
+        for front in (b"0", b"1"):
+            blocks = naive_parse((front + word).decode())
+            p = parse(front + word)
+            assert [b.decode() for b in p.blocks()] == blocks
+            assert p.dict_size == dict_size(front, word) == len(set(blocks))
+        if trial % 50 == 0:
+            spares = len(parsing._SPARES)
+            assert parse(grown).block_count > FIRST_NODES
+            assert dict_size(b"1", grown) > FIRST_NODES
+            assert len(parsing._SPARES) == max(spares - 2, 0)
+            assert_spares_are_empty()
+    assert parsing._SPARES
+    assert_spares_are_empty()
+
+
+def test_a_parse_that_raises_keeps_no_spare(mode, monkeypatch):
+    # with MAX_NODES at FIRST_NODES a spare's arrays cannot grow, so a long
+    # word raises mid-feed, the spare's trie full; the next parse is right
+    monkeypatch.setattr(parsing, "MAX_NODES", FIRST_NODES)
+    long = random_word([26], 20 * FIRST_NODES)
+    for fails in (lambda: parse(long), lambda: dict_size(b"1", long)):
+        parse(b"0101")
+        spares = len(parsing._SPARES)
+        assert spares
+        with pytest.raises(ParameterError, match="int32"):
+            fails()
+        assert len(parsing._SPARES) == spares - 1
+        assert_spares_are_empty()
+    for trial in range(20):
+        word = fuzz_word(26, trial, 2000)
+        assert blocks_of(word) == naive_parse(word.decode())
+        assert dict_size(word) == len(set(naive_parse(word.decode())))
+    assert_spares_are_empty()
+
+
+def test_threads_never_share_a_spare_parser(mode):
+    # more threads than cores, switching every microsecond, each parsing its
+    # own words; a parser taken by two threads at once would mix their tries
+    items = [(t, fuzz_word(27, t, 600)) for t in range(600)]
+    want = {t: (parse(w).starts, dict_size(b"1", w)) for t, w in items}
+    got, errors = {}, []
+
+    def work(share):
+        try:
+            for t, w in share:
+                got[t] = (parse(w).starts, dict_size(b"1", w))
+        except Exception as exc:       # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(items[i::6],)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert got == want
+    assert_spares_are_empty()
 
 
 @st.composite
