@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .words import Word, as_bits
+from .words import Word, as_bits, random_word
 
 
 @dataclass(frozen=True)
@@ -25,17 +25,14 @@ def _eulerian_cycle(k: int, seed: int) -> bytes:
     the letters b"0"/b"1".
 
     Deterministic for fixed (k, seed); seed permutes the per-vertex order in
-    which the two outgoing edges are tried, which picks a different circuit.
+    which the two outgoing edges are tried, which picks a different circuit:
+    vertex v tries letter ``random_word([seed, k], nverts)[v] & 1`` first.
     Hierholzer's walk keeps its stack as an ``array`` of vertices and a
     ``bytearray`` of the letters that entered them, about ten bytes per edge.
     """
     nverts = 1 << (k - 1)
     mask = nverts - 1
-    if seed:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, k])))
-        prefs = bytearray(rng.integers(0, 2, size=nverts, dtype=np.uint8).tobytes())
-    else:
-        prefs = bytearray(nverts)
+    prefs = random_word([seed, k], nverts) if seed else bytes(nverts)
     tried = bytearray(nverts)
     stack = array("l", [0])
     letters = bytearray(b"-")      # the start vertex is entered by no edge
@@ -45,7 +42,7 @@ def _eulerian_cycle(k: int, seed: int) -> bytes:
         t = tried[v]
         if t < 2:
             tried[v] = t + 1
-            a = t ^ prefs[v]
+            a = t ^ (prefs[v] & 1)
             stack.append(((v << 1) | a) & mask)
             letters.append(48 + a)
         else:

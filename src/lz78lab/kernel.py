@@ -4,8 +4,9 @@ The library holds the feed loop and the rollback of
 :class:`~lz78lab.parsing.StreamParser` (``lz78_feed``,
 ``lz78_truncate``), the rule loop of :func:`~lz78lab.parsing.certify`
 (``lz78_certify``), which shares no code with the feed loop, and numpy's
-seeded PCG64 byte stream behind :func:`~lz78lab.words.random_word`
-(``lz78_pcg64_bytes``).  A library that lacks any of the four loads as None.
+seeded PCG64 byte stream that every seeded draw reads, the de Bruijn
+tie-breaks included (``lz78_pcg64_bytes``, behind ``words._stream``).  A
+library that lacks any of the four loads as None.
 
 :func:`load` runs when :mod:`lz78lab.parsing` is imported.  It compiles the
 C source with ``gcc -O2 -shared -fPIC`` (or ``cc``) into a cache keyed by the
@@ -19,9 +20,9 @@ build into the package's cache deletes the libraries that earlier sources
 left there; the temp-dir folder, which other checkouts may share, is never
 pruned.  Without a compiler, or when the build or the load fails,
 :func:`load` returns None, the parser and certify fall back to their
-pure-Python loops, and the seeded draws to numpy's Generator.  The loader
-never writes to stdout or stderr: the compiler's output is captured and
-dropped.
+pure-Python loops, and the seeded stream to numpy's bit generator, which
+gives the same bytes.  The loader never writes to stdout or stderr: the
+compiler's output is captured and dropped.
 """
 
 from __future__ import annotations

@@ -57,44 +57,44 @@ def random_word(entropy, length: int) -> bytes:
     """``length`` uniform letters from PCG64 on ``SeedSequence(entropy)``, the
     one seeded letter draw: published entropy lists reproduce their words.
 
-    numpy's ``Generator.integers(0, 2, dtype=uint8)`` defines the letters and
-    draws them without the kernel; the kernel's ``lz78_pcg64_bytes`` gives
-    the same stream bytes without building a Generator.  Letter i is the top
-    bit of stream byte i: numpy takes one byte per letter by Lemire's method
-    with range 2, which rejects no byte and yields ``(2 * byte) >> 8``."""
-    words = _entropy_words(entropy)
+    numpy's ``Generator.integers(0, 2, dtype=uint8)`` defines the letters, and
+    the tests hold both modes to it.  numpy takes one byte of the stream per
+    letter by Lemire's method with range 2, which rejects no byte and yields
+    ``(2 * byte) >> 8``, so letter i is the top bit of :func:`_stream` byte i."""
     length = operator.index(length)
     if length < 0:
         raise ParameterError(f"word length must be >= 0, not {length}")
-    lib = _kernel()
-    if lib is None:
-        rng = _generator(entropy)
-        return (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
-    return _pcg64_bytes(lib, words, length).translate(_TOP_BIT)
+    return _stream(entropy, length).translate(_TOP_BIT)
 
 
 def random_unit(entropy) -> float:
-    """The first ``Generator.random()`` of PCG64 on ``SeedSequence(entropy)``,
-    a double in [0, 1): the top 53 bits of the stream's first next64 times
-    2^-53.  numpy draws it without the kernel, as for :func:`random_word`."""
-    words = _entropy_words(entropy)
-    lib = _kernel()
-    if lib is None:
-        return _generator(entropy).random()
-    return (int.from_bytes(_pcg64_bytes(lib, words, 8), "little") >> 11) * 2.0 ** -53
+    """The first ``Generator.random()`` of PCG64 on ``SeedSequence(entropy)``, a
+    double in [0, 1).  numpy's Generator defines it, and the tests hold both
+    modes to it: the top 53 bits of the stream's first next64 times 2^-53."""
+    return (int.from_bytes(_stream(entropy, 8), "little") >> 11) * 2.0 ** -53
 
 
 _TOP_BIT = bytes(ord("0") + (byte >> 7) for byte in range(256))   # stream byte -> letter
 
 
-def _kernel():
-    """The kernel that :mod:`lz78lab.parsing` bound, read at each draw: the
-    parsing module imports this one, and the tests unbind it there."""
-    return sys.modules[f"{__package__}.parsing"]._KERNEL
-
-
-def _generator(entropy) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+def _stream(entropy, count: int) -> bytes:
+    """The first ``count`` bytes of PCG64's next64 stream on
+    ``SeedSequence(entropy)``, each next64 little-endian: the one source of
+    every seeded draw, the de Bruijn tie-breaks included.  The kernel's
+    ``lz78_pcg64_bytes`` gives them when it loaded, numpy's bit generator
+    without it."""
+    words = _entropy_words(entropy)
+    # the kernel that lz78lab.parsing bound, read at each draw: the parsing
+    # module imports this one, and the tests unbind it there
+    lib = sys.modules[f"{__package__}.parsing"]._KERNEL
+    if lib is None:
+        bits = np.random.PCG64(np.random.SeedSequence(entropy))
+        return bits.random_raw(-(-count // 8)).astype("<u8").tobytes()[:count]
+    # a buffer of the next power of two: ctypes looks up a new array type for
+    # each size, which costs more than the draw of a short word
+    out = (ctypes.c_char * (1 << count.bit_length()))()
+    lib.lz78_pcg64_bytes((ctypes.c_uint32 * len(words))(*words), len(words), out, count)
+    return out.raw[:count]
 
 
 def _entropy_words(entropy) -> list[int]:
@@ -110,15 +110,6 @@ def _entropy_words(entropy) -> list[int]:
             if not value:
                 break
     return words
-
-
-def _pcg64_bytes(lib, words: list[int], count: int) -> bytes:
-    """The first ``count`` bytes of the kernel's stream on the entropy ``words``."""
-    # a buffer of the next power of two: ctypes looks up a new array type for
-    # each size, which costs more than the draw of a short word
-    out = (ctypes.c_char * (1 << count.bit_length()))()
-    lib.lz78_pcg64_bytes((ctypes.c_uint32 * len(words))(*words), len(words), out, count)
-    return out.raw[:count]
 
 
 class Word:

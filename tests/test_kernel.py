@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lz78lab
-from lz78lab import kernel, parsing, words
+from lz78lab import kernel, parsing
 from lz78lab.cli import main
 from lz78lab.errors import ParameterError
 from lz78lab.words import random_unit, random_word
@@ -226,16 +226,46 @@ def test_a_negative_entropy_or_length_is_refused_before_drawing(monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"the kernel's {name} was called")
 
-    def no_numpy(entropy):
-        raise AssertionError("numpy's Generator was built")
+    def no_numpy(seed):
+        raise AssertionError("numpy's bit generator was seeded")
 
-    monkeypatch.setattr(words, "_generator", no_numpy)
+    monkeypatch.setattr(np.random, "PCG64", no_numpy)
     for kernel_lib in (NoKernel(), None):
         monkeypatch.setattr(parsing, "_KERNEL", kernel_lib)
         for draw in (lambda: random_word([3, -1], 5), lambda: random_word([3], -1),
                      lambda: random_unit([-2**40]), lambda: random_unit([0, 1, 2, 3, -5])):
             with pytest.raises(ParameterError, match=">= 0"):
                 draw()
+
+
+# runs CLI commands in a fresh interpreter, then prints whether numpy.random
+# was imported
+SEEDED_COMMANDS = """
+import contextlib
+import io
+import sys
+from lz78lab import parsing
+from lz78lab.cli import main
+if parsing._KERNEL is None:
+    sys.exit(99)
+for argv in (["catastrophe", "--k", "8", "--seed", "1", "--format", "json"],
+             ["debruijn", "--k", "10", "--seed", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv):
+            sys.exit(1)
+print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_seeded_de_bruijn_words_leave_numpy_random_unloaded():
+    """With the kernel, the de Bruijn tie-breaks are drawn from the kernel's
+    stream like every other seeded draw, so a nonzero seed imports no
+    numpy.random."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lz78lab.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", SEEDED_COMMANDS], env=env,
+                          capture_output=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"False\n", b"")
 
 
 def rule_codes(data, starts, preds):
