@@ -21,8 +21,10 @@ which turns a run of segments (a whole word or one chain) into its segment
 bounds and regular indices; the gadget loop, the verifiers' census, the
 chained construction's green words and the infinite construction's cut all
 read it.  :func:`_census` is the one count of the red blocks inside a
-regular, a slice of blocks at a time: the gadget loop reads it over the
-parser's blocks, and :func:`front_census`, the census of a finished word that
+regular, a slice of blocks at a time, over block starts and the position
+that ends the last block: the gadget loop reads it over the parser's blocks,
+at the chain's end as :meth:`~lz78lab.parsing.StreamParser.closed_blocks`
+closes them, and :func:`front_census`, the census of a finished word that
 both verifiers (``toy.one_front_variant``, ``general.verify_general``) read,
 over the block starts of a parse of aw.  Their parse of 0w is the
 construction's own: :meth:`ConstructedWord.from_parser` hands the parser's
@@ -142,7 +144,7 @@ def front_census(cw: ConstructedWord, green: Parsing, red_starts):
     segment_chain = np.array([seg.chain for seg in cw.segments])
     width = int(np.diff(bounds)[regular >= 0].max(initial=0))
     tally = np.zeros(len(cw.chains) * width, dtype=np.int64)
-    for index, offset in _census(red_starts, [len(cw.word) + 1], bounds, regular, width):
+    for index, offset in _census(red_starts, len(cw.word) + 1, bounds, regular, width):
         np.add.at(tally, segment_chain[index] * width + offset, 1)
     counts, chain_red = {}, {}
     for c in cw.chains:
@@ -193,11 +195,13 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     def census(first: int, tail: bool):
         """The regular indices and offsets of the red blocks from block
         ``first`` on that lie inside one of the chain's regulars, at an
-        offset up to ``window``, with the in-progress block when ``tail``."""
-        ends = [parser.block_start]
-        if tail and parser.in_progress():
-            ends.append(parser.position)
-        index, offset = map(np.concatenate, zip(*_census(parser.starts[first:], ends,
+        offset up to ``window``, with the in-progress block, closed as the
+        trailing duplicate, when ``tail``."""
+        if tail:
+            starts, end = parser.closed_blocks()[0], parser.position
+        else:
+            starts, end = parser.starts, parser.block_start
+        index, offset = map(np.concatenate, zip(*_census(starts[first:], end,
                                                          bounds, regular, window)))
         return regular[index], offset
 
@@ -292,27 +296,25 @@ def _layout(segments: list[Segment], start: int = 0):
     return bounds, regular
 
 
-def _census(starts, tail, bounds, regular, window: int):
-    """The one census: for each slice of the red blocks that ``starts`` begin
-    and ``tail`` closes (:func:`_edge_slices`), the segment indices and
-    offsets of those that lie inside one regular segment of the run laid out
-    by :func:`_layout`, at an offset up to ``window``, in word order."""
-    for edges in _edge_slices(starts, tail):
+def _census(starts, end: int, bounds, regular, window: int):
+    """The one census: for each slice of the red blocks that ``starts`` begin,
+    the last one ending at ``end`` (:func:`_edge_slices`), the segment indices
+    and offsets of those that lie inside one regular segment of the run laid
+    out by :func:`_layout`, at an offset up to ``window``, in word order."""
+    for edges in _edge_slices(starts, end):
         index, offset, inside = locate(bounds[:-1], int(bounds[-1]), edges[:-1], edges[1:])
         hit = inside & (regular[index] >= 0) & (offset <= window)
         yield index[hit], offset[hit]
 
 
-def _edge_slices(starts, tail):
-    """The blocks that ``starts`` begin, the ``tail`` of positions after them
-    closing the last ones, as int64 arrays of their edges, CENSUS_SLICE
-    blocks at most: each slice ends on the edge that begins the next.  There
-    is always a slice, without a block when there is no block."""
+def _edge_slices(starts, end: int):
+    """The blocks that ``starts`` begin, the last one ending at ``end``, as
+    int64 arrays of their edges, CENSUS_SLICE blocks at most: each slice ends
+    on the edge that begins the next.  There is always a slice, without a
+    block when there is no block."""
     n = len(starts)
-    last = n + len(tail) - 1           # the index of the last edge
-    for lo in range(0, max(last, 1), CENSUS_SLICE):
-        hi = min(lo + CENSUS_SLICE, last)
-        edges = np.asarray(starts[lo:hi + 1], dtype=np.int64)
-        if hi >= n:
-            edges = np.append(edges, tail[max(lo - n, 0):hi + 1 - n])
+    for lo in range(0, max(n, 1), CENSUS_SLICE):
+        edges = np.asarray(starts[lo:lo + CENSUS_SLICE + 1], dtype=np.int64)
+        if lo + CENSUS_SLICE >= n:
+            edges = np.append(edges, end)
         yield edges

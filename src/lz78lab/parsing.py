@@ -5,8 +5,11 @@ the set of distinct blocks; only the final block may duplicate an earlier one.
 
 :class:`StreamParser` is the incremental parser that :func:`parse` and the
 constructions feed.  It holds the dictionary and the blocks, never the
-letters: those stay with the caller, and :func:`parse` returns its blocks as
-lists over the caller's own bytes.  Its feed loop and its rollback
+letters: those stay with the caller.  The parse of the letters fed so far
+is its completed blocks plus the in-progress block closed as the trailing
+duplicate, and one method closes it, :meth:`StreamParser.closed_blocks`, for
+:func:`parse` (lists over the caller's own bytes), :meth:`StreamParser.finish`
+and the censuses of the constructions.  Its feed loop and its rollback
 are the compiled kernel ``_kernel.c``, which :mod:`lz78lab.kernel` builds
 when this module is imported.  When the kernel did not load (``_KERNEL`` is
 None), the same methods run :func:`_feed_py` and :func:`_truncate_py`, line
@@ -29,7 +32,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,9 +114,6 @@ class StreamParser:
         """The child slots of the nodes in use, two per node."""
         return self._child[:2 * self._state.nodes]
 
-    def in_progress(self) -> bool:
-        return self._state.cur != 0
-
     def feed(self, data) -> int:
         """Consume letters; returns the index of the first newly completed block.
 
@@ -175,21 +175,30 @@ class StreamParser:
         st.pos = st.block_start = boundary
         return removed
 
+    def closed_blocks(self) -> tuple[memoryview, memoryview, bool]:
+        """The starts and preds of the parse of the letters fed so far, and
+        whether its last block is a duplicate: the completed blocks, then the
+        in-progress block, if any, closed as the trailing duplicate.  That one
+        is written at index ``nodes - 1``, the slot of the next completed
+        block, so the state is unchanged and feeding may go on.  Views, valid
+        as long as those of :attr:`starts`."""
+        st = self._state
+        count, cur = st.nodes - 1, st.cur
+        starts, preds = _view(self._starts, "q"), _view(self._preds, "q")
+        if cur:                        # the in-progress block repeats block cur - 1
+            starts[count], preds[count] = st.block_start, preds[cur - 1]
+            count += 1
+        return starts[:count], preds[:count], cur != 0
+
     def finish(self, data) -> "Parsing":
         """The parse of ``data``, the letters fed so far (kept as ``bytes``, a
-        copy unless they are), the in-progress block as its trailing duplicate.
-        The blocks are handed over as exact-size int64 copies, so none of the
-        doubled arrays' slack outlives the parser, left empty as by :meth:`reset`."""
-        count, dup = _close_duplicate(self)
-        starts, preds = (memoryview(_view(array, "q")[:count].tobytes()).cast("q")
-                         for array in (self._starts, self._preds))
+        copy unless they are), as :meth:`closed_blocks` closes it.  The blocks
+        are handed over as exact-size int64 copies, so none of the doubled
+        arrays' slack outlives the parser, left empty as by :meth:`reset`."""
+        starts, preds, dup = self.closed_blocks()
+        starts, preds = (memoryview(view.tobytes()).cast("q") for view in (starts, preds))
         self.reset()                   # frees the trie before the letters are copied
-        return Parsing(data=bytes(data), starts=starts, preds=preds, last_is_duplicate=dup)
-
-    def tail_pred(self) -> int:
-        """Predecessor block index for the in-progress (duplicate) block."""
-        cur = self._state.cur          # the in-progress block repeats block cur - 1
-        return self._preds[cur - 1] if cur else -1
+        return Parsing(bytes(data), starts, preds, dup)
 
 
 def _view(array, fmt: str) -> memoryview:
@@ -240,29 +249,18 @@ def _truncate_py(sp: StreamParser, kept: int) -> None:
     s.cur = 0
 
 
-def _close_duplicate(sp: StreamParser) -> tuple[int, bool]:
-    """Close ``sp``'s in-progress block as the trailing duplicate, written at
-    index ``nodes - 1``, which a later feed writes over.  Returns the block
-    count with it, and whether there was one."""
-    st = sp._state
-    count, dup = st.nodes - 1, st.cur != 0
-    if dup:
-        sp._starts[count] = st.block_start
-        sp._preds[count] = sp.tail_pred()
-    return count + dup, dup
-
-
-@dataclass(frozen=True)
-class Parsing:
+class Parsing(NamedTuple):
     """The LZ-parsing of one word: its blocks in order, each a start and a pred.
 
     ``starts`` covers every block including a possible trailing duplicate;
     ``preds[i]`` is the block index of block i minus its last letter (-1 when
     that prefix is the empty word), so the preds encode the dictionary trie.
-    :func:`parse` hands out lists over the caller's bytes;
-    :meth:`StreamParser.finish` hands over exact-size int64 copies of its
-    parser's block arrays over its caller's letters, so a construction's
-    ``ConstructedWord.red`` holds 8 bytes a block, not a list's 36.
+    Both are read from :meth:`StreamParser.closed_blocks`: :func:`parse`
+    hands them out as lists over the caller's bytes;
+    :meth:`StreamParser.finish` hands over exact-size int64 copies over its
+    caller's letters, so a construction's ``ConstructedWord.red`` holds 8
+    bytes a block, not a list's 36.  A named tuple built positionally, so a
+    short parse pays a tuple's set-up, not a dataclass's per-field one.
     """
 
     data: bytes
@@ -306,11 +304,10 @@ def parse(w) -> Parsing:
     data = as_bits(w)
     sp = _spare()
     sp.feed(data)
-    count, dup = _close_duplicate(sp)
-    starts, preds = sp._starts, sp._preds
+    starts, preds, dup = sp.closed_blocks()
     if sp._state.node_cap != FIRST_NODES:
         sp = None                      # frees a grown trie before the lists are built
-    p = Parsing(data=data, starts=starts[:count], preds=preds[:count], last_is_duplicate=dup)
+    p = Parsing(data, starts.tolist(), preds.tolist(), dup)
     if sp is not None:
         _keep(sp)                      # only once its arrays are read
     return p
@@ -378,7 +375,7 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
         if data or last_is_duplicate:
             raise ConstructionError("the parse claims no blocks for a non-empty word"
                                     if data else "the empty word has no duplicate block")
-        return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=False)
+        return Parsing(data, starts, preds, False)
 
     # zero-copy views of int64 claims, as a finished parser's, contiguous for the kernel
     first, pred = (np.ascontiguousarray(c, dtype=np.int64) for c in (starts, preds))
@@ -393,7 +390,7 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
     dup = code == 4 * count - 1        # rule 3 at the last block: the trailing duplicate
     if block == count or dup:
         if bool(last_is_duplicate) == dup:
-            return Parsing(data=data, starts=starts, preds=preds, last_is_duplicate=dup)
+            return Parsing(data, starts, preds, dup)
         block, reason = count - 1, ("repeats an earlier block, but is not claimed to" if dup
                                     else "is claimed to repeat an earlier block, but is new")
     elif rule == 1:                    # block 0 breaks it first when starts[0] != 0
@@ -427,8 +424,7 @@ def _certify_py(data: bytes, n: int, starts, preds, count: int, seen) -> int:
     return 4 * count
 
 
-@dataclass(frozen=True)
-class LzCode:
+class LzCode(NamedTuple):
     """Pointer encoding of a parsing: one (predecessor, letter) pair per block.
 
     Predecessor -1 stands for the empty word.
@@ -516,8 +512,7 @@ def factor_census(p: Parsing, i: int) -> int:
     return len(seen)
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(NamedTuple):
     vertex_count: int
     depth_histogram: dict[int, int]
     max_depth: int
@@ -532,6 +527,4 @@ def tree_stats(p: Parsing) -> TreeStats:
         hist[depth] += 1
         if depth > max_depth:
             max_depth = depth
-    return TreeStats(vertex_count=p.dict_size + 1,
-                     depth_histogram=dict(hist),
-                     max_depth=max_depth)
+    return TreeStats(p.dict_size + 1, dict(hist), max_depth)

@@ -13,8 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
-import numpy as np
-
 from .construction import ConstructedWord, Segment, build_chain, front_census
 from .errors import ParameterError
 from .generators import de_bruijn
@@ -118,9 +116,8 @@ def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
         sp = StreamParser()
         sp.feed(front)
         sp.feed(data)
-        # the completed blocks, then the in-progress one as a trailing duplicate
-        dic_aw = len(sp.starts)
-        red_starts = np.append(sp.starts, sp.block_start)[:dic_aw + sp.in_progress()]
+        red_starts, _, dup = sp.closed_blocks()
+        dic_aw = len(red_starts) - dup
     units_ok, counts, _ = front_census(cw, green, red_starts)
 
     chain = cw.chains[0]

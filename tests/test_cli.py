@@ -351,11 +351,10 @@ def test_determinism_byte_identical(capsys):
 
 def _shift_first_long_boundary(cw):
     """``cw`` with one block boundary of its parse of 0w moved by a letter."""
-    import dataclasses
     starts = list(cw.red.starts)
     b = next(i for i in range(1, len(starts)) if starts[i] - starts[i - 1] > 1)
     starts[b] -= 1
-    cw.red = dataclasses.replace(cw.red, starts=starts)
+    cw.red = cw.red._replace(starts=starts)
     return cw
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
@@ -131,7 +129,7 @@ def test_front_census_unit_check(small_build):
     assert cw.segments[-1].kind == PADDING and cw.segments[-1].length > 1
 
     def units_ok(starts):
-        return front_census(cw, dataclasses.replace(green, starts=starts), red.starts)[0]
+        return front_census(cw, green._replace(starts=starts), red.starts)[0]
 
     assert units_ok(green.starts)
     assert units_ok(units)
@@ -232,9 +230,9 @@ def test_verify_general_rejects_a_tampered_parse_of_0w(small_build):
     preds = list(good.preds)
     preds[len(preds) // 2] = -1
     try:
-        for bad in (dataclasses.replace(good, starts=starts),
-                    dataclasses.replace(good, preds=preds),
-                    dataclasses.replace(good, data=good.data[:-1] + b"1")):
+        for bad in (good._replace(starts=starts),
+                    good._replace(preds=preds),
+                    good._replace(data=good.data[:-1] + b"1")):
             cw.red = bad
             with pytest.raises(ConstructionError):
                 verify_general(cw)

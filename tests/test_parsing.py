@@ -789,7 +789,8 @@ def test_feeding_in_pieces_and_after_reset_equals_one_shot():
 
 
 def test_tail_pred_of_in_progress_duplicates():
-    # a word ending inside a duplicate of a short or long block, fed in pieces
+    # a word ending inside a duplicate of a short or long block, fed in pieces:
+    # closed_blocks closes it with the pred of the block it repeats
     for mode in PARSERS:
         rng = random.Random(1010)
         x = "".join(rng.choice("01") for _ in range(40))
@@ -801,15 +802,56 @@ def test_tail_pred_of_in_progress_duplicates():
                 sp.feed(text[:len(base) + cut // 2].encode())
                 sp.feed(text[len(base) + cut // 2:].encode())
                 fresh = fed_at_once(text.encode(), mode)
-                assert sp.in_progress() and fresh.in_progress()
                 expected = naive_parse(text).index(x[:cut - 1]) if cut > 1 else -1
-                assert sp.tail_pred() == fresh.tail_pred() == expected
+                for parser in (sp, fresh):
+                    starts, preds, dup = parser.closed_blocks()
+                    assert dup and starts[-1] == parser.block_start
+                    assert preds[-1] == expected
                 assert parse_with(text).preds[-1] == expected
                 assert parse(text).preds[-1] == expected
 
 
 def finished_as_lists(p):
     return p.data, list(p.starts), list(p.preds), p.last_is_duplicate
+
+
+def closed_as_lists(sp):
+    starts, preds, dup = sp.closed_blocks()
+    return list(starts), list(preds), dup
+
+
+def test_closed_blocks_leaves_the_parser_as_it_was(mode):
+    # fuzz words, and one that outgrows FIRST_NODES, fed in pieces that end at
+    # block boundaries and mid-block: after each piece, and on the empty
+    # parser, the closed blocks are the parse of the letters so far, and once
+    # feeding goes on the parser holds the state of one that was never asked
+    rng = random.Random(2727)
+    words = [fuzz_word(27, trial, 2000) for trial in range(40)]
+    words.append(random_word([27], 30 * FIRST_NODES))
+    assert len(parse(words[-1]).starts) > FIRST_NODES
+    closings = set()
+    for word in words:
+        asked, never = StreamParser(), StreamParser()
+        whole = parse(word)
+        bounds = set(whole.starts)     # the letters fed so far end on a block boundary
+        if not whole.last_is_duplicate:
+            bounds.add(len(word))
+        cuts = sorted({*rng.sample(whole.starts, min(len(whole.starts), 20)), len(word),
+                       *(rng.randrange(len(word)) for _ in range(20))})
+        at = 0
+        for cut in cuts + [None]:
+            p = parse(word[:at])
+            assert closed_as_lists(asked) == (p.starts, p.preds, p.last_is_duplicate)
+            closings.add((at in bounds, p.last_is_duplicate))
+            if cut is None:
+                break
+            asked.feed(word[at:cut])
+            never.feed(word[at:cut])
+            at = cut
+            assert_same_state(asked, never, word[:at])
+        assert finished_as_lists(asked.finish(word)) == finished_as_lists(never.finish(word))
+    # the empty parser and block boundaries close nothing; mid-block, a duplicate
+    assert closings == {(True, False), (False, True)}
 
 
 @pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
@@ -819,8 +861,7 @@ def test_kernel_parser_matches_python_parser_seeded():
     def same(text):
         kernel, python = fed_at_once(text, "kernel"), fed_at_once(text, "python")
         assert_same_state(kernel, python, text)
-        assert (kernel.in_progress(), kernel.tail_pred()) == (
-            python.in_progress(), python.tail_pred())
+        assert closed_as_lists(kernel) == closed_as_lists(python)
         assert finished_as_lists(kernel.finish(text)) == finished_as_lists(python.finish(text))
 
     # fuzz-short words, 1 to 2,000 letters, behind both front letters

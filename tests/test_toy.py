@@ -175,13 +175,13 @@ def test_edge_slices_cover_every_block_once(monkeypatch):
     monkeypatch.setattr(construction, "CENSUS_SLICE", 3)
     for n in range(10):
         starts = list(range(0, 10 * n, 10))
-        for tail in ([10 * n], [10 * n, 10 * n + 4]):
-            for given in (starts, memoryview(array("q", starts))):
-                slices = list(_edge_slices(given, tail))
+        for firsts, end in ((starts, 10 * n), (starts + [10 * n], 10 * n + 4)):
+            for given in (firsts, memoryview(array("q", firsts))):
+                slices = list(_edge_slices(given, end))
                 assert slices and all(len(edges) <= 4 for edges in slices)
                 assert all(a[-1] == b[0] for a, b in zip(slices, slices[1:]))
                 edges = [int(e) for edges in slices for e in edges[1:]]
-                assert [int(slices[0][0])] + edges == starts + tail
+                assert [int(slices[0][0])] + edges == firsts + [end]
 
 
 @pytest.mark.parametrize("census_slice", [1, 2, 7])
@@ -490,7 +490,6 @@ def test_verify_toy_certifies_without_consuming_the_parse():
 
 
 def test_verify_toy_rejects_a_tampered_parse_of_0w():
-    import dataclasses
     from lz78lab import ConstructionError
     cw = construct_toy(7)
     good, report = cw.red, verify_toy(cw)
@@ -499,10 +498,10 @@ def test_verify_toy_rejects_a_tampered_parse_of_0w():
     preds = list(good.preds)
     preds[-1] = len(preds) - 1
     other = parse(b"0" + cw.word.data[::-1])
-    for bad in (dataclasses.replace(good, starts=starts),
-                dataclasses.replace(good, preds=preds),
-                dataclasses.replace(good, last_is_duplicate=not good.last_is_duplicate),
-                dataclasses.replace(good, data=b"1" + cw.word.data),
+    for bad in (good._replace(starts=starts),
+                good._replace(preds=preds),
+                good._replace(last_is_duplicate=not good.last_is_duplicate),
+                good._replace(data=b"1" + cw.word.data),
                 other):
         cw.red = bad
         with pytest.raises(ConstructionError):
