@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_word_input(p):
-        p.add_argument("--word", help="word as a 0/1 string")
-        p.add_argument("--input", help="word file (text or packed)")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--word", help="word as a 0/1 string")
+        group.add_argument("--input", help="word file (text or packed)")
 
     p = sub.add_parser("parse", help="parse a word and report block statistics")
     add_word_input(p)

@@ -168,16 +168,16 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     fed.  Violations are counted against the chain's regular blocks only, for
     offsets in [0, window].
 
-    The chain is fed whole once, for the census that picks the hot offset i0.
-    Then ``gadgets(i0)`` is called, once, while the parser still holds that
-    whole feed; it returns ``make``, and ``make(c)`` is the chain's gadget c.
-    After that, each gadget goes into the tape in place, the parsing is rolled
-    back to the insertion point, and the tape after it is fed lazily, a
-    doubling number of segments at a time, only until the census holds d + 1
-    violations at i0: completed blocks never change, so those fix the next
-    pass exactly.  Only the pass that ends the loop feeds to the chain's end.
-    With ``scratch`` every pass parses the whole tape afresh and takes a full
-    census instead.
+    Every pass is one ``advance(end)``, a feed up to letter ``end`` and a
+    census of the blocks it completed.  The first advances the whole chain,
+    to pick the hot offset i0; ``gadgets(i0)`` is called then, once, and
+    returns ``make``, where ``make(c)`` is the chain's gadget c.  Each gadget
+    goes into the tape in place, the parsing is rolled back to the insertion
+    point, and the tape after it is advanced lazily, a doubling number of
+    segments at a time, only until the census holds d + 1 violations at i0:
+    completed blocks never change, so those fix the next pass exactly.  Only
+    the pass that ends the loop feeds to the chain's end.  With ``scratch``
+    every pass is the first run again after ``parser.reset()``.
     """
     x = source.data
     s = len(x) - q
@@ -187,25 +187,25 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
                     for t in range(s))
     for t in range(s):
         tape += x[:q + 1 + t]
-    # a view, so only feed copies the letters, a slice at a time
-    first_new = parser.feed(memoryview(tape)[parser.position:])
-
     bounds, regular = _layout(segments[seg_lo:], chain_start)
 
-    def census(first: int, tail: bool):
-        """The regular indices and offsets of the red blocks from block
-        ``first`` on that lie inside one of the chain's regulars, at an
-        offset up to ``window``, with the in-progress block, closed as the
-        trailing duplicate, when ``tail``."""
-        if tail:
-            starts, end = parser.closed_blocks()[0], parser.position
+    def advance(end: int):
+        """Feed the tape up to letter ``end`` of aw; returns the regular
+        indices and offsets of the newly completed red blocks that lie inside
+        one of the chain's regulars, at an offset up to ``window``, with the
+        in-progress block, closed as the trailing duplicate, once the whole
+        tape is fed and ``include_tail``."""
+        # a view, so only feed copies the letters; it is gone before the tape grows
+        first = parser.feed(memoryview(tape)[parser.position:end])
+        if include_tail and parser.position == len(tape):
+            starts, stop = parser.closed_blocks()[0], parser.position
         else:
-            starts, end = parser.starts, parser.block_start
-        index, offset = map(np.concatenate, zip(*_census(starts[first:], end,
+            starts, stop = parser.starts, parser.block_start
+        index, offset = map(np.concatenate, zip(*_census(starts[first:], stop,
                                                          bounds, regular, window)))
         return regular[index], offset
 
-    regs, offsets = census(first_new, include_tail)
+    regs, offsets = advance(len(tape))
     record = ChainRecord(index=chain_index, source=source, q=q, regular_count=s,
                          chosen_i=None, gadget_count=0, final_d=None,
                          start=chain_start, length=len(tape) - 1 - chain_start,
@@ -221,14 +221,6 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
             {"chain": chain_index, "indices": hot})
     i0 = hot[0]
     make = gadgets(i0)
-
-    def advance(end: int) -> list[int]:
-        """Feed the tape up to letter ``end`` of aw; returns the regulars that
-        the newly completed red blocks violate at i0."""
-        # a view, so only feed copies the letters; it is gone before the tape grows
-        first = parser.feed(memoryview(tape)[parser.position:end])
-        regs, offsets = census(first, include_tail and parser.position == len(tape))
-        return regs[offsets == i0].tolist()
 
     d = s // 2 + 1
     c = 0
@@ -259,8 +251,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
 
         if scratch:
             parser.reset()
-            parser.feed(tape)
-            regs, offsets = census(first_new, include_tail)
+            regs, offsets = advance(len(tape))
             violated = regs[offsets == i0].tolist()
             continue
 
@@ -273,7 +264,8 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         violated = violated[:d - 1]
         hi, step = at + 1, 1            # the target is now segment at + 1
         while len(violated) <= d and parser.position < len(tape):
-            violated += advance(1 + int(bounds[min(hi + 1, len(bounds) - 1)]))
+            regs, offsets = advance(1 + int(bounds[min(hi + 1, len(bounds) - 1)]))
+            violated += regs[offsets == i0].tolist()
             hi += step
             step *= 2
 

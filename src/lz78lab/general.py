@@ -318,15 +318,11 @@ def verify_general(cw: ConstructedWord) -> GeneralReport:
     red = cw.certified_red()
     sync_ok, counts, chain_red = front_census(cw, green, red.starts)
     cap = params.l / 2 + 2 * params.m + 1 + 2 * params.k * math.sqrt(params.l)
-    caps_ok = True
-    pairs_ok = True
-    for chain in cw.chains:
-        per_i = counts.get(chain.index, {})
-        if any(c > cap for i, c in per_i.items() if i <= params.window):
-            caps_ok = False
-        top = sorted(per_i.values(), reverse=True)[:2]
-        if len(top) == 2 and top[0] + top[1] > chain.regular_count:
-            pairs_ok = False
+    caps_ok = all(c <= cap for per_i in counts.values()
+                  for i, c in per_i.items() if i <= params.window)
+    # a lone offset counts at most s_j: a regular holds one red block per offset
+    pairs_ok = all(sum(sorted(counts[c.index].values())[-2:]) <= c.regular_count
+                   for c in cw.chains)
 
     bound = (3 + math.sqrt(3)) / 2 * params.n / params.l
     return GeneralReport(

@@ -293,6 +293,21 @@ def test_unopenable_word_files_exit_2(capsys, tmp_path):
         assert err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("command", ["parse", "ratio", "align"])
+def test_word_and_input_together_exit_2(capsys, tmp_path, command):
+    # one word per run: a second source is refused, not silently ignored
+    path = tmp_path / "w.txt"
+    path.write_text("0110\n")
+    for argv in (["--word", "0101", "--input", str(path)],
+                 ["--input", str(path), "--word", "0101"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err, argv
+
+
 def test_family_sample_and_curve(capsys, tmp_path):
     fam = tmp_path / "family.txt"
     code, out, _ = run(capsys, "family-sample", "--n", str(1 << 14),

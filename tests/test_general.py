@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
@@ -208,6 +210,33 @@ def test_verify_general_flags(small_build):
     assert rep.dic_aw > rep.dic_w
     assert rep.catastrophe_factor == rep.dic_aw / rep.dic_w
     assert len(rep.per_chain_red_blocks) == len(cw.chains)
+
+
+def test_verify_general_per_chain_checks_fail_on_the_counts(monkeypatch, small_build):
+    # the two checks per chain j as the theorem states them: no offset i up to
+    # the window holds more violations than the cap, and no two offsets hold
+    # more than s_j between them; chain 0's counts are set by hand
+    params, family, cw = small_build
+    cap = params.l / 2 + 2 * params.m + 1 + 2 * params.k * math.sqrt(params.l)
+    s0 = cw.chains[0].regular_count
+    census = general_mod.front_census
+
+    def flags(chain0):
+        def patched(*args):
+            units_ok, counts, chain_red = census(*args)
+            return units_ok, {**counts, 0: chain0}, chain_red
+
+        monkeypatch.setattr(general_mod, "front_census", patched)
+        rep = verify_general(cw)
+        return rep.violation_caps_ok, rep.pair_trade_off_ok
+
+    over = math.floor(cap) + 1
+    assert flags({params.window: over})[0] is False
+    assert flags({params.window + 1: over})[0] is True
+    half = s0 // 2
+    assert flags({0: 1, 3: half, 7: s0 + 1 - half}) == (True, False)
+    assert flags({0: 1, 3: half, 7: s0 - half}) == (True, True)
+    assert flags({5: s0}) == (True, True)
 
 
 @pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])

@@ -458,6 +458,39 @@ def test_forced_loop_hands_over_the_parse_of_0w(length, seed, k, scratch):
     assert_is_parse_of_0w(cw.red, cw.word.data)
 
 
+@pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
+                                           (200, 11, 7), (60, 5, 6), (150, 9, 7)])
+def test_scratch_passes_reparse_the_whole_tape(monkeypatch, length, seed, k):
+    # the oracle does no lazy feeding: after the first pass, which feeds the
+    # chain after the front letter, each gadget is followed by one feed of the
+    # whole tape from position 0, longer than the last by that gadget
+    feed, build = StreamParser.feed, toy.build_chain
+    feeds, tapes = [], []
+
+    def recording_feed(self, data):
+        if tapes:
+            feeds.append((self.position, len(data), len(tapes[0])))
+        return feed(self, data)
+
+    def recording_build(parser, tape, *args, **kwargs):
+        tapes.append(tape)
+        record = build(parser, tape, *args, **kwargs)
+        tapes.clear()
+        return record
+
+    monkeypatch.setattr(StreamParser, "feed", recording_feed)
+    monkeypatch.setattr(toy, "build_chain", recording_build)
+    x = _forced_base(length, seed)
+    cw = construct_from_base(x, 3.0, scratch=True, meta={"k": k})
+    count = cw.chains[0].gadget_count
+    gadgets = sorted((seg for seg in cw.segments if seg.kind == GADGET),
+                     key=lambda seg: seg.gadget_c)
+    assert count > 0 and len(gadgets) == count
+    chain = len(x) * (len(x) + 1) // 2
+    whole = [1 + chain + sum(seg.length for seg in gadgets[:j]) for j in range(1, count + 1)]
+    assert feeds == [(1, chain, 1 + chain)] + [(0, n, n) for n in whole]
+
+
 @pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])
 def test_construct_toy_hands_over_the_parse_of_0w(reparse):
     for k in (5, 8):
