@@ -10,10 +10,9 @@ far more.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import partial
-
-import numpy as np
 
 from .alignment import PADDING
 from .construction import (ChainRecord, ConstructedWord, Segment, _layout,
@@ -178,31 +177,31 @@ def _chain_gadget(x: bytes, m: int, u: bytes | None, i: int, c: int) -> bytes:
     return x[:mp] + bytes([x[mp] ^ 1]) + (x[:m] + b"1" * c)[:c]
 
 
-def _resync_word(parser: StreamParser, tape: bytearray, green_words: set[bytes],
-                 x: bytes, m_int: int, h_red: int, chain_index: int) -> bytes:
+def _resync_word(parser: StreamParser, green_words: set[bytes], x: bytes,
+                 m_int: int, h_red: int, chain_index: int) -> bytes:
     """The resynchronization word u of an offset-0 chain.
 
-    u is the shortest, then the least in byte order, of the blocks of
-    ``tape`` the parser has completed that end by ``h_red``, have at most
-    ``m_int`` letters, are not in ``green_words`` and are not a prefix of x;
-    raises ``ConstructionError`` when there is none.  The plain parsing's
-    words are ``green_words`` and the chain's regulars x[0..q], ..., x; the
-    shorter prefixes of x are in ``green_words``, so a block is plain exactly
-    when it is in ``green_words`` or prefixes x.  The choice costs a few
-    numpy passes over the block starts, then a sort of the blocks of each
-    short length until one qualifies; red blocks are distinct, so nothing
-    ties."""
-    starts = np.asarray(parser.starts, dtype=np.int64)
-    # the last completed block ends where the block in progress starts
-    # (cut to no end at all when no block is complete)
-    ends = np.append(starts[1:], parser.block_start)[:len(starts)]
-    count = np.searchsorted(ends, h_red, side="right")   # ends increase
-    lengths = ends[:count] - starts[:count]
-    short = lengths <= m_int
-    lengths, starts = lengths[short], starts[:count][short]
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        for word in sorted(bytes(tape[s:s + length])
-                           for s in starts[lengths == length].tolist()):
+    u is the shortest, then the least in byte order, of the blocks the
+    parser has completed that end by ``h_red``, have at most ``m_int``
+    letters, are not in ``green_words`` and are not a prefix of x; raises
+    ``ConstructionError`` when there is none.  The plain parsing's words are
+    ``green_words`` and the chain's regulars x[0..q], ..., x; the shorter
+    prefixes of x are in ``green_words``, so a block is plain exactly when it
+    is in ``green_words`` or prefixes x.  Node t of the parser's trie is
+    block t - 1, and a node's children are later blocks, so a walk of the
+    trie level by level, child 0 before child 1, meets the blocks in that
+    order and prunes the blocks that end after ``h_red`` with their
+    subtrees."""
+    child = parser.child
+    # block t - 1 ends where block t starts, the last completed block where
+    # the block in progress starts: the first ``count`` blocks end by h_red
+    count = bisect_right(parser.starts, h_red) - 1 + (parser.block_start <= h_red)
+    level = [(0, b"")]                 # the root, the empty word
+    for _ in range(m_int):
+        level = [(t, word + letter) for node, word in level
+                 for t, letter in zip(child[2 * node:2 * node + 2], (b"0", b"1"))
+                 if 0 < t <= count]
+        for _, word in level:
             if word not in green_words and not x.startswith(word):
                 return word
     raise ConstructionError(
@@ -238,7 +237,7 @@ def _add_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     def gadgets(i0: int):
         nonlocal u
         if i0 == 0:
-            u = _resync_word(parser, tape, green_words, xb, m_int, h_red, chain_index)
+            u = _resync_word(parser, green_words, xb, m_int, h_red, chain_index)
         return partial(_chain_gadget, xb, m_int, u, i0)
 
     seg_lo = len(segments)

@@ -110,9 +110,9 @@ class StreamParser:
         return self._state.block_start
 
     @property
-    def child(self) -> list[int]:
-        """The child slots of the nodes in use, two per node."""
-        return self._child[:2 * self._state.nodes]
+    def child(self) -> memoryview:
+        """The child slots of the nodes in use, two per node, a view as ``starts``."""
+        return _view(self._child, "i")[:2 * self._state.nodes]
 
     def feed(self, data) -> int:
         """Consume letters; returns the index of the first newly completed block.

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -354,11 +355,17 @@ def resolved(monkeypatch):
     """Each offset-0 resolve of the builds a test runs, checked against
     :func:`naive_resync_word` on the parser as the resolver saw it: a list
     of (chain, resolved word, oracle word, parser mode)."""
-    seen = []
-    resolve = general_mod._resync_word
+    seen, tapes = [], []
+    resolve, build = general_mod._resync_word, general_mod.build_chain
 
-    def checked(parser, tape, green_words, x, m_int, h_red, chain_index):
-        word = resolve(parser, tape, green_words, x, m_int, h_red, chain_index)
+    def building(parser, tape, *args, **kw):
+        tapes.append(tape)             # the oracle reads the blocks off it
+        return build(parser, tape, *args, **kw)
+
+    def checked(parser, green_words, x, m_int, h_red, chain_index):
+        word = resolve(parser, green_words, x, m_int, h_red, chain_index)
+        tape = tapes[-1]
+        # the oracle's blocks come from the starts and the tape, never the trie
         starts = list(parser.starts)
         ends = starts[1:] + [parser.block_start]
         blocks = [bytes(tape[a:b]) for a, b in zip(starts, ends)]
@@ -367,6 +374,7 @@ def resolved(monkeypatch):
                      "python" if parsing._KERNEL is None else "kernel"))
         return word
 
+    monkeypatch.setattr(general_mod, "build_chain", building)
     monkeypatch.setattr(general_mod, "_resync_word", checked)
     return seen
 
@@ -427,7 +435,7 @@ def test_resync_word_selection_rule(mode):
     parser.feed(tape)
 
     def resolve(green_words, x, m_int, h_red):
-        return general_mod._resync_word(parser, tape, green_words, x, m_int, h_red, 7)
+        return general_mod._resync_word(parser, green_words, x, m_int, h_red, 7)
 
     green = {b"1", b"01"}
     # 0, 00 and 001 prefix x; 000 is least but longer than 10 and 11
@@ -440,19 +448,46 @@ def test_resync_word_selection_rule(mode):
     assert info.value.diagnostics == {"chain": 7, "m": 2, "half_point": 13}
 
 
+def test_resync_word_matches_the_oracle_on_random_parses(mode):
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(400):
+        size = rng.randint(1, rng.choice((20, 400)))
+        tape = bytes(rng.choice(b"01") for _ in range(size))
+        parser = StreamParser()
+        parser.feed(tape)
+        starts = list(parser.starts)
+        ends = starts[1:] + [parser.block_start]
+        blocks = [tape[a:b] for a, b in zip(starts, ends)]
+        share = rng.random()
+        green = {b for b in blocks if rng.random() < share}
+        x = bytes(rng.choice(b"01") for _ in range(rng.randint(1, 8)))
+        m_int = rng.randint(1, 6)
+        # anywhere, inside a block too; half the time in the block in progress
+        h_red = rng.randint(rng.choice((0, parser.block_start)), len(tape))
+        want = naive_resync_word(blocks, ends, green, x, m_int, h_red)
+        try:
+            got = general_mod._resync_word(parser, green, x, m_int, h_red, 0)
+        except ConstructionError:
+            got = None
+        assert got == want, (tape, green, x, m_int, h_red)
+        outcomes.add(None if got is None else len(got))
+    assert outcomes >= {None, 1, 2, 3}
+
+
 def test_resync_word_raise_leaves_the_parser_growable(mode):
     parser, tape = StreamParser(), bytearray(b"0")
     parser.feed(tape)
     with pytest.raises(ConstructionError) as info:
-        general_mod._resync_word(parser, tape, set(), b"0110", 4, 1, 3)
+        general_mod._resync_word(parser, set(), b"0110", 4, 1, 3)
     assert info.value.diagnostics == {"chain": 3, "m": 4, "half_point": 1}
-    # the traceback in info keeps the resolver's frame alive; it must hold
-    # no view of the tape, or the tape could not resize
+    # the traceback in info keeps the resolver's frame alive, with its views
+    # of the parser's arrays; the parser must still feed
     tape += b"1" * 64 + b"01" * 64
     parser.feed(tape[parser.position:])
     assert parser.position == len(tape) == 1 + 192
     with pytest.raises(ConstructionError):
-        general_mod._resync_word(StreamParser(), bytearray(), set(), b"1", 4, 0, 5)
+        general_mod._resync_word(StreamParser(), set(), b"1", 4, 0, 5)
 
 
 def test_add_chain_rejects_a_first_fresh_prefix_beyond_its_bound():
