@@ -4,12 +4,12 @@ Aligning on the right (the copy of w inside aw matches w), every red block is
 either the single first block (the prepended letter), a junction spanning two
 or more green blocks, or an offset-i block contained in one green block.
 
-:func:`locate` answers "which green block holds this red block, and at what
+:func:`locate` answers "which green span holds this red block, and at what
 offset?" for a whole run of red blocks at once.  The classification and the
-violation table here use it over a plain parsing of w; ``construction`` uses
-it in its one census of the red blocks inside the segments of a constructed
-word, which the gadget loop and :func:`~lz78lab.construction.front_census`,
-read by both verifiers, share.
+violation table here use it over the tiling blocks of a plain parsing of w;
+``construction`` uses it over the regular blocks of a constructed word only,
+in its one census, which the gadget loop and
+:func:`~lz78lab.construction.front_census`, read by both verifiers, share.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ import numpy as np
 from .errors import ParameterError
 from .parsing import Parsing, parse
 from .words import as_bits
-
-REGULAR = "regular"
-GADGET = "gadget"
-PADDING = "padding"
-
 
 class RedClass(NamedTuple):
     kind: str                    # "first" | "junction" | "offset"
@@ -61,24 +56,27 @@ def align(w, a) -> AlignedParsing:
                           classes=classify(green, red))
 
 
-def locate(green_starts, length: int, red_starts, red_ends):
-    """Place red blocks of aw over green blocks tiling w[:length].
+def locate(green_starts, green_ends, red_starts, red_ends):
+    """Place red blocks of aw over green spans of w.
 
-    ``green_starts`` are the ascending starts of the green blocks in w;
-    ``red_starts`` and ``red_ends`` bound red blocks in aw, so letter p of aw
-    is letter p - 1 of w.  Returns three arrays, one entry per red block: the
-    index of the green block holding the red block's first letter in w (-1
-    when that letter lies before the first green block, as for aw's first
-    block), the offset of that letter in the green block, and whether the red
-    block also ends inside it.  Every array is sized by a block count.
+    ``green_starts`` and ``green_ends`` bound ascending, disjoint spans of w,
+    which need not tile it and are at least one when there are red blocks;
+    ``red_starts`` and ``red_ends`` bound non-empty red blocks in aw, so
+    letter p of aw is letter p - 1 of w.  Returns three arrays, one entry per
+    red block: the index of the last span starting at or before the red
+    block's first letter in w (-1 when that letter lies before the first
+    span, as for aw's first block), the offset of that letter from the span's
+    start, and whether the red block lies inside the span; one that starts
+    in a gap never does.  Every array is sized by a block count.
     """
     green = np.asarray(green_starts, dtype=np.int64)
     lo = np.asarray(red_starts, dtype=np.int64) - 1
     index = np.searchsorted(green, lo, side="right") - 1
     held = index >= 0
     at = np.where(held, index, 0)
-    green_ends = np.append(green[1:], length)
-    inside = held & (np.asarray(red_ends, dtype=np.int64) - 1 <= green_ends[at])
+    # a red block that starts in a gap is non-empty, so it ends past the gap
+    inside = held & (np.asarray(red_ends, dtype=np.int64) - 1
+                     <= np.asarray(green_ends, dtype=np.int64)[at])
     return index, lo - green[at], inside
 
 
@@ -93,8 +91,8 @@ def offset_counts(offsets) -> dict[int, int]:
 def classify(green: Parsing, red: Parsing) -> list[RedClass]:
     """Per-red-block tags; positions in aw map to w by subtracting one."""
     red_starts = np.asarray(red.starts, dtype=np.int64)
-    index, offset, inside = locate(green.starts, len(green.data), red_starts,
-                                   np.append(red_starts[1:], len(red.data)))
+    index, offset, inside = locate(green.starts, [*green.starts[1:], len(green.data)],
+                                   red_starts, np.append(red_starts[1:], len(red.data)))
     classes = []
     for gi, off, ok in zip(index.tolist(), offset.tolist(), inside.tolist()):
         if gi < 0:
@@ -135,14 +133,13 @@ class Coverage(NamedTuple):
 def coverage_profile(ap: AlignedParsing) -> list[list[Coverage]]:
     """For each green block, the ordered red segments intersecting it."""
     green, red = ap.green, ap.red
-    n_w = len(green.data)
+    bounds = [*green.starts, len(green.data)]
     red_starts = np.asarray(red.starts, dtype=np.int64)
     red_ends = np.append(red_starts[1:], len(red.data))
-    first, _, _ = locate(green.starts, n_w, red_starts, red_ends)
+    first, _, _ = locate(green.starts, bounds[1:], red_starts, red_ends)
     # the green block holding each red block's last letter: locate that letter
     # as a one-letter block
-    last, _, _ = locate(green.starts, n_w, red_ends - 1, red_ends)
-    bounds = [*green.starts, n_w]
+    last, _, _ = locate(green.starts, bounds[1:], red_ends - 1, red_ends)
     profile: list[list[Coverage]] = [[] for _ in range(green.block_count)]
     for b, (g0, g1, rs, re) in enumerate(zip(first.tolist(), last.tolist(),
                                              red_starts.tolist(), red_ends.tolist())):

@@ -18,11 +18,12 @@ each pass, is the correctness oracle).
 
 Every position in a constructed word comes from one place, :func:`_layout`,
 which turns a run of segments (a whole word or one chain) into its segment
-bounds and regular indices; the gadget loop, the verifiers' census, the
-chained construction's green words and the infinite construction's cut all
-read it.  :func:`_census` is the one count of the red blocks inside a
-regular, a slice of blocks at a time, over block starts and the position
-that ends the last block: the gadget loop reads it over the parser's blocks,
+bounds; the gadget loop (once a chain, then shifting the regulars after
+each gadget), the verifiers' census, the chained construction's green words
+and the infinite construction's cut all read it.  :func:`_census` is the one
+count of the red blocks inside a regular, a slice of blocks at a time, over
+block starts and the position that ends the last block, and over the spans
+of the regulars alone: the gadget loop reads it over the parser's blocks,
 at the chain's end as :meth:`~lz78lab.parsing.StreamParser.closed_blocks`
 closes them, and :func:`front_census`, the census of a finished word that
 both verifiers (``toy.one_front_variant``, ``general.verify_general``) read,
@@ -40,12 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import GADGET, PADDING, REGULAR, locate, offset_counts
+from .alignment import locate, offset_counts
 from .errors import ConstructionError
 from .parsing import Parsing, StreamParser, certify
 from .words import Word
 
 CENSUS_SLICE = 1 << 14            # red blocks a census places at once
+REGULAR, GADGET, PADDING = "regular", "gadget", "padding"   # the segment kinds
 
 
 @dataclass
@@ -110,15 +112,14 @@ class ConstructedWord:
         return certify(red.data, red.starts, red.preds, red.last_is_duplicate)
 
     def segment_starts(self) -> list[int]:
-        return _layout(self.segments)[0][:-1].tolist()
+        return _layout(self.segments)[:-1].tolist()
 
     def without_gadgets(self) -> bytes:
         """The word with gadget (and padding) segments removed."""
-        bounds, regular = _layout(self.segments)
-        bounds = bounds.tolist()
+        bounds = _layout(self.segments).tolist()
         data = self.word.data
-        return b"".join(data[a:b] for a, b, r in zip(bounds, bounds[1:], regular.tolist())
-                        if r >= 0)
+        return b"".join(data[a:b] for a, b, seg in zip(bounds, bounds[1:], self.segments)
+                        if seg.kind == REGULAR)
 
 
 def front_census(cw: ConstructedWord, green: Parsing, red_starts):
@@ -133,7 +134,7 @@ def front_census(cw: ConstructedWord, green: Parsing, red_starts):
     (regular or gadget) segment and any further blocks lie in the padding:
     the units come first, then at most one padding segment, so the green
     starts must be the segment bounds up to the padding's start."""
-    bounds, regular = _layout(cw.segments)
+    bounds = _layout(cw.segments)
     units = sum(seg.kind != PADDING for seg in cw.segments)
     head = list(green.starts[:units + 1])
     units_ok = head == bounds[:max(len(head), units)].tolist()
@@ -141,11 +142,13 @@ def front_census(cw: ConstructedWord, green: Parsing, red_starts):
     # one (chain, offset) tally, as wide as the longest regular segment: the
     # offsets inside a regular are all below it, so the window drops none, and
     # the padding, which may be far longer, sets no width
-    segment_chain = np.array([seg.chain for seg in cw.segments])
-    width = int(np.diff(bounds)[regular >= 0].max(initial=0))
+    regular = np.fromiter((seg.kind == REGULAR for seg in cw.segments), bool, len(cw.segments))
+    starts, ends = bounds[:-1][regular], bounds[1:][regular]
+    chain = np.fromiter((seg.chain for seg in cw.segments), np.int64, len(cw.segments))[regular]
+    width = int((ends - starts).max(initial=0))
     tally = np.zeros(len(cw.chains) * width, dtype=np.int64)
-    for index, offset in _census(red_starts, len(cw.word) + 1, bounds, regular, width):
-        np.add.at(tally, segment_chain[index] * width + offset, 1)
+    for index, offset in _census(red_starts, len(cw.word) + 1, starts, ends, width):
+        np.add.at(tally, chain[index] * width + offset, 1)
     counts, chain_red = {}, {}
     for c in cw.chains:
         row = tally[c.index * width:(c.index + 1) * width]
@@ -174,7 +177,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     returns ``make``, where ``make(c)`` is the chain's gadget c.  Each gadget
     goes into the tape in place, the parsing is rolled back to the insertion
     point, and the tape after it is advanced lazily, a doubling number of
-    segments at a time, only until the census holds d + 1 violations at i0:
+    regulars at a time, only until the census holds d + 1 violations at i0:
     completed blocks never change, so those fix the next pass exactly.  Only
     the pass that ends the loop feeds to the chain's end.  With ``scratch``
     every pass is the first run again after ``parser.reset()``.
@@ -187,7 +190,10 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
                     for t in range(s))
     for t in range(s):
         tape += x[:q + 1 + t]
-    bounds, regular = _layout(segments[seg_lo:], chain_start)
+    # the regulars' spans in w, laid out once; a gadget opens a gap before its
+    # target, so each insertion shifts the spans from the target on
+    bounds = _layout(segments[seg_lo:], chain_start)
+    starts, ends = bounds[:-1], bounds[1:].copy()
 
     def advance(end: int):
         """Feed the tape up to letter ``end`` of aw; returns the regular
@@ -198,12 +204,11 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         # a view, so only feed copies the letters; it is gone before the tape grows
         first = parser.feed(memoryview(tape)[parser.position:end])
         if include_tail and parser.position == len(tape):
-            starts, stop = parser.closed_blocks()[0], parser.position
+            blocks, stop = parser.closed_blocks()[0], parser.position
         else:
-            starts, stop = parser.starts, parser.block_start
-        index, offset = map(np.concatenate, zip(*_census(starts[first:], stop,
-                                                         bounds, regular, window)))
-        return regular[index], offset
+            blocks, stop = parser.starts, parser.block_start
+        return tuple(map(np.concatenate, zip(*_census(blocks[first:], stop,
+                                                      starts, ends, window))))
 
     regs, offsets = advance(len(tape))
     record = ChainRecord(index=chain_index, source=source, q=q, regular_count=s,
@@ -239,15 +244,16 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
                 "gadget insertions exceeded the regular block count",
                 {"chain": chain_index, "i": i0, "inserted": c, "d": d})
         target = violated[d - 1]
-        at = int(np.flatnonzero(regular == target)[0])
-        insert_at = 1 + int(bounds[at])
+        insert_at = 1 + int(starts[target])
         gadget = make(c)
         tape[insert_at:insert_at] = gadget
-        segments.insert(seg_lo + at,
+        starts[target:] += len(gadget)
+        ends[target:] += len(gadget)
+        # the c earlier gadgets all lie before earlier, so smaller, targets
+        segments.insert(seg_lo + target + c,
                         Segment(GADGET, len(gadget), chain_index,
                                 gadget_i=i0, gadget_c=c))
         c += 1
-        bounds, regular = _layout(segments[seg_lo:], chain_start)
 
         if scratch:
             parser.reset()
@@ -262,9 +268,9 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         # first re-fed block ends after insert_at (the dictionary is
         # prefix-closed), so only the newly completed blocks need a census.
         violated = violated[:d - 1]
-        hi, step = at + 1, 1            # the target is now segment at + 1
+        hi, step = target, 1            # only regulars follow the target
         while len(violated) <= d and parser.position < len(tape):
-            regs, offsets = advance(1 + int(bounds[min(hi + 1, len(bounds) - 1)]))
+            regs, offsets = advance(1 + int(ends[min(hi, s - 1)]))
             violated += regs[offsets == i0].tolist()
             hi += step
             step *= 2
@@ -279,23 +285,19 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
 def _layout(segments: list[Segment], start: int = 0):
     """The one map from segments to positions: the run of ``segments`` (a
     whole word, or one chain) laid from letter ``start`` of the word.  Returns
-    its segment bounds, segment k spanning ``bounds[k]`` to ``bounds[k + 1]``,
-    and each segment's regular index, -1 for a gadget or the padding."""
+    its segment bounds, segment k spanning ``bounds[k]`` to ``bounds[k + 1]``."""
     lengths = np.fromiter((seg.length for seg in segments), np.int64, len(segments))
-    regular = np.fromiter((seg.reg_index if seg.kind == REGULAR else -1
-                           for seg in segments), np.int64, len(segments))
-    bounds = start + np.concatenate(([0], np.cumsum(lengths)))
-    return bounds, regular
+    return start + np.concatenate(([0], np.cumsum(lengths)))
 
 
-def _census(starts, end: int, bounds, regular, window: int):
-    """The one census: for each slice of the red blocks that ``starts`` begin,
-    the last one ending at ``end`` (:func:`_edge_slices`), the segment indices
-    and offsets of those that lie inside one regular segment of the run laid
-    out by :func:`_layout`, at an offset up to ``window``, in word order."""
-    for edges in _edge_slices(starts, end):
-        index, offset, inside = locate(bounds[:-1], int(bounds[-1]), edges[:-1], edges[1:])
-        hit = inside & (regular[index] >= 0) & (offset <= window)
+def _census(blocks, end: int, starts, ends, window: int):
+    """The one census: for each slice of the red blocks that ``blocks`` begin,
+    the last one ending at ``end`` (:func:`_edge_slices`), the indices into the
+    regular spans ``starts`` to ``ends`` and the offsets of those red blocks
+    that lie inside one regular, at an offset up to ``window``, in word order."""
+    for edges in _edge_slices(blocks, end):
+        index, offset, inside = locate(starts, ends, edges[:-1], edges[1:])
+        hit = inside & (offset <= window)
         yield index[hit], offset[hit]
 
 

@@ -14,8 +14,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import partial
 
-from .alignment import PADDING
-from .construction import (ChainRecord, ConstructedWord, Segment, _layout,
+from .construction import (PADDING, ChainRecord, ConstructedWord, Segment, _layout,
                            build_chain, front_census)
 from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import _gram_counts
@@ -245,7 +244,7 @@ def _add_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
                          gadgets=gadgets, include_tail=False, scratch=scratch)
     record.resync_word = u
     # letter p of w is letter p + 1 of the tape's 0w
-    bounds = _layout(segments[seg_lo:], 1 + record.start)[0].tolist()
+    bounds = _layout(segments[seg_lo:], 1 + record.start).tolist()
     green_words.update(bytes(tape[a:b]) for a, b in zip(bounds, bounds[1:]))
     return record
 

@@ -195,7 +195,7 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
 def _truncate_segments(segments: list[Segment], budget: int) -> list[Segment]:
     """The segments that start before letter ``budget``, the last one cut
     short to end there."""
-    bounds = _layout(segments)[0].tolist()
+    bounds = _layout(segments).tolist()
     kept = bisect_left(bounds, budget, hi=len(segments))
     out = segments[:kept]
     if kept and bounds[kept] > budget:

@@ -67,6 +67,17 @@ def naive_classify(green_blocks: list[str], red_blocks: list[str]):
     return out
 
 
+def naive_locate(spans, a: int, b: int):
+    """The red block of aw from letter a to b over ascending, disjoint spans
+    of w, by a scan: the last span starting at or before its first letter in
+    w (or -1), the offset there (or None), and whether it lies inside."""
+    k = max((k for k, (start, _) in enumerate(spans) if start <= a - 1), default=-1)
+    if k < 0:
+        return -1, None, False
+    start, end = spans[k]
+    return k, a - 1 - start, all(start <= p < end for p in range(a - 1, b - 1))
+
+
 def random_bits(rng, length: int) -> str:
     return "".join(rng.choice("01") for _ in range(length))
 

@@ -4,9 +4,9 @@ import pytest
 
 from lz78lab import (ParameterError, align, coverage_profile, parse, pref,
                      violation_table)
-from lz78lab.alignment import alignment_report
+from lz78lab.alignment import alignment_report, classify, locate
 
-from oracles import naive_classify, naive_parse
+from oracles import naive_classify, naive_locate, naive_parse
 
 
 def classes_of(ap):
@@ -51,6 +51,61 @@ def test_classification_matches_interval_oracle():
             got = [(c.kind,) if c.kind != "offset" else (c.kind, c.offset, c.green_index)
                    for c in ap.classes]
             assert got == expected
+
+
+def _random_spans(rng, n):
+    """Ascending, disjoint spans in w[:n], at least one, some touching and
+    some with gaps."""
+    spans, at = [], min(n - 1, rng.choice([0, 0, 1, 2]))
+    while at < n:
+        end = min(n, at + rng.randrange(1, 8))
+        spans.append((at, end))
+        at = end + rng.choice([0, 0, 1, 3])
+    return spans
+
+
+def test_locate_over_spans_with_gaps_matches_a_scan():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(400):
+        n = rng.randrange(1, 60)
+        spans = _random_spans(rng, n)
+        cuts = sorted(rng.sample(range(1, n + 1), rng.randrange(0, n + 1)))
+        red = list(zip([0, *cuts], [*cuts, n + 1]))      # tiles aw
+        index, offset, inside = locate([a for a, _ in spans], [b for _, b in spans],
+                                       [a for a, _ in red], [b for _, b in red])
+        for r, (a, b) in enumerate(red):
+            k, off, ok = naive_locate(spans, a, b)
+            assert (index[r], inside[r]) == (k, ok), (spans, red, r)
+            if k >= 0:
+                assert offset[r] == off
+                end = spans[k][1]
+                seen.add("first letter" if off == 0 else
+                         "in a gap" if a - 1 >= end else "later letter")
+                if b - 1 == end:
+                    seen.add("ends on the last letter")
+            else:
+                seen.add("red block 0" if a == 0 else "before the first span")
+    assert seen >= {"red block 0", "before the first span", "in a gap", "first letter",
+                    "later letter", "ends on the last letter"}
+
+
+def test_locate_over_tiling_blocks_agrees_with_the_scan_and_classify():
+    rng = random.Random(43)
+    for _ in range(120):
+        w = "".join(rng.choice("01") for _ in range(rng.randrange(1, 200)))
+        green, red = parse(w), parse(rng.choice("01") + w)
+        ends = [*green.starts[1:], len(w)]
+        red_ends = [*red.starts[1:], len(w) + 1]
+        index, offset, inside = locate(green.starts, ends, red.starts, red_ends)
+        spans = list(zip(green.starts, ends))
+        want = []
+        for r, (a, b) in enumerate(zip(red.starts, red_ends)):
+            k, off, ok = naive_locate(spans, a, b)
+            assert (index[r], inside[r]) == (k, ok) and (k < 0 or offset[r] == off)
+            want.append(("first",) if k < 0 else ("offset", off, k) if ok else ("junction",))
+        assert [(c.kind,) if c.kind != "offset" else (c.kind, c.offset, c.green_index)
+                for c in classify(green, red)] == want
 
 
 def test_length_accounting_and_tiling():

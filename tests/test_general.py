@@ -7,9 +7,8 @@ from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
                      check_p1, check_p2, construct_general, derive_params,
                      load_family, parse, pref_gt, sample_family, save_family,
                      verify_general)
-from lz78lab.alignment import GADGET, PADDING, REGULAR
 from lz78lab import construction
-from lz78lab.construction import front_census
+from lz78lab.construction import GADGET, PADDING, REGULAR, front_census
 import lz78lab.general as general_mod
 from lz78lab.infinite import build_prefix, schedule_for_budget
 from lz78lab import parsing

@@ -7,8 +7,8 @@ import pytest
 
 from lz78lab import (ParameterError, Word, construct_general, construction, derive_params,
                      one_front_variant, parse, pref, sample_family, tree_stats, verify_toy)
-from lz78lab.alignment import GADGET, REGULAR
-from lz78lab.construction import ConstructedWord, _edge_slices, build_chain, front_census
+from lz78lab.construction import (GADGET, REGULAR, ConstructedWord, _edge_slices, build_chain,
+                                  front_census)
 from lz78lab.parsing import StreamParser
 from lz78lab import toy
 from lz78lab.toy import _toy_gadget, construct_from_base, construct_toy
@@ -356,6 +356,27 @@ def test_gadgets_are_asked_once_per_hot_chain_on_its_whole_feed(scratch):
             assert bool(calls) == (record.gadget_count > 0)
             asked_chains += bool(calls)
     assert asked_chains >= 12
+
+
+@pytest.mark.parametrize("scratch", [False, True])
+def test_build_chain_lays_its_chain_out_once(monkeypatch, mode, scratch):
+    # the chain is laid out before its first gadget; each insertion shifts the
+    # regulars from its target on, so no gadget lays the chain out again
+    layout, calls = construction._layout, []
+    monkeypatch.setattr(construction, "_layout",
+                        lambda *args: calls.append(args) or layout(*args))
+    gadgets = 0
+    for length, seed in [(90, 2), (120, 7), (70, 3), (200, 11)]:
+        x = _forced_base(length, seed)
+        parser, tape = StreamParser(), bytearray(b"0")
+        parser.feed(tape)
+        calls.clear()
+        record = build_chain(parser, tape, [], 0, x, 0, window=12,
+                             gadgets=lambda i: partial(_toy_gadget, x.data, i),
+                             include_tail=True, scratch=scratch)
+        assert record.gadget_count > 1 and len(calls) == 1, (length, seed)
+        gadgets += record.gadget_count
+    assert gadgets > 8
 
 
 def _oracle_segments(data: bytes, segments) -> list:
