@@ -1,20 +1,18 @@
 """LZ'78 parsing lab: dictionary parsing, aligned red/green block analysis,
 and the adversarial constructions behind the one-bit catastrophe."""
 
-from .alignment import (AlignedParsing, RedClass, ViolationTable, align,
-                        coverage_profile, violation_table)
+from .alignment import AlignedParsing, RedClass, ViolationTable, align, violation_table
 from .construction import ChainRecord, ConstructedWord, Segment
 from .errors import (ConstructionError, MalformedCodeError, ParameterError,
                      SamplingError)
 from .general import (Family, GeneralReport, Params, check_p1, check_p2,
-                      construct_general, derive_params, load_family,
-                      sample_family, save_family, verify_general)
-from .generators import (DeBruijnWord, de_bruijn, is_de_bruijn, occurrences,
-                         pref, pref_gt, star_census_ok, worst_case_word)
+                      construct_general, derive_params, sample_family, save_family,
+                      verify_general)
+from .generators import DeBruijnWord, de_bruijn, pref
 from .infinite import (Schedule, build_prefix, ratio_curve, schedule,
                        tail_separation)
 from .parsing import (LzCode, Parsing, StreamParser, TreeStats, comp_ratio,
-                      decode, dict_size, encode, factor_census, parse, tree_stats)
+                      decode, dict_size, encode, parse, tree_stats)
 from .toy import ToyReport, construct_toy, one_front_variant, verify_toy
 from .words import Word, pack_word, read_word_file, unpack_word, write_word_file
 
@@ -26,11 +24,9 @@ __all__ = [
     "ParameterError", "Params", "Parsing", "RedClass", "SamplingError",
     "Schedule", "Segment", "StreamParser", "ToyReport", "TreeStats",
     "ViolationTable", "Word", "align", "build_prefix", "check_p1", "check_p2",
-    "comp_ratio", "construct_general", "construct_toy", "coverage_profile",
-    "de_bruijn", "decode", "derive_params", "dict_size", "encode", "factor_census",
-    "is_de_bruijn", "load_family", "occurrences", "one_front_variant",
-    "pack_word", "parse", "pref", "pref_gt", "ratio_curve", "read_word_file",
-    "sample_family", "save_family", "schedule", "star_census_ok",
-    "tail_separation", "tree_stats", "unpack_word", "verify_general",
-    "verify_toy", "violation_table", "worst_case_word", "write_word_file",
+    "comp_ratio", "construct_general", "construct_toy", "de_bruijn", "decode",
+    "derive_params", "dict_size", "encode", "one_front_variant", "pack_word",
+    "parse", "pref", "ratio_curve", "read_word_file", "sample_family",
+    "save_family", "schedule", "tail_separation", "tree_stats", "unpack_word",
+    "verify_general", "verify_toy", "violation_table", "write_word_file",
 ]

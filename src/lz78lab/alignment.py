@@ -38,7 +38,6 @@ class RedClass(NamedTuple):
 class AlignedParsing:
     green: Parsing
     red: Parsing
-    letter: int
     classes: list[RedClass]
 
 
@@ -52,8 +51,7 @@ def align(w, a) -> AlignedParsing:
         raise ParameterError("the prepended letter must be a single letter")
     green = parse(data)
     red = parse(letter_bits + data)
-    return AlignedParsing(green=green, red=red, letter=letter_bits[0] & 1,
-                          classes=classify(green, red))
+    return AlignedParsing(green=green, red=red, classes=classify(green, red))
 
 
 def locate(green_starts, green_ends, red_starts, red_ends):
@@ -111,45 +109,11 @@ class ViolationTable:
     counts: dict[int, int]
     regular_count: int
 
-    def top_two(self) -> tuple[int, int]:
-        top = sorted(self.counts.values(), reverse=True)[:2]
-        while len(top) < 2:
-            top.append(0)
-        return top[0], top[1]
-
 
 def violation_table(ap: AlignedParsing) -> ViolationTable:
     return ViolationTable(
         counts=offset_counts([c.offset for c in ap.classes if c.kind == "offset"]),
         regular_count=ap.green.block_count)
-
-
-class Coverage(NamedTuple):
-    offset: int      # where the red segment enters the green block
-    length: int      # length of the overlap
-    red_index: int
-
-
-def coverage_profile(ap: AlignedParsing) -> list[list[Coverage]]:
-    """For each green block, the ordered red segments intersecting it."""
-    green, red = ap.green, ap.red
-    bounds = [*green.starts, len(green.data)]
-    red_starts = np.asarray(red.starts, dtype=np.int64)
-    red_ends = np.append(red_starts[1:], len(red.data))
-    first, _, _ = locate(green.starts, bounds[1:], red_starts, red_ends)
-    # the green block holding each red block's last letter: locate that letter
-    # as a one-letter block
-    last, _, _ = locate(green.starts, bounds[1:], red_ends - 1, red_ends)
-    profile: list[list[Coverage]] = [[] for _ in range(green.block_count)]
-    for b, (g0, g1, rs, re) in enumerate(zip(first.tolist(), last.tolist(),
-                                             red_starts.tolist(), red_ends.tolist())):
-        if g0 < 0:
-            continue
-        for gi in range(g0, g1 + 1):
-            lo = max(rs - 1, bounds[gi])
-            hi = min(re - 1, bounds[gi + 1])
-            profile[gi].append(Coverage(lo - bounds[gi], hi - lo, b))
-    return profile
 
 
 def alignment_report(ap: AlignedParsing) -> dict:

@@ -114,13 +114,6 @@ class ConstructedWord:
     def segment_starts(self) -> list[int]:
         return _layout(self.segments)[:-1].tolist()
 
-    def without_gadgets(self) -> bytes:
-        """The word with gadget (and padding) segments removed."""
-        bounds = _layout(self.segments).tolist()
-        data = self.word.data
-        return b"".join(data[a:b] for a, b, seg in zip(bounds, bounds[1:], self.segments)
-                        if seg.kind == REGULAR)
-
 
 def front_census(cw: ConstructedWord, green: Parsing, red_starts):
     """The one census of a constructed word w, over the parsing of w (green)

@@ -343,6 +343,8 @@ def verify_general(cw: ConstructedWord) -> GeneralReport:
 
 
 def save_family(family: Family, path) -> None:
+    """Write the family as text: a header line, then one word a line.  The
+    file is an export (``family-sample --out``); no command reads it back."""
     p = family.params
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# lz78lab-family schema=1 n={p.n} l={p.l} gamma={p.gamma} "
@@ -350,41 +352,3 @@ def save_family(family: Family, path) -> None:
                  f"retries={family.retries}\n")
         for w in family.words:
             fh.write(w.to_text() + "\n")
-
-
-def load_family(path) -> Family:
-    """Read a family file and re-check it as ``sample_family`` accepts one.
-
-    Raises ``ParameterError`` on a malformed header, on a word count other
-    than the parameters' family count, and with the first rule of
-    :func:`_family_failure` the words break.  Headers written before
-    ``exact=`` was recorded load with ``exact=False``.
-    """
-    try:
-        with open(path, encoding="ascii") as fh:
-            header = fh.readline()
-            if not header.startswith("# lz78lab-family"):
-                raise ParameterError("not a family file")
-            fields = dict(part.split("=", 1) for part in header.split()
-                          if "=" in part)
-            words = [Word.from_text(line) for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"family file is not ASCII text: {exc}") from None
-    try:
-        n, l, seed, retries = (int(fields[name]) for name in ("n", "l", "seed", "retries"))
-        gamma = float(fields["gamma"])
-    except KeyError as exc:
-        raise ParameterError(f"family header lacks the field {exc.args[0]}") from None
-    except ValueError as exc:
-        raise ParameterError(f"family header has a malformed field: {exc}") from None
-    exact = fields.get("exact", "False")
-    if exact not in ("True", "False"):
-        raise ParameterError(f"family header has exact={exact}, not True or False")
-    params = derive_params(n, l, gamma, exact=exact == "True")
-    if len(words) != params.family_count:
-        raise ParameterError(f"family file holds {len(words)} words, "
-                             f"the parameters call for {params.family_count}")
-    failure = _family_failure(words, params)
-    if failure is not None:
-        raise ParameterError(failure)
-    return Family(words=words, params=params, seed=seed, retries=retries)

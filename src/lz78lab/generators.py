@@ -1,5 +1,5 @@
-"""Structured word generators: de Bruijn sequences, prefix concatenations,
-the worst-case word, and occurrence counting."""
+"""Structured word generators: de Bruijn sequences and the prefix
+concatenation pref(x)."""
 
 from __future__ import annotations
 
@@ -110,65 +110,7 @@ def _gram_counts(data: bytes, length: int) -> np.ndarray:
     return np.bincount(vals, minlength=1 << length)
 
 
-def is_de_bruijn(w, k: int) -> bool:
-    """True iff |w| = 2^k + k - 1 and every k-gram occurs exactly once."""
-    data = as_bits(w)
-    if k < 1 or len(data) != (1 << k) + k - 1:
-        return False
-    return bool((_gram_counts(data, k) == 1).all())
-
-
-def star_census_ok(db: DeBruijnWord, max_len: int | None = None) -> bool:
-    """Exhaustive check that every u with |u| <= k occurs exactly 2^(k-|u|) times.
-
-    Counted on the underlying cyclic sequence (occurrence starts in
-    [0, 2^k)): on the linearized word the wrap-around tail re-exposes the
-    first few starts, so the exact equality can only hold cyclically.
-    """
-    k = db.order
-    data = db.word.data
-    cycle = 1 << k
-    top = k if max_len is None else min(k, max_len)
-    for length in range(1, top + 1):
-        counts = _gram_counts(data[:cycle + length - 1], length)
-        if not (counts == 1 << (k - length)).all():
-            return False
-    return True
-
-
 def pref(x) -> Word:
     """Concatenation of all prefixes of x in ascending length."""
-    return pref_gt(x, 0)
-
-
-def pref_gt(x, p: int) -> Word:
-    """Concatenation of the prefixes of x of length p+1, p+2, ..., |x|."""
     data = as_bits(x)
-    if not 0 <= p < len(data):
-        raise ParameterError(f"p={p} out of range for a word of length {len(data)}")
-    return Word(b"".join(data[:i] for i in range(p + 1, len(data) + 1)))
-
-
-def worst_case_word(n: int) -> Word:
-    """All words of size <= n concatenated in length-lexicographic order."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    parts = []
-    for size in range(1, n + 1):
-        for v in range(1 << size):
-            parts.append(format(v, f"0{size}b").encode("ascii"))
-    return Word(b"".join(parts))
-
-
-def occurrences(w, u) -> int:
-    """Number of (possibly overlapping) occurrences of u as a factor of w."""
-    haystack = as_bits(w)
-    needle = as_bits(u)
-    if not needle:
-        raise ParameterError("occurrence counting requires |u| >= 1")
-    count = 0
-    at = haystack.find(needle)
-    while at >= 0:
-        count += 1
-        at = haystack.find(needle, at + 1)
-    return count
+    return Word(b"".join(data[:i] for i in range(1, len(data) + 1)))

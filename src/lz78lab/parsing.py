@@ -498,20 +498,6 @@ def ratio_from_counts(dict_size: int, length: int) -> float:
     return dict_size * math.log2(dict_size) / length
 
 
-def factor_census(p: Parsing, i: int) -> int:
-    """Number of distinct length-i factors occurring inside the blocks."""
-    if i < 1:
-        raise ParameterError("factor length must be >= 1")
-    data = p.data
-    seen = set()
-    add = seen.add
-    for b in range(p.block_count):
-        start, end = p.block_bounds(b)
-        for a in range(start, end - i + 1):
-            add(data[a:a + i])
-    return len(seen)
-
-
 class TreeStats(NamedTuple):
     vertex_count: int
     depth_histogram: dict[int, int]

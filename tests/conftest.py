@@ -10,6 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from lz78lab import (construct_general, construct_toy, derive_params, parse, parsing,
                      sample_family, verify_general, verify_toy)
+from lz78lab.construction import REGULAR
+
+from oracles import naive_kgram_census
 
 KERNEL = parsing._KERNEL
 KERNEL_LOADED = KERNEL is not None
@@ -101,6 +104,27 @@ def assert_segments_tile(cw):
     ends = starts[1:] + [len(cw.word)]
     assert starts[:1] == [0]
     assert [b - a for a, b in zip(starts, ends)] == [seg.length for seg in cw.segments]
+
+
+def regular_letters(cw) -> bytes:
+    """The letters of the regular segments of ``cw``, in word order, cut at
+    ``cw.segment_starts()``: the word without its gadgets and padding."""
+    starts = cw.segment_starts()
+    data = cw.word.data
+    return b"".join(data[a:a + seg.length] for a, seg in zip(starts, cw.segments)
+                    if seg.kind == REGULAR)
+
+
+def assert_star_census(word, k: int) -> None:
+    """Every u with |u| <= k occurs 2^(k - |u|) times in the cyclic de Bruijn
+    word of order k whose linear form is ``word``: the occurrences that start
+    in its first 2^k letters, counted over ``word[:2^k + |u| - 1]``."""
+    text = word.to_text()
+    for u in range(1, k + 1):
+        census = naive_kgram_census(text[:(1 << k) + u - 1], u)
+        counts = set(census.values())
+        assert len(census) == 1 << u, f"k={k}: {len(census)} of the {1 << u} words of size {u}"
+        assert counts == {1 << (k - u)}, f"k={k}: the words of size {u} occur {counts} times"
 
 
 def criterion(num: int, passed: bool, detail: str) -> None:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: set-based greedy parsing, quadratic
 scans, interval arithmetic over explicit lists.  None of it shares code with
-the package paths it checks.
+the package paths it checks.  :func:`worst_case_word` is a test input, not
+an oracle: no command builds that word, so it lives here, as plain strings.
 """
 
 
@@ -24,14 +25,6 @@ def naive_parse(text: str) -> list[str]:
 
 def naive_occurrences(w: str, u: str) -> int:
     return sum(1 for i in range(len(w) - len(u) + 1) if w[i:i + len(u)] == u)
-
-
-def naive_factor_census(blocks: list[str], i: int) -> int:
-    factors = set()
-    for b in blocks:
-        for a in range(len(b) - i + 1):
-            factors.add(b[a:a + i])
-    return len(factors)
 
 
 def naive_kgram_census(w: str, k: int) -> dict[str, int]:
@@ -76,6 +69,12 @@ def naive_locate(spans, a: int, b: int):
         return -1, None, False
     start, end = spans[k]
     return k, a - 1 - start, all(start <= p < end for p in range(a - 1, b - 1))
+
+
+def worst_case_word(n: int) -> str:
+    """All words of size 1 to n concatenated in length-lexicographic order."""
+    return "".join(format(v, f"0{size}b") for size in range(1, n + 1)
+                   for v in range(1 << size))
 
 
 def random_bits(rng, length: int) -> str:

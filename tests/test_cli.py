@@ -325,6 +325,24 @@ def test_family_sample_and_curve(capsys, tmp_path):
     assert lines[2].startswith("100,")
 
 
+def test_family_sample_out_writes_the_reported_family(capsys, tmp_path):
+    # the file is an export: its words are the ones the report lists without --out
+    flags = ["family-sample", "--n", str(1 << 14), "--l", "64", "--seed", "1"]
+    code, out, _ = run(capsys, *flags)
+    assert code == 0
+    words = json.loads(out)["words"]
+    fam = tmp_path / "family.txt"
+    code, out, _ = run(capsys, *flags, "--out", str(fam))
+    assert code == 0
+    assert json.loads(out)["words"] is None
+    header, *lines = fam.read_text().splitlines()
+    assert header.startswith("# lz78lab-family schema=1 ")
+    fields = header.split()
+    for field in ("n=16384", "l=64", "seed=1", "exact=False"):
+        assert field in fields
+    assert lines == words
+
+
 def test_infinite(capsys):
     code, out, _ = run(capsys, "infinite", "--l0", "256", "--gamma", "0.1",
                        "--budget", "150000", "--seed", "3")

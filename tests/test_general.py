@@ -5,8 +5,7 @@ import pytest
 
 from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
                      check_p1, check_p2, construct_general, derive_params,
-                     load_family, parse, pref_gt, sample_family, save_family,
-                     verify_general)
+                     parse, sample_family, save_family, verify_general)
 from lz78lab import construction
 from lz78lab.construction import GADGET, PADDING, REGULAR, front_census
 import lz78lab.general as general_mod
@@ -14,7 +13,7 @@ from lz78lab.infinite import build_prefix, schedule_for_budget
 from lz78lab import parsing
 from lz78lab.parsing import StreamParser
 
-from conftest import assert_is_parse_of_0w, assert_segments_tile
+from conftest import assert_is_parse_of_0w, assert_segments_tile, regular_letters
 from oracles import naive_classify, naive_parse, naive_resync_word
 
 
@@ -152,9 +151,9 @@ def test_construct_prepad_length_floor(small_build):
 
 def test_construct_strips_to_chained_prefixes(small_build):
     params, family, cw = small_build
-    expected = b"".join(
-        pref_gt(chain.source, chain.q).data for chain in cw.chains)
-    assert cw.without_gadgets() == expected
+    expected = b"".join(chain.source.data[:i] for chain in cw.chains
+                        for i in range(chain.q + 1, len(chain.source) + 1))
+    assert regular_letters(cw) == expected
 
 
 def test_chain_synchronization(small_build):
@@ -537,46 +536,20 @@ def test_general_gadget_shapes():
     assert g == x[:6] + bytes([x[6] ^ 1]) + x[:6] + b"11"
 
 
-def test_family_serialization_round_trip(tmp_path, small_build):
-    params, family, cw = small_build
-    path = tmp_path / "family.txt"
-    save_family(family, path)
-    loaded = load_family(path)
-    assert [w.data for w in loaded.words] == [w.data for w in family.words]
-    assert loaded.params.n == params.n
-    with pytest.raises(ParameterError):
-        load_family(__file__)
-
-
-def test_load_family_rechecks_what_it_reads(tmp_path, small_build):
+def test_family_failure_names_the_first_broken_rule(small_build):
     params, family, _ = small_build
-    path = tmp_path / "family.txt"
-    save_family(family, path)
-    header, *words = path.read_text().splitlines()
+    words = [w.data for w in family.words]
     assert len(words) == params.family_count == 4
 
-    def rejected(lines, match):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParameterError, match=match):
-            load_family(bad)
+    def failure(ws):
+        return general_mod._family_failure([Word(w) for w in ws], params)
 
-    # the repro: first word replaced by 64 zeros, an 80-letter fifth word
-    rejected([header, "0" * 64] + words[1:] + ["01" * 40], "5 words")
-    rejected([header, "0" * 64] + words[1:], "word 0 fails P1")
-    rejected([header] + words + ["01" * 40], "5 words")
-    rejected([header] + words[:3] + [words[3] + "0"], "word 3 has length 65")
-    rejected([header] + words[:2] + [words[1], words[3]], "fails P2")
-    complement = words[0].translate(str.maketrans("01", "10"))  # keeps P1 and P2
-    rejected([header, complement] + words[1:], "does not start with 1")
-    for name in ("n", "l", "gamma", "seed", "retries"):
-        cut = " ".join(f for f in header.split() if not f.startswith(name + "="))
-        rejected([cut] + words, f"lacks the field {name}")
-    rejected([header.replace("seed=1", "seed=one")] + words, "malformed field")
-    rejected([header.replace("exact=False", "exact=yes")] + words, "exact=yes")
-    path.write_bytes(path.read_bytes().replace(b"0", b"\xff", 1))
-    with pytest.raises(ParameterError):
-        load_family(path)
+    assert failure(words) is None
+    assert failure([b"0" * 64] + words[1:]) == "family word 0 fails P1"
+    assert failure(words[:3] + [words[3] + b"0"]) == "family word 3 has length 65, not l=64"
+    assert failure(words[:2] + [words[1], words[3]]) == "the family fails P2"
+    complement = words[0].translate(bytes.maketrans(b"01", b"10"))  # keeps P1 and P2
+    assert failure([complement] + words[1:]) == "the first family word does not start with 1"
 
 
 def test_family_file_keeps_exact(tmp_path):
@@ -586,11 +559,6 @@ def test_family_file_keeps_exact(tmp_path):
     path = tmp_path / "family.txt"
     save_family(family, path)
     assert " exact=True " in path.read_text().splitlines()[0]
-    assert load_family(path).params == params
-    # a header written before exact= was recorded loads with exact=False
-    old = path.read_text().replace(" exact=True", "")
-    path.write_text(old)
-    assert load_family(path).params == derive_params(1 << 14, 64, gamma=10.0)
 
 
 def test_construct_rejects_bad_mode(small_build):

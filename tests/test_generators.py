@@ -4,17 +4,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lz78lab import (ParameterError, de_bruijn, generators, is_de_bruijn,
-                     occurrences, parse, pref, pref_gt, star_census_ok,
-                     worst_case_word)
+from lz78lab import ParameterError, de_bruijn, generators, parse, pref
 
-from oracles import naive_kgram_census, naive_occurrences
+from conftest import assert_star_census
+from oracles import naive_kgram_census, naive_occurrences, worst_case_word
 
 
-def test_is_de_bruijn_reference():
-    assert is_de_bruijn("0001011100", 3)
-    assert not is_de_bruijn("0000", 2)
-    assert not is_de_bruijn("0001011100", 4)  # wrong length
+def assert_de_bruijn(word, k: int) -> None:
+    """``word`` has length 2^k + k - 1 and holds every k-gram once."""
+    text = word.to_text()
+    assert len(text) == (1 << k) + k - 1
+    census = naive_kgram_census(text, k)
+    assert len(census) == 1 << k and set(census.values()) == {1}
 
 
 def test_de_bruijn_order_one():
@@ -33,12 +34,12 @@ def test_de_bruijn_k4_census():
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_generator_checker_cross_validation(k):
-    assert is_de_bruijn(de_bruijn(k).word, k)
+    assert_de_bruijn(de_bruijn(k).word, k)
 
 
 def test_star_census_small_orders():
     for k in range(2, 11):
-        assert star_census_ok(de_bruijn(k, require_prefix="01"), max_len=min(k, 10))
+        assert_star_census(de_bruijn(k, require_prefix="01").word, k)
 
 
 def test_star_census_matches_cyclic_occurrences():
@@ -80,7 +81,7 @@ def test_de_bruijn_seed_variation():
     seen = {base.to_text()}
     for seed in range(1, 6):
         alt = de_bruijn(8, require_prefix="01", seed=seed)
-        assert is_de_bruijn(alt.word, 8)
+        assert_de_bruijn(alt.word, 8)
         assert alt.word.to_text().startswith("01")
         seen.add(alt.word.to_text())
     assert len(seen) > 1
@@ -110,12 +111,7 @@ def test_de_bruijn_words_are_pinned(k, seed, prefix):
 
 def test_pref_examples():
     assert pref("011").to_text() == "001011"
-    assert pref_gt("011", 1).to_text() == "01011"
-    assert pref_gt("011", 0) == pref("011")
-    with pytest.raises(ParameterError):
-        pref_gt("011", 3)
-    with pytest.raises(ParameterError):
-        pref_gt("011", -1)
+    assert len(pref("")) == 0
 
 
 @settings(deadline=None)
@@ -134,9 +130,9 @@ def test_pref_parses_into_prefixes():
 
 
 def test_worst_case_word_small():
-    assert worst_case_word(1).to_text() == "01"
+    assert worst_case_word(1) == "01"
     assert parse(worst_case_word(1)).block_count == 2
-    assert worst_case_word(2).to_text() == "0100011011"
+    assert worst_case_word(2) == "0100011011"
     assert len(worst_case_word(2)) == 10
     w5 = worst_case_word(5)
     assert len(w5) == 258 == (5 - 1) * 2 ** 6 + 2
@@ -149,19 +145,3 @@ def test_worst_case_word_blocks_are_all_words():
         expected = [format(v, f"0{size}b")
                     for size in range(1, n + 1) for v in range(1 << size)]
         assert blocks == expected
-
-
-def test_occurrences_examples():
-    assert occurrences("0001011100", "00") == 3
-    assert occurrences("0001011100", "0001011100") == 1
-    assert occurrences("111", "1") == 3  # overlapping counted
-    with pytest.raises(ParameterError):
-        occurrences("01", "")
-
-
-def test_occurrences_oracle_fuzz():
-    rng = random.Random(17)
-    for _ in range(80):
-        w = "".join(rng.choice("01") for _ in range(rng.randrange(1, 200)))
-        u = "".join(rng.choice("01") for _ in range(rng.randrange(1, 6)))
-        assert occurrences(w, u) == naive_occurrences(w, u)

@@ -7,12 +7,13 @@ import tracemalloc
 import pytest
 
 from lz78lab import (ParameterError, build_prefix, comp_ratio, parse, pref,
-                     ratio_curve, schedule, tail_separation, worst_case_word)
+                     ratio_curve, schedule, tail_separation)
 from lz78lab.infinite import (_fresh_factors, _m_grams, prefix_ratios,
                                schedule_for_budget)
 from lz78lab.parsing import StreamParser
 
 from conftest import assert_is_parse_of_0w, assert_segments_tile
+from oracles import worst_case_word
 
 
 def test_schedule_levels_double():

@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterError,
                      Word, comp_ratio, construct_toy, decode, dict_size, encode,
-                     factor_census, parse, parsing, pref, tree_stats)
+                     parse, parsing, pref, tree_stats)
 from lz78lab.parsing import FIRST_NODES, StreamParser, certify, ratio_from_counts
 from lz78lab.words import SLICE, as_bits, random_word
 
 from conftest import KERNEL_LOADED, PARSERS, fuzz_word, parser_mode
-from oracles import naive_factor_census, naive_parse
+from oracles import naive_parse
 
 # the equivalence tests below run in each mode of conftest.PARSERS (CI fails
 # when the compiled kernel is not loaded, so they never pass on the fallback
@@ -610,36 +610,6 @@ def test_comp_ratio_of_prefix_word():
     assert value == pytest.approx(0.00585, abs=5e-5)
     small = pref("0110100110010110").data  # s = 16
     assert comp_ratio(small) == ratio_from_counts(16, 16 * 17 // 2)
-
-
-def test_factor_census_examples():
-    p = parse("00010110100001")
-    # blocks 0,00,1,01,10,100,001 contain the 2-factors {00,01,10} only
-    assert factor_census(p, 2) == 3
-    assert factor_census(p, 99) == 0
-    assert factor_census(parse(pref("0101")), 1) == 2
-
-
-def test_factor_census_oracle_fuzz():
-    rng = random.Random(7)
-    for _ in range(40):
-        text = "".join(rng.choice("01") for _ in range(rng.randrange(1, 300)))
-        p = parse(text)
-        blocks = [b.decode() for b in p.blocks()]
-        for i in (1, 2, 3, 5):
-            assert factor_census(p, i) == naive_factor_census(blocks, i)
-
-
-def test_factor_census_tree_inequality():
-    # distinct factors of size i correspond to subpaths: at most |T| - i
-    rng = random.Random(99)
-    for _ in range(60):
-        text = "".join(rng.choice("01") for _ in range(rng.randrange(1, 600)))
-        p = parse(text)
-        vertices = tree_stats(p).vertex_count
-        max_len = max(p.block_length(i) for i in range(p.block_count))
-        for i in range(1, max_len + 1):
-            assert factor_census(p, i) <= vertices - i
 
 
 def test_tree_stats_reference():

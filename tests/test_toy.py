@@ -13,7 +13,7 @@ from lz78lab.parsing import StreamParser
 from lz78lab import toy
 from lz78lab.toy import _toy_gadget, construct_from_base, construct_toy
 
-from conftest import assert_is_parse_of_0w, assert_segments_tile
+from conftest import assert_is_parse_of_0w, assert_segments_tile, regular_letters
 from oracles import naive_classify, naive_gadget_loop, naive_parse
 
 
@@ -46,7 +46,7 @@ def test_small_orders_no_gadgets_reconstruct(k):
     # segment lengths tile the word
     assert sum(seg.length for seg in cw.segments) == len(cw.word)
     # stripping gadgets recovers the prefix concatenation of the base word
-    assert cw.without_gadgets() == pref(cw.source).data
+    assert regular_letters(cw) == pref(cw.source).data
 
 
 @pytest.mark.parametrize("k", [5, 6])
@@ -111,7 +111,7 @@ def test_forced_loop_invariants():
     cw = construct_from_base(x, 3.0, meta={"k": 7})
     s = len(x)
     assert cw.chains[0].chosen_i == 0
-    assert cw.without_gadgets() == pref(x).data
+    assert regular_letters(cw) == pref(x).data
     # every gadget sits immediately before a regular block in the second half
     for at, seg in enumerate(cw.segments):
         if seg.kind == GADGET:
