@@ -13,7 +13,7 @@ from .infinite import (Schedule, build_prefix, ratio_curve, schedule,
                        tail_separation)
 from .parsing import (LzCode, Parsing, StreamParser, TreeStats, comp_ratio,
                       decode, dict_size, encode, parse, tree_stats)
-from .toy import ToyReport, construct_toy, one_front_variant, verify_toy
+from .toy import ToyReport, construct_toy, verify_toy
 from .words import Word, pack_word, read_word_file, unpack_word, write_word_file
 
 __version__ = "0.1.0"
@@ -25,8 +25,8 @@ __all__ = [
     "Schedule", "Segment", "StreamParser", "ToyReport", "TreeStats",
     "ViolationTable", "Word", "align", "build_prefix", "check_p1", "check_p2",
     "comp_ratio", "construct_general", "construct_toy", "de_bruijn", "decode",
-    "derive_params", "dict_size", "encode", "one_front_variant", "pack_word",
-    "parse", "pref", "ratio_curve", "read_word_file", "sample_family",
-    "save_family", "schedule", "tail_separation", "tree_stats", "unpack_word",
-    "verify_general", "verify_toy", "violation_table", "write_word_file",
+    "derive_params", "dict_size", "encode", "pack_word", "parse", "pref",
+    "ratio_curve", "read_word_file", "sample_family", "save_family", "schedule",
+    "tail_separation", "tree_stats", "unpack_word", "verify_general",
+    "verify_toy", "violation_table", "write_word_file",
 ]

@@ -107,13 +107,11 @@ class ViolationTable:
     """counts[i] = number of green blocks containing an offset-i red block."""
 
     counts: dict[int, int]
-    regular_count: int
 
 
 def violation_table(ap: AlignedParsing) -> ViolationTable:
     return ViolationTable(
-        counts=offset_counts([c.offset for c in ap.classes if c.kind == "offset"]),
-        regular_count=ap.green.block_count)
+        offset_counts([c.offset for c in ap.classes if c.kind == "offset"]))
 
 
 def alignment_report(ap: AlignedParsing) -> dict:

@@ -16,11 +16,11 @@ import sys
 from . import general as gen
 from . import infinite as inf
 from .alignment import align, alignment_report
-from .errors import ConstructionError, MalformedCodeError, ParameterError, SamplingError
+from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import de_bruijn
 from .parsing import (MAX_NODES, comp_ratio, dict_size, encode, parse, ratio_from_counts,
                       tree_stats)
-from .toy import construct_toy, one_front_variant, verify_toy
+from .toy import construct_toy, verify_toy
 from .words import Word, random_unit, random_word, read_word_file, write_word_file
 
 OK, VIOLATION, USAGE = 0, 1, 2
@@ -96,7 +96,7 @@ def cmd_debruijn(args) -> int:
 def cmd_construct_toy(args) -> int:
     cw = construct_toy(args.k, gamma=args.gamma, seed=args.seed,
                        reparse=args.reparse)
-    report = one_front_variant(cw, args.front)
+    report = verify_toy(cw, args.front)
     if args.out:
         write_word_file(args.out, cw.word, packed=args.packed)
     _emit(report.to_json_obj(), args.report)
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, MalformedCodeError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (SamplingError, ConstructionError) as exc:

@@ -26,7 +26,7 @@ block starts and the position that ends the last block, and over the spans
 of the regulars alone: the gadget loop reads it over the parser's blocks,
 at the chain's end as :meth:`~lz78lab.parsing.StreamParser.closed_blocks`
 closes them, and :func:`front_census`, the census of a finished word that
-both verifiers (``toy.one_front_variant``, ``general.verify_general``) read,
+both verifiers (``toy.verify_toy``, ``general.verify_general``) read,
 over the block starts of a parse of aw.  Their parse of 0w is the
 construction's own: :meth:`ConstructedWord.from_parser` hands the parser's
 blocks over the tape's letters as ``ConstructedWord.red``, and the verifiers

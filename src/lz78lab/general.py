@@ -132,11 +132,9 @@ RETRY_CAP = 64
 
 
 def _family_failure(words: list[Word], params: Params) -> str | None:
-    """The first family rule ``words`` break, or None: each word has length
-    l and passes P1, the first word starts with 1, the family passes P2."""
+    """The first family rule ``words`` break, or None: each word passes P1,
+    the first word starts with 1, the family passes P2."""
     for j, w in enumerate(words):
-        if len(w) != params.l:
-            return f"family word {j} has length {len(w)}, not l={params.l}"
         if not check_p1(w, params.k, params.l):
             return f"family word {j} fails P1"
     if words[0].data[:1] != b"1":

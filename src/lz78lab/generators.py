@@ -17,7 +17,6 @@ class DeBruijnWord:
     """A de Bruijn word of order k: length 2^k + k - 1, every k-gram once."""
 
     word: Word
-    order: int
 
 
 def _eulerian_cycle(k: int, seed: int) -> bytes:
@@ -73,7 +72,7 @@ def de_bruijn(k: int, require_prefix=None, seed: int = 0) -> DeBruijnWord:
     for attempt_seed in _seed_ladder(seed):
         text = _eulerian_cycle(k, attempt_seed)
         if not prefix:
-            return DeBruijnWord(Word(text + text[:k - 1]), k)
+            return DeBruijnWord(Word(text + text[:k - 1]))
         doubled = text + text
         at = 0
         probe = prefix[:n]
@@ -84,7 +83,7 @@ def de_bruijn(k: int, require_prefix=None, seed: int = 0) -> DeBruijnWord:
             rotated = doubled[at:at + n]
             linear = rotated + rotated[:k - 1]
             if linear.startswith(prefix):
-                return DeBruijnWord(Word(linear), k)
+                return DeBruijnWord(Word(linear))
             at += 1
     raise ParameterError(
         f"no generated de Bruijn word of order {k} starts with the requested prefix")

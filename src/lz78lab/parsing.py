@@ -292,10 +292,6 @@ class Parsing(NamedTuple):
     def blocks(self) -> list[bytes]:
         return [self.block_bytes(i) for i in range(len(self.starts))]
 
-    def dictionary(self) -> set[bytes]:
-        n = self.dict_size
-        return {self.block_bytes(i) for i in range(n)}
-
 
 def parse(w) -> Parsing:
     """Compute the unique LZ-parsing (empty word allowed).  Its ``data`` is the
@@ -434,16 +430,6 @@ class LzCode(NamedTuple):
 
     def to_json_obj(self):
         return [{"pred": p, "letter": a} for p, a in self.entries]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "LzCode":
-        """The code that :meth:`to_json_obj` wrote; :func:`decode` checks the values."""
-        if type(obj) is not list:
-            raise MalformedCodeError(f"the code must be a list, not {type(obj).__name__}")
-        for i, e in enumerate(obj):
-            if type(e) is not dict or not e.keys() >= {"pred", "letter"}:
-                raise MalformedCodeError(f"entry {i} is not a pred/letter object: {e!r:.40}")
-        return cls([(e["pred"], e["letter"]) for e in obj])
 
 
 def encode(p: Parsing) -> LzCode:

@@ -91,20 +91,15 @@ class ToyReport:
                 "violations": {str(i): c for i, c in self.violations.items()}}
 
 
-def verify_toy(cw: ConstructedWord) -> ToyReport:
-    """Independent verification pass: parses w afresh, certifies the
-    construction's parse of 0w (``cw.certified_red``) instead of parsing 0w
-    again, and re-censuses both with
-    :func:`~lz78lab.construction.front_census`."""
-    return one_front_variant(cw, "0")
-
-
-def one_front_variant(cw: ConstructedWord, a) -> ToyReport:
-    """The verification report for the parse of ``a``+word: for the front 0,
-    the construction's own parse, certified; for 1, a fresh parse, of the
-    front and then the word fed to one parser, so 1w is never built.  The
-    chain's ``front_census`` counts at offsets up to the window."""
-    front = as_bits(a)
+def verify_toy(cw: ConstructedWord, front="0") -> ToyReport:
+    """Independent verification pass: parses w afresh, and the word with the
+    letter ``front`` prepended: for the front 0, the construction's own parse,
+    certified (``cw.certified_red``) instead of parsed again; for 1, a fresh
+    parse, of the front and then the word fed to one parser, so 1w is never
+    built.  Both are re-censused with
+    :func:`~lz78lab.construction.front_census`, whose counts at offsets up to
+    the window make the report."""
+    front = as_bits(front)
     if len(front) != 1:
         raise ParameterError("front must be a single letter")
     data = cw.word.data

@@ -144,9 +144,6 @@ class Word:
     def __hash__(self) -> int:
         return hash(self.data)
 
-    def __add__(self, other) -> "Word":
-        return Word(self.data + as_bits(other))
-
     def __repr__(self) -> str:
         if len(self.data) <= 40:
             return f"Word({self.to_text()!r})"

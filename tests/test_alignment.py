@@ -125,7 +125,7 @@ def test_violation_table_reference():
     ap = align("001010100011", "0")
     table = violation_table(ap)
     assert table.counts == {0: 1, 1: 1, 2: 1}
-    assert table.regular_count == 6
+    assert ap.green.block_count == 6
 
 
 def test_violation_table_single_letter():

@@ -546,7 +546,6 @@ def test_family_failure_names_the_first_broken_rule(small_build):
 
     assert failure(words) is None
     assert failure([b"0" * 64] + words[1:]) == "family word 0 fails P1"
-    assert failure(words[:3] + [words[3] + b"0"]) == "family word 3 has length 65, not l=64"
     assert failure(words[:2] + [words[1], words[3]]) == "the family fails P2"
     complement = words[0].translate(bytes.maketrans(b"01", b"10"))  # keeps P1 and P2
     assert failure([complement] + words[1:]) == "the first family word does not start with 1"

@@ -21,3 +21,12 @@ def test_all_is_what_the_package_binds():
     namespace = {}
     exec("from lz78lab import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_readme_quick_tour_runs():
+    """The python block under the README's "Library quick tour" heading runs
+    as written, so a rename in the library cannot leave it stale."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lz78lab import (ParameterError, Word, construct_general, construction, derive_params,
-                     one_front_variant, parse, pref, sample_family, tree_stats, verify_toy)
+                     parse, pref, sample_family, tree_stats, verify_toy)
 from lz78lab.construction import (GADGET, REGULAR, ConstructedWord, _edge_slices, build_chain,
                                   front_census)
 from lz78lab.parsing import StreamParser
@@ -206,7 +206,7 @@ def test_censuses_add_up_over_slices_of_blocks(monkeypatch, census_slice):
 
     def censuses(built):
         return [(front_census(cw, parse(cw.word), parse(front + cw.word.data).starts),
-                 one_front_variant(cw, front))
+                 verify_toy(cw, front))
                 for cw in built if isinstance(cw, ConstructedWord)
                 for front in (b"0", b"1")]
 
@@ -255,7 +255,7 @@ def test_one_front_variant_never_builds_1w(toy12):
     cw = toy12["cw"]
     tracemalloc.start()
     try:
-        report = one_front_variant(cw, "1")
+        report = verify_toy(cw, "1")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,10 +420,10 @@ def test_chaos_loop_matches_naive_gadget_loop():
         assert got == expected, f"seed {seed}"
 
 
-def test_one_front_variant_same_letter_is_verify(toy_small=None):
+def test_one_front_variant_same_letter_is_verify():
     cw = construct_toy(5)
-    assert one_front_variant(cw, "0") == verify_toy(cw)
-    other = one_front_variant(cw, "1")
+    assert verify_toy(cw, "0") == verify_toy(cw)
+    other = verify_toy(cw, "1")
     assert other.front == "1"
     # prepending the other letter to a plain prefix word stays compressible
     if cw.chains[0].chosen_i is None:
@@ -444,13 +444,13 @@ def test_one_front_variant_censuses_every_block_of_1w(monkeypatch, length, seed,
         return front_census(cw, green, red_starts)
 
     monkeypatch.setattr(toy, "front_census", spy)
-    assert one_front_variant(cw, "1").dic_aw == want.dict_size
+    assert verify_toy(cw, "1").dic_aw == want.dict_size
     assert censused == [list(want.starts)]
 
 
 def test_one_front_variant_rejects_words():
     with pytest.raises(ParameterError):
-        one_front_variant(construct_toy(5), "01")
+        verify_toy(construct_toy(5), "01")
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8])
@@ -458,7 +458,7 @@ def test_one_front_variant_rejects_words():
 @pytest.mark.parametrize("a", ["0", "1"])
 def test_toy_census_matches_interval_oracle(k, seed, a):
     cw = construct_toy(k, seed=seed)
-    rep = one_front_variant(cw, a)
+    rep = verify_toy(cw, a)
     assert rep.green_units_ok
     text = cw.word.to_text()
     violated = {}
@@ -561,6 +561,6 @@ def test_verify_toy_rejects_a_tampered_parse_of_0w():
         with pytest.raises(ConstructionError):
             verify_toy(cw)
         # the front 1 is parsed afresh, whatever the construction handed over
-        assert one_front_variant(cw, "1").dic_aw == parse(b"1" + cw.word.data).dict_size
+        assert verify_toy(cw, "1").dic_aw == parse(b"1" + cw.word.data).dict_size
     cw.red = good
     assert verify_toy(cw) == report
