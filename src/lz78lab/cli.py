@@ -376,7 +376,7 @@ def main(argv=None) -> int:
         return USAGE
     except (SamplingError, ConstructionError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
-        if getattr(exc, "diagnostics", None):
+        if exc.diagnostics:
             print(json.dumps(exc.diagnostics, sort_keys=True, default=str),
                   file=sys.stderr)
         return VIOLATION

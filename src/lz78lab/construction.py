@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +51,15 @@ CENSUS_SLICE = 1 << 14            # red blocks a census places at once
 REGULAR, GADGET, PADDING = "regular", "gadget", "padding"   # the segment kinds
 
 
-@dataclass
-class Segment:
+# A run of a constructed word.  Regular t of a chain has length q + 1 + t;
+# gadget c is the chain's c-th gadget in word order, at offset ``chosen_i``.
+class Segment(NamedTuple):
     kind: str                     # regular | gadget | padding
     length: int
-    chain: int
-    reg_index: int | None = None  # for regulars: the index in the chain
-    gadget_i: int | None = None
-    gadget_c: int | None = None
+    chain: int                    # the chain's index; -1 for padding
 
 
+# A chain as built: its length and counts ignore infinite.build_prefix's cut.
 @dataclass
 class ChainRecord:
     index: int
@@ -179,8 +179,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     s = len(x) - q
     chain_start = len(tape) - 1
     seg_lo = len(segments)
-    segments.extend(Segment(REGULAR, q + 1 + t, chain_index, reg_index=t)
-                    for t in range(s))
+    segments.extend(Segment(REGULAR, q + 1 + t, chain_index) for t in range(s))
     for t in range(s):
         tape += x[:q + 1 + t]
     # the regulars' spans in w, laid out once; a gadget opens a gap before its
@@ -243,9 +242,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         starts[target:] += len(gadget)
         ends[target:] += len(gadget)
         # the c earlier gadgets all lie before earlier, so smaller, targets
-        segments.insert(seg_lo + target + c,
-                        Segment(GADGET, len(gadget), chain_index,
-                                gadget_i=i0, gadget_c=c))
+        segments.insert(seg_lo + target + c, Segment(GADGET, len(gadget), chain_index))
         c += 1
 
         if scratch:

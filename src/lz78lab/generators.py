@@ -55,9 +55,9 @@ def _eulerian_cycle(k: int, seed: int) -> bytes:
 def de_bruijn(k: int, require_prefix=None, seed: int = 0) -> DeBruijnWord:
     """Generate a de Bruijn word of order k (length 2^k + k - 1).
 
-    The underlying cyclic sequence is rotated so that ``require_prefix``
-    leads; any prefix of length <= k is always realizable.  Deterministic for
-    fixed (k, prefix, seed).
+    The circuit is rotated so that ``require_prefix`` leads, at the first
+    match of one ``find`` over the circuit read cyclically; any prefix of
+    length <= k is always realizable.  Deterministic for fixed (k, prefix, seed).
     """
     # about ten bytes per letter: `debruijn --k 22` peaks at 73 MB, k = 24 at 205 MB
     if not 1 <= k <= 24:
@@ -71,20 +71,11 @@ def de_bruijn(k: int, require_prefix=None, seed: int = 0) -> DeBruijnWord:
             f"prefix of length {len(prefix)} cannot occur in a word of length {n + k - 1}")
     for attempt_seed in _seed_ladder(seed):
         text = _eulerian_cycle(k, attempt_seed)
-        if not prefix:
-            return DeBruijnWord(Word(text + text[:k - 1]))
-        doubled = text + text
-        at = 0
-        probe = prefix[:n]
-        while True:
-            at = doubled.find(probe, at)
-            if at < 0 or at >= n:
-                break
-            rotated = doubled[at:at + n]
-            linear = rotated + rotated[:k - 1]
-            if linear.startswith(prefix):
-                return DeBruijnWord(Word(linear))
-            at += 1
+        # rotation r's word is cyclic[r:r + n + k - 1]
+        cyclic = text + text + text[:k - 1]
+        at = cyclic.find(prefix)
+        if 0 <= at < n:
+            return DeBruijnWord(Word(cyclic[at:at + n + k - 1]))
     raise ParameterError(
         f"no generated de Bruijn word of order {k} starts with the requested prefix")
 

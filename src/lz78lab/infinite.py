@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .construction import ConstructedWord, Segment, _layout
 from .errors import ParameterError, SamplingError
@@ -199,7 +199,7 @@ def _truncate_segments(segments: list[Segment], budget: int) -> list[Segment]:
     kept = bisect_left(bounds, budget, hi=len(segments))
     out = segments[:kept]
     if kept and bounds[kept] > budget:
-        out[-1] = replace(out[-1], length=budget - bounds[kept - 1])
+        out[-1] = out[-1]._replace(length=budget - bounds[kept - 1])
     return out
 
 

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from lz78lab import (construct_general, construct_toy, derive_params, parse, parsing,
                      sample_family, verify_general, verify_toy)
-from lz78lab.construction import REGULAR
+from lz78lab.construction import GADGET, REGULAR
 
 from oracles import naive_kgram_census
 
@@ -113,6 +113,24 @@ def regular_letters(cw) -> bytes:
     data = cw.word.data
     return b"".join(data[a:a + seg.length] for a, seg in zip(starts, cw.segments)
                     if seg.kind == REGULAR)
+
+
+def segment_tags(segments, chains) -> list:
+    """Each segment's place in its chain, read off the chain records: t for
+    regular t, whose length is q + 1 + t; (offset, ordinal) for a gadget,
+    which is at its chain's chosen offset, the ordinal counting the chain's
+    gadgets in word order; None for padding.  A regular cut short by
+    ``infinite.build_prefix`` gets no true index."""
+    tags, gadgets = [], {}
+    for seg in segments:
+        if seg.kind == REGULAR:
+            tags.append(seg.length - chains[seg.chain].q - 1)
+        elif seg.kind == GADGET:
+            c = gadgets[seg.chain] = gadgets.get(seg.chain, -1) + 1
+            tags.append((chains[seg.chain].chosen_i, c))
+        else:
+            tags.append(None)
+    return tags
 
 
 def assert_star_census(word, k: int) -> None:

@@ -81,6 +81,20 @@ def random_bits(rng, length: int) -> str:
     return "".join(rng.choice("01") for _ in range(length))
 
 
+def naive_rotation(circuits, k: int, prefix: str):
+    """The first de Bruijn word that starts with ``prefix``, by a scan:
+    circuit by circuit, then rotation r = 0, 1, ... of each, the word being
+    ``text[r:] + text[:r]`` followed by its first k - 1 letters again; None
+    when no rotation of any circuit starts with ``prefix``."""
+    for text in circuits:
+        for r in range(len(text)):
+            rotated = text[r:] + text[:r]
+            word = rotated + rotated[:k - 1]
+            if word.startswith(prefix):
+                return word
+    return None
+
+
 def naive_gadget_loop(x: str, front: str, window: int, make):
     """The gadget loop from its definition, over the prefix chain of x.
 

@@ -88,6 +88,14 @@ def test_debruijn_stdout_and_file(capsys, tmp_path):
     assert len(read_word_file(path)) == 36
 
 
+def test_debruijn_prefix_no_circuit_holds_exits_2(capsys):
+    # 0000 is in no order-3 de Bruijn word: every rung of the seed ladder fails
+    code, out, err = run(capsys, "debruijn", "--k", "3", "--prefix", "0000")
+    assert code == 2
+    assert out == ""
+    assert "no generated de Bruijn word" in err
+
+
 def test_packed_file_round_trip(capsys, tmp_path):
     path = tmp_path / "db.lzcw"
     code, _, _ = run(capsys, "debruijn", "--k", "6", "--out", str(path), "--packed")

@@ -13,7 +13,8 @@ from lz78lab.infinite import build_prefix, schedule_for_budget
 from lz78lab import parsing
 from lz78lab.parsing import StreamParser
 
-from conftest import assert_is_parse_of_0w, assert_segments_tile, regular_letters
+from conftest import (assert_is_parse_of_0w, assert_segments_tile, regular_letters,
+                      segment_tags)
 from oracles import naive_classify, naive_parse, naive_resync_word
 
 
@@ -189,6 +190,7 @@ def test_first_chain_resync_word_is_zero(small_build):
 
 def test_gadget_placement(small_build):
     params, family, cw = small_build
+    tags = segment_tags(cw.segments, cw.chains)
     for at, seg in enumerate(cw.segments):
         if seg.kind != GADGET:
             continue
@@ -196,7 +198,7 @@ def test_gadget_placement(small_build):
         assert nxt.kind == REGULAR
         chain = cw.chains[nxt.chain]
         # gadgets go in front of blocks past the half of the chain
-        assert nxt.reg_index > chain.regular_count // 2 - 1
+        assert tags[at + 1] > chain.regular_count // 2 - 1
 
 
 def test_verify_general_flags(small_build):

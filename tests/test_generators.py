@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lz78lab import ParameterError, de_bruijn, generators, parse, pref
 
 from conftest import assert_star_census
-from oracles import naive_kgram_census, naive_occurrences, worst_case_word
+from oracles import (naive_kgram_census, naive_occurrences, naive_rotation,
+                     random_bits, worst_case_word)
 
 
 def assert_de_bruijn(word, k: int) -> None:
@@ -64,6 +65,8 @@ def test_de_bruijn_prefix_forcing():
 def test_de_bruijn_prefix_errors(monkeypatch):
     with pytest.raises(ParameterError):
         de_bruijn(3, require_prefix="0" * 11)  # longer than the word
+    with pytest.raises(ParameterError, match="no generated de Bruijn word"):
+        de_bruijn(3, require_prefix="0000")    # in no circuit of the seed ladder
     with pytest.raises(ParameterError):
         de_bruijn(0)
 
@@ -74,6 +77,31 @@ def test_de_bruijn_prefix_errors(monkeypatch):
     monkeypatch.setattr(generators, "_eulerian_cycle", build)
     with pytest.raises(ParameterError, match=r"\[1, 24\]"):
         de_bruijn(25)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_de_bruijn_rotation_matches_the_naive_scan(k):
+    n = 1 << k
+    rng = random.Random(k)
+    for seed in range(4):
+        texts = [generators._eulerian_cycle(k, s).decode()
+                 for s in generators._seed_ladder(seed)]
+        prefixes = [""]
+        for _ in range(8):
+            # factors of the circuit read cyclically, of the first or a later
+            # circuit, wrapping ones included, up to the whole word's length
+            cyclic = 2 * rng.choice(texts[:1] * 3 + texts)
+            at, length = rng.randrange(n), rng.randrange(1, n + k)
+            prefixes.append(cyclic[at:at + length])
+        prefixes += [random_bits(rng, rng.randrange(k + 1, 3 * k + 2)) for _ in range(4)]
+        for prefix in prefixes:
+            want = naive_rotation(texts, k, prefix)
+            if want is None:
+                with pytest.raises(ParameterError):
+                    de_bruijn(k, require_prefix=prefix, seed=seed)
+            else:
+                got = de_bruijn(k, require_prefix=prefix, seed=seed).word.to_text()
+                assert got == want, (seed, prefix)
 
 
 def test_de_bruijn_seed_variation():

@@ -13,7 +13,8 @@ from lz78lab.parsing import StreamParser
 from lz78lab import toy
 from lz78lab.toy import _toy_gadget, construct_from_base, construct_toy
 
-from conftest import assert_is_parse_of_0w, assert_segments_tile, regular_letters
+from conftest import (assert_is_parse_of_0w, assert_segments_tile, regular_letters,
+                      segment_tags)
 from oracles import naive_classify, naive_gadget_loop, naive_parse
 
 
@@ -113,11 +114,12 @@ def test_forced_loop_invariants():
     assert cw.chains[0].chosen_i == 0
     assert regular_letters(cw) == pref(x).data
     # every gadget sits immediately before a regular block in the second half
+    tags = segment_tags(cw.segments, cw.chains)
     for at, seg in enumerate(cw.segments):
         if seg.kind == GADGET:
             nxt = cw.segments[at + 1]
             assert nxt.kind == REGULAR
-            assert nxt.reg_index >= s // 2
+            assert tags[at + 1] >= s // 2
     # at most one gadget per regular block
     for prev, cur in zip(cw.segments, cw.segments[1:]):
         assert not (prev.kind == GADGET and cur.kind == GADGET)
@@ -309,8 +311,10 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
         assert results[0] == results[1], f"seed {seed}"
         # before gadget j went in, the chain ended short of its final end by
         # the gadgets j, j + 1, ... inserted from then on
-        gadgets = sorted((seg for seg in segments if seg.kind == GADGET),
-                         key=lambda seg: seg.gadget_c)
+        # gadget c is the chain's c-th in word order: its length is that of make(c)
+        gadgets = [seg for seg in segments if seg.kind == GADGET]
+        make = _chaos_gadgets(seed)(None)
+        assert [seg.length for seg in gadgets] == [len(make(c)) for c in range(len(gadgets))]
         assert len(parser.rollback_from) == len(gadgets)
         for j, fed in enumerate(parser.rollback_from):
             chain_end = len(tape) - sum(seg.length for seg in gadgets[j:])
@@ -379,12 +383,10 @@ def test_build_chain_lays_its_chain_out_once(monkeypatch, mode, scratch):
     assert gadgets > 8
 
 
-def _oracle_segments(data: bytes, segments) -> list:
+def _oracle_segments(data: bytes, segments, chains) -> list:
     out, pos = [], 0
-    for seg in segments:
-        text = data[pos:pos + seg.length].decode()
-        tag = seg.reg_index if seg.kind == REGULAR else (seg.gadget_i, seg.gadget_c)
-        out.append((seg.kind, text, tag))
+    for seg, tag in zip(segments, segment_tags(segments, chains)):
+        out.append((seg.kind, data[pos:pos + seg.length].decode(), tag))
         pos += seg.length
     return out
 
@@ -396,7 +398,7 @@ def test_forced_loop_matches_naive_gadget_loop(length, seed, k):
     cw = construct_from_base(x, 3.0, meta={"k": k})
     segments, i0, count, d = naive_gadget_loop(
         x.to_text(), "0", cw.meta["window"], lambda i, c: _toy_gadget(x.data, i, c).decode())
-    assert _oracle_segments(cw.word.data, cw.segments) == segments
+    assert _oracle_segments(cw.word.data, cw.segments, cw.chains) == segments
     chain = cw.chains[0]
     assert (chain.chosen_i, chain.gadget_count, chain.final_d) == (i0, count, d)
 
@@ -415,7 +417,7 @@ def test_chaos_loop_matches_naive_gadget_loop():
         chaos = _chaos_gadgets(seed)(None)
         expected = naive_gadget_loop(x.to_text(), "0", 12,
                                      lambda i, c: chaos(c).decode())
-        got = (_oracle_segments(bytes(tape[1:]), segments), record.chosen_i,
+        got = (_oracle_segments(bytes(tape[1:]), segments, [record]), record.chosen_i,
                record.gadget_count, record.final_d)
         assert got == expected, f"seed {seed}"
 
@@ -504,9 +506,12 @@ def test_scratch_passes_reparse_the_whole_tape(monkeypatch, length, seed, k):
     x = _forced_base(length, seed)
     cw = construct_from_base(x, 3.0, scratch=True, meta={"k": k})
     count = cw.chains[0].gadget_count
-    gadgets = sorted((seg for seg in cw.segments if seg.kind == GADGET),
-                     key=lambda seg: seg.gadget_c)
+    # gadget c is the chain's c-th in word order, and at offset i0 it has
+    # i0 + 1 + c letters
+    gadgets = [seg for seg in cw.segments if seg.kind == GADGET]
     assert count > 0 and len(gadgets) == count
+    i0 = cw.chains[0].chosen_i
+    assert [seg.length for seg in gadgets] == [i0 + 1 + c for c in range(count)]
     chain = len(x) * (len(x) + 1) // 2
     whole = [1 + chain + sum(seg.length for seg in gadgets[:j]) for j in range(1, count + 1)]
     assert feeds == [(1, chain, 1 + chain)] + [(0, n, n) for n in whole]
