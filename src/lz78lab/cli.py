@@ -110,7 +110,7 @@ def cmd_construct_toy(args) -> int:
 def cmd_construct_general(args) -> int:
     params = gen.derive_params(args.n, args.l, gamma=args.gamma, exact=args.exact)
     family = gen.sample_family(params, args.seed)
-    cw = gen.construct_general(params, family, reparse=args.reparse)
+    cw = gen.construct_general(family, reparse=args.reparse)
     report = gen.verify_general(cw)
     if args.out:
         write_word_file(args.out, cw.word, packed=args.packed)
@@ -227,8 +227,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_infinite(args) -> int:
-    sched = inf.schedule_for_budget(args.l0, args.gamma, args.budget)
-    cw = inf.build_prefix(sched, args.budget, args.seed)
+    cw = inf.build_prefix(args.l0, args.gamma, args.budget, args.seed)
+    sched = cw.meta["schedule"]
     if args.out:
         write_word_file(args.out, cw.word, packed=args.packed)
     stride = max(1, len(cw.word) // 256)

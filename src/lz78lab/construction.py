@@ -81,7 +81,6 @@ class ConstructedWord:
     red: Parsing = field(repr=False)  # the construction's own parse of 0w, unchecked
     segments: list[Segment]
     chains: list[ChainRecord]
-    gamma: float
     meta: dict = field(default_factory=dict)
 
     @property
@@ -91,7 +90,7 @@ class ConstructedWord:
 
     @classmethod
     def from_parser(cls, parser: StreamParser, tape: bytearray,
-                    segments: list[Segment], chains: list[ChainRecord], gamma: float,
+                    segments: list[Segment], chains: list[ChainRecord],
                     meta: dict) -> "ConstructedWord":
         """The word w after the front letter 0 of ``tape``, with ``parser``'s
         parse of the tape as ``red``, its blocks exact-size copies of the
@@ -99,7 +98,7 @@ class ConstructedWord:
         red = parser.finish(tape)
         tape.clear()                  # red.data holds the letters now
         return cls(word=Word(red.data[1:]), red=red, segments=segments,
-                   chains=chains, gamma=gamma, meta=meta)
+                   chains=chains, meta=meta)
 
     def certified_red(self) -> Parsing:
         """``red`` once it is shown to be the LZ'78 parse of 0w: its letters

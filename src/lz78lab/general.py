@@ -247,10 +247,10 @@ def _add_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     return record
 
 
-def construct_general(params: Params, family: Family,
-                      reparse: str = "checkpoint") -> ConstructedWord:
-    """Build the length-n word: per-word chains, per-chain gadget loops,
-    zero padding to exactly n letters."""
+def construct_general(family: Family, reparse: str = "checkpoint") -> ConstructedWord:
+    """Build the length-n word of the family's parameters: per-word chains,
+    per-chain gadget loops, zero padding to exactly n letters."""
+    params = family.params
     if reparse not in ("checkpoint", "scratch"):
         raise ParameterError(f"unknown reparse mode {reparse!r}")
     parser, tape = StreamParser(), bytearray(b"0")
@@ -273,7 +273,7 @@ def construct_general(params: Params, family: Family,
         parser.feed(b"0" * pad)
         tape += b"0" * pad
     cw = ConstructedWord.from_parser(
-        parser, tape, segments, chains, params.gamma,
+        parser, tape, segments, chains,
         {"params": params, "seed": family.seed, "w_prime": w_prime})
     assert len(cw.word) == params.n
     return cw

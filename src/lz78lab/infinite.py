@@ -9,7 +9,6 @@ limit values, which are out of reach at desk scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -95,21 +94,6 @@ def schedule(l0: int, gamma: float, levels: int) -> Schedule:
                     in_theorem_range=not notes, notes=tuple(notes))
 
 
-def schedule_for_budget(l0: int, gamma: float, budget: int) -> Schedule:
-    """The schedule of the fewest levels that can hold ``budget`` letters, a
-    level holding count * l(l+1)/2: the regular blocks of its count chains,
-    as in the one-chain floor of :func:`build_prefix`.
-
-    The search ends by 15 levels, where :func:`schedule` raises at the
-    latest: p_0 >= 1 forces p_14 above the bound of 1024 it puts on p.
-    """
-    for levels in itertools.count(1):
-        sched = schedule(l0, gamma, levels)
-        capacity = sum(lv.count * lv.l * (lv.l + 1) // 2 for lv in sched.levels)
-        if capacity >= budget:
-            return sched
-
-
 def _sample_level_word(seed: int, level: LevelParams, index: int,
                        corpus_grams: set[bytes], require_leading_one: bool) -> Word:
     for attempt in range(RETRY_CAP):
@@ -138,15 +122,16 @@ def _fresh_factors(data: bytes, m: int, corpus_grams: set[bytes]) -> bool:
     return len(unique) == len(grams) and unique.isdisjoint(corpus_grams)
 
 
-def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
+def build_prefix(l0: int, gamma: float, budget_n: int, seed: int) -> ConstructedWord:
     """Emit the first budget_n letters of the level construction.
 
-    Words are sampled on demand; generation stops once the budget is covered
-    and the final chain is truncated.  The tape is cut and the parser rolled
-    back to the truncation point, so ``red`` is the parse of 0w for the
-    emitted prefix w.
+    Levels are taken as the build reaches them: words are sampled on demand,
+    the next level only while the chains so far are short of the budget, and
+    the final chain is truncated.  ``meta["schedule"]`` lists the levels
+    reached.  The tape is cut and the parser rolled back to the truncation
+    point, so ``red`` is the parse of 0w for the emitted prefix w.
     """
-    l0 = sched.l0
+    sched = schedule(l0, gamma, 1)   # l0, gamma and level 0 are refused before any draw
     if budget_n < l0 * (l0 + 1) // 2:
         raise ParameterError(
             f"budget {budget_n} cannot cover one full level-0 chain "
@@ -158,28 +143,25 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     parser.feed(tape)
     segments: list[Segment] = []
     green_words: set[bytes] = set()
-    corpus: list[bytes] = []
-    corpus_grams: set[bytes] = set()
     grams_m = None
     chains = []
     words_per_level: dict[int, int] = {}
-    for level in sched.levels:
-        if len(tape) - 1 >= budget_n:
-            break
+    while len(tape) - 1 < budget_n:
+        level = sched.levels[-1]
+        widx = words_per_level.get(level.index, 0)
+        if widx == level.count:      # the next level is computed, or refused, once reached
+            sched = schedule(l0, gamma, level.index + 2)
+            continue
         if level.m_eff != grams_m:
             grams_m = level.m_eff
-            corpus_grams = _m_grams(corpus, grams_m)
-        for widx in range(level.count):
-            xw = _sample_level_word(seed, level, widx, corpus_grams,
-                                    require_leading_one=not chains)
-            chains.append(_add_chain(parser, tape, segments, green_words, len(chains),
-                                     xw, q_max=level.m_eff, m_int=level.m_eff,
-                                     window=level.window))
-            words_per_level[level.index] = words_per_level.get(level.index, 0) + 1
-            corpus.append(xw.data)
-            corpus_grams |= _m_grams([xw.data], grams_m)
-            if len(tape) - 1 >= budget_n:
-                break
+            corpus_grams = _m_grams((c.source.data for c in chains), grams_m)
+        xw = _sample_level_word(seed, level, widx, corpus_grams,
+                                require_leading_one=not chains)
+        chains.append(_add_chain(parser, tape, segments, green_words, len(chains),
+                                 xw, q_max=level.m_eff, m_int=level.m_eff,
+                                 window=level.window))
+        words_per_level[level.index] = widx + 1
+        corpus_grams |= _m_grams([xw.data], grams_m)
 
     full_len = len(tape) - 1
     # cut the tape and its parse back to the prefix: the blocks are then those of 0w
@@ -187,7 +169,7 @@ def build_prefix(sched: Schedule, budget_n: int, seed: int) -> ConstructedWord:
     parser.rollback(budget_n + 1)
     parser.feed(memoryview(tape)[parser.position:])   # a view: feed copies a slice at a time
     return ConstructedWord.from_parser(
-        parser, tape, _truncate_segments(segments, budget_n), chains, sched.gamma,
+        parser, tape, _truncate_segments(segments, budget_n), chains,
         {"schedule": sched, "seed": seed, "budget": budget_n,
          "generated": full_len, "words_per_level": words_per_level})
 

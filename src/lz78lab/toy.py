@@ -45,16 +45,17 @@ def construct_toy(k: int, gamma: float = 3.0, seed: int = 0,
     if reparse not in ("checkpoint", "scratch"):
         raise ParameterError(f"unknown reparse mode {reparse!r}")
     x = de_bruijn(k, require_prefix="01", seed=seed).word
-    return construct_from_base(x, gamma, scratch=(reparse == "scratch"),
-                               meta={"k": k, "seed": seed})
+    cw = construct_from_base(x, k, gamma, scratch=(reparse == "scratch"))
+    cw.meta["seed"] = seed
+    return cw
 
 
-def construct_from_base(x: Word, gamma: float, scratch: bool = False, *,
-                        meta: dict) -> ConstructedWord:
+def construct_from_base(x: Word, k: int, gamma: float,
+                        scratch: bool = False) -> ConstructedWord:
     """The gadget algorithm itself, on an arbitrary base word (tests use this
     to force insertions; the public entry point keeps the de Bruijn contract).
-    ``meta`` must hold the order ``k`` that sets the window gamma*k."""
-    reach = gamma * meta["k"]
+    The order ``k`` sets the window gamma*k."""
+    reach = gamma * k
     # compared before int(): a huge gamma makes gamma*k infinite
     if reach >= len(x) - 1:
         raise ParameterError("gamma*k must stay below the number of regular blocks")
@@ -65,8 +66,8 @@ def construct_from_base(x: Word, gamma: float, scratch: bool = False, *,
     record = build_chain(parser, tape, segments, 0, x, 0, window=window,
                          gadgets=lambda i: partial(_toy_gadget, x.data, i),
                          include_tail=True, scratch=scratch)
-    return ConstructedWord.from_parser(parser, tape, segments, [record], gamma,
-                                       dict(meta, window=window))
+    return ConstructedWord.from_parser(parser, tape, segments, [record],
+                                       {"k": k, "gamma": gamma, "window": window})
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,8 @@ def verify_toy(cw: ConstructedWord, front="0") -> ToyReport:
 
     chain = cw.chains[0]
     s = chain.regular_count
-    k = cw.meta["k"]
-    bound_b = s / 2 + (1 + cw.gamma) * k + 1
+    k, gamma = cw.meta["k"], cw.meta["gamma"]
+    bound_b = s / 2 + (1 + gamma) * k + 1
     if units_ok:
         violations = {i: c for i, c in counts[chain.index].items()
                       if i <= cw.meta["window"]}
@@ -131,7 +132,7 @@ def verify_toy(cw: ConstructedWord, front="0") -> ToyReport:
 
     n = len(data)
     return ToyReport(
-        n=n, s=s, k=k, gamma=cw.gamma, front=front.decode(),
+        n=n, s=s, k=k, gamma=gamma, front=front.decode(),
         dic_w=green.dict_size, dic_aw=dic_aw,
         chosen_i=chain.chosen_i, gadget_count=chain.gadget_count,
         violations=violations,

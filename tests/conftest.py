@@ -84,7 +84,7 @@ def general20():
     for l in (1 << 9, 1 << 10):
         params = derive_params(1 << 20, l, gamma=10.0)
         family = sample_family(params, seed=0)
-        cw = construct_general(params, family)
+        cw = construct_general(family)
         out[l] = (params, family, cw, verify_general(cw))
     return {"runs": out, "elapsed": time.perf_counter() - t0}
 

@@ -11,7 +11,7 @@ from collections import defaultdict
 import numpy as np
 
 from lz78lab import (align, build_prefix, de_bruijn, decode, encode, parse, pref,
-                     ratio_curve, schedule, tail_separation, violation_table,
+                     ratio_curve, tail_separation, violation_table,
                      check_p1, check_p2)
 
 from conftest import assert_star_census, criterion, fuzz_word
@@ -128,7 +128,7 @@ def test_criterion_5_gadget_construction_suite(gadget_suite):
         assert rep.dic_w <= 3 * math.sqrt(2 / 5) * math.sqrt(rep.n), f"k={k}"
         assert rep.upper_bound_ok
         # (b) violation cap for every offset in the gadget window
-        bound_b = s / 2 + (1 + cw.gamma) * k + 1
+        bound_b = s / 2 + (1 + cw.meta["gamma"]) * k + 1
         assert rep.violations_ok
         assert all(c <= bound_b for c in rep.violations.values()), f"k={k}"
         # (c) pairwise violation trade-off over all offsets of pref(x)
@@ -199,9 +199,8 @@ def test_criterion_7_structural_fuzz():
 
 def test_criterion_8_tail_separation():
     t0 = time.perf_counter()
-    sched = schedule(256, 0.1, 2)
-    assert not sched.in_theorem_range  # demo scale is explicitly flagged
-    cw = build_prefix(sched, 250_000, seed=3)
+    cw = build_prefix(256, 0.1, 250_000, seed=3)
+    assert not cw.meta["schedule"].in_theorem_range  # demo scale is explicitly flagged
     assert cw.meta["words_per_level"].get(1, 0) >= 1, "second level not reached"
     stride = len(cw.word) // 256
     plain = ratio_curve(cw.word, stride)

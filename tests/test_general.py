@@ -9,7 +9,7 @@ from lz78lab import (ConstructionError, ParameterError, SamplingError, Word,
 from lz78lab import construction
 from lz78lab.construction import GADGET, PADDING, REGULAR, front_census
 import lz78lab.general as general_mod
-from lz78lab.infinite import build_prefix, schedule_for_budget
+from lz78lab.infinite import build_prefix
 from lz78lab import parsing
 from lz78lab.parsing import StreamParser
 
@@ -105,7 +105,7 @@ def test_sample_family_retry_cap(monkeypatch):
 def small_build():
     params = derive_params(1 << 14, 64, gamma=10.0)
     family = sample_family(params, seed=1)
-    cw = construct_general(params, family)
+    cw = construct_general(family)
     return params, family, cw
 
 
@@ -159,7 +159,7 @@ def test_construct_strips_to_chained_prefixes(small_build):
 
 def test_chain_synchronization(small_build):
     params = derive_params(1 << 16, 64)
-    seed3 = construct_general(params, sample_family(params, seed=3))
+    seed3 = construct_general(sample_family(params, seed=3))
     # chains 1 and 5 start past x[0..1] and x[0..6]: the shorter prefixes are
     # chain 0's offset-0 gadget words, not prefixes of chain 0's word
     assert [seed3.chains[j].q for j in (1, 5)] == [2, 7]
@@ -242,9 +242,9 @@ def test_verify_general_per_chain_checks_fail_on_the_counts(monkeypatch, small_b
 
 @pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])
 def test_construct_general_hands_over_the_parse_of_0w(small_build, reparse):
-    params, family, cw = small_build
+    _, family, cw = small_build
     if reparse == "scratch":
-        cw = construct_general(params, family, reparse=reparse)
+        cw = construct_general(family, reparse=reparse)
     assert sum(c.gadget_count for c in cw.chains) > 0
     assert_is_parse_of_0w(cw.red, cw.word.data)
 
@@ -309,18 +309,18 @@ def _assert_same_build(cw, other):
 
 
 def test_scratch_oracle_matches_checkpoint(small_build):
-    params, family, cw = small_build
-    _assert_same_build(cw, construct_general(params, family, reparse="scratch"))
+    _, family, cw = small_build
+    _assert_same_build(cw, construct_general(family, reparse="scratch"))
 
 
 def test_scratch_oracle_matches_checkpoint_multi_chain():
     # each chain after the first starts behind a fully fed previous chain
     params = derive_params(1 << 18, 256)
     family = sample_family(params, seed=0)
-    cw = construct_general(params, family)
+    cw = construct_general(family)
     assert len(cw.chains) == 4
     assert sum(c.gadget_count for c in cw.chains) == 16
-    _assert_same_build(cw, construct_general(params, family, reparse="scratch"))
+    _assert_same_build(cw, construct_general(family, reparse="scratch"))
 
 
 def test_scratch_oracle_matches_checkpoint_on_later_offset_0_chains():
@@ -328,10 +328,10 @@ def test_scratch_oracle_matches_checkpoint_on_later_offset_0_chains():
     # blocks of the earlier chains as well as their own
     params = derive_params(1 << 16, 64)
     family = sample_family(params, seed=0)
-    cw = construct_general(params, family)
+    cw = construct_general(family)
     assert [(c.chosen_i, c.resync_word) for c in cw.chains[8:10]] == [
         (0, b"110"), (0, b"0001")]
-    _assert_same_build(cw, construct_general(params, family, reparse="scratch"))
+    _assert_same_build(cw, construct_general(family, reparse="scratch"))
 
 
 def test_censuses_add_up_over_slices_spanning_chains(monkeypatch):
@@ -340,11 +340,11 @@ def test_censuses_add_up_over_slices_spanning_chains(monkeypatch):
     # added up over them are those of one slice
     params = derive_params(1 << 16, 64)
     family = sample_family(params, seed=0)
-    want = construct_general(params, family)
+    want = construct_general(family)
     want_census = front_census(want, parse(want.word), want.red.starts)
     assert len(want.chains) > 8 and sum(c.gadget_count for c in want.chains) > 0
     monkeypatch.setattr(construction, "CENSUS_SLICE", 5)
-    got = construct_general(params, family)
+    got = construct_general(family)
     _assert_same_build(want, got)
     assert front_census(got, parse(got.word), got.red.starts) == want_census
     assert verify_general(got) == verify_general(want)
@@ -381,9 +381,9 @@ def resolved(monkeypatch):
 
 def test_resync_word_matches_the_oracle_on_every_offset_0_chain(mode, resolved):
     # later chains resolve 3- and 4-letter words among ~10^5 earlier blocks
-    build_prefix(schedule_for_budget(256, 0.1, 4_000_000), 4_000_000, 0)
+    build_prefix(256, 0.1, 4_000_000, 0)
     params = derive_params(1 << 16, 64)
-    construct_general(params, sample_family(params, seed=0))
+    construct_general(sample_family(params, seed=0))
     assert [(c, word) for c, word, _, _ in resolved] == [
         (0, b"0"), (1, b"00"), (11, b"100"), (31, b"0010"),
         (0, b"0"), (8, b"110"), (9, b"0001")]
@@ -422,7 +422,7 @@ def test_each_hot_chain_asks_for_its_gadgets_once_on_its_whole_feed(
     monkeypatch.setattr(StreamParser, "rollback", counting)
     monkeypatch.setattr(general_mod, "build_chain", checked)
     params = derive_params(1 << 16, 64)
-    cw = construct_general(params, sample_family(params, seed=0), reparse=reparse)
+    cw = construct_general(sample_family(params, seed=0), reparse=reparse)
     assert seen == [(i, [] if i is None else [(i, True, 0)]) for i, _ in seen]
     assert [j for j, (_, calls) in enumerate(seen) if calls] == [0, 8, 9]
     assert [c.resync_word for c in cw.chains if c.chosen_i == 0] == [b"0", b"110", b"0001"]
@@ -517,7 +517,7 @@ def test_construct_general_letters_fed_per_output_letter(monkeypatch, small_buil
 
     monkeypatch.setattr(general_mod, "StreamParser", CountingParser)
     params, family, cw = small_build
-    assert construct_general(params, family).word == cw.word
+    assert construct_general(family).word == cw.word
     assert sum(c.gadget_count for c in cw.chains) > 0
     assert sum(fed) / params.n < 1.42
 
@@ -563,9 +563,9 @@ def test_family_file_keeps_exact(tmp_path):
 
 
 def test_construct_rejects_bad_mode(small_build):
-    params, family, _ = small_build
+    _, family, _ = small_build
     with pytest.raises(ParameterError):
-        construct_general(params, family, reparse="guess")
+        construct_general(family, reparse="guess")
 
 
 def test_catastrophe_factor_grows_with_chain_size():
@@ -575,6 +575,6 @@ def test_catastrophe_factor_grows_with_chain_size():
     for n, l in [(1 << 16, 1 << 7), (1 << 18, 1 << 8), (1 << 20, 1 << 9)]:
         params = derive_params(n, l, gamma=10.0)
         family = sample_family(params, seed=0)
-        rep = verify_general(construct_general(params, family))
+        rep = verify_general(construct_general(family))
         factors.append(rep.catastrophe_factor)
     assert factors[0] < factors[1] < factors[2]

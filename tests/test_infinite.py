@@ -8,9 +8,9 @@ import pytest
 
 from lz78lab import (ParameterError, build_prefix, comp_ratio, parse, pref,
                      ratio_curve, schedule, tail_separation)
-from lz78lab.infinite import (_fresh_factors, _m_grams, prefix_ratios,
-                               schedule_for_budget)
-from lz78lab.parsing import StreamParser
+from lz78lab import infinite
+from lz78lab.infinite import _fresh_factors, _m_grams, prefix_ratios
+from lz78lab.parsing import MAX_NODES, StreamParser
 
 from conftest import assert_is_parse_of_0w, assert_segments_tile
 from oracles import worst_case_word
@@ -62,35 +62,55 @@ def test_schedule_out_of_theorem_flag():
     assert any("gamma" in note for note in sched.notes)
 
 
-def test_schedule_for_budget_takes_the_fewest_levels_that_hold_it():
-    # a level holds count * l(l+1)/2 letters of regular blocks
-    def capacity(sched):
-        return sum(lv.count * lv.l * (lv.l + 1) // 2 for lv in sched.levels)
+def test_build_prefix_budget_guard(monkeypatch):
+    # each refused before a word is drawn: l0 below 16, an infeasible level 0,
+    # a budget below one level-0 chain and one past the parser's node ids
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a word was drawn")
 
-    one, two = (capacity(schedule(256, 0.1, n)) for n in (1, 2))
-    for budget, levels in ((1, 1), (one, 1), (one + 1, 2), (two, 2), (two + 1, 3)):
-        assert schedule_for_budget(256, 0.1, budget) == schedule(256, 0.1, levels), budget
-    sched = schedule_for_budget(256, 0.1, 4_000_000)
-    assert capacity(sched) >= 4_000_000 > capacity(
-        schedule(256, 0.1, len(sched.levels) - 1))
-    # no schedule holds this much: schedule() refuses a level on the way
-    with pytest.raises(ParameterError, match="level"):
-        schedule_for_budget(256, 0.1, 10 ** 400)
-    with pytest.raises(ParameterError, match="l0 must be >= 16"):
-        schedule_for_budget(8, 0.1, 1000)
-
-
-def test_build_prefix_budget_guard():
-    sched = schedule(256, 0.1, 1)
-    with pytest.raises(ParameterError):
-        build_prefix(sched, 1000, seed=0)
+    monkeypatch.setattr(infinite, "_sample_level_word", no_draw)
+    for l0, gamma, budget, match in (
+            (8, 0.1, 100_000, "l0 must be >= 16"),
+            (1024, 10.0, 1_000_000, "level 0 is infeasible"),
+            (256, 0.1, 1000, "cannot cover one full level-0 chain"),
+            (256, 0.1, 256 * 257 // 2 - 1, "cannot cover one full level-0 chain"),
+            (256, 0.1, MAX_NODES - 1, "for the parser's node ids")):
+        with pytest.raises(ParameterError, match=match):
+            build_prefix(l0, gamma, budget, seed=0)
 
 
 @pytest.fixture(scope="module")
 def two_level():
-    sched = schedule(256, 0.1, 2)
-    cw = build_prefix(sched, 250_000, seed=3)
-    return sched, cw
+    cw = build_prefix(256, 0.1, 250_000, seed=3)
+    return cw.meta["schedule"], cw
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_prefix_emits_the_whole_budget(seed):
+    # the 74 level-0 chains lay fewer letters than their regular blocks'
+    # count * l(l+1)/2 = 2,434,304, a chain that starts at x[0..q] laying
+    # q(q+1)/2 fewer, so this budget takes a level-1 word
+    cw = build_prefix(256, 0.08, 2_434_304, seed)
+    assert len(cw.word) == 2_434_304
+    assert cw.meta["words_per_level"] == {0: 74, 1: 1}
+    assert cw.meta["generated"] > 2_434_304
+
+
+def test_build_prefix_words_are_prefixes_of_one_word(two_level):
+    _, longest = two_level
+    for budget in (40_000, 99_000, 150_000):
+        cw = build_prefix(256, 0.1, budget, seed=3)
+        assert longest.word.data.startswith(cw.word.data), budget
+
+
+def test_build_prefix_schedule_lists_the_levels_reached(two_level):
+    # 99,000 letters fit in level 0's three chains: level 1 is not listed
+    short = build_prefix(256, 0.1, 99_000, seed=0)
+    assert short.meta["words_per_level"] == {0: 3}
+    assert short.meta["schedule"] == schedule(256, 0.1, 1)
+    sched, cw = two_level
+    assert sorted(cw.meta["words_per_level"]) == [0, 1]
+    assert sched == schedule(256, 0.1, 2)
 
 
 def test_a_re_feed_holds_no_copy_of_the_tape(mode, monkeypatch):
@@ -112,7 +132,7 @@ def test_a_re_feed_holds_no_copy_of_the_tape(mode, monkeypatch):
     monkeypatch.setattr(StreamParser, "feed", traced_feed)
     tracemalloc.start()
     try:
-        build_prefix(schedule(256, 0.1, 1), 33_000, seed=0)
+        build_prefix(256, 0.1, 33_000, seed=0)
     finally:
         tracemalloc.stop()
     refeeds = [(n, size) for name, n, size in held if name == "advance"]
@@ -158,8 +178,7 @@ def test_build_prefix_chain_green_budget(two_level):
 def test_build_prefix_budget_covering_level_zero_only():
     # degenerate case: the output is a chained construction at (l0, p0),
     # with no padding anywhere
-    sched = schedule(256, 0.1, 2)
-    cw = build_prefix(sched, 50_000, seed=3)
+    cw = build_prefix(256, 0.1, 50_000, seed=3)
     assert cw.meta["words_per_level"] == {0: 2}
     assert all(seg.kind != "padding" for seg in cw.segments)
     assert all(len(chain.source) == 256 for chain in cw.chains)
@@ -168,15 +187,14 @@ def test_build_prefix_budget_covering_level_zero_only():
 def test_build_prefix_hands_over_the_parse_of_0w():
     # three budgets: one that ends inside a block of 0w, one that ends on a
     # block boundary, and one equal to the generated length
-    sched = schedule(256, 0.1, 1)
-    generated = build_prefix(sched, 40_000, seed=3).meta["generated"]
-    whole = build_prefix(sched, generated, seed=3)
+    generated = build_prefix(256, 0.1, 40_000, seed=3).meta["generated"]
+    whole = build_prefix(256, 0.1, generated, seed=3)
     starts = whole.red.starts
     j = next(i for i in range(bisect.bisect(starts, 45_000), len(starts))
              if starts[i + 1] - starts[i] > 1)
     cases = {"inside": starts[j], "boundary": starts[j] - 1, "generated": generated}
     for name, budget in cases.items():
-        cw = build_prefix(sched, budget, seed=3)
+        cw = build_prefix(256, 0.1, budget, seed=3)
         assert len(cw.word) == budget == len(cw.red.data) - 1, name
         assert cw.meta["generated"] == generated, name
         assert_is_parse_of_0w(cw.red, cw.word.data)
@@ -190,15 +208,14 @@ def test_build_prefix_hands_over_the_parse_of_0w():
 
 def test_build_prefix_segments_tile_the_cut_word():
     # one budget that ends on a segment bound, one that cuts the segment after it
-    sched = schedule(256, 0.1, 1)
-    generated = build_prefix(sched, 40_000, seed=3).meta["generated"]
-    whole = build_prefix(sched, generated, seed=3)
+    generated = build_prefix(256, 0.1, 40_000, seed=3).meta["generated"]
+    whole = build_prefix(256, 0.1, generated, seed=3)
     assert_segments_tile(whole)
     starts = whole.segment_starts()
     j = bisect.bisect(starts, 45_000)
     assert whole.segments[j].length > 1
     for budget, kept in ((starts[j], j), (starts[j] + 1, j + 1)):
-        cw = build_prefix(sched, budget, seed=3)
+        cw = build_prefix(256, 0.1, budget, seed=3)
         assert len(cw.word) == budget
         assert_segments_tile(cw)
         assert len(cw.segments) == kept

@@ -92,8 +92,8 @@ def _forced_base(length: int, seed: int) -> Word:
 
 def test_forced_loop_checkpoint_equals_scratch():
     x = _forced_base(90, 2)
-    a = construct_from_base(x, 3.0, meta={"k": 6})
-    b = construct_from_base(x, 3.0, scratch=True, meta={"k": 6})
+    a = construct_from_base(x, 6, 3.0)
+    b = construct_from_base(x, 6, 3.0, scratch=True)
     assert a.word == b.word
     assert a.segments == b.segments
     assert a.chains == b.chains
@@ -102,14 +102,14 @@ def test_forced_loop_checkpoint_equals_scratch():
 
 
 def test_segment_starts_tile_a_word_with_gadgets():
-    cw = construct_from_base(_forced_base(90, 2), 3.0, meta={"k": 6})
+    cw = construct_from_base(_forced_base(90, 2), 6, 3.0)
     assert cw.chains[0].gadget_count > 0
     assert_segments_tile(cw)
 
 
 def test_forced_loop_invariants():
     x = _forced_base(120, 7)
-    cw = construct_from_base(x, 3.0, meta={"k": 7})
+    cw = construct_from_base(x, 7, 3.0)
     s = len(x)
     assert cw.chains[0].chosen_i == 0
     assert regular_letters(cw) == pref(x).data
@@ -131,7 +131,7 @@ def test_forced_loop_invariants():
                                            (200, 11, 7)])
 def test_initial_census_matches_interval_oracle(length, seed, k):
     x = _forced_base(length, seed)
-    cw = construct_from_base(x, 3.0, meta={"k": k})
+    cw = construct_from_base(x, k, 3.0)
     text = pref(x).to_text()
     violated = {}
     for cls in naive_classify(naive_parse(text), naive_parse("0" + text)):
@@ -146,7 +146,7 @@ def test_forced_loop_reports_unit_breakdown_honestly():
     # plain parsing no longer follows the intended units and the verifier
     # must say so rather than report a clean run
     x = _forced_base(90, 2)
-    rep = verify_toy(construct_from_base(x, 3.0, meta={"k": 6}))
+    rep = verify_toy(construct_from_base(x, 6, 3.0))
     assert not rep.green_units_ok
     assert rep.violations == {}
 
@@ -156,7 +156,7 @@ def test_forced_loop_reports_unit_breakdown_honestly():
 def test_front_census_counts_regular_segments_only(length, seed, k):
     # on these bases some red blocks of 0w lie inside a gadget, and the
     # census must leave them out
-    cw = construct_from_base(_forced_base(length, seed), 3.0, meta={"k": k})
+    cw = construct_from_base(_forced_base(length, seed), k, 3.0)
     text = cw.word.to_text()
     bounds = cw.segment_starts() + [len(text)]
     segment_words = [text[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -196,8 +196,7 @@ def test_censuses_add_up_over_slices_of_blocks(monkeypatch, census_slice):
     def builds():
         for length, seed, k in ((90, 2, 6), (200, 11, 7), (150, 9, 7)):
             for scratch in (False, True):
-                yield construct_from_base(_forced_base(length, seed), 3.0, scratch,
-                                          meta={"k": k})
+                yield construct_from_base(_forced_base(length, seed), k, 3.0, scratch)
         for seed in range(4):
             parser, tape = StreamParser(), bytearray(b"0")
             parser.feed(tape)
@@ -237,7 +236,7 @@ def test_front_census_scratch_does_not_grow_with_the_blocks(toy12):
     toy = toy12["cw"]
     assert toy.red.block_count > 12 * construction.CENSUS_SLICE
     params = derive_params(1 << 18, 256)
-    general = construct_general(params, sample_family(params, seed=0))
+    general = construct_general(sample_family(params, seed=0))
     assert len(general.chains) == 4 and general.segments[-1].length == 130452
     for cw in (toy, general):
         green = parse(cw.word)
@@ -395,7 +394,7 @@ def _oracle_segments(data: bytes, segments, chains) -> list:
                                            (200, 11, 7), (60, 5, 6), (150, 9, 7)])
 def test_forced_loop_matches_naive_gadget_loop(length, seed, k):
     x = _forced_base(length, seed)
-    cw = construct_from_base(x, 3.0, meta={"k": k})
+    cw = construct_from_base(x, k, 3.0)
     segments, i0, count, d = naive_gadget_loop(
         x.to_text(), "0", cw.meta["window"], lambda i, c: _toy_gadget(x.data, i, c).decode())
     assert _oracle_segments(cw.word.data, cw.segments, cw.chains) == segments
@@ -436,7 +435,7 @@ def test_one_front_variant_same_letter_is_verify():
 def test_one_front_variant_censuses_every_block_of_1w(monkeypatch, length, seed, k):
     # 1w of these bases ends in a trailing duplicate, which the parser holds
     # as its in-progress block: the census must read it too
-    cw = construct_from_base(_forced_base(length, seed), 3.0, meta={"k": k})
+    cw = construct_from_base(_forced_base(length, seed), k, 3.0)
     want = parse(b"1" + cw.word.data)
     assert want.last_is_duplicate
     censused = []
@@ -475,8 +474,7 @@ def test_toy_census_matches_interval_oracle(k, seed, a):
 @pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
                                            (200, 11, 7)])
 def test_forced_loop_hands_over_the_parse_of_0w(length, seed, k, scratch):
-    cw = construct_from_base(_forced_base(length, seed), 3.0, scratch=scratch,
-                             meta={"k": k})
+    cw = construct_from_base(_forced_base(length, seed), k, 3.0, scratch=scratch)
     assert cw.chains[0].gadget_count > 0
     assert_is_parse_of_0w(cw.red, cw.word.data)
 
@@ -504,7 +502,7 @@ def test_scratch_passes_reparse_the_whole_tape(monkeypatch, length, seed, k):
     monkeypatch.setattr(StreamParser, "feed", recording_feed)
     monkeypatch.setattr(toy, "build_chain", recording_build)
     x = _forced_base(length, seed)
-    cw = construct_from_base(x, 3.0, scratch=True, meta={"k": k})
+    cw = construct_from_base(x, k, 3.0, scratch=True)
     count = cw.chains[0].gadget_count
     # gadget c is the chain's c-th in word order, and at offset i0 it has
     # i0 + 1 + c letters
@@ -540,7 +538,7 @@ def test_chaos_loop_hands_over_the_parse_of_0w(scratch):
 
 
 def test_verify_toy_certifies_without_consuming_the_parse():
-    cw = construct_from_base(_forced_base(120, 7), 3.0, meta={"k": 7})
+    cw = construct_from_base(_forced_base(120, 7), 7, 3.0)
     red = cw.red
     starts, preds = list(red.starts), list(red.preds)
     assert verify_toy(cw) == verify_toy(cw)
