@@ -72,27 +72,71 @@ void lz78_truncate(lz78_state *s, int64_t kept)
     s->cur = 0;
 }
 
-/* The rules of certify, checked block by block in word order.  Block i
- * spans starts[i] to starts[i + 1], the last block to n.  Rule 1: block 0
- * starts at 0, and each block is non-empty and ends by n.  Rule 2: preds[i]
- * is -1 or an earlier block, and block i is one letter longer than it (than
- * the empty word for -1), with the same letters before its last.  Rule 3:
+/* The rules of certify, checked block by block in word order, over a word
+ * held as a table of runs: run r is the bounds[r + 1] - bounds[r] letters at
+ * runs[r], and the word's n letters end at bounds[nruns].  Block i spans
+ * starts[i] to starts[i + 1], the last block to n.  Rule 1: block 0 starts
+ * at 0, and each block is non-empty and ends by n.  Rule 2: preds[i] is -1
+ * or an earlier block, and block i is one letter longer than it (than the
+ * empty word for -1), with the same letters before its last: one lookup of
+ * the pred's run, then a memcmp up to the nearer run end, and on.  Rule 3:
  * its key, 2 (preds[i] + 1) plus its last letter, is not yet set in seen,
  * 2 count zero bytes; given rule 2, equal blocks have equal keys.  Returns
  * 4 i + rule for the first block i that breaks a rule, else 4 count; a
  * repeat at the last block is the trailing duplicate.  Reads no lz78_state:
  * the check shares no code with lz78_feed. */
-int64_t lz78_certify(const unsigned char *data, int64_t n, const int64_t *starts,
-                     const int64_t *preds, int64_t count, unsigned char *seen)
+static int64_t lz78_run(const int64_t *bounds, int64_t nruns, int64_t p)
 {
+    int64_t lo = 0, len = nruns;          /* bounds[lo] <= p < bounds[lo + len] */
+    while (len > 1) {                     /* no branch on the data: a select */
+        int64_t half = len / 2;
+        lo = bounds[lo + half] <= p ? lo + half : lo;
+        len -= half;
+    }
+    return lo;
+}
+
+static int lz78_same(const unsigned char *const *runs, const int64_t *bounds,
+                     int64_t ra, int64_t a, int64_t rc, int64_t c, int64_t len)
+{
+    while (len > 0) {
+        while (bounds[ra + 1] <= a)
+            ra++;
+        while (bounds[rc + 1] <= c)
+            rc++;
+        int64_t m = len;
+        if (bounds[ra + 1] - a < m)
+            m = bounds[ra + 1] - a;
+        if (bounds[rc + 1] - c < m)
+            m = bounds[rc + 1] - c;
+        if (memcmp(runs[ra] + (a - bounds[ra]), runs[rc] + (c - bounds[rc]), (size_t)m))
+            return 0;
+        a += m;
+        c += m;
+        len -= m;
+    }
+    return 1;
+}
+
+int64_t lz78_certify(const unsigned char *const *runs, const int64_t *bounds, int64_t nruns,
+                     const int64_t *starts, const int64_t *preds, int64_t count,
+                     unsigned char *seen)
+{
+    int64_t n = bounds[nruns], r = 0;     /* r: the run of the block's first letter */
     for (int64_t i = 0; i < count; i++) {
         int64_t a = starts[i], b = i + 1 < count ? starts[i + 1] : n, q = preds[i];
         if ((i == 0 && a != 0) || b <= a || b > n)
             return 4 * i + 1;
-        if (q < -1 || q >= i || b - a != (q < 0 ? 0 : starts[q + 1] - starts[q]) + 1
-            || (q >= 0 && memcmp(data + a, data + starts[q], (size_t)(b - a - 1))))
+        if (q < -1 || q >= i || b - a != (q < 0 ? 0 : starts[q + 1] - starts[q]) + 1)
             return 4 * i + 2;
-        int64_t key = 2 * (q + 1) + (data[b - 1] & 1);
+        while (bounds[r + 1] <= a)        /* blocks run in word order */
+            r++;
+        if (q >= 0 && !lz78_same(runs, bounds, r, a, lz78_run(bounds, nruns, starts[q]),
+                                 starts[q], b - a - 1))
+            return 4 * i + 2;
+        while (bounds[r + 1] < b)         /* the run of the last letter */
+            r++;
+        int64_t key = 2 * (q + 1) + (runs[r][b - 1 - bounds[r]] & 1);
         if (seen[key])
             return 4 * i + 3;
         seen[key] = 1;

@@ -98,7 +98,7 @@ def cmd_construct_toy(args) -> int:
                        reparse=args.reparse)
     report = verify_toy(cw, args.front)
     if args.out:
-        write_word_file(args.out, cw.word, packed=args.packed)
+        write_word_file(args.out, cw.letters(), packed=args.packed)
     _emit(report.to_json_obj(), args.report)
     # the violation cap is a guarantee about the front letter 0 only; other
     # fronts are reported without gating the exit code on it
@@ -113,7 +113,7 @@ def cmd_construct_general(args) -> int:
     cw = gen.construct_general(family, reparse=args.reparse)
     report = gen.verify_general(cw)
     if args.out:
-        write_word_file(args.out, cw.word, packed=args.packed)
+        write_word_file(args.out, cw.letters(), packed=args.packed)
     obj = report.to_json_obj()
     obj["params"] = params.to_json_obj()
     obj["retries"] = family.retries
@@ -125,8 +125,8 @@ def cmd_construct_general(args) -> int:
 def cmd_catastrophe(args) -> int:
     cw = construct_toy(args.k, gamma=args.gamma, seed=args.seed)
     report = verify_toy(cw)
-    dic_1w = dict_size(b"1", cw.word)   # fed in two pieces: 1w is never built
-    front_bound = 3 * math.sqrt(len(cw.word) * report.dic_w)
+    dic_1w = dict_size(cw.letters(b"1"))   # fed from the segment table: 1w is never built
+    front_bound = 3 * math.sqrt(cw.n * report.dic_w)
     front_bound_ok = report.dic_aw <= front_bound
     obj = {
         "schema": 1,
@@ -230,9 +230,9 @@ def cmd_infinite(args) -> int:
     cw = inf.build_prefix(args.l0, args.gamma, args.budget, args.seed)
     sched = cw.meta["schedule"]
     if args.out:
-        write_word_file(args.out, cw.word, packed=args.packed)
-    stride = max(1, len(cw.word) // 256)
-    plain = inf.ratio_curve(cw.word, stride)
+        write_word_file(args.out, cw.letters(), packed=args.packed)
+    stride = max(1, cw.n // 256)
+    plain = inf.ratio_curve(cw.letters(), stride)
     front = inf.prefix_ratios(cw.certified_red(), stride)
     separated, tail_plain, tail_front = inf.tail_separation(plain, front)
     _emit({
@@ -244,7 +244,7 @@ def cmd_infinite(args) -> int:
         "levels": [{"l": lv.l, "p": lv.p, "m": lv.m_eff, "count": lv.count}
                    for lv in sched.levels],
         "words_per_level": cw.meta["words_per_level"],
-        "length": len(cw.word),
+        "length": cw.n,
         "tail_separated": separated,
         "tail_max_plain": tail_plain,
         "tail_min_front": tail_front,

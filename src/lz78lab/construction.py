@@ -7,21 +7,28 @@ violations, insert gadgets ahead of the violated blocks.  The toy chain starts
 at q = 0; a general chain starts at its first prefix that is not yet a block
 of the plain parsing, which ``general._add_chain`` finds.  The loop's only
 bookkeeping is the list of regulars violated at the chosen offset, in word
-order, whose d-th entry is the next target.  A construction owns its word
-0w as one ``bytearray`` tape, and the parser holds only the parse of it.
-Every insertion edits the tape mid-stream, in place, so the parsing is
-rolled back to the last block boundary before the edit, and the rest of the
-chain is fed again from the tape only as far as the census needs to fix the
+order, whose d-th entry is the next target.  No construction holds its
+word.  It holds the segment table of 0w, a :class:`~lz78lab.words.Table`:
+the front letter, then each :class:`Segment`, whose letters are the first
+``length`` letters of its ``source`` (the chain's base word x for a
+regular, the gadget's own letters, zeros for the padding), and the parser
+holds only the parse.  Every pass feeds the parser from the table a slice at
+a time.  An insertion puts a gadget segment into the table mid-stream, so
+the parsing is rolled back to the last block boundary before it, and the
+rest of the chain is fed again only as far as the census needs to fix the
 next target; the pass that ends the loop feeds to the chain's end (a
-from-scratch mode, which re-parses the whole tape and takes a full census
-each pass, is the correctness oracle).
+from-scratch mode, which re-parses the whole table and takes a full census
+each pass, is the correctness oracle).  The word w itself is joined only on
+request (:attr:`ConstructedWord.word`): the verifiers, certify and ``--out``
+read the table.
 
-Every position in a constructed word comes from one place, :func:`_layout`,
-which turns a run of segments (a whole word or one chain) into its segment
-bounds; the gadget loop (once a chain, then shifting the regulars after
-each gadget), the verifiers' census, the chained construction's green words
-and the infinite construction's cut all read it.  :func:`_census` is the one
-count of the red blocks inside a regular, a slice of blocks at a time, over
+Every segment position a census or a cut uses comes from one place,
+:func:`_layout`, which turns a run of segments (a whole word or one chain)
+into its segment bounds; the gadget loop (once a chain, then shifting the
+regulars after each gadget), the verifiers' census and the infinite
+construction's cut all read it, and the segment table keeps its own run
+bounds for its reader.  :func:`_census` is the one count of the red blocks
+inside a regular, a slice of blocks at a time, over
 block starts and the position that ends the last block, and over the spans
 of the regulars alone: the gadget loop reads it over the parser's blocks,
 at the chain's end as :meth:`~lz78lab.parsing.StreamParser.closed_blocks`
@@ -29,9 +36,9 @@ closes them, and :func:`front_census`, the census of a finished word that
 both verifiers (``toy.verify_toy``, ``general.verify_general``) read,
 over the block starts of a parse of aw.  Their parse of 0w is the
 construction's own: :meth:`ConstructedWord.from_parser` hands the parser's
-blocks over the tape's letters as ``ConstructedWord.red``, and the verifiers
-certify them against the LZ'78 definition (:func:`~lz78lab.parsing.certify`)
-instead of parsing 0w again.
+blocks over as ``ConstructedWord.red``, which holds no letters, and the
+verifiers certify them against the LZ'78 definition, through the segment
+table (:func:`~lz78lab.parsing.certify`), instead of parsing 0w again.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import numpy as np
 from .alignment import locate, offset_counts
 from .errors import ConstructionError
 from .parsing import Parsing, StreamParser, certify
-from .words import Word
+from .words import Table, Word
 
 CENSUS_SLICE = 1 << 14            # red blocks a census places at once
 REGULAR, GADGET, PADDING = "regular", "gadget", "padding"   # the segment kinds
@@ -57,6 +64,7 @@ class Segment(NamedTuple):
     kind: str                     # regular | gadget | padding
     length: int
     chain: int                    # the chain's index; -1 for padding
+    source: bytes                 # its letters are source[:length]: x, the gadget, or zeros
 
 
 # A chain as built: its length and counts ignore infinite.build_prefix's cut.
@@ -77,7 +85,7 @@ class ChainRecord:
 
 @dataclass
 class ConstructedWord:
-    word: Word
+    n: int                            # the length of w
     red: Parsing = field(repr=False)  # the construction's own parse of 0w, unchecked
     segments: list[Segment]
     chains: list[ChainRecord]
@@ -88,27 +96,33 @@ class ConstructedWord:
         """The first chain's base word."""
         return self.chains[0].source
 
+    @property
+    def word(self) -> Word:
+        """w, joined from the segments at each call: a copy of all its
+        letters, which no report reads."""
+        return Word(self.letters()[:])
+
+    def letters(self, front: bytes = b"") -> Table:
+        """The segment table of ``front`` followed by w: it reads the letters
+        where the segments hold them."""
+        return Table(front, self.segments)
+
     @classmethod
-    def from_parser(cls, parser: StreamParser, tape: bytearray,
-                    segments: list[Segment], chains: list[ChainRecord],
+    def from_parser(cls, parser: StreamParser, table: Table, chains: list[ChainRecord],
                     meta: dict) -> "ConstructedWord":
-        """The word w after the front letter 0 of ``tape``, with ``parser``'s
-        parse of the tape as ``red``, its blocks exact-size copies of the
-        parser's block arrays.  The parser and the tape are left empty."""
-        red = parser.finish(tape)
-        tape.clear()                  # red.data holds the letters now
-        return cls(word=Word(red.data[1:]), red=red, segments=segments,
+        """The word w whose 0w is ``table``, with ``parser``'s parse of 0w as
+        ``red``: its blocks, exact-size copies of the parser's block arrays,
+        over the table.  The parser is left empty."""
+        return cls(n=len(table) - 1, red=parser.finish(table), segments=table.segments,
                    chains=chains, meta=meta)
 
     def certified_red(self) -> Parsing:
-        """``red`` once it is shown to be the LZ'78 parse of 0w: its letters
-        are 0w, and :func:`~lz78lab.parsing.certify` accepts its blocks.
-        Raises ``ConstructionError`` otherwise; ``red`` is left as it is."""
-        red, data = self.red, self.word.data
-        if not (len(red.data) == len(data) + 1 and red.data.startswith(b"0")
-                and red.data.endswith(data)):
-            raise ConstructionError("the construction's parse is not a parse of 0w")
-        return certify(red.data, red.starts, red.preds, red.last_is_duplicate)
+        """``red`` once :func:`~lz78lab.parsing.certify` shows it to be the
+        LZ'78 parse of 0w, read through the segment table of 0w: the accepted
+        parse, over that table.  Raises ``ConstructionError`` otherwise;
+        ``red`` is left as it is."""
+        red = self.red
+        return certify(self.letters(b"0"), red.starts, red.preds, red.last_is_duplicate)
 
     def segment_starts(self) -> list[int]:
         return _layout(self.segments)[:-1].tolist()
@@ -139,7 +153,7 @@ def front_census(cw: ConstructedWord, green: Parsing, red_starts):
     chain = np.fromiter((seg.chain for seg in cw.segments), np.int64, len(cw.segments))[regular]
     width = int((ends - starts).max(initial=0))
     tally = np.zeros(len(cw.chains) * width, dtype=np.int64)
-    for index, offset in _census(red_starts, len(cw.word) + 1, starts, ends, width):
+    for index, offset in _census(red_starts, cw.n + 1, starts, ends, width):
         np.add.at(tally, chain[index] * width + offset, 1)
     counts, chain_red = {}, {}
     for c in cw.chains:
@@ -152,59 +166,60 @@ def front_census(cw: ConstructedWord, green: Parsing, red_starts):
     return units_ok, counts, chain_red
 
 
-def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
-                chain_index: int, source: Word, q: int, *, window: int, gadgets,
-                include_tail: bool, scratch: bool = False) -> ChainRecord:
+def build_chain(parser: StreamParser, table: Table, chain_index: int, source: Word,
+                q: int, *, window: int, gadgets, include_tail: bool,
+                scratch: bool = False) -> ChainRecord:
     """Append the chain of the prefixes x[0..q], ..., x of ``source`` x as
-    regular blocks to ``tape``, and run its gadget-insertion loop.
+    regular segments to ``table``, the segment table of 0w, and run its
+    gadget-insertion loop.
 
-    ``tape`` must hold the front letter plus all previous chains, all fed to
-    ``parser``; on return it holds the whole chain, gadgets included, all
-    fed.  Violations are counted against the chain's regular blocks only, for
+    ``table`` must hold the front letter plus all previous chains, of which
+    ``parser`` has been fed a prefix; on return it holds the whole chain,
+    gadgets included, all fed.  Violations are counted against the chain's regular blocks only, for
     offsets in [0, window].
 
-    Every pass is one ``advance(end)``, a feed up to letter ``end`` and a
-    census of the blocks it completed.  The first advances the whole chain,
-    to pick the hot offset i0; ``gadgets(i0)`` is called then, once, and
-    returns ``make``, where ``make(c)`` is the chain's gadget c.  Each gadget
-    goes into the tape in place, the parsing is rolled back to the insertion
-    point, and the tape after it is advanced lazily, a doubling number of
-    regulars at a time, only until the census holds d + 1 violations at i0:
-    completed blocks never change, so those fix the next pass exactly.  Only
-    the pass that ends the loop feeds to the chain's end.  With ``scratch``
-    every pass is the first run again after ``parser.reset()``.
+    Every pass is one ``advance(end)``, a feed from the table up to letter
+    ``end`` and a census of the blocks it completed.  The first advances the
+    whole chain, to pick the hot offset i0; ``gadgets(i0)`` is called then,
+    once, and returns ``make``, where ``make(c)`` is the chain's gadget c.
+    Each gadget goes into the table as a segment, the parsing is rolled back
+    to the insertion point, and the table after it is advanced lazily, a
+    doubling number of regulars at a time, only until the census holds d + 1
+    violations at i0: completed blocks never change, so those fix the next
+    pass exactly.  Only the pass that ends the loop feeds to the chain's end.
+    With ``scratch`` every pass is the first run again after
+    ``parser.reset()``.
     """
     x = source.data
     s = len(x) - q
-    chain_start = len(tape) - 1
-    seg_lo = len(segments)
-    segments.extend(Segment(REGULAR, q + 1 + t, chain_index) for t in range(s))
-    for t in range(s):
-        tape += x[:q + 1 + t]
+    chain_start = len(table) - 1      # letter p of w is letter p + 1 of 0w
+    seg_lo = len(table.segments)
+    table.extend(Segment(REGULAR, q + 1 + t, chain_index, x) for t in range(s))
     # the regulars' spans in w, laid out once; a gadget opens a gap before its
     # target, so each insertion shifts the spans from the target on
-    bounds = _layout(segments[seg_lo:], chain_start)
+    bounds = _layout(table.segments[seg_lo:], chain_start)
     starts, ends = bounds[:-1], bounds[1:].copy()
 
     def advance(end: int):
-        """Feed the tape up to letter ``end`` of aw; returns the regular
+        """Feed the table up to letter ``end`` of 0w; returns the regular
         indices and offsets of the newly completed red blocks that lie inside
         one of the chain's regulars, at an offset up to ``window``, with the
         in-progress block, closed as the trailing duplicate, once the whole
-        tape is fed and ``include_tail``."""
-        # a view, so only feed copies the letters; it is gone before the tape grows
-        first = parser.feed(memoryview(tape)[parser.position:end])
-        if include_tail and parser.position == len(tape):
+        table is fed and ``include_tail``."""
+        first = len(parser.starts)
+        for piece in table.slices(parser.position, end):
+            parser.feed(piece)
+        if include_tail and parser.position == len(table):
             blocks, stop = parser.closed_blocks()[0], parser.position
         else:
             blocks, stop = parser.starts, parser.block_start
         return tuple(map(np.concatenate, zip(*_census(blocks[first:], stop,
                                                       starts, ends, window))))
 
-    regs, offsets = advance(len(tape))
+    regs, offsets = advance(len(table))
     record = ChainRecord(index=chain_index, source=source, q=q, regular_count=s,
                          chosen_i=None, gadget_count=0, final_d=None,
-                         start=chain_start, length=len(tape) - 1 - chain_start,
+                         start=chain_start, length=len(table) - 1 - chain_start,
                          initial_violations=offset_counts(offsets))
 
     hot = [i for i, v in record.initial_violations.items() if 2 * v > s]
@@ -237,16 +252,15 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         target = violated[d - 1]
         insert_at = 1 + int(starts[target])
         gadget = make(c)
-        tape[insert_at:insert_at] = gadget
+        # the c earlier gadgets all lie before earlier, so smaller, targets
+        table.insert(seg_lo + target + c, Segment(GADGET, len(gadget), chain_index, gadget))
         starts[target:] += len(gadget)
         ends[target:] += len(gadget)
-        # the c earlier gadgets all lie before earlier, so smaller, targets
-        segments.insert(seg_lo + target + c, Segment(GADGET, len(gadget), chain_index))
         c += 1
 
         if scratch:
             parser.reset()
-            regs, offsets = advance(len(tape))
+            regs, offsets = advance(len(table))
             violated = regs[offsets == i0].tolist()
             continue
 
@@ -258,7 +272,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         # prefix-closed), so only the newly completed blocks need a census.
         violated = violated[:d - 1]
         hi, step = target, 1            # only regulars follow the target
-        while len(violated) <= d and parser.position < len(tape):
+        while len(violated) <= d and parser.position < len(table):
             regs, offsets = advance(1 + int(ends[min(hi, s - 1)]))
             violated += regs[offsets == i0].tolist()
             hi += step
@@ -267,7 +281,7 @@ def build_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     record.chosen_i = i0
     record.gadget_count = c
     record.final_d = d
-    record.length = len(tape) - 1 - chain_start
+    record.length = len(table) - 1 - chain_start
     return record
 
 

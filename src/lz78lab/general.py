@@ -14,12 +14,12 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import partial
 
-from .construction import (PADDING, ChainRecord, ConstructedWord, Segment, _layout,
-                           build_chain, front_census)
+from .construction import (PADDING, ChainRecord, ConstructedWord, Segment, build_chain,
+                           front_census)
 from .errors import ConstructionError, ParameterError, SamplingError
 from .generators import _gram_counts
 from .parsing import MAX_NODES, StreamParser, parse
-from .words import Word, as_bits, random_word
+from .words import Table, Word, as_bits, random_word
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,9 @@ def _resync_word(parser: StreamParser, green_words: set[bytes], x: bytes,
         {"chain": chain_index, "m": m_int, "half_point": h_red})
 
 
-def _add_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
-               green_words: set[bytes], chain_index: int, xw: Word, *, q_max: int,
-               m_int: int, window: int, scratch: bool = False) -> ChainRecord:
+def _add_chain(parser: StreamParser, table: Table, green_words: set[bytes],
+               chain_index: int, xw: Word, *, q_max: int, m_int: int, window: int,
+               scratch: bool = False) -> ChainRecord:
     """The one chain set-up of the chained and the infinite construction.
 
     Finds q, the first prefix x[0..q] of the chain word x that is not yet a
@@ -217,8 +217,8 @@ def _add_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
     when q exceeds ``q_max``.  Then lays the chain of the prefixes x[0..q],
     ..., x with :func:`~lz78lab.construction.build_chain`, runs its gadget
     loop with :func:`_chain_gadget`, u from :func:`_resync_word` at a hot
-    offset 0, and adds the chain's unit words to ``green_words`` for later
-    chains."""
+    offset 0, and adds the chain's unit words, read from ``table``, the
+    segment table of 0w, to ``green_words`` for later chains."""
     xb = xw.data
     l = len(xb)
     q = 0
@@ -228,7 +228,7 @@ def _add_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
         raise ConstructionError(
             "the chain word's first fresh prefix lies beyond its bound",
             {"chain": chain_index, "q": q, "bound": q_max})
-    h_red = len(tape) + sum(t + 1 for t in range(q, l // 2 + 1))
+    h_red = len(table) + sum(t + 1 for t in range(q, l // 2 + 1))
     u = None
 
     def gadgets(i0: int):
@@ -237,13 +237,11 @@ def _add_chain(parser: StreamParser, tape: bytearray, segments: list[Segment],
             u = _resync_word(parser, green_words, xb, m_int, h_red, chain_index)
         return partial(_chain_gadget, xb, m_int, u, i0)
 
-    seg_lo = len(segments)
-    record = build_chain(parser, tape, segments, chain_index, xw, q, window=window,
+    seg_lo = len(table.segments)
+    record = build_chain(parser, table, chain_index, xw, q, window=window,
                          gadgets=gadgets, include_tail=False, scratch=scratch)
     record.resync_word = u
-    # letter p of w is letter p + 1 of the tape's 0w
-    bounds = _layout(segments[seg_lo:], 1 + record.start).tolist()
-    green_words.update(bytes(tape[a:b]) for a, b in zip(bounds, bounds[1:]))
+    green_words.update(seg.source[:seg.length] for seg in table.segments[seg_lo:])
     return record
 
 
@@ -253,29 +251,27 @@ def construct_general(family: Family, reparse: str = "checkpoint") -> Constructe
     params = family.params
     if reparse not in ("checkpoint", "scratch"):
         raise ParameterError(f"unknown reparse mode {reparse!r}")
-    parser, tape = StreamParser(), bytearray(b"0")
-    parser.feed(tape)
-    segments: list[Segment] = []
+    parser, table = StreamParser(), Table(b"0")
     green_words: set[bytes] = set()
-    chains = [_add_chain(parser, tape, segments, green_words, j, xw, q_max=params.l // 2,
+    chains = [_add_chain(parser, table, green_words, j, xw, q_max=params.l // 2,
                          m_int=params.m_int, window=params.window,
                          scratch=reparse == "scratch")
               for j, xw in enumerate(family.words)]
 
-    w_prime = len(tape) - 1
+    w_prime = len(table) - 1
     if w_prime > params.n:
         raise ConstructionError(
             "construction overflowed the target length, which the size bound "
             "rules out", {"w_prime": w_prime, "n": params.n})
     pad = params.n - w_prime
     if pad:
-        segments.append(Segment(PADDING, pad, chain=-1))
-        parser.feed(b"0" * pad)
-        tape += b"0" * pad
+        table.extend([Segment(PADDING, pad, -1, b"0" * pad)])
+        for piece in table.slices(parser.position):
+            parser.feed(piece)
     cw = ConstructedWord.from_parser(
-        parser, tape, segments, chains,
+        parser, table, chains,
         {"params": params, "seed": family.seed, "w_prime": w_prime})
-    assert len(cw.word) == params.n
+    assert cw.n == params.n
     return cw
 
 
@@ -310,7 +306,7 @@ def verify_general(cw: ConstructedWord) -> GeneralReport:
     (``cw.certified_red``) instead of parsed again, their
     :func:`~lz78lab.construction.front_census`, and all the per-chain checks."""
     params: Params = cw.meta["params"]
-    green = parse(cw.word)           # a Word's letters were checked when it was made
+    green = parse(cw.letters())
     red = cw.certified_red()
     sync_ok, counts, chain_red = front_census(cw, green, red.starts)
     cap = params.l / 2 + 2 * params.m + 1 + 2 * params.k * math.sqrt(params.l)

@@ -17,7 +17,7 @@ from .construction import ConstructedWord, Segment, _layout
 from .errors import ParameterError, SamplingError
 from .general import RETRY_CAP, _add_chain, _grams, check_p1
 from .parsing import MAX_NODES, Parsing, StreamParser, parse, ratio_from_counts
-from .words import Word, random_word
+from .words import Table, Word, random_word
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,9 @@ def build_prefix(l0: int, gamma: float, budget_n: int, seed: int) -> Constructed
     Levels are taken as the build reaches them: words are sampled on demand,
     the next level only while the chains so far are short of the budget, and
     the final chain is truncated.  ``meta["schedule"]`` lists the levels
-    reached.  The tape is cut and the parser rolled back to the truncation
-    point, so ``red`` is the parse of 0w for the emitted prefix w.
+    reached.  The parser is rolled back to the truncation point and fed up
+    to it again from the segment table, whose segments are then cut there,
+    so ``red`` is the parse of 0w for the emitted prefix w.
     """
     sched = schedule(l0, gamma, 1)   # l0, gamma and level 0 are refused before any draw
     if budget_n < l0 * (l0 + 1) // 2:
@@ -139,14 +140,12 @@ def build_prefix(l0: int, gamma: float, budget_n: int, seed: int) -> Constructed
     if budget_n > MAX_NODES - 2:
         raise ParameterError(f"budget must be <= {MAX_NODES - 2} "
                              "for the parser's node ids")
-    parser, tape = StreamParser(), bytearray(b"0")
-    parser.feed(tape)
-    segments: list[Segment] = []
+    parser, table = StreamParser(), Table(b"0")
     green_words: set[bytes] = set()
     grams_m = None
     chains = []
     words_per_level: dict[int, int] = {}
-    while len(tape) - 1 < budget_n:
+    while len(table) - 1 < budget_n:
         level = sched.levels[-1]
         widx = words_per_level.get(level.index, 0)
         if widx == level.count:      # the next level is computed, or refused, once reached
@@ -157,19 +156,19 @@ def build_prefix(l0: int, gamma: float, budget_n: int, seed: int) -> Constructed
             corpus_grams = _m_grams((c.source.data for c in chains), grams_m)
         xw = _sample_level_word(seed, level, widx, corpus_grams,
                                 require_leading_one=not chains)
-        chains.append(_add_chain(parser, tape, segments, green_words, len(chains),
-                                 xw, q_max=level.m_eff, m_int=level.m_eff,
+        chains.append(_add_chain(parser, table, green_words, len(chains), xw,
+                                 q_max=level.m_eff, m_int=level.m_eff,
                                  window=level.window))
         words_per_level[level.index] = widx + 1
         corpus_grams |= _m_grams([xw.data], grams_m)
 
-    full_len = len(tape) - 1
-    # cut the tape and its parse back to the prefix: the blocks are then those of 0w
-    del tape[budget_n + 1:]
+    full_len = len(table) - 1
+    # cut the parse back to the prefix: the blocks are then those of 0w
     parser.rollback(budget_n + 1)
-    parser.feed(memoryview(tape)[parser.position:])   # a view: feed copies a slice at a time
+    for piece in table.slices(parser.position, budget_n + 1):
+        parser.feed(piece)
     return ConstructedWord.from_parser(
-        parser, tape, _truncate_segments(segments, budget_n), chains,
+        parser, Table(b"0", _truncate_segments(table.segments, budget_n)), chains,
         {"schedule": sched, "seed": seed, "budget": budget_n,
          "generated": full_len, "words_per_level": words_per_level})
 

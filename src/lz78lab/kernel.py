@@ -3,10 +3,10 @@
 The library holds the feed loop and the rollback of
 :class:`~lz78lab.parsing.StreamParser` (``lz78_feed``,
 ``lz78_truncate``), the rule loop of :func:`~lz78lab.parsing.certify`
-(``lz78_certify``), which shares no code with the feed loop, and numpy's
-seeded PCG64 byte stream that every seeded draw reads, the de Bruijn
-tie-breaks included (``lz78_pcg64_bytes``, behind ``words._stream``).  A
-library that lacks any of the four loads as None.
+over a word's table of runs (``lz78_certify``), which shares no code with
+the feed loop, and numpy's seeded PCG64 byte stream that every seeded draw
+reads, the de Bruijn tie-breaks included (``lz78_pcg64_bytes``, behind
+``words._stream``).  A library that lacks any of the four loads as None.
 
 :func:`load` runs when :mod:`lz78lab.parsing` is imported.  It compiles the
 C source with ``gcc -O2 -shared -fPIC`` (or ``cc``) into a cache keyed by the
@@ -154,8 +154,8 @@ def _open(path: Path):
     feed.restype = ctypes.c_int64
     truncate.argtypes = (ctypes.c_void_p, ctypes.c_int64)
     truncate.restype = None
-    certify.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                        ctypes.c_int64, ctypes.c_void_p)
+    certify.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
     certify.restype = ctypes.c_int64
     pcg64_bytes.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
     pcg64_bytes.restype = None

@@ -5,11 +5,13 @@ the set of distinct blocks; only the final block may duplicate an earlier one.
 
 :class:`StreamParser` is the incremental parser that :func:`parse` and the
 constructions feed.  It holds the dictionary and the blocks, never the
-letters: those stay with the caller.  The parse of the letters fed so far
-is its completed blocks plus the in-progress block closed as the trailing
-duplicate, and one method closes it, :meth:`StreamParser.closed_blocks`, for
-:func:`parse` (lists over the caller's own bytes), :meth:`StreamParser.finish`
-and the censuses of the constructions.  Its feed loop and its rollback
+letters: those stay with the caller, as ``bytes`` or as the runs of a
+:class:`~lz78lab.words.Table`, which is fed a slice at a time.  The parse
+of the letters fed so far is its completed blocks plus the in-progress block
+closed as the trailing duplicate, and one method closes it,
+:meth:`StreamParser.closed_blocks`, for :func:`parse` (lists over the
+caller's own letters), :meth:`StreamParser.finish` and the censuses of the
+constructions.  Its feed loop and its rollback
 are the compiled kernel ``_kernel.c``, which :mod:`lz78lab.kernel` builds
 when this module is imported.  When the kernel did not load (``_KERNEL`` is
 None), the same methods run :func:`_feed_py` and :func:`_truncate_py`, line
@@ -19,16 +21,17 @@ compiler, and the tests run both modes, also on one parser.
 
 :func:`certify` checks a claimed parse against the definition and uses no
 parser code, so it checks either mode independently.  Its rules are one
-loop over the blocks in word order: the kernel's ``lz78_certify``, which
-shares no code with the feed loop, or without the kernel
-:func:`_certify_py`, its line for line transliteration, which the tests
-also run as its oracle.
+loop over the blocks in word order, over the word's table of runs (a plain
+word is one run): the kernel's ``lz78_certify``, which shares no code with
+the feed loop, or without the kernel :func:`_certify_py`, its line for line
+transliteration, which the tests also run as its oracle.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import kernel
 from .errors import ConstructionError, MalformedCodeError, ParameterError
-from .words import SLICE, Word, as_bits
+from .words import SLICE, Table, Word, as_bits
 
 
 _KERNEL = kernel.load()
@@ -84,6 +87,10 @@ class StreamParser:
         """Point the state at fresh zeroed arrays of ``cap`` nodes."""
         self._child = (ctypes.c_int32 * (2 * cap))()
         self._starts, self._preds = (ctypes.c_int64 * cap)(), (ctypes.c_int64 * cap)()
+        self._bind(cap)
+
+    def _bind(self, cap: int) -> None:
+        """Point the state at the parser's arrays, of ``cap`` nodes."""
         st = self._state
         st.child, st.starts, st.preds = map(ctypes.addressof,
                                             (self._child, self._starts, self._preds))
@@ -118,8 +125,8 @@ class StreamParser:
         """Consume letters; returns the index of the first newly completed block.
 
         ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``: ``bytes``
-        are read in place, and any other buffer (a ``bytearray`` tape, a
-        ``memoryview`` of one) is copied ``words.SLICE`` letters at a time.
+        are read in place, and any other buffer (a ``bytearray``, a
+        ``memoryview``) is copied ``words.SLICE`` letters at a time.
         """
         first_new = self._state.nodes - 1
         if _KERNEL is not None:
@@ -141,17 +148,23 @@ class StreamParser:
         return first_new
 
     def _grow(self) -> None:
-        """Double the arrays; the node ids must stay int32."""
+        """Double the arrays one at a time, each old one dropped once it is
+        copied, so no more than one is held twice; the node ids must stay
+        int32."""
         st = self._state
         if st.node_cap >= MAX_NODES:
             raise ParameterError(
                 f"the parse needs more than {MAX_NODES} dictionary nodes, "
                 "beyond the parser's int32 node ids")
-        old = self._child, self._starts, self._preds
-        self._allocate(min(2 * st.node_cap, MAX_NODES))
-        # 8 bytes a node in each: two int32 child slots, or one int64 entry
-        for new, kept in zip((self._child, self._starts, self._preds), old):
-            ctypes.memmove(new, kept, 8 * st.nodes)
+        cap = min(2 * st.node_cap, MAX_NODES)
+        for name in ("_child", "_starts", "_preds"):
+            old = getattr(self, name)
+            new = (old._type_ * (old._length_ // st.node_cap * cap))()
+            # 8 bytes a node in each: two int32 child slots, or one int64 entry
+            ctypes.memmove(new, old, 8 * st.nodes)
+            setattr(self, name, new)
+            del old, new
+        self._bind(cap)
 
     def rollback(self, pos: int) -> range:
         """Rewind to the last block boundary at or before ``pos``.
@@ -191,14 +204,23 @@ class StreamParser:
         return starts[:count], preds[:count], cur != 0
 
     def finish(self, data) -> "Parsing":
-        """The parse of ``data``, the letters fed so far (kept as ``bytes``, a
-        copy unless they are), as :meth:`closed_blocks` closes it.  The blocks
-        are handed over as exact-size int64 copies, so none of the doubled
-        arrays' slack outlives the parser, left empty as by :meth:`reset`."""
+        """The parse of ``data``, the letters fed so far as the caller holds
+        them (``bytes`` or a :class:`~lz78lab.words.Table`, not copied), as
+        :meth:`closed_blocks` closes it.  The blocks are handed over as
+        exact-size int64 copies, so none of the doubled arrays' slack
+        outlives the parser, left empty as by :meth:`reset`.  The child array
+        is dropped first and each block array once it is copied, so the
+        doubled arrays and the copies are never all held at once."""
         starts, preds, dup = self.closed_blocks()
-        starts, preds = (memoryview(view.tobytes()).cast("q") for view in (starts, preds))
-        self.reset()                   # frees the trie before the letters are copied
-        return Parsing(bytes(data), starts, preds, dup)
+        count = len(starts)
+        del starts, preds              # views: they would keep the arrays alive
+        self._child = None
+        blocks = []
+        for name in ("_starts", "_preds"):
+            blocks.append(memoryview(_view(getattr(self, name), "q")[:count].tobytes()).cast("q"))
+            setattr(self, name, None)
+        self.reset()
+        return Parsing(data, *blocks, dup)
 
 
 def _view(array, fmt: str) -> memoryview:
@@ -255,11 +277,13 @@ class Parsing(NamedTuple):
     ``starts`` covers every block including a possible trailing duplicate;
     ``preds[i]`` is the block index of block i minus its last letter (-1 when
     that prefix is the empty word), so the preds encode the dictionary trie.
-    Both are read from :meth:`StreamParser.closed_blocks`: :func:`parse`
-    hands them out as lists over the caller's bytes;
-    :meth:`StreamParser.finish` hands over exact-size int64 copies over its
-    caller's letters, so a construction's ``ConstructedWord.red`` holds 8
-    bytes a block, not a list's 36.  A named tuple built positionally, so a
+    ``data`` is the parsed word as its caller holds it: ``bytes``, or a
+    :class:`~lz78lab.words.Table` of runs for a constructed word, whose
+    letters are never joined.  Both are read from
+    :meth:`StreamParser.closed_blocks`: :func:`parse` hands them out as
+    lists; :meth:`StreamParser.finish` hands over exact-size int64 copies,
+    so a construction's ``ConstructedWord.red`` holds 8 bytes a block, not a
+    list's 36.  A named tuple built positionally, so a
     short parse pays a tuple's set-up, not a dataclass's per-field one.
     """
 
@@ -296,10 +320,16 @@ class Parsing(NamedTuple):
 def parse(w) -> Parsing:
     """Compute the unique LZ-parsing (empty word allowed).  Its ``data`` is the
     caller's validated letters, not a copy: ``w`` itself for ``bytes`` and
+    for a :class:`~lz78lab.words.Table`, which is fed a slice at a time, and
     ``w.data`` for a ``Word``.  ``starts`` and ``preds`` are lists."""
-    data = as_bits(w)
     sp = _spare()
-    sp.feed(data)
+    if isinstance(w, Table):
+        data = w
+        for piece in w.slices():
+            sp.feed(piece)
+    else:
+        data = as_bits(w)
+        sp.feed(data)
     starts, preds, dup = sp.closed_blocks()
     if sp._state.node_cap != FIRST_NODES:
         sp = None                      # frees a grown trie before the lists are built
@@ -339,8 +369,11 @@ def _keep(sp: StreamParser) -> None:
     _SPARES.append(sp)
 
 
-def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
+def certify(data, starts, preds, last_is_duplicate: bool) -> Parsing:
     """Accept a claimed parse of ``data`` exactly when it is the LZ'78 parse.
+
+    ``data`` is a word, or a :class:`~lz78lab.words.Table` whose runs are
+    read where they lie: a plain word is checked as a table of one run.
 
     The claim is read as :class:`Parsing` holds a parse, and checked against
     the definition (Ziv and Lempel 1978) rather than recomputed:
@@ -357,31 +390,39 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
     the rest of the word would have block i as a prefix, so block i would
     repeat an earlier block.  Given rule 2, two blocks are equal exactly when
     their (pred, last letter) pairs are, so rule 3 is checked on integer keys.
-    Returns the accepted parse, sharing the given lists; raises
-    ``ConstructionError`` naming the first block, in word order, that breaks
-    a rule.  Uses no parser code, so it checks the parser independently.
-    Rules 1 to 3 are one pass over the blocks, the kernel's ``lz78_certify``
-    or without it :func:`_certify_py`, so either mode gives the same result.
+    Returns the accepted parse over ``data`` (its letters checked when it
+    is not a table), sharing the given lists; raises ``ConstructionError``
+    naming the first block, in word order, that breaks a rule.  Uses no
+    parser code, so it checks the parser independently.  Rules 1 to 3 are
+    one pass over the blocks, the kernel's ``lz78_certify`` or without it
+    :func:`_certify_py`, so either mode gives the same result.
     """
-    data = as_bits(data)
+    if isinstance(data, Table):
+        table = data
+    else:
+        data = as_bits(data)
+        table = Table(data)
     count = len(starts)
     if len(preds) != count:
         raise ConstructionError(f"the parse claims {count} starts but {len(preds)} preds")
     if not count:
-        if data or last_is_duplicate:
+        if len(table) or last_is_duplicate:
             raise ConstructionError("the parse claims no blocks for a non-empty word"
-                                    if data else "the empty word has no duplicate block")
+                                    if len(table) else "the empty word has no duplicate block")
         return Parsing(data, starts, preds, False)
 
     # zero-copy views of int64 claims, as a finished parser's, contiguous for the kernel
     first, pred = (np.ascontiguousarray(c, dtype=np.int64) for c in (starts, preds))
     seen = np.zeros(2 * count, dtype=np.uint8)
+    runs, nruns = table.sources(), len(table.bounds) - 1
     if _KERNEL is not None:
-        code = _KERNEL.lz78_certify(data, len(data), first.ctypes.data, pred.ctypes.data,
-                                    count, seen.ctypes.data)
+        at = _addresses(runs)
+        code = _KERNEL.lz78_certify(at.buffer_info()[0], table.bounds.buffer_info()[0], nruns,
+                                    first.ctypes.data, pred.ctypes.data, count,
+                                    seen.ctypes.data)
     else:
-        code = _certify_py(data, len(data), memoryview(first), memoryview(pred), count,
-                           memoryview(seen))
+        code = _certify_py(runs, table.bounds, nruns, memoryview(first), memoryview(pred),
+                           count, memoryview(seen))
     block, rule = divmod(code, 4)
     dup = code == 4 * count - 1        # rule 3 at the last block: the trailing duplicate
     if block == count or dup:
@@ -402,22 +443,55 @@ def certify(data: bytes, starts, preds, last_is_duplicate: bool) -> Parsing:
                             {"block": int(block), "start": int(starts[block])})
 
 
-def _certify_py(data: bytes, n: int, starts, preds, count: int, seen) -> int:
-    """``lz78_certify`` of ``_kernel.c`` in Python, over the same arguments:
-    returns 4 i + rule for the first block i that breaks a rule of
-    :func:`certify`, else 4 count."""
+def _addresses(runs) -> array:
+    """The address of each run's letters, read in place (``runs`` keeps them
+    alive), looked up once a word: the regulars of a chain share its x."""
+    unique = dict(zip(map(id, runs), runs))
+    at = {key: ctypes.cast(run, ctypes.c_void_p).value for key, run in unique.items()}
+    return array("Q", map(at.__getitem__, map(id, runs)))
+
+
+def _certify_py(runs, bounds, nruns: int, starts, preds, count: int, seen) -> int:
+    """``lz78_certify`` of ``_kernel.c`` in Python, over the same arguments,
+    ``runs`` the runs' words: returns 4 i + rule for the first block i that
+    breaks a rule of :func:`certify`, else 4 count.  ``bisect_right`` over
+    the first ``nruns`` bounds is the kernel's ``lz78_run``."""
+    n, r = bounds[nruns], 0
     for i in range(count):
         a, b, q = starts[i], starts[i + 1] if i + 1 < count else n, preds[i]
         if (i == 0 and a != 0) or b <= a or b > n:
             return 4 * i + 1
-        if (q < -1 or q >= i or b - a != (0 if q < 0 else starts[q + 1] - starts[q]) + 1
-                or (q >= 0 and data[a:b - 1] != data[starts[q]:starts[q] + b - a - 1])):
+        if q < -1 or q >= i or b - a != (0 if q < 0 else starts[q + 1] - starts[q]) + 1:
             return 4 * i + 2
-        key = 2 * (q + 1) + (data[b - 1] & 1)
+        while bounds[r + 1] <= a:
+            r += 1
+        if q >= 0 and not _same_py(runs, bounds, r, a, bisect_right(bounds, starts[q], 0, nruns) - 1,
+                                   starts[q], b - a - 1):
+            return 4 * i + 2
+        while bounds[r + 1] < b:
+            r += 1
+        key = 2 * (q + 1) + (runs[r][b - 1 - bounds[r]] & 1)
         if seen[key]:
             return 4 * i + 3
         seen[key] = 1
     return 4 * count
+
+
+def _same_py(runs, bounds, ra: int, a: int, rc: int, c: int, length: int) -> bool:
+    """``lz78_same`` of ``_kernel.c``: whether the ``length`` letters from
+    position a, in run ra or later, equal those from c, in run rc or later,
+    compared up to the nearer run end at a time."""
+    while length > 0:
+        while bounds[ra + 1] <= a:
+            ra += 1
+        while bounds[rc + 1] <= c:
+            rc += 1
+        m = min(length, bounds[ra + 1] - a, bounds[rc + 1] - c)
+        if (runs[ra][a - bounds[ra]:a - bounds[ra] + m]
+                != runs[rc][c - bounds[rc]:c - bounds[rc] + m]):
+            return False
+        a, c, length = a + m, c + m, length - m
+    return True
 
 
 class LzCode(NamedTuple):
@@ -459,12 +533,14 @@ def decode(code: LzCode) -> Word:
 
 def dict_size(*pieces) -> int:
     """The dictionary size of the parse of the pieces' concatenation, each
-    piece a Word / str / bytes as :func:`parse` takes.  They are fed to one
-    parser in turn, so the concatenation is never built: the front-lettered
+    piece a Word / str / bytes or a :class:`~lz78lab.words.Table` as
+    :func:`parse` takes.  They are fed to one parser in turn, a table a slice
+    at a time, so the concatenation is never built: the front-lettered
     ``dict_size(b"1", w)`` holds no copy of w."""
     sp = _spare()
     for piece in pieces:
-        sp.feed(as_bits(piece))
+        for part in piece.slices() if isinstance(piece, Table) else (as_bits(piece),):
+            sp.feed(part)
     count = sp._state.nodes - 1        # the completed blocks; a trailing duplicate is not new
     _keep(sp)
     return count

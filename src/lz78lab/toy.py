@@ -13,11 +13,11 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
-from .construction import ConstructedWord, Segment, build_chain, front_census
+from .construction import ConstructedWord, build_chain, front_census
 from .errors import ParameterError
 from .generators import de_bruijn
 from .parsing import StreamParser, parse
-from .words import Word, as_bits
+from .words import Table, Word, as_bits
 
 
 def _toy_gadget(x: bytes, i: int, c: int) -> bytes:
@@ -60,13 +60,11 @@ def construct_from_base(x: Word, k: int, gamma: float,
     if reach >= len(x) - 1:
         raise ParameterError("gamma*k must stay below the number of regular blocks")
     window = int(reach)
-    parser, tape = StreamParser(), bytearray(b"0")
-    parser.feed(tape)
-    segments: list[Segment] = []
-    record = build_chain(parser, tape, segments, 0, x, 0, window=window,
+    parser, table = StreamParser(), Table(b"0")
+    record = build_chain(parser, table, 0, x, 0, window=window,
                          gadgets=lambda i: partial(_toy_gadget, x.data, i),
                          include_tail=True, scratch=scratch)
-    return ConstructedWord.from_parser(parser, tape, segments, [record],
+    return ConstructedWord.from_parser(parser, table, [record],
                                        {"k": k, "gamma": gamma, "window": window})
 
 
@@ -96,22 +94,21 @@ def verify_toy(cw: ConstructedWord, front="0") -> ToyReport:
     """Independent verification pass: parses w afresh, and the word with the
     letter ``front`` prepended: for the front 0, the construction's own parse,
     certified (``cw.certified_red``) instead of parsed again; for 1, a fresh
-    parse, of the front and then the word fed to one parser, so 1w is never
-    built.  Both are re-censused with
+    parse.  Both parses read the segment table a slice at a time, so neither
+    w nor 1w is ever built.  Both are re-censused with
     :func:`~lz78lab.construction.front_census`, whose counts at offsets up to
     the window make the report."""
     front = as_bits(front)
     if len(front) != 1:
         raise ParameterError("front must be a single letter")
-    data = cw.word.data
-    green = parse(cw.word)           # a Word's letters were checked when it was made
+    green = parse(cw.letters())
     if front == b"0":
         red = cw.certified_red()
         red_starts, dic_aw = red.starts, red.dict_size
     else:
         sp = StreamParser()
-        sp.feed(front)
-        sp.feed(data)
+        for piece in cw.letters(front).slices():
+            sp.feed(piece)
         red_starts, _, dup = sp.closed_blocks()
         dic_aw = len(red_starts) - dup
     units_ok, counts, _ = front_census(cw, green, red_starts)
@@ -130,7 +127,7 @@ def verify_toy(cw: ConstructedWord, front="0") -> ToyReport:
         violations = {}
         violations_ok = False
 
-    n = len(data)
+    n = cw.n
     return ToyReport(
         n=n, s=s, k=k, gamma=gamma, front=front.decode(),
         dic_w=green.dict_size, dic_aw=dic_aw,

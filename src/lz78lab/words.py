@@ -4,9 +4,11 @@ A word is stored as one ASCII byte ('0'/'1') per letter.  The compiled
 kernel walks the parse trie by the low bit of each byte, and certify's rule
 loop compares blocks with ``memcmp`` on the bytes, so neither converts the
 word; the pure-Python fallbacks walk the same int32 child array by the same
-low bit and compare the same byte slices.  The dense 64-bit packed layout is
-used only as an on-disk format for large artifacts (see :func:`pack_word` /
-:func:`unpack_word`).
+low bit and compare the same byte slices.  A constructed word is never held
+as one buffer: a :class:`Table` names, run by run, the words its letters
+are read from, and :meth:`Table.slices` yields them a slice at a time.  The
+dense 64-bit packed layout is used only as an on-disk format for large
+artifacts (see :func:`pack_word` / :func:`unpack_word`).
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from __future__ import annotations
 import ctypes
 import operator
 import sys
+from array import array
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -150,13 +155,87 @@ class Word:
         return f"Word({self.data[:20].decode()!r}... len={len(self.data)})"
 
 
+class Table:
+    """A word held as a table of runs whose letters live in other words: the
+    letters of ``front``, then those of each segment, the first ``length``
+    letters of its ``source`` (any object with those two fields, as
+    :class:`~lz78lab.construction.Segment`).  Run 0 is the front, run r > 0
+    is segment r - 1, and run r spans ``bounds[r]`` to ``bounds[r + 1]``, an
+    int64 ``array``, 8 bytes a run, which the kernel reads in place.  The
+    table keeps its own list of the segments, which a construction grows
+    through :meth:`extend` and :meth:`insert`; a plain word is the one-run
+    table ``Table(data)``."""
+
+    __slots__ = ("front", "segments", "bounds")
+
+    def __init__(self, front: bytes, segments=()):
+        self.front, self.segments, self.bounds = front, [], array("q", [0, len(front)])
+        self.extend(segments)
+
+    def __len__(self) -> int:
+        return self.bounds[-1]
+
+    def __eq__(self, other) -> bool:
+        """Tables are equal when their fronts and segments are."""
+        return (isinstance(other, Table) and self.front == other.front
+                and self.segments == other.segments)
+
+    __hash__ = None                # the segments may grow
+
+    def sources(self) -> list[bytes]:
+        """The word each run's letters begin."""
+        return [self.front, *map(operator.attrgetter("source"), self.segments)]
+
+    def extend(self, segments) -> None:
+        """Append ``segments``."""
+        segments = list(segments)
+        self.segments += segments
+        end = self.bounds.pop()
+        self.bounds.extend(accumulate(map(operator.attrgetter("length"), segments), initial=end))
+
+    def insert(self, k: int, segment) -> None:
+        """Put ``segment`` before segment k, shifting the bounds of the runs
+        after it."""
+        self.segments.insert(k, segment)
+        bounds = self.bounds
+        bounds[k + 2:] = array("q", [b + segment.length for b in bounds[k + 1:]])
+
+    def slices(self, a: int = 0, b: int | None = None):
+        """The letters of positions [a, b) (b is the end by default) as
+        ``bytes``, SLICE at a time from a, the last slice shorter: a slice
+        joins the pieces of the runs it spans, so its cuts do not depend on
+        the runs."""
+        b = len(self) if b is None else b
+        bounds, segments = self.bounds, self.segments
+        while a < b:
+            stop = min(a + SLICE, b)
+            # the runs of letters a and stop - 1; those between are whole
+            r, last = bisect_right(bounds, a) - 1, bisect_right(bounds, stop - 1) - 1
+            head = segments[r - 1].source if r else self.front
+            if r == last:
+                yield head[a - bounds[r]:stop - bounds[r]]
+            else:
+                yield b"".join([head[a - bounds[r]:bounds[r + 1] - bounds[r]],
+                                *[seg.source[:seg.length] for seg in segments[r:last - 1]],
+                                segments[last - 1].source[:stop - bounds[last]]])
+            a = stop
+
+    def __getitem__(self, i: slice) -> bytes:
+        """The letters of a slice (step 1), joined."""
+        a, b, _ = i.indices(len(self))
+        return b"".join(self.slices(a, b))
+
+
 def pack_word(bits) -> bytes:
     """Serialize to the packed format: magic, u64 little-endian bit length,
     then the bits packed little-endian within each byte."""
     data = as_bits(bits)
-    arr = np.frombuffer(data, dtype=np.uint8) & 1
-    payload = np.packbits(arr, bitorder="little").tobytes()
-    return PACKED_MAGIC + len(data).to_bytes(8, "little") + payload
+    return PACKED_MAGIC + len(data).to_bytes(8, "little") + _packed(data)
+
+
+def _packed(data: bytes) -> bytes:
+    """The letters' bits, packed little-endian within each byte."""
+    return np.packbits(np.frombuffer(data, dtype=np.uint8) & 1, bitorder="little").tobytes()
 
 
 def unpack_word(blob: bytes) -> Word:
@@ -183,10 +262,18 @@ def read_word_file(path) -> Word:
 
 
 def write_word_file(path, bits, packed: bool = False) -> None:
-    data = as_bits(bits)
+    """Write a word, or a :class:`Table` a slice at a time, never joined: a
+    packed slice, SLICE letters, a multiple of 8, packs to the bytes it
+    holds in the packing of the whole word."""
+    if isinstance(bits, Table):
+        n, pieces = len(bits), bits.slices()
+    else:
+        data = as_bits(bits)
+        n, pieces = len(data), (data,)
     with open(path, "wb") as fh:
         if packed:
-            fh.write(pack_word(data))
-        else:
-            fh.write(data)
+            fh.write(PACKED_MAGIC + n.to_bytes(8, "little"))
+        for piece in pieces:
+            fh.write(_packed(piece) if packed else piece)
+        if not packed:
             fh.write(b"\n")

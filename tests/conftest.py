@@ -8,9 +8,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lz78lab import (construct_general, construct_toy, derive_params, parse, parsing,
+from lz78lab import (Word, construct_general, construct_toy, derive_params, parse, parsing,
                      sample_family, verify_general, verify_toy)
 from lz78lab.construction import GADGET, REGULAR
+from lz78lab.words import Table
 
 from oracles import naive_kgram_census
 
@@ -52,6 +53,14 @@ def fuzz_word(seed: int, trial: int, max_len: int) -> bytes:
     return (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
 
 
+def forced_base(length: int, seed: int) -> Word:
+    """A word starting with 1: the front letter 0 then locks the parsing of
+    0*pref(x) onto the block boundaries, forcing the insertion loop to run."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    bits = (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
+    return Word(b"1" + bits[1:])
+
+
 @pytest.fixture(scope="session")
 def toy12():
     t0 = time.perf_counter()
@@ -90,9 +99,11 @@ def general20():
 
 
 def assert_is_parse_of_0w(red, word: bytes):
-    """A construction's handed-over parse ``red`` equals a fresh parse of 0w."""
+    """A construction's handed-over parse ``red`` equals a fresh parse of 0w:
+    its data is a segment table, not a copy of the letters, and the table's
+    letters are 0w."""
     fresh = parse(b"0" + word)
-    assert red.data == fresh.data
+    assert isinstance(red.data, Table) and red.data[:] == fresh.data
     assert (list(red.starts), list(red.preds), red.last_is_duplicate) == (
         fresh.starts, fresh.preds, fresh.last_is_duplicate)
 

@@ -147,3 +147,9 @@ def naive_resync_word(blocks, ends, green_words, x, m, h_red):
                   if end <= h_red and len(b) <= m
                   and b not in green_words and not x.startswith(b)}
     return min(candidates, key=lambda b: (len(b), b), default=None)
+
+
+def naive_letters(front: bytes, segments) -> bytes:
+    """The letters of a segment table from its definition: the front, then
+    the first ``length`` letters of each segment's ``source``, joined."""
+    return b"".join([front] + [seg.source[:seg.length] for seg in segments])

@@ -1,9 +1,12 @@
+import hashlib
 import importlib
 import json
 
 import pytest
 
+from lz78lab import words
 from lz78lab.cli import main
+from lz78lab.construction import ConstructedWord
 from lz78lab.words import read_word_file
 from oracles import naive_parse
 
@@ -444,3 +447,52 @@ def test_catastrophe_feeds_three_letters_per_letter_of_w(capsys, monkeypatch):
     report = json.loads(out)
     assert report["gadget_count"] == 0
     assert sum(fed) == 3 * report["n"] + 2
+
+
+# the first 16 hex digits of the SHA-256 of each --out file, text and packed,
+# as the commands wrote it from the joined word before the segment table
+OUT_COMMANDS = {
+    "toy": (["construct", "toy", "--k", "7", "--seed", "1"],
+            "5fe5fbdfbea0b23c", "4ea7f68411fa0e36"),
+    "general": (["construct", "general", "--n", str(1 << 14), "--l", "64", "--seed", "1"],
+                "f33964f59354bfc0", "c78d852cebcd3992"),
+    "infinite": (["infinite", "--l0", "256", "--gamma", "0.1", "--budget", "60000",
+                  "--seed", "3"], "b17d4a83bb789d05", "d7f59082f9ddd5f4"),
+}
+
+
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("name", sorted(OUT_COMMANDS))
+def test_out_writes_the_word_from_its_segment_table(capsys, monkeypatch, tmp_path,
+                                                    name, packed):
+    # --out writes the segment table a slice at a time, here 64 letters, and
+    # no command joins w (ConstructedWord.word): the files are those the
+    # joined word gave, and each packed chunk but the last is whole bytes
+    argv, text_digest, packed_digest = OUT_COMMANDS[name]
+    monkeypatch.setattr(words, "SLICE", 64)
+    chunks, pack = [], words._packed
+    monkeypatch.setattr(words, "_packed", lambda piece: chunks.append(len(piece)) or pack(piece))
+
+    def joined(cw):
+        raise AssertionError("a command joined the word")
+
+    monkeypatch.setattr(ConstructedWord, "word", property(joined))
+    path = tmp_path / "w"
+    code, out, _ = run(capsys, *argv, "--out", str(path), *(["--packed"] if packed else []))
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert digest == (packed_digest if packed else text_digest)
+    if packed:
+        assert len(chunks) > 10 and all(n % 8 == 0 for n in chunks[:-1])
+        assert sum(chunks) == len(read_word_file(path))
+    else:
+        assert not chunks
+
+
+def test_catastrophe_never_joins_the_word(capsys, monkeypatch):
+    def joined(cw):
+        raise AssertionError("catastrophe joined the word")
+
+    monkeypatch.setattr(ConstructedWord, "word", property(joined))
+    code, out, _ = run(capsys, "catastrophe", "--k", "9", "--format", "json")
+    assert code == 0 and json.loads(out)["dic_1w"] > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -12,6 +13,7 @@ import lz78lab.general as general_mod
 from lz78lab.infinite import build_prefix
 from lz78lab import parsing
 from lz78lab.parsing import StreamParser
+from lz78lab.words import Table
 
 from conftest import (assert_is_parse_of_0w, assert_segments_tile, regular_letters,
                       segment_tags)
@@ -261,14 +263,21 @@ def test_verify_general_rejects_a_tampered_parse_of_0w(small_build):
     preds[len(preds) // 2] = -1
     try:
         for bad in (good._replace(starts=starts),
-                    good._replace(preds=preds),
-                    good._replace(data=good.data[:-1] + b"1")):
+                    good._replace(preds=preds)):
             cw.red = bad
             with pytest.raises(ConstructionError):
                 verify_general(cw)
     finally:
         cw.red = good
     assert verify_general(cw) == report
+    # red holds no letters: certify reads 0w through the segments, so a word
+    # whose last letter differs from the one red was parsed over is caught
+    pad = cw.segments[-1]
+    assert pad.kind == PADDING
+    bad = dataclasses.replace(cw, segments=cw.segments[:-1] + [
+        pad._replace(source=b"0" * (pad.length - 1) + b"1")])
+    with pytest.raises(ConstructionError):
+        verify_general(bad)
 
 
 def test_per_chain_violations_match_interval_oracle(small_build):
@@ -355,20 +364,21 @@ def resolved(monkeypatch):
     """Each offset-0 resolve of the builds a test runs, checked against
     :func:`naive_resync_word` on the parser as the resolver saw it: a list
     of (chain, resolved word, oracle word, parser mode)."""
-    seen, tapes = [], []
+    seen, tables = [], []
     resolve, build = general_mod._resync_word, general_mod.build_chain
 
-    def building(parser, tape, *args, **kw):
-        tapes.append(tape)             # the oracle reads the blocks off it
-        return build(parser, tape, *args, **kw)
+    def building(parser, table, *args, **kw):
+        tables.append(table)           # the oracle reads the blocks off it
+        return build(parser, table, *args, **kw)
 
     def checked(parser, green_words, x, m_int, h_red, chain_index):
         word = resolve(parser, green_words, x, m_int, h_red, chain_index)
-        tape = tapes[-1]
-        # the oracle's blocks come from the starts and the tape, never the trie
+        table = tables[-1]
+        # the oracle's blocks come from the starts and the segment table,
+        # never the trie
         starts = list(parser.starts)
         ends = starts[1:] + [parser.block_start]
-        blocks = [bytes(tape[a:b]) for a, b in zip(starts, ends)]
+        blocks = [table[a:b] for a, b in zip(starts, ends)]
         seen.append((chain_index, word, naive_resync_word(
             blocks, ends, green_words, x, m_int, h_red),
                      "python" if parsing._KERNEL is None else "kernel"))
@@ -393,9 +403,9 @@ def test_resync_word_matches_the_oracle_on_every_offset_0_chain(mode, resolved):
 @pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])
 def test_each_hot_chain_asks_for_its_gadgets_once_on_its_whole_feed(
         monkeypatch, mode, reparse):
-    # the offset-0 resolve reads the parser's blocks over the tape, so the
-    # gadgets of a chain are asked for with the whole chain on the tape and
-    # fed, and before any rollback
+    # the offset-0 resolve reads the parser's blocks, so the gadgets of a
+    # chain are asked for with the whole chain in the segment table and fed,
+    # and before any rollback
     rollbacks = []
     rollback = StreamParser.rollback
 
@@ -406,16 +416,16 @@ def test_each_hot_chain_asks_for_its_gadgets_once_on_its_whole_feed(
     build = general_mod.build_chain
     seen = []
 
-    def checked(parser, tape, segments, chain_index, source, q, *, gadgets, **kw):
+    def checked(parser, table, chain_index, source, q, *, gadgets, **kw):
         fed = b"".join(source.data[:t] for t in range(q + 1, len(source) + 1))
-        start, before, calls = len(tape), len(rollbacks), []
+        start, before, calls = len(table), len(rollbacks), []
 
         def asked(i0):
-            whole = tape[start:] == fed and parser.position == len(tape)
+            whole = table[start:] == fed and parser.position == len(table)
             calls.append((i0, whole, len(rollbacks) - before))
             return gadgets(i0)
 
-        record = build(parser, tape, segments, chain_index, source, q, gadgets=asked, **kw)
+        record = build(parser, table, chain_index, source, q, gadgets=asked, **kw)
         seen.append((record.chosen_i, calls))
         return record
 
@@ -492,14 +502,14 @@ def test_resync_word_raise_leaves_the_parser_growable(mode):
 
 def test_add_chain_rejects_a_first_fresh_prefix_beyond_its_bound():
     x = Word.from_text("1011" * 16)
-    parser, tape = StreamParser(), bytearray(b"0")
-    parser.feed(tape)
+    parser, table = StreamParser(), Table(b"0")
+    parser.feed(b"0")
     green_words = {x.data[:1], x.data[:2], x.data[:3]}
     with pytest.raises(ConstructionError) as info:
-        general_mod._add_chain(parser, tape, [], green_words, 0, x, q_max=2,
+        general_mod._add_chain(parser, table, green_words, 0, x, q_max=2,
                                m_int=8, window=8)
     assert info.value.diagnostics["q"] == 3
-    assert parser.position == len(tape) == 1
+    assert parser.position == len(table) == 1 and table.segments == []
 
 
 def test_construct_general_letters_fed_per_output_letter(monkeypatch, small_build):

@@ -8,9 +8,9 @@ import pytest
 
 from lz78lab import (ParameterError, build_prefix, comp_ratio, parse, pref,
                      ratio_curve, schedule, tail_separation)
-from lz78lab import infinite
+from lz78lab import infinite, words
 from lz78lab.infinite import _fresh_factors, _m_grams, prefix_ratios
-from lz78lab.parsing import MAX_NODES, StreamParser
+from lz78lab.parsing import MAX_NODES
 
 from conftest import assert_is_parse_of_0w, assert_segments_tile
 from oracles import worst_case_word
@@ -114,30 +114,42 @@ def test_build_prefix_schedule_lists_the_levels_reached(two_level):
 
 
 def test_a_re_feed_holds_no_copy_of_the_tape(mode, monkeypatch):
-    """The gadget loop re-feeds the tape through a view: at each re-feed of
-    512 letters or more, the line that calls it holds under 512 bytes (the
-    view objects), where a slice of the tape would hold a copy of the letters,
-    113 bytes more than it feeds.  The feed copies them once.  The cut's last
-    feed, which also passes a view, is at most one block, under 512 letters."""
-    feed, held = StreamParser.feed, []
+    """No construction holds its word: the gadget loop feeds and re-feeds
+    the segment table a slice at a time.  With slices of 512 letters, each
+    read of the table by the loop and by the cut yields slices of at most 512
+    letters, the longest read spans 32,897, and while a read runs, what the
+    reader allocated since it began and still holds stays at most 2,430
+    bytes, under 4 slices and 1 KB: the slice it yields and the run pieces,
+    each with a bytes header, it was joined from.  A joined copy of the
+    read, or a slice of a tape, would hold all its letters."""
+    monkeypatch.setattr(words, "SLICE", 512)
+    reader = [tracemalloc.Filter(True, words.__file__)]
+    slices, reads = words.Table.slices, []
 
-    def traced_feed(self, data):
-        if len(data) >= 512:
-            caller = sys._getframe(1)
-            line = tracemalloc.Filter(True, caller.f_code.co_filename, caller.f_lineno)
-            traces = tracemalloc.take_snapshot().filter_traces([line]).traces
-            held.append((caller.f_code.co_name, len(data), sum(t.size for t in traces)))
-        return feed(self, data)
+    def held():
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(reader).traces)
 
-    monkeypatch.setattr(StreamParser, "feed", traced_feed)
+    def traced_slices(self, a=0, b=None):
+        caller = sys._getframe(1).f_code.co_name
+        if caller not in ("advance", "build_prefix"):
+            yield from slices(self, a, b)
+            return
+        base, read = held(), []
+        reads.append(read)
+        for piece in slices(self, a, b):
+            read.append((len(piece), held() - base))
+            yield piece
+
+    monkeypatch.setattr(words.Table, "slices", traced_slices)
     tracemalloc.start()
     try:
         build_prefix(256, 0.1, 33_000, seed=0)
     finally:
         tracemalloc.stop()
-    refeeds = [(n, size) for name, n, size in held if name == "advance"]
-    assert max(n for n, _ in refeeds) > 2048
-    assert all(size < 512 for _, size in refeeds), refeeds
+    assert len(reads) > 10
+    assert max(sum(n for n, _ in read) for read in reads) > 16 * 2048
+    pieces = [piece for read in reads for piece in read]
+    assert all(n <= 512 and size < 4 * 512 + 1024 for n, size in pieces), max(pieces)
 
 
 def test_build_prefix_reaches_level_one(two_level):

@@ -1,12 +1,14 @@
 """The loader of the compiled parse kernel, and the fallback without it."""
 
 import contextlib
+import ctypes
 import io
 import os
 import random
 import subprocess
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,9 @@ import pytest
 import lz78lab
 from lz78lab import kernel, parsing
 from lz78lab.cli import main
+from lz78lab.construction import REGULAR, Segment
 from lz78lab.errors import ParameterError
-from lz78lab.words import random_unit, random_word
+from lz78lab.words import Table, random_unit, random_word
 
 from conftest import KERNEL, KERNEL_LOADED, PARSERS, parser_mode
 
@@ -269,58 +272,107 @@ def test_seeded_de_bruijn_words_leave_numpy_random_unloaded():
 
 
 def rule_codes(data, starts, preds):
-    """The code of certify's rule loop for a claim, from every form: the
-    kernel's lz78_certify, when it loaded, and parsing._certify_py."""
+    """The code of certify's rule loop for a claim on ``data``, a word or a
+    segment table, from every form: the kernel's lz78_certify, when it
+    loaded, and parsing._certify_py.  A word is the table of one run."""
+    table = data if isinstance(data, Table) else Table(data)
+    runs, bounds, nruns = table.sources(), table.bounds, len(table.bounds) - 1
     s, q = (np.array(c, dtype=np.int64) for c in (starts, preds))
     count = len(s)
-    codes = [parsing._certify_py(data, len(data), memoryview(s), memoryview(q), count,
+    codes = [parsing._certify_py(runs, bounds, nruns, memoryview(s), memoryview(q), count,
                                  bytearray(2 * count))]
     if KERNEL_LOADED:
         seen = np.zeros(2 * count, dtype=np.uint8)
-        codes.append(KERNEL.lz78_certify(data, len(data), s.ctypes.data, q.ctypes.data,
-                                         count, seen.ctypes.data))
+        at = array("Q", (ctypes.cast(run, ctypes.c_void_p).value for run in runs))
+        codes.append(KERNEL.lz78_certify(at.buffer_info()[0], bounds.buffer_info()[0], nruns,
+                                         s.ctypes.data, q.ctypes.data, count,
+                                         seen.ctypes.data))
     return codes
+
+
+def cut_into_runs(data: bytes, cuts) -> Table:
+    """``data`` as a segment table whose runs end at the positions ``cuts``,
+    the first run the front (empty when a cut is at 0).  Each segment's
+    source carries two letters past its length, which no read may reach."""
+    bounds = [0, *cuts, len(data)]
+    front, *rest = (data[a:b] for a, b in zip(bounds, bounds[1:]))
+    return Table(front, [Segment(REGULAR, len(run), 0, run + b"10") for run in rest])
+
+
+# 0|1|00|01|10|000|11
+WORD = b"0100011000011"
+STARTS, PREDS = [0, 1, 2, 4, 6, 8, 11], [-1, -1, 0, 0, 1, 2, 1]
+DUP = parsing.parse(b"0001010100011")
+# (word, starts, preds, the code of the first broken rule)
+RULE_CLAIMS = [
+    (WORD, STARTS, PREDS, 4 * 7),                               # the parse
+    (b"", [], [], 0),                                           # the empty parse
+    (DUP.data, DUP.starts, DUP.preds, 4 * 6 + 3),               # its last block repeats
+    # rule 1: block 0 not at 0, an empty block, a block past the word (which
+    # breaks rule 2 as well), a last block at the word's end
+    (WORD, [1, 1, 2, 4, 6, 8, 11], PREDS, 4 * 0 + 1),
+    (WORD, [0, 1, 1, 4, 6, 8, 11], PREDS, 4 * 1 + 1),
+    (WORD, [0, 1, 2, 4, 6, 8, 14], PREDS, 4 * 5 + 1),
+    (WORD[:11], STARTS, PREDS, 4 * 6 + 1),
+    # rule 2: a pred that is not -1 or earlier, a wrong length, and the
+    # letters: block 2's head (pred 0), block 5's last head letter, block 6's
+    (WORD, STARTS, [-1, -1, 0, 3, 1, 2, 1], 4 * 3 + 2),
+    (WORD, STARTS, [-1, -1, 0, -2, 1, 2, 1], 4 * 3 + 2),
+    (WORD, STARTS, [-1, -1, 0, 100, 1, 2, 1], 4 * 3 + 2),
+    (WORD, STARTS, [-1, -5, 0, 0, 1, 2, 1], 4 * 1 + 2),        # a one-letter block
+    (WORD, STARTS, [-1, -1, 0, 0, -1, 2, 1], 4 * 4 + 2),
+    (WORD, STARTS, [-1, -1, 0, 0, 1, 0, 1], 4 * 5 + 2),
+    (b"0110011000011", STARTS, PREDS, 4 * 2 + 2),
+    (b"0100011001011", STARTS, PREDS, 4 * 5 + 2),
+    (b"0100011000001", STARTS, PREDS, 4 * 6 + 2),
+    (b"0110011001011", STARTS, PREDS, 4 * 2 + 2),               # the first of two
+    # rule 3: "0" twice, though a later block is empty; block 2's last
+    # letter flipped makes it block 3, before block 5's head differs
+    (b"0001", [0, 1, 2], [-1, -1, 1], 4 * 1 + 3),
+    (b"0101011000011", STARTS, PREDS, 4 * 3 + 3),
+    (b"00011", [0, 1, 2, 4, 4], [-1, -1, 1, -1, -1], 4 * 1 + 3),
+]
 
 
 def test_certify_rule_loop_gives_the_same_code_in_both_forms():
     """4 i + rule for the first block i, in word order, that breaks a rule,
-    else 4 count; rule 3 at the last block is the trailing duplicate."""
-    # 0|1|00|01|10|000|11
-    data = b"0100011000011"
-    starts, preds = [0, 1, 2, 4, 6, 8, 11], [-1, -1, 0, 0, 1, 2, 1]
-    assert (parsing.parse(data).starts, parsing.parse(data).preds) == (starts, preds)
-    dup = parsing.parse(b"0001010100011")
-    assert dup.last_is_duplicate and dup.block_count == 7
-    table = [
-        (data, starts, preds, 4 * 7),                          # the parse
-        (b"", [], [], 0),                                       # the empty parse
-        (dup.data, dup.starts, dup.preds, 4 * 6 + 3),           # its last block repeats
-        # rule 1: block 0 not at 0, an empty block, a block past the word (which
-        # breaks rule 2 as well), a last block at the word's end
-        (data, [1, 1, 2, 4, 6, 8, 11], preds, 4 * 0 + 1),
-        (data, [0, 1, 1, 4, 6, 8, 11], preds, 4 * 1 + 1),
-        (data, [0, 1, 2, 4, 6, 8, 14], preds, 4 * 5 + 1),
-        (data[:11], starts, preds, 4 * 6 + 1),
-        # rule 2: a pred that is not -1 or earlier, a wrong length, and the
-        # letters: block 2's head (pred 0), block 5's last head letter, block 6's
-        (data, starts, [-1, -1, 0, 3, 1, 2, 1], 4 * 3 + 2),
-        (data, starts, [-1, -1, 0, -2, 1, 2, 1], 4 * 3 + 2),
-        (data, starts, [-1, -1, 0, 100, 1, 2, 1], 4 * 3 + 2),
-        (data, starts, [-1, -5, 0, 0, 1, 2, 1], 4 * 1 + 2),   # a one-letter block
-        (data, starts, [-1, -1, 0, 0, -1, 2, 1], 4 * 4 + 2),
-        (data, starts, [-1, -1, 0, 0, 1, 0, 1], 4 * 5 + 2),
-        (b"0110011000011", starts, preds, 4 * 2 + 2),
-        (b"0100011001011", starts, preds, 4 * 5 + 2),
-        (b"0100011000001", starts, preds, 4 * 6 + 2),
-        (b"0110011001011", starts, preds, 4 * 2 + 2),          # the first of two
-        # rule 3: "0" twice, though a later block is empty; block 2's last
-        # letter flipped makes it block 3, before block 5's head differs
-        (b"0001", [0, 1, 2], [-1, -1, 1], 4 * 1 + 3),
-        (b"0101011000011", starts, preds, 4 * 3 + 3),
-        (b"00011", [0, 1, 2, 4, 4], [-1, -1, 1, -1, -1], 4 * 1 + 3),
-    ]
-    for data, starts, preds, code in table:
+    else 4 count; rule 3 at the last block is the trailing duplicate.  The
+    word is read as a table of one run."""
+    assert (parsing.parse(WORD).starts, parsing.parse(WORD).preds) == (STARTS, PREDS)
+    assert DUP.last_is_duplicate and DUP.block_count == 7
+    for data, starts, preds, code in RULE_CLAIMS:
         assert rule_codes(data, starts, preds) == [code] * len(PARSERS), (data, starts)
+
+
+def test_certify_rule_loop_reads_a_table_of_runs_as_its_word():
+    """Cut into runs anywhere (one letter a run, an empty front, random
+    cuts), each claim gets the code of its word in one run, in both forms:
+    the compares split at run ends, and no read passes a run's length."""
+    rng = random.Random(7)
+    tables = 0
+    for data, starts, preds, code in RULE_CLAIMS:
+        n = len(data)
+        cut_sets = [list(range(n + 1)), [0], list(range(1, n))]
+        cut_sets += [sorted(rng.sample(range(n + 1), rng.randint(0, n + 1))) for _ in range(8)]
+        for cuts in cut_sets:
+            table = cut_into_runs(data, cuts)
+            assert table[:] == data
+            assert rule_codes(table, starts, preds) == [code] * len(PARSERS), (data, cuts)
+            tables += 1
+    assert tables == 11 * len(RULE_CLAIMS)
+
+
+def test_certify_rule_2_mismatch_past_a_run_end():
+    """Block 5, 000 at 8, extends block 2, 00 at 2.  With letter 9 flipped,
+    its head differs from block 2's letters only past the run end at 9 (at 3
+    on the pred's side): the first compare of each agrees, the second does
+    not, and both forms name block 5 and rule 2.  Unflipped, the same runs
+    certify."""
+    flipped = b"0100011001011"
+    for cuts in ([9], [3], [3, 9], [2, 9], [8, 9, 10], [3, 4, 9]):
+        want = [4 * 5 + 2] * len(PARSERS)
+        assert rule_codes(cut_into_runs(flipped, cuts), STARTS, PREDS) == want, cuts
+        assert rule_codes(cut_into_runs(WORD, cuts), STARTS, PREDS) == [4 * 7] * len(PARSERS)
 
 
 def test_node_ids_past_int32_raise_a_clear_error(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -10,13 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lz78lab import (ConstructionError, LzCode, MalformedCodeError, ParameterError,
-                     Word, comp_ratio, construct_toy, decode, dict_size, encode,
-                     parse, parsing, pref, tree_stats)
+                     Word, build_prefix, comp_ratio, construct_general, construct_toy, decode,
+                     derive_params, dict_size, encode, parse, parsing, pref, sample_family,
+                     tree_stats, words as words_mod)
+from lz78lab.construction import REGULAR, Segment
 from lz78lab.parsing import FIRST_NODES, StreamParser, certify, ratio_from_counts
-from lz78lab.words import SLICE, as_bits, random_word
+from lz78lab.toy import construct_from_base
+from lz78lab.words import SLICE, Table, as_bits, random_word
 
-from conftest import KERNEL_LOADED, PARSERS, fuzz_word, parser_mode
-from oracles import naive_parse
+from conftest import KERNEL_LOADED, PARSERS, forced_base, fuzz_word, parser_mode
+from oracles import naive_letters, naive_parse
 
 # the equivalence tests below run in each mode of conftest.PARSERS (CI fails
 # when the compiled kernel is not loaded, so they never pass on the fallback
@@ -221,7 +225,7 @@ def outcome(result):
     message and diagnostics."""
     if isinstance(result, ConstructionError):
         return str(result), tuple(result.diagnostics.items())
-    return result.data, tuple(result.starts), tuple(result.preds), result.last_is_duplicate
+    return result.data[:], tuple(result.starts), tuple(result.preds), result.last_is_duplicate
 
 
 def certify_both(data, starts, preds, dup):
@@ -390,22 +394,25 @@ def test_certify_names_the_first_faulty_block_in_word_order():
 
 def test_certify_allocates_under_4_bytes_a_block(mode):
     # the claim is the finished parser's int64 memoryviews, read in place, and
-    # as_bits checks the letters a slice at a time: certify allocates only
-    # the rule-3 table, 2 bytes a block, where a check of the whole word at
-    # once added 1 byte a letter
+    # the letters are read where the segment table's runs hold them: certify
+    # allocates the rule-3 table, 2 bytes a block, and for the kernel the
+    # address of each of the 1,034 runs, 3.2 bytes a block in all, where a
+    # copy of the 534,062 letters of 0w would add 22 bytes a block
     cw = construct_toy(10)
     count = cw.red.block_count
     tracemalloc.start()
     try:
-        assert cw.certified_red() == cw.red
+        red = cw.certified_red()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert red == cw.red
     assert peak < 4 * count, f"{peak / count:.2f} bytes per block"
 
 
-def flip(data: bytes, at: int) -> bytes:
-    return data[:at] + (b"1" if data[at] == ord("0") else b"0") + data[at + 1:]
+def flip(data, at: int) -> bytes:
+    """The letters of ``data``, a word or a segment table, with letter at flipped."""
+    return data[:at] + (b"1" if data[at:at + 1] == b"0" else b"0") + data[at + 1:]
 
 
 @pytest.fixture(scope="module")
@@ -414,8 +421,9 @@ def toy8_red():
 
 
 def naive_claim(data: bytes):
-    """The parse of data as certify takes it, from oracles.naive_parse."""
-    blocks = naive_parse(data.decode())
+    """The parse of data (a word, or a segment table whose letters are
+    joined) as certify takes it, from oracles.naive_parse."""
+    blocks = naive_parse(data[:].decode())
     index, starts, preds, at = {"": -1}, [], [], 0
     for i, b in enumerate(blocks):
         starts.append(at)
@@ -524,6 +532,125 @@ def test_certify_takes_lists_arrays_and_numpy_claims(toy8_red):
             got = {outcome(certify_in(form, data, s, q, dup)) for form in PARSERS}
             assert got == want
     assert not containers([1, 2, 3])[3].flags.c_contiguous
+
+
+# --- the segment table: its reader, and certify through it ---
+
+# the first 16 hex digits of the SHA-256 of 0w as the constructions built it
+# on one bytearray tape, before the segment table replaced the tape: the
+# forced-gadget toy builds (base length, seed, k), construct_general at
+# n = 2^16, l = 64 (seeds 0 and 1 hold offset-0 chains), and build_prefix at
+# 250,000 letters, whose cut ends mid-chain
+TAPES = {
+    ("forced", 90, 2, 6): "7e71132b50d7b144",
+    ("forced", 120, 7, 7): "6a9ad056d85c94d6",
+    ("forced", 70, 3, 6): "84582026b1138772",
+    ("forced", 200, 11, 7): "c43e4420a5230dcf",
+    ("general", 0): "f2ad57f93e2f28e5",
+    ("general", 1): "195e2d474f751d2a",
+    ("general", 2): "cd50699e6cdb4fd6",
+    ("prefix", 250_000): "c5b7514d92c69af0",
+}
+
+
+def build(name):
+    if name[0] == "forced":
+        return construct_from_base(forced_base(name[1], name[2]), name[3], 3.0)
+    if name[0] == "general":
+        return construct_general(sample_family(derive_params(1 << 16, 64), name[1]))
+    return build_prefix(256, 0.1, name[1], 0)
+
+
+def test_the_reader_gives_the_tapes_letters(mode, monkeypatch):
+    """Built in each parser mode, every table's letters, read whole and
+    over random ranges that straddle segment ends, are the naive join of its
+    segments' letters, and 0w is the old tape's, byte for byte.  A read
+    yields its letters SLICE at a time from its start, the last slice
+    shorter, as ``bytes``."""
+    rng = random.Random(35)
+    gadgets = 0
+    for name, digest in TAPES.items():
+        cw = build(name)
+        gadgets += sum(seg.kind != REGULAR for seg in cw.segments)
+        for front in (b"0", b"1", b""):
+            table = cw.letters(front)
+            want = naive_letters(front, cw.segments)
+            assert b"".join(table.slices()) == table[:] == want and len(table) == len(want)
+        assert hashlib.sha256(cw.letters(b"0")[:]).hexdigest()[:16] == digest, name
+        assert cw.word.data == want and cw.n == len(want)
+        with monkeypatch.context() as mp:
+            mp.setattr(words_mod, "SLICE", 64)
+            starts = cw.segment_starts()
+            table, want = cw.letters(b"0"), b"0" + want
+            for _ in range(40):
+                end = 1 + starts[rng.randrange(1, len(starts))]   # a segment end in 0w
+                a = rng.randint(max(0, end - 300), end - 1)
+                b = rng.randint(end + 1, min(len(want), end + 300))
+                pieces = list(table.slices(a, b))
+                assert b"".join(pieces) == want[a:b] == table[a:b]
+                assert all(type(p) is bytes for p in pieces)
+                assert [len(p) for p in pieces[:-1]] == [64] * (len(pieces) - 1)
+    assert gadgets > 100
+
+
+@pytest.fixture(scope="module")
+def constructions():
+    return {name: build(name) for name in TAPES} | {("toy", k): construct_toy(k)
+                                                     for k in (5, 8, 10)}
+
+
+def test_certify_accepts_every_constructions_parse_of_0w(constructions):
+    """Both forms accept each construction's parse of 0w through its segment
+    table, and return it over that table."""
+    for name, cw in constructions.items():
+        red = cw.red
+        for form in PARSERS:
+            got = certify_in(form, cw.letters(b"0"), red.starts, red.preds,
+                             red.last_is_duplicate)
+            assert not isinstance(got, ConstructionError), (name, form, got)
+            assert got == red and got.data == cw.letters(b"0")
+
+
+def cut_into_runs(data: bytes, rng) -> Table:
+    """``data`` as a segment table cut at random, the first run the front
+    (empty when the first cut is at 0); each source carries letters past its
+    length, which no read may reach."""
+    cuts = sorted(rng.sample(range(len(data) + 1), rng.randint(0, min(len(data) + 1, 60))))
+    bounds = [0, *cuts, len(data)]
+    front, *rest = (data[a:b] for a, b in zip(bounds, bounds[1:]))
+    return Table(front, [Segment(REGULAR, len(run), 0, run + b"1") for run in rest])
+
+
+def test_certify_of_a_table_is_certify_of_its_word(claimed_words):
+    """The honest claim and tampered ones (a flipped letter, a shifted start,
+    a pred swapped with a block of equal length), on each word as one run,
+    the old certify's input, and cut into runs at random: every form gives
+    one outcome, the same block and rule named in both forms."""
+    rng = random.Random(3535)
+    rejected = set()
+    for p in claimed_words:
+        count = p.block_count
+        for _ in range(20):
+            data, starts, preds, dup = claim(p)
+            b = rng.randrange(1, count)
+            kind = rng.choice(("honest", "letter", "start", "pred"))
+            if kind == "letter":
+                data = flip(data, rng.randrange(*p.block_bounds(b)))
+            elif kind == "start":
+                starts[b] += rng.choice((-1, 1))
+            elif kind == "pred":
+                twins = [j for j in range(count)
+                         if p.block_length(j) == p.block_length(b) and p.preds[j] != preds[b]]
+                if twins:
+                    preds[b] = p.preds[rng.choice(twins)]
+            want = {outcome(certify_in(form, data, starts, preds, dup)) for form in PARSERS}
+            assert len(want) == 1
+            for table in (Table(data), cut_into_runs(data, rng)):
+                got = {outcome(certify_in(form, table, starts, preds, dup)) for form in PARSERS}
+                assert got == want, kind
+            rejected |= {msg.split(" of the claimed parse ")[1][:12]
+                         for msg, *_ in want if isinstance(msg, str)}
+    assert len(rejected) >= 3, rejected
 
 
 def test_encode_reference_example():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from array import array
 from functools import partial
@@ -5,16 +6,17 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lz78lab import (ParameterError, Word, construct_general, construction, derive_params,
-                     parse, pref, sample_family, tree_stats, verify_toy)
+from lz78lab import (ParameterError, construct_general, construction, derive_params,
+                     dict_size, parse, pref, sample_family, tree_stats, verify_toy)
 from lz78lab.construction import (GADGET, REGULAR, ConstructedWord, _edge_slices, build_chain,
                                   front_census)
 from lz78lab.parsing import StreamParser
 from lz78lab import toy
+from lz78lab.words import Table
 from lz78lab.toy import _toy_gadget, construct_from_base, construct_toy
 
-from conftest import (assert_is_parse_of_0w, assert_segments_tile, regular_letters,
-                      segment_tags)
+from conftest import (assert_is_parse_of_0w, assert_segments_tile, forced_base,
+                      regular_letters, segment_tags)
 from oracles import naive_classify, naive_gadget_loop, naive_parse
 
 
@@ -82,16 +84,8 @@ def test_no_trigger_outputs_plain_prefix_word():
         assert stats.vertex_count == cw.chains[0].regular_count + 1
 
 
-def _forced_base(length: int, seed: int) -> Word:
-    """A word starting with 1: the front letter 0 then locks the parsing of
-    0*pref(x) onto the block boundaries, forcing the insertion loop to run."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    bits = (rng.integers(0, 2, size=length, dtype=np.uint8) + ord("0")).tobytes()
-    return Word(b"1" + bits[1:])
-
-
 def test_forced_loop_checkpoint_equals_scratch():
-    x = _forced_base(90, 2)
+    x = forced_base(90, 2)
     a = construct_from_base(x, 6, 3.0)
     b = construct_from_base(x, 6, 3.0, scratch=True)
     assert a.word == b.word
@@ -102,13 +96,13 @@ def test_forced_loop_checkpoint_equals_scratch():
 
 
 def test_segment_starts_tile_a_word_with_gadgets():
-    cw = construct_from_base(_forced_base(90, 2), 6, 3.0)
+    cw = construct_from_base(forced_base(90, 2), 6, 3.0)
     assert cw.chains[0].gadget_count > 0
     assert_segments_tile(cw)
 
 
 def test_forced_loop_invariants():
-    x = _forced_base(120, 7)
+    x = forced_base(120, 7)
     cw = construct_from_base(x, 7, 3.0)
     s = len(x)
     assert cw.chains[0].chosen_i == 0
@@ -130,7 +124,7 @@ def test_forced_loop_invariants():
 @pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
                                            (200, 11, 7)])
 def test_initial_census_matches_interval_oracle(length, seed, k):
-    x = _forced_base(length, seed)
+    x = forced_base(length, seed)
     cw = construct_from_base(x, k, 3.0)
     text = pref(x).to_text()
     violated = {}
@@ -145,7 +139,7 @@ def test_forced_loop_reports_unit_breakdown_honestly():
     # its offset-0 gadget "1" collides with the first regular block, so the
     # plain parsing no longer follows the intended units and the verifier
     # must say so rather than report a clean run
-    x = _forced_base(90, 2)
+    x = forced_base(90, 2)
     rep = verify_toy(construct_from_base(x, 6, 3.0))
     assert not rep.green_units_ok
     assert rep.violations == {}
@@ -156,7 +150,7 @@ def test_forced_loop_reports_unit_breakdown_honestly():
 def test_front_census_counts_regular_segments_only(length, seed, k):
     # on these bases some red blocks of 0w lie inside a gadget, and the
     # census must leave them out
-    cw = construct_from_base(_forced_base(length, seed), k, 3.0)
+    cw = construct_from_base(forced_base(length, seed), k, 3.0)
     text = cw.word.to_text()
     bounds = cw.segment_starts() + [len(text)]
     segment_words = [text[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -196,14 +190,13 @@ def test_censuses_add_up_over_slices_of_blocks(monkeypatch, census_slice):
     def builds():
         for length, seed, k in ((90, 2, 6), (200, 11, 7), (150, 9, 7)):
             for scratch in (False, True):
-                yield construct_from_base(_forced_base(length, seed), k, 3.0, scratch)
+                yield construct_from_base(forced_base(length, seed), k, 3.0, scratch)
         for seed in range(4):
-            parser, tape = StreamParser(), bytearray(b"0")
-            parser.feed(tape)
-            record = build_chain(parser, tape, [], 0, _forced_base(70, seed), 0,
+            parser, table = StreamParser(), Table(b"0")
+            record = build_chain(parser, table, 0, forced_base(70, seed), 0,
                                  window=12, gadgets=_chaos_gadgets(seed),
                                  include_tail=True)
-            yield bytes(tape), record
+            yield table[:], record
 
     def censuses(built):
         return [(front_census(cw, parse(cw.word), parse(front + cw.word.data).starts),
@@ -264,6 +257,25 @@ def test_one_front_variant_never_builds_1w(toy12):
     assert peak < 0.5 * len(cw.word), f"{peak / len(cw.word):.2f} bytes a letter"
 
 
+def test_catastrophe_memory_is_bounded_by_the_dictionary():
+    """construct_toy(12), verify_toy and dict_size of 1w, the work of
+    catastrophe --k 12, traced: no copy of the 8,435,778 letters of w is made,
+    so the peak is the parse of 0w (208,682 blocks) and what its arrays hold
+    while they double, 8.0 MB, 0.95 bytes a letter.  The tape and its copy
+    handed over as red.data, or the word joined again, held at least 2 bytes
+    a letter, 2.67 in all."""
+    tracemalloc.start()
+    try:
+        cw = construct_toy(12)
+        report = verify_toy(cw)
+        dic_1w = dict_size(cw.letters(b"1"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.n, report.dic_aw, dic_1w) == (8_435_778, 208_682, 4_108)
+    assert peak < 1.2 * report.n, f"{peak / report.n:.2f} bytes a letter"
+
+
 def _chaos_gadgets(seed):
     """``build_chain``'s ``gadgets`` for deterministic but structure-free
     gadgets, whatever the offset: exercises the insertion loop under content
@@ -295,18 +307,17 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
 
     early = rollbacks = 0
     for seed in range(12):
-        x = _forced_base(70, seed)
+        x = forced_base(70, seed)
         results = []
         for scratch in (True, False):     # checkpoint last: read below
-            parser, tape = RecordingParser(), bytearray(b"0")
+            parser, table = RecordingParser(), Table(b"0")
             parser.rollback_from = []
-            parser.feed(tape)
-            segments = []
-            record = build_chain(parser, tape, segments, 0, x, 0, window=12,
+            segments = table.segments
+            record = build_chain(parser, table, 0, x, 0, window=12,
                                  gadgets=_chaos_gadgets(seed), include_tail=True,
                                  scratch=scratch)
-            assert parser.position == len(tape)
-            results.append((bytes(tape), list(segments), record))
+            assert parser.position == len(table)
+            results.append((table[:], list(segments), record))
         assert results[0] == results[1], f"seed {seed}"
         # before gadget j went in, the chain ended short of its final end by
         # the gadgets j, j + 1, ... inserted from then on
@@ -316,7 +327,7 @@ def test_insertion_loop_checkpoint_equals_scratch_under_chaos():
         assert [seg.length for seg in gadgets] == [len(make(c)) for c in range(len(gadgets))]
         assert len(parser.rollback_from) == len(gadgets)
         for j, fed in enumerate(parser.rollback_from):
-            chain_end = len(tape) - sum(seg.length for seg in gadgets[j:])
+            chain_end = len(table) - sum(seg.length for seg in gadgets[j:])
             assert fed <= chain_end
             early += fed < chain_end
         rollbacks += len(gadgets)
@@ -339,20 +350,19 @@ def test_gadgets_are_asked_once_per_hot_chain_on_its_whole_feed(scratch):
 
     asked_chains = 0
     for seed in range(12):
-        x = _forced_base(70, seed)
+        x = forced_base(70, seed)
         fed = b"0" + b"".join(x.data[:t] for t in range(1, len(x) + 1))
         for gadgets in (_chaos_gadgets(seed), lambda i: partial(_toy_gadget, x.data, i)):
-            parser, tape = CountingParser(), bytearray(b"0")
+            parser, table = CountingParser(), Table(b"0")
             parser.rollbacks = 0
-            parser.feed(tape)
             calls = []
 
             def asked(i0):
-                whole = tape == fed and parser.position == len(fed)
+                whole = table[:] == fed and parser.position == len(fed)
                 calls.append((i0, whole, parser.rollbacks))
                 return gadgets(i0)
 
-            record = build_chain(parser, tape, [], 0, x, 0, window=12, gadgets=asked,
+            record = build_chain(parser, table, 0, x, 0, window=12, gadgets=asked,
                                  include_tail=True, scratch=scratch)
             want = [] if record.chosen_i is None else [(record.chosen_i, True, 0)]
             assert calls == want, f"seed {seed}"
@@ -370,11 +380,10 @@ def test_build_chain_lays_its_chain_out_once(monkeypatch, mode, scratch):
                         lambda *args: calls.append(args) or layout(*args))
     gadgets = 0
     for length, seed in [(90, 2), (120, 7), (70, 3), (200, 11)]:
-        x = _forced_base(length, seed)
-        parser, tape = StreamParser(), bytearray(b"0")
-        parser.feed(tape)
+        x = forced_base(length, seed)
+        parser, table = StreamParser(), Table(b"0")
         calls.clear()
-        record = build_chain(parser, tape, [], 0, x, 0, window=12,
+        record = build_chain(parser, table, 0, x, 0, window=12,
                              gadgets=lambda i: partial(_toy_gadget, x.data, i),
                              include_tail=True, scratch=scratch)
         assert record.gadget_count > 1 and len(calls) == 1, (length, seed)
@@ -393,7 +402,7 @@ def _oracle_segments(data: bytes, segments, chains) -> list:
 @pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
                                            (200, 11, 7), (60, 5, 6), (150, 9, 7)])
 def test_forced_loop_matches_naive_gadget_loop(length, seed, k):
-    x = _forced_base(length, seed)
+    x = forced_base(length, seed)
     cw = construct_from_base(x, k, 3.0)
     segments, i0, count, d = naive_gadget_loop(
         x.to_text(), "0", cw.meta["window"], lambda i, c: _toy_gadget(x.data, i, c).decode())
@@ -407,16 +416,14 @@ def test_chaos_loop_matches_naive_gadget_loop():
     from lz78lab.parsing import StreamParser
 
     for seed in range(12):
-        x = _forced_base(70, seed)
-        parser, tape = StreamParser(), bytearray(b"0")
-        parser.feed(tape)
-        segments = []
-        record = build_chain(parser, tape, segments, 0, x, 0, window=12,
+        x = forced_base(70, seed)
+        parser, table = StreamParser(), Table(b"0")
+        record = build_chain(parser, table, 0, x, 0, window=12,
                              gadgets=_chaos_gadgets(seed), include_tail=True)
         chaos = _chaos_gadgets(seed)(None)
         expected = naive_gadget_loop(x.to_text(), "0", 12,
                                      lambda i, c: chaos(c).decode())
-        got = (_oracle_segments(bytes(tape[1:]), segments, [record]), record.chosen_i,
+        got = (_oracle_segments(table[1:], table.segments, [record]), record.chosen_i,
                record.gadget_count, record.final_d)
         assert got == expected, f"seed {seed}"
 
@@ -435,7 +442,7 @@ def test_one_front_variant_same_letter_is_verify():
 def test_one_front_variant_censuses_every_block_of_1w(monkeypatch, length, seed, k):
     # 1w of these bases ends in a trailing duplicate, which the parser holds
     # as its in-progress block: the census must read it too
-    cw = construct_from_base(_forced_base(length, seed), k, 3.0)
+    cw = construct_from_base(forced_base(length, seed), k, 3.0)
     want = parse(b"1" + cw.word.data)
     assert want.last_is_duplicate
     censused = []
@@ -474,7 +481,7 @@ def test_toy_census_matches_interval_oracle(k, seed, a):
 @pytest.mark.parametrize("length,seed,k", [(90, 2, 6), (120, 7, 7), (70, 3, 6),
                                            (200, 11, 7)])
 def test_forced_loop_hands_over_the_parse_of_0w(length, seed, k, scratch):
-    cw = construct_from_base(_forced_base(length, seed), k, 3.0, scratch=scratch)
+    cw = construct_from_base(forced_base(length, seed), k, 3.0, scratch=scratch)
     assert cw.chains[0].gadget_count > 0
     assert_is_parse_of_0w(cw.red, cw.word.data)
 
@@ -483,25 +490,30 @@ def test_forced_loop_hands_over_the_parse_of_0w(length, seed, k, scratch):
                                            (200, 11, 7), (60, 5, 6), (150, 9, 7)])
 def test_scratch_passes_reparse_the_whole_tape(monkeypatch, length, seed, k):
     # the oracle does no lazy feeding: after the first pass, which feeds the
-    # chain after the front letter, each gadget is followed by one feed of the
-    # whole tape from position 0, longer than the last by that gadget
+    # front letter and the chain, each gadget is followed by one pass over the
+    # whole segment table from position 0, longer than the last by that
+    # gadget.  A pass is a run of feeds, a slice each, each from where the
+    # last one stopped: (its start, the letters it fed, the table's length)
     feed, build = StreamParser.feed, toy.build_chain
-    feeds, tapes = [], []
+    feeds, tables = [], []
 
     def recording_feed(self, data):
-        if tapes:
-            feeds.append((self.position, len(data), len(tapes[0])))
+        if tables:
+            if feeds and sum(feeds[-1][:2]) == self.position:
+                feeds[-1][1] += len(data)
+            else:
+                feeds.append([self.position, len(data), len(tables[0])])
         return feed(self, data)
 
-    def recording_build(parser, tape, *args, **kwargs):
-        tapes.append(tape)
-        record = build(parser, tape, *args, **kwargs)
-        tapes.clear()
+    def recording_build(parser, table, *args, **kwargs):
+        tables.append(table)
+        record = build(parser, table, *args, **kwargs)
+        tables.clear()
         return record
 
     monkeypatch.setattr(StreamParser, "feed", recording_feed)
     monkeypatch.setattr(toy, "build_chain", recording_build)
-    x = _forced_base(length, seed)
+    x = forced_base(length, seed)
     cw = construct_from_base(x, k, 3.0, scratch=True)
     count = cw.chains[0].gadget_count
     # gadget c is the chain's c-th in word order, and at offset i0 it has
@@ -512,7 +524,7 @@ def test_scratch_passes_reparse_the_whole_tape(monkeypatch, length, seed, k):
     assert [seg.length for seg in gadgets] == [i0 + 1 + c for c in range(count)]
     chain = len(x) * (len(x) + 1) // 2
     whole = [1 + chain + sum(seg.length for seg in gadgets[:j]) for j in range(1, count + 1)]
-    assert feeds == [(1, chain, 1 + chain)] + [(0, n, n) for n in whole]
+    assert feeds == [[0, 1 + chain, 1 + chain]] + [[0, n, n] for n in whole]
 
 
 @pytest.mark.parametrize("reparse", ["checkpoint", "scratch"])
@@ -528,22 +540,25 @@ def test_chaos_loop_hands_over_the_parse_of_0w(scratch):
     from lz78lab.parsing import StreamParser
 
     for seed in range(12):
-        parser, tape = StreamParser(), bytearray(b"0")
-        parser.feed(tape)
-        build_chain(parser, tape, [], 0, _forced_base(70, seed), 0, window=12,
+        parser, table = StreamParser(), Table(b"0")
+        build_chain(parser, table, 0, forced_base(70, seed), 0, window=12,
                     gadgets=_chaos_gadgets(seed), include_tail=True, scratch=scratch)
-        red = parser.finish(tape)
-        assert red.data == tape
-        assert_is_parse_of_0w(red, red.data[1:])
+        red = parser.finish(table)
+        assert red.data is table
+        assert_is_parse_of_0w(red, table[1:])
 
 
 def test_verify_toy_certifies_without_consuming_the_parse():
-    cw = construct_from_base(_forced_base(120, 7), 7, 3.0)
+    cw = construct_from_base(forced_base(120, 7), 7, 3.0)
     red = cw.red
     starts, preds = list(red.starts), list(red.preds)
     assert verify_toy(cw) == verify_toy(cw)
     assert cw.red is red
     assert (list(red.starts), list(red.preds)) == (starts, preds)
+
+
+def flip_first(letters: bytes) -> bytes:
+    return (b"1" if letters[:1] == b"0" else b"0") + letters[1:]
 
 
 def test_verify_toy_rejects_a_tampered_parse_of_0w():
@@ -558,7 +573,6 @@ def test_verify_toy_rejects_a_tampered_parse_of_0w():
     for bad in (good._replace(starts=starts),
                 good._replace(preds=preds),
                 good._replace(last_is_duplicate=not good.last_is_duplicate),
-                good._replace(data=b"1" + cw.word.data),
                 other):
         cw.red = bad
         with pytest.raises(ConstructionError):
@@ -567,3 +581,10 @@ def test_verify_toy_rejects_a_tampered_parse_of_0w():
         assert verify_toy(cw, "1").dic_aw == parse(b"1" + cw.word.data).dict_size
     cw.red = good
     assert verify_toy(cw) == report
+    # red holds no letters: certify reads 0w through the segments, so a
+    # segment whose letters differ from those red was parsed over is caught
+    segments = list(cw.segments)
+    mid = segments[len(segments) // 2]
+    segments[len(segments) // 2] = mid._replace(source=flip_first(mid.source[:mid.length]))
+    with pytest.raises(ConstructionError):
+        verify_toy(dataclasses.replace(cw, segments=segments))
