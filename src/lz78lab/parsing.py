@@ -35,6 +35,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -445,10 +446,12 @@ def certify(data, starts, preds, last_is_duplicate: bool) -> Parsing:
 
 def _addresses(runs) -> array:
     """The address of each run's letters, read in place (``runs`` keeps them
-    alive), looked up once a word: the regulars of a chain share its x."""
-    unique = dict(zip(map(id, runs), runs))
-    at = {key: ctypes.cast(run, ctypes.c_void_p).value for key, run in unique.items()}
-    return array("Q", map(at.__getitem__, map(id, runs)))
+    alive), looked up once for each stretch of runs over equal words, which
+    hold the same letters: the regulars of a chain share its x."""
+    at = array("Q")
+    for run, stretch in groupby(runs):
+        at.extend(repeat(ctypes.cast(run, ctypes.c_void_p).value, len(list(stretch))))
+    return at
 
 
 def _certify_py(runs, bounds, nruns: int, starts, preds, count: int, seen) -> int:
