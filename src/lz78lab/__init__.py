@@ -1,7 +1,7 @@
 """LZ'78 parsing lab: dictionary parsing, aligned red/green block analysis,
 and the adversarial constructions behind the one-bit catastrophe."""
 
-from .alignment import AlignedParsing, RedClass, ViolationTable, align, violation_table
+from .alignment import AlignedParsing, RedClass, align, violation_table
 from .construction import ChainRecord, ConstructedWord, Segment
 from .errors import (ConstructionError, MalformedCodeError, ParameterError,
                      SamplingError)
@@ -22,11 +22,11 @@ __all__ = [
     "AlignedParsing", "ChainRecord", "ConstructedWord", "ConstructionError",
     "DeBruijnWord", "Family", "GeneralReport", "LzCode", "MalformedCodeError",
     "ParameterError", "Params", "Parsing", "RedClass", "SamplingError",
-    "Schedule", "Segment", "StreamParser", "ToyReport", "TreeStats",
-    "ViolationTable", "Word", "align", "build_prefix", "check_p1", "check_p2",
-    "comp_ratio", "construct_general", "construct_toy", "de_bruijn", "decode",
-    "derive_params", "dict_size", "encode", "pack_word", "parse", "pref",
-    "ratio_curve", "read_word_file", "sample_family", "save_family", "schedule",
+    "Schedule", "Segment", "StreamParser", "ToyReport", "TreeStats", "Word",
+    "align", "build_prefix", "check_p1", "check_p2", "comp_ratio",
+    "construct_general", "construct_toy", "de_bruijn", "decode", "derive_params",
+    "dict_size", "encode", "pack_word", "parse", "pref", "ratio_curve",
+    "read_word_file", "sample_family", "save_family", "schedule",
     "tail_separation", "tree_stats", "unpack_word", "verify_general",
     "verify_toy", "violation_table", "write_word_file",
 ]

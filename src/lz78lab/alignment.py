@@ -102,25 +102,17 @@ def classify(green: Parsing, red: Parsing) -> list[RedClass]:
     return classes
 
 
-@dataclass(frozen=True)
-class ViolationTable:
-    """counts[i] = number of green blocks containing an offset-i red block."""
-
-    counts: dict[int, int]
-
-
-def violation_table(ap: AlignedParsing) -> ViolationTable:
-    return ViolationTable(
-        offset_counts([c.offset for c in ap.classes if c.kind == "offset"]))
+def violation_table(ap: AlignedParsing) -> dict[int, int]:
+    """{i: the number of green blocks containing an offset-i red block}."""
+    return offset_counts([c.offset for c in ap.classes if c.kind == "offset"])
 
 
 def alignment_report(ap: AlignedParsing) -> dict:
     """JSON-ready report: blocks of both parsings, classes, violation counts."""
-    table = violation_table(ap)
     return {
         "schema": 1,
         "green": [list(ap.green.block_bounds(i)) for i in range(ap.green.block_count)],
         "red": [list(ap.red.block_bounds(i)) for i in range(ap.red.block_count)],
         "classes": [c.to_json_obj() for c in ap.classes],
-        "violations": {str(i): c for i, c in sorted(table.counts.items())},
+        "violations": {str(i): c for i, c in sorted(violation_table(ap).items())},
     }

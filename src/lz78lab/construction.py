@@ -22,23 +22,23 @@ each pass, is the correctness oracle).  The word w itself is joined only on
 request (:attr:`ConstructedWord.word`): the verifiers, certify and ``--out``
 read the table.
 
-Every segment position a census or a cut uses comes from one place,
-:func:`_layout`, which turns a run of segments (a whole word or one chain)
-into its segment bounds; the gadget loop (once a chain, then shifting the
-regulars after each gadget), the verifiers' census and the infinite
-construction's cut all read it, and the segment table keeps its own run
-bounds for its reader.  :func:`_census` is the one count of the red blocks
-inside a regular, a slice of blocks at a time, over
-block starts and the position that ends the last block, and over the spans
-of the regulars alone: the gadget loop reads it over the parser's blocks,
-at the chain's end as :meth:`~lz78lab.parsing.StreamParser.closed_blocks`
-closes them, and :func:`front_census`, the census of a finished word that
-both verifiers (``toy.verify_toy``, ``general.verify_general``) read,
-over the block starts of a parse of aw.  Their parse of 0w is the
-construction's own: :meth:`ConstructedWord.from_parser` hands the parser's
-blocks over as ``ConstructedWord.red``, which holds no letters, and the
-verifiers certify them against the LZ'78 definition, through the segment
-table (:func:`~lz78lab.parsing.certify`), instead of parsing 0w again.
+The segment table is the constructed word's one record
+(:attr:`ConstructedWord.table`): its run bounds, less one, are the segment
+positions in w that the gadget loop (once a chain, then shifting the
+regulars after each gadget) and the verifiers' census read, and the
+infinite construction cuts it in place (:meth:`~lz78lab.words.Table.cut`).
+:func:`_census` is the one count of the red blocks inside a regular, a
+slice of blocks at a time, over block starts and the position that ends
+the last block, and over the spans of the regulars alone: the gadget loop
+reads it over the parser's blocks, at the chain's end as
+:meth:`~lz78lab.parsing.StreamParser.closed_blocks` closes them, and
+:func:`front_census`, the census of a finished word that both verifiers
+(``toy.verify_toy``, ``general.verify_general``) read, over the block
+starts of a parse of aw.  Their parse of 0w is the construction's own:
+:meth:`ConstructedWord.from_parser` hands the parser's blocks over as
+``ConstructedWord.red``, over the table itself, and the verifiers certify
+them against the LZ'78 definition, through that table
+(:func:`~lz78lab.parsing.certify`), instead of parsing 0w again.
 """
 
 from __future__ import annotations
@@ -83,13 +83,29 @@ class ChainRecord:
     resync_word: bytes | None = None
 
 
-@dataclass
+@dataclass(init=False)
 class ConstructedWord:
-    n: int                            # the length of w
+    table: Table = field(repr=False)  # the segment table of 0w, as the construction fed it
     red: Parsing = field(repr=False)  # the construction's own parse of 0w, unchecked
-    segments: list[Segment]
     chains: list[ChainRecord]
-    meta: dict = field(default_factory=dict)
+    meta: dict
+
+    def __init__(self, table: Table, red: Parsing, chains: list[ChainRecord], meta: dict,
+                 segments: list[Segment] | None = None):
+        """``segments``, when given, replace those of ``table`` in a new table
+        with the same front, so ``dataclasses.replace(cw, segments=...)`` is
+        the word those segments lay out, with ``cw``'s parse as ``red``."""
+        self.table = table if segments is None else Table(table.front, segments)
+        self.red, self.chains, self.meta = red, chains, meta
+
+    @property
+    def n(self) -> int:
+        """The length of w."""
+        return len(self.table) - 1
+
+    @property
+    def segments(self) -> list[Segment]:
+        return self.table.segments
 
     @property
     def source(self) -> Word:
@@ -100,12 +116,12 @@ class ConstructedWord:
     def word(self) -> Word:
         """w, joined from the segments at each call: a copy of all its
         letters, which no report reads."""
-        return Word(self.letters()[:])
+        return Word(self.table[1:])
 
     def letters(self, front: bytes = b"") -> Table:
-        """The segment table of ``front`` followed by w: it reads the letters
-        where the segments hold them."""
-        return Table(front, self.segments)
+        """The segment table of ``front`` followed by w: ``table`` itself for
+        the front 0, a new table over the same segments otherwise."""
+        return self.table if front == b"0" else Table(front, self.segments)
 
     @classmethod
     def from_parser(cls, parser: StreamParser, table: Table, chains: list[ChainRecord],
@@ -113,19 +129,15 @@ class ConstructedWord:
         """The word w whose 0w is ``table``, with ``parser``'s parse of 0w as
         ``red``: its blocks, exact-size copies of the parser's block arrays,
         over the table.  The parser is left empty."""
-        return cls(n=len(table) - 1, red=parser.finish(table), segments=table.segments,
-                   chains=chains, meta=meta)
+        return cls(table, parser.finish(table), chains, meta)
 
     def certified_red(self) -> Parsing:
         """``red`` once :func:`~lz78lab.parsing.certify` shows it to be the
-        LZ'78 parse of 0w, read through the segment table of 0w: the accepted
-        parse, over that table.  Raises ``ConstructionError`` otherwise;
-        ``red`` is left as it is."""
+        LZ'78 parse of 0w, read through ``table``: the accepted parse, over
+        that table.  Raises ``ConstructionError`` otherwise; ``red`` is left
+        as it is."""
         red = self.red
-        return certify(self.letters(b"0"), red.starts, red.preds, red.last_is_duplicate)
-
-    def segment_starts(self) -> list[int]:
-        return _layout(self.segments)[:-1].tolist()
+        return certify(self.table, red.starts, red.preds, red.last_is_duplicate)
 
 
 def front_census(cw: ConstructedWord, green: Parsing, red_starts):
@@ -140,7 +152,7 @@ def front_census(cw: ConstructedWord, green: Parsing, red_starts):
     (regular or gadget) segment and any further blocks lie in the padding:
     the units come first, then at most one padding segment, so the green
     starts must be the segment bounds up to the padding's start."""
-    bounds = _layout(cw.segments)
+    bounds = np.array(cw.table.bounds[1:]) - 1     # letter p of 0w is letter p - 1 of w
     units = sum(seg.kind != PADDING for seg in cw.segments)
     head = list(green.starts[:units + 1])
     units_ok = head == bounds[:max(len(head), units)].tolist()
@@ -195,9 +207,10 @@ def build_chain(parser: StreamParser, table: Table, chain_index: int, source: Wo
     chain_start = len(table) - 1      # letter p of w is letter p + 1 of 0w
     seg_lo = len(table.segments)
     table.extend(Segment(REGULAR, q + 1 + t, chain_index, x) for t in range(s))
-    # the regulars' spans in w, laid out once; a gadget opens a gap before its
-    # target, so each insertion shifts the spans from the target on
-    bounds = _layout(table.segments[seg_lo:], chain_start)
+    # the regulars' spans in w, the census's working copy of the table's
+    # bounds, read once; a gadget opens a gap before its target, so each
+    # insertion shifts the spans from the target on
+    bounds = np.array(table.bounds[seg_lo + 1:]) - 1
     starts, ends = bounds[:-1], bounds[1:].copy()
 
     def advance(end: int):
@@ -283,14 +296,6 @@ def build_chain(parser: StreamParser, table: Table, chain_index: int, source: Wo
     record.final_d = d
     record.length = len(table) - 1 - chain_start
     return record
-
-
-def _layout(segments: list[Segment], start: int = 0):
-    """The one map from segments to positions: the run of ``segments`` (a
-    whole word, or one chain) laid from letter ``start`` of the word.  Returns
-    its segment bounds, segment k spanning ``bounds[k]`` to ``bounds[k + 1]``."""
-    lengths = np.fromiter((seg.length for seg in segments), np.int64, len(segments))
-    return start + np.concatenate(([0], np.cumsum(lengths)))
 
 
 def _census(blocks, end: int, starts, ends, window: int):

@@ -10,10 +10,10 @@ limit values, which are out of reach at desk scale.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .construction import ConstructedWord, Segment, _layout
+from .construction import ConstructedWord
 from .errors import ParameterError, SamplingError
 from .general import RETRY_CAP, _add_chain, _grams, check_p1
 from .parsing import MAX_NODES, Parsing, StreamParser, parse, ratio_from_counts
@@ -128,9 +128,9 @@ def build_prefix(l0: int, gamma: float, budget_n: int, seed: int) -> Constructed
     Levels are taken as the build reaches them: words are sampled on demand,
     the next level only while the chains so far are short of the budget, and
     the final chain is truncated.  ``meta["schedule"]`` lists the levels
-    reached.  The parser is rolled back to the truncation point and fed up
-    to it again from the segment table, whose segments are then cut there,
-    so ``red`` is the parse of 0w for the emitted prefix w.
+    reached.  The parser is rolled back to the truncation point, the segment
+    table is cut there in place, and the parser is fed up to it again from
+    the table, so ``red`` is the parse of 0w for the emitted prefix w.
     """
     sched = schedule(l0, gamma, 1)   # l0, gamma and level 0 are refused before any draw
     if budget_n < l0 * (l0 + 1) // 2:
@@ -163,25 +163,15 @@ def build_prefix(l0: int, gamma: float, budget_n: int, seed: int) -> Constructed
         corpus_grams |= _m_grams([xw.data], grams_m)
 
     full_len = len(table) - 1
-    # cut the parse back to the prefix: the blocks are then those of 0w
+    # cut the table and the parse back to the prefix: the blocks are then those of 0w
     parser.rollback(budget_n + 1)
-    for piece in table.slices(parser.position, budget_n + 1):
+    table.cut(budget_n + 1)
+    for piece in table.slices(parser.position):
         parser.feed(piece)
     return ConstructedWord.from_parser(
-        parser, Table(b"0", _truncate_segments(table.segments, budget_n)), chains,
+        parser, table, chains,
         {"schedule": sched, "seed": seed, "budget": budget_n,
          "generated": full_len, "words_per_level": words_per_level})
-
-
-def _truncate_segments(segments: list[Segment], budget: int) -> list[Segment]:
-    """The segments that start before letter ``budget``, the last one cut
-    short to end there."""
-    bounds = _layout(segments).tolist()
-    kept = bisect_left(bounds, budget, hi=len(segments))
-    out = segments[:kept]
-    if kept and bounds[kept] > budget:
-        out[-1] = out[-1]._replace(length=budget - bounds[kept - 1])
-    return out
 
 
 def ratio_curve(w, stride: int) -> list[tuple[int, float]]:

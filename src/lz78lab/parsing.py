@@ -42,7 +42,7 @@ import numpy as np
 
 from . import kernel
 from .errors import ConstructionError, MalformedCodeError, ParameterError
-from .words import SLICE, Table, Word, as_bits
+from .words import Table, Word, as_bits
 
 
 _KERNEL = kernel.load()
@@ -122,30 +122,24 @@ class StreamParser:
         """The child slots of the nodes in use, two per node, a view as ``starts``."""
         return _view(self._child, "i")[:2 * self._state.nodes]
 
-    def feed(self, data) -> int:
+    def feed(self, data: bytes) -> int:
         """Consume letters; returns the index of the first newly completed block.
 
-        ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``: ``bytes``
-        are read in place, and any other buffer (a ``bytearray``, a
-        ``memoryview``) is copied ``words.SLICE`` letters at a time.
+        ``data`` holds the letters as the bytes ``b"0"`` and ``b"1"``, a
+        ``bytes`` read in place; any other type is a ``TypeError``.
         """
+        if type(data) is not bytes:
+            raise TypeError(f"feed takes bytes, not {type(data).__name__}")
         first_new = self._state.nodes - 1
         if _KERNEL is not None:
             feed, ref = _KERNEL.lz78_feed, self._ref
         else:
             feed, ref = _feed_py, self
-        if type(data) is bytes:
-            pieces = (data,)
-        else:
-            view = memoryview(data)
-            pieces = (bytes(view[lo:lo + SLICE]) for lo in range(0, len(view), SLICE))
-        for piece in pieces:
-            n = len(piece)
-            i = feed(ref, piece, 0, n)
-            while i < n:
-                self._grow()
-                i = feed(ref, piece, i, n)
-            del piece                  # before the next slice is copied
+        n = len(data)
+        i = feed(ref, data, 0, n)
+        while i < n:
+            self._grow()
+            i = feed(ref, data, i, n)
         return first_new
 
     def _grow(self) -> None:

@@ -102,16 +102,9 @@ def verify_toy(cw: ConstructedWord, front="0") -> ToyReport:
     if len(front) != 1:
         raise ParameterError("front must be a single letter")
     green = parse(cw.letters())
-    if front == b"0":
-        red = cw.certified_red()
-        red_starts, dic_aw = red.starts, red.dict_size
-    else:
-        sp = StreamParser()
-        for piece in cw.letters(front).slices():
-            sp.feed(piece)
-        red_starts, _, dup = sp.closed_blocks()
-        dic_aw = len(red_starts) - dup
-    units_ok, counts, _ = front_census(cw, green, red_starts)
+    red = cw.certified_red() if front == b"0" else parse(cw.letters(front))
+    dic_aw = red.dict_size
+    units_ok, counts, _ = front_census(cw, green, red.starts)
 
     chain = cw.chains[0]
     s = chain.regular_count

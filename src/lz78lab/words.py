@@ -17,7 +17,7 @@ import ctypes
 import operator
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -163,8 +163,8 @@ class Table:
     is segment r - 1, and run r spans ``bounds[r]`` to ``bounds[r + 1]``, an
     int64 ``array``, 8 bytes a run, which the kernel reads in place.  The
     table keeps its own list of the segments, which a construction grows
-    through :meth:`extend` and :meth:`insert`; a plain word is the one-run
-    table ``Table(data)``."""
+    through :meth:`extend` and :meth:`insert` and cuts short with
+    :meth:`cut`; a plain word is the one-run table ``Table(data)``."""
 
     __slots__ = ("front", "segments", "bounds")
 
@@ -199,6 +199,17 @@ class Table:
         self.segments.insert(k, segment)
         bounds = self.bounds
         bounds[k + 2:] = array("q", [b + segment.length for b in bounds[k + 1:]])
+
+    def cut(self, n: int) -> None:
+        """Keep the first ``n`` letters, n at least the front's length: the
+        segments that start at or after letter n go, and the last one kept,
+        a named tuple as :class:`~lz78lab.construction.Segment`, is cut
+        short to end there."""
+        runs = bisect_left(self.bounds, n, lo=1)   # the front and the runs that start before n
+        del self.segments[runs - 1:], self.bounds[runs + 1:]
+        if self.bounds[runs] > n:
+            self.segments[-1] = self.segments[-1]._replace(length=n - self.bounds[runs - 1])
+            self.bounds[runs] = n
 
     def slices(self, a: int = 0, b: int | None = None):
         """The letters of positions [a, b) (b is the end by default) as

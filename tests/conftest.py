@@ -108,10 +108,19 @@ def assert_is_parse_of_0w(red, word: bytes):
         fresh.starts, fresh.preds, fresh.last_is_duplicate)
 
 
+def segment_starts(segments) -> list[int]:
+    """The naive layout: segment k starts at the sum of the lengths before it."""
+    starts, at = [], 0
+    for seg in segments:
+        starts.append(at)
+        at += seg.length
+    return starts
+
+
 def assert_segments_tile(cw):
-    """The segments, placed at ``cw.segment_starts()``, lie end to end from
+    """The segments, placed at ``segment_starts``, lie end to end from
     letter 0 to the end of the word, each as long as its ``length``."""
-    starts = cw.segment_starts()
+    starts = segment_starts(cw.segments)
     ends = starts[1:] + [len(cw.word)]
     assert starts[:1] == [0]
     assert [b - a for a, b in zip(starts, ends)] == [seg.length for seg in cw.segments]
@@ -119,8 +128,8 @@ def assert_segments_tile(cw):
 
 def regular_letters(cw) -> bytes:
     """The letters of the regular segments of ``cw``, in word order, cut at
-    ``cw.segment_starts()``: the word without its gadgets and padding."""
-    starts = cw.segment_starts()
+    ``segment_starts``: the word without its gadgets and padding."""
+    starts = segment_starts(cw.segments)
     data = cw.word.data
     return b"".join(data[a:a + seg.length] for a, seg in zip(starts, cw.segments)
                     if seg.kind == REGULAR)

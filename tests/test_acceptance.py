@@ -134,9 +134,9 @@ def test_criterion_5_gadget_construction_suite(gadget_suite):
         # (c) pairwise violation trade-off over all offsets of pref(x)
         ap = align(pref(cw.source), "0")
         table = violation_table(ap)
-        top2 = sorted(table.counts.values())[-2:]
+        top2 = sorted(table.values())[-2:]
         assert sum(top2) <= s, f"k={k}: {'+'.join(map(str, top2))} > {s}"
-        assert sum(1 for c in table.counts.values() if 2 * c > s) <= 1
+        assert sum(1 for c in table.values() if 2 * c > s) <= 1
         details.append(f"k={k}: dic(w)={rep.dic_w}, dic(0w)={rep.dic_aw}, "
                        f"max viol {max(rep.violations.values())}")
     elapsed = gadget_suite["elapsed"] + time.perf_counter() - t0

@@ -16,7 +16,7 @@ from lz78lab.parsing import StreamParser
 from lz78lab.words import Table
 
 from conftest import (assert_is_parse_of_0w, assert_segments_tile, regular_letters,
-                      segment_tags)
+                      segment_starts, segment_tags)
 from oracles import naive_classify, naive_parse, naive_resync_word
 
 
@@ -129,7 +129,7 @@ def test_front_census_unit_check(small_build):
     # padding's start on
     params, family, cw = small_build
     green, red = parse(cw.word.data), cw.certified_red()
-    *units, pad_start = cw.segment_starts()
+    *units, pad_start = segment_starts(cw.segments)
     assert cw.segments[-1].kind == PADDING and cw.segments[-1].length > 1
 
     def units_ok(starts):
@@ -166,14 +166,14 @@ def test_chain_synchronization(small_build):
     # chain 0's offset-0 gadget words, not prefixes of chain 0's word
     assert [seed3.chains[j].q for j in (1, 5)] == [2, 7]
     gadgets = {seed3.word.data[s:s + seg.length]
-               for s, seg in zip(seed3.segment_starts(), seed3.segments)
+               for s, seg in zip(segment_starts(seed3.segments), seed3.segments)
                if seg.kind == GADGET and seg.chain == 0}
     for j in (1, 5):
         x = seed3.chains[j].source.data
         assert {x[:t + 1] for t in range(seed3.chains[j].q)} <= gadgets
     for cw in (small_build[2], seed3):
         green = parse(cw.word.data)
-        starts = cw.segment_starts()
+        starts = segment_starts(cw.segments)
         # every unit segment is one green block
         units = [s for s, seg in zip(starts, cw.segments) if seg.kind != PADDING]
         assert green.starts[:len(units)] == units
@@ -274,8 +274,8 @@ def test_verify_general_rejects_a_tampered_parse_of_0w(small_build):
     # whose last letter differs from the one red was parsed over is caught
     pad = cw.segments[-1]
     assert pad.kind == PADDING
-    bad = dataclasses.replace(cw, segments=cw.segments[:-1] + [
-        pad._replace(source=b"0" * (pad.length - 1) + b"1")])
+    bad = dataclasses.replace(cw, table=Table(b"0", cw.segments[:-1] + [
+        pad._replace(source=b"0" * (pad.length - 1) + b"1")]))
     with pytest.raises(ConstructionError):
         verify_general(bad)
 
@@ -284,7 +284,7 @@ def test_per_chain_violations_match_interval_oracle(small_build):
     params, family, cw = small_build
     assert sum(c.gadget_count for c in cw.chains) > 0
     text = cw.word.to_text()
-    bounds = cw.segment_starts() + [len(text)]
+    bounds = segment_starts(cw.segments) + [len(text)]
     segment_words = [text[a:b] for a, b in zip(bounds, bounds[1:])]
     red_blocks = naive_parse("0" + text)
     violated = {c.index: {} for c in cw.chains}
@@ -441,7 +441,7 @@ def test_each_hot_chain_asks_for_its_gadgets_once_on_its_whole_feed(
 def test_resync_word_selection_rule(mode):
     # blocks 0 | 1 | 00 | 01 | 000 | 001 | 10 | 11 of the front parsing,
     # ending at letters 1, 2, 4, 6, 9, 12, 14 and 16
-    parser, tape = StreamParser(), bytearray(b"0" b"1" b"00" b"01" b"000" b"001" b"10" b"11")
+    parser, tape = StreamParser(), b"0" b"1" b"00" b"01" b"000" b"001" b"10" b"11"
     parser.feed(tape)
 
     def resolve(green_words, x, m_int, h_red):
@@ -486,7 +486,7 @@ def test_resync_word_matches_the_oracle_on_random_parses(mode):
 
 
 def test_resync_word_raise_leaves_the_parser_growable(mode):
-    parser, tape = StreamParser(), bytearray(b"0")
+    parser, tape = StreamParser(), b"0"
     parser.feed(tape)
     with pytest.raises(ConstructionError) as info:
         general_mod._resync_word(parser, set(), b"0110", 4, 1, 3)

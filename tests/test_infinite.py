@@ -12,7 +12,7 @@ from lz78lab import infinite, words
 from lz78lab.infinite import _fresh_factors, _m_grams, prefix_ratios
 from lz78lab.parsing import MAX_NODES
 
-from conftest import assert_is_parse_of_0w, assert_segments_tile
+from conftest import assert_is_parse_of_0w, assert_segments_tile, segment_starts
 from oracles import worst_case_word
 
 
@@ -223,7 +223,7 @@ def test_build_prefix_segments_tile_the_cut_word():
     generated = build_prefix(256, 0.1, 40_000, seed=3).meta["generated"]
     whole = build_prefix(256, 0.1, generated, seed=3)
     assert_segments_tile(whole)
-    starts = whole.segment_starts()
+    starts = segment_starts(whole.segments)
     j = bisect.bisect(starts, 45_000)
     assert whole.segments[j].length > 1
     for budget, kept in ((starts[j], j), (starts[j] + 1, j + 1)):

@@ -19,7 +19,8 @@ from lz78lab.parsing import FIRST_NODES, StreamParser, certify, ratio_from_count
 from lz78lab.toy import construct_from_base
 from lz78lab.words import SLICE, Table, as_bits, random_word
 
-from conftest import KERNEL_LOADED, PARSERS, forced_base, fuzz_word, parser_mode
+from conftest import (KERNEL_LOADED, PARSERS, forced_base, fuzz_word, parser_mode,
+                      segment_starts)
 from oracles import naive_letters, naive_parse
 
 # the equivalence tests below run in each mode of conftest.PARSERS (CI fails
@@ -124,38 +125,31 @@ def test_parse_peak_memory_per_letter():
 def test_a_feed_keeps_no_copy_of_the_letters(mode):
     # the letters stay with the caller: a feed only walks the trie, so all it
     # allocates is the parser's doubled arrays, 24 bytes a node for the 1,034
-    # blocks of this 1w (0.09 bytes a letter), and for a buffer that is not
-    # bytes one copied slice of SLICE letters at a time; a copy of the
-    # letters would add 1.0 byte a letter
+    # blocks of this 1w (0.09 bytes a letter); a copy of the letters would
+    # add 1.0 byte a letter
     data = b"1" + construct_toy(10).word.data
-    for letters, scratch in ((data, 0), (bytearray(data), SLICE),
-                             (memoryview(bytearray(data)), SLICE)):
-        sp = StreamParser()
-        tracemalloc.start()
-        try:
+    sp = StreamParser()
+    tracemalloc.start()
+    try:
+        sp.feed(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * len(data), f"{peak / len(data):.3f} bytes per letter"
+    assert sp.position == len(data)
+
+
+def test_feed_takes_bytes_only(mode):
+    # the same TypeError in both modes, before any letter is fed
+    sp = StreamParser()
+    sp.feed(b"0110")
+    for letters in (bytearray(b"10"), memoryview(b"10"), "10", Word("10")):
+        with pytest.raises(TypeError, match=f"feed takes bytes, not {type(letters).__name__}"):
             sp.feed(letters)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - scratch < 0.1 * len(data), \
-            f"{type(letters).__name__}: {(peak - scratch) / len(data):.3f} bytes per letter"
-        assert sp.position == len(data)
-
-
-def test_a_feed_in_slices_keeps_its_blocks(mode):
-    # a buffer that is not bytes is fed a slice at a time; blocks that span
-    # slices, and the arrays doubling mid-slice, give the parse of the bytes
-    data = b"1" + construct_toy(7).word.data
-    want = parse(data)
-    for letters in (bytearray(data), memoryview(bytearray(data))[:]):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(parsing, "SLICE", 7)
-            sp = StreamParser()
-            assert sp.feed(letters) == 0
-        assert sp.position == len(data)
-        got = sp.finish(letters)
-        assert (got.data, list(got.starts), list(got.preds), got.last_is_duplicate) == (
-            want.data, want.starts, want.preds, want.last_is_duplicate)
+        assert sp.position == 4
+    got, want = sp.finish(b"0110"), parse(b"0110")
+    assert (list(got.starts), list(got.preds), got.last_is_duplicate) == (
+        want.starts, want.preds, want.last_is_duplicate)
 
 
 @pytest.mark.parametrize("at", [0, 4_000_000 - 3, 5 * SLICE - 1, 5 * SLICE])
@@ -580,7 +574,7 @@ def test_the_reader_gives_the_tapes_letters(mode, monkeypatch):
         assert cw.word.data == want and cw.n == len(want)
         with monkeypatch.context() as mp:
             mp.setattr(words_mod, "SLICE", 64)
-            starts = cw.segment_starts()
+            starts = segment_starts(cw.segments)
             table, want = cw.letters(b"0"), b"0" + want
             for _ in range(40):
                 end = 1 + starts[rng.randrange(1, len(starts))]   # a segment end in 0w
@@ -609,6 +603,48 @@ def test_certify_accepts_every_constructions_parse_of_0w(constructions):
                              red.last_is_duplicate)
             assert not isinstance(got, ConstructionError), (name, form, got)
             assert got == red and got.data == cw.letters(b"0")
+
+
+def test_the_table_of_0w_is_the_constructed_words_one_record(constructions):
+    """The table a construction fed is ``red``'s data, the letters of 0w and
+    what certify accepts red over; ``segments`` and ``n`` are its own, and
+    its bounds, less one, are the naive layout of the segments in w."""
+    for name, cw in constructions.items():
+        assert cw.letters(b"0") is cw.table is cw.red.data, name
+        assert cw.certified_red().data is cw.table, name
+        assert cw.segments is cw.table.segments and cw.n == len(cw.table) - 1
+        assert list(cw.table.bounds) == [
+            0, *(1 + s for s in segment_starts(cw.segments)), 1 + cw.n], name
+    assert {name[0] for name in constructions} == {"forced", "general", "prefix", "toy"}
+
+
+def test_a_cut_keeps_the_first_letters_of_its_table(constructions):
+    """``Table.cut(n)`` in place leaves the table of the first n letters: at
+    run ends, one letter either side of them and at random n, its letters
+    are the naive join's first n, its segments the whole table's up to the
+    last one kept, which is cut short unless n is its end, and its bounds
+    are those a new table of its segments lays out."""
+    rng = random.Random(36)
+    for name, cw in constructions.items():
+        whole = naive_letters(b"0", cw.segments)
+        ends = set(cw.table.bounds[1:])
+        cuts = {1, len(whole)} | set(rng.sample(sorted(ends), min(30, len(ends))))
+        cuts |= {e + d for e in list(cuts) for d in (-1, 1) if 1 <= e + d <= len(whole)}
+        cuts |= {rng.randint(1, len(whole)) for _ in range(30)}
+        for n in sorted(cuts):
+            table = Table(b"0", cw.segments)
+            table.cut(n)
+            kept = table.segments
+            assert table[:] == naive_letters(b"0", kept) == whole[:n], (name, n)
+            assert len(table) == n and list(table.bounds) == list(Table(b"0", kept).bounds)
+            if kept:
+                assert kept[:-1] == cw.segments[:len(kept) - 1]
+                last = cw.segments[len(kept) - 1]
+                assert kept[-1] == last._replace(length=kept[-1].length)
+                assert (kept[-1] == last) == (n in ends), (name, n)
+    table = Table(b"", cw.segments)
+    table.cut(0)
+    assert table.segments == [] and list(table.bounds) == [0, 0]
 
 
 def cut_into_runs(data: bytes, rng) -> Table:
@@ -785,7 +821,7 @@ def test_stream_parser_rollback_matches_fresh_parse():
                         assert removed == range(sp.position, len(content))
                         assert sp.position <= pos
                         content[pos:pos] = piece
-                        sp.feed(content[sp.position:])
+                        sp.feed(bytes(content[sp.position:]))
                     else:
                         sp.feed(piece)
                         content += piece
@@ -1146,7 +1182,7 @@ def test_rollback_and_refeed_property(script):
                 assert removed == range(sp.position, len(content))
                 assert sp.position <= pos
                 content[pos:pos] = piece.encode()
-                sp.feed(content[sp.position:])
+                sp.feed(bytes(content[sp.position:]))
         assert_fed_alike(sp, bytes(content))
 
 

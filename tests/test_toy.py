@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 from array import array
 from functools import partial
@@ -16,7 +17,7 @@ from lz78lab.words import Table
 from lz78lab.toy import _toy_gadget, construct_from_base, construct_toy
 
 from conftest import (assert_is_parse_of_0w, assert_segments_tile, forced_base,
-                      regular_letters, segment_tags)
+                      regular_letters, segment_starts, segment_tags)
 from oracles import naive_classify, naive_gadget_loop, naive_parse
 
 
@@ -152,7 +153,7 @@ def test_front_census_counts_regular_segments_only(length, seed, k):
     # census must leave them out
     cw = construct_from_base(forced_base(length, seed), k, 3.0)
     text = cw.word.to_text()
-    bounds = cw.segment_starts() + [len(text)]
+    bounds = segment_starts(cw.segments) + [len(text)]
     segment_words = [text[a:b] for a, b in zip(bounds, bounds[1:])]
     violated, in_gadget = {}, 0
     for cls in naive_classify(segment_words, naive_parse("0" + text)):
@@ -372,21 +373,35 @@ def test_gadgets_are_asked_once_per_hot_chain_on_its_whole_feed(scratch):
 
 
 @pytest.mark.parametrize("scratch", [False, True])
-def test_build_chain_lays_its_chain_out_once(monkeypatch, mode, scratch):
-    # the chain is laid out before its first gadget; each insertion shifts the
-    # regulars from its target on, so no gadget lays the chain out again
-    layout, calls = construction._layout, []
-    monkeypatch.setattr(construction, "_layout",
-                        lambda *args: calls.append(args) or layout(*args))
+def test_build_chain_lays_its_chain_out_once(mode, scratch):
+    # the chain is laid out from the table's bounds before its first gadget;
+    # each insertion shifts the regulars from its target on, so no gadget
+    # reads the table's positions again
+    reads = []
+
+    class CountingTable(Table):
+        __slots__ = ()
+
+        @property
+        def bounds(self):
+            # the table's own methods read its bounds too; count build_chain's
+            reads.append(sys._getframe(1).f_code.co_name)
+            return Table.bounds.__get__(self)
+
+        @bounds.setter
+        def bounds(self, value):
+            Table.bounds.__set__(self, value)
+
     gadgets = 0
     for length, seed in [(90, 2), (120, 7), (70, 3), (200, 11)]:
         x = forced_base(length, seed)
-        parser, table = StreamParser(), Table(b"0")
-        calls.clear()
+        parser, table = StreamParser(), CountingTable(b"0")
+        reads.clear()
         record = build_chain(parser, table, 0, x, 0, window=12,
                              gadgets=lambda i: partial(_toy_gadget, x.data, i),
                              include_tail=True, scratch=scratch)
-        assert record.gadget_count > 1 and len(calls) == 1, (length, seed)
+        assert record.gadget_count > 1 and reads.count("build_chain") == 1, (length, seed)
+        assert list(table.bounds) == list(Table(b"0", table.segments).bounds)
         gadgets += record.gadget_count
     assert gadgets > 8
 
@@ -586,5 +601,9 @@ def test_verify_toy_rejects_a_tampered_parse_of_0w():
     segments = list(cw.segments)
     mid = segments[len(segments) // 2]
     segments[len(segments) // 2] = mid._replace(source=flip_first(mid.source[:mid.length]))
-    with pytest.raises(ConstructionError):
-        verify_toy(dataclasses.replace(cw, segments=segments))
+    # a new table, or new segments over the same front, as the benchmark's check tampers
+    for bad in (dataclasses.replace(cw, table=Table(b"0", segments)),
+                dataclasses.replace(cw, segments=segments)):
+        assert bad.table == Table(b"0", segments) and bad.red is cw.red
+        with pytest.raises(ConstructionError):
+            verify_toy(bad)
