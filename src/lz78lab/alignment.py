@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ParameterError
 from .parsing import Parsing, parse
 from .words import as_bits
@@ -67,6 +65,8 @@ def locate(green_starts, green_ends, red_starts, red_ends):
     start, and whether the red block lies inside the span; one that starts
     in a gap never does.  Every array is sized by a block count.
     """
+    import numpy as np
+
     green = np.asarray(green_starts, dtype=np.int64)
     lo = np.asarray(red_starts, dtype=np.int64) - 1
     index = np.searchsorted(green, lo, side="right") - 1
@@ -82,12 +82,16 @@ def offset_counts(offsets) -> dict[int, int]:
     """Number of red blocks at each offset.  Two red blocks never start at the
     same letter, so for blocks inside distinct green blocks this is also the
     number of green blocks violated at each offset."""
+    import numpy as np
+
     values, counts = np.unique(offsets, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
 
 
 def classify(green: Parsing, red: Parsing) -> list[RedClass]:
     """Per-red-block tags; positions in aw map to w by subtracting one."""
+    import numpy as np
+
     red_starts = np.asarray(red.starts, dtype=np.int64)
     index, offset, inside = locate(green.starts, [*green.starts[1:], len(green.data)],
                                    red_starts, np.append(red_starts[1:], len(red.data)))

@@ -47,8 +47,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .alignment import locate, offset_counts
 from .errors import ConstructionError
 from .parsing import Parsing, StreamParser, certify
@@ -152,6 +150,8 @@ def front_census(cw: ConstructedWord, green: Parsing, red_starts):
     (regular or gadget) segment and any further blocks lie in the padding:
     the units come first, then at most one padding segment, so the green
     starts must be the segment bounds up to the padding's start."""
+    import numpy as np
+
     bounds = np.array(cw.table.bounds[1:]) - 1     # letter p of 0w is letter p - 1 of w
     units = sum(seg.kind != PADDING for seg in cw.segments)
     head = list(green.starts[:units + 1])
@@ -202,6 +202,8 @@ def build_chain(parser: StreamParser, table: Table, chain_index: int, source: Wo
     With ``scratch`` every pass is the first run again after
     ``parser.reset()``.
     """
+    import numpy as np
+
     x = source.data
     s = len(x) - q
     chain_start = len(table) - 1      # letter p of w is letter p + 1 of 0w
@@ -314,6 +316,8 @@ def _edge_slices(starts, end: int):
     int64 arrays of their edges, CENSUS_SLICE blocks at most: each slice ends
     on the edge that begins the next.  There is always a slice, without a
     block when there is no block."""
+    import numpy as np
+
     n = len(starts)
     for lo in range(0, max(n, 1), CENSUS_SLICE):
         edges = np.asarray(starts[lo:lo + CENSUS_SLICE + 1], dtype=np.int64)

@@ -6,8 +6,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
 from .words import Word, as_bits, random_word
 
@@ -88,8 +86,11 @@ def _seed_ladder(seed: int):
         yield (seed or 1) * 1000003 + i
 
 
-def _gram_counts(data: bytes, length: int) -> np.ndarray:
-    """Occurrence count of every length-``length`` value (linear, overlapping)."""
+def _gram_counts(data: bytes, length: int):
+    """Occurrence count of every length-``length`` value (linear, overlapping),
+    as a numpy array indexed by value."""
+    import numpy as np
+
     bits = np.frombuffer(data, dtype=np.uint8) & 1
     n = len(bits) - length + 1
     if n <= 0:

@@ -38,8 +38,6 @@ from collections.abc import Sequence
 from itertools import groupby, repeat
 from typing import NamedTuple
 
-import numpy as np
-
 from . import kernel
 from .errors import ConstructionError, MalformedCodeError, ParameterError
 from .words import Table, Word, as_bits
@@ -405,6 +403,8 @@ def certify(data, starts, preds, last_is_duplicate: bool) -> Parsing:
             raise ConstructionError("the parse claims no blocks for a non-empty word"
                                     if len(table) else "the empty word has no duplicate block")
         return Parsing(data, starts, preds, False)
+
+    import numpy as np
 
     # zero-copy views of int64 claims, as a finished parser's, contiguous for the kernel
     first, pred = (np.ascontiguousarray(c, dtype=np.int64) for c in (starts, preds))

@@ -20,8 +20,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-import numpy as np
-
 from .errors import ParameterError
 
 PACKED_MAGIC = b"LZCW"
@@ -93,6 +91,8 @@ def _stream(entropy, count: int) -> bytes:
     # module imports this one, and the tests unbind it there
     lib = sys.modules[f"{__package__}.parsing"]._KERNEL
     if lib is None:
+        import numpy as np
+
         bits = np.random.PCG64(np.random.SeedSequence(entropy))
         return bits.random_raw(-(-count // 8)).astype("<u8").tobytes()[:count]
     # a buffer of the next power of two: ctypes looks up a new array type for
@@ -246,15 +246,22 @@ def pack_word(bits) -> bytes:
 
 def _packed(data: bytes) -> bytes:
     """The letters' bits, packed little-endian within each byte."""
+    import numpy as np
+
     return np.packbits(np.frombuffer(data, dtype=np.uint8) & 1, bitorder="little").tobytes()
 
 
 def unpack_word(blob: bytes) -> Word:
+    import numpy as np
+
     if blob[:4] != PACKED_MAGIC:
         raise ParameterError("not a packed word: bad magic")
+    if len(blob) < 12:
+        raise ParameterError(f"packed word header is cut short: {len(blob)} bytes, "
+                             "not the 12 of the magic and the 8-byte length")
     n = int.from_bytes(blob[4:12], "little")
     payload = np.frombuffer(blob[12:], dtype=np.uint8)
-    if len(blob) < 12 or len(payload) != (n + 7) // 8:
+    if len(payload) != (n + 7) // 8:
         raise ParameterError(f"packed word declares {n} letters but carries "
                              f"{len(payload)} payload bytes")
     if n % 8 and payload[-1] >> (n % 8):

@@ -1262,3 +1262,12 @@ def test_packed_rejects_malformed_blobs():
     for blob in (truncated, trailing, padded, b"LZCW\x00"):
         with pytest.raises(ParameterError):
             unpack_word(blob)
+
+
+@pytest.mark.parametrize("blob", [b"LZCW", b"LZCW" + bytes(5), b"LZCW" + bytes(7)])
+def test_packed_header_cut_short_is_named(blob):
+    """A blob that starts with the magic but stops before the end of its
+    8-byte length field declares no length, so no letter count is reported."""
+    from lz78lab import unpack_word
+    with pytest.raises(ParameterError, match="header is cut short"):
+        unpack_word(blob)
