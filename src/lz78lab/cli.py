@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every checked assertion passed, 1 on an assertion
 violation (with a machine-readable reproducer in the report), 2 on
-usage or parameter errors.  Reports are deterministic for identical
+usage or parameter errors, 141 (128 + SIGPIPE) when the reader of
+standard output closed it early.  Reports are deterministic for identical
 flags and seed: no timestamps, sorted keys.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import general as gen
@@ -23,7 +25,7 @@ from .parsing import (MAX_NODES, comp_ratio, dict_size, encode, parse, ratio_fro
 from .toy import construct_toy, verify_toy
 from .words import Word, random_unit, random_word, read_word_file, write_word_file
 
-OK, VIOLATION, USAGE = 0, 1, 2
+OK, VIOLATION, USAGE, BROKEN_PIPE = 0, 1, 2, 141
 
 
 def _csv_cell(value) -> str:
@@ -370,7 +372,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()             # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: the rest goes to devnull, so the flush at exit does not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -17,7 +17,9 @@ when this module is imported.  When the kernel did not load (``_KERNEL`` is
 None), the same methods run :func:`_feed_py` and :func:`_truncate_py`, line
 for line transliterations of the kernel's ``lz78_feed`` and ``lz78_truncate``
 over the same state and the same arrays; they are the fallback without a
-compiler, and the tests run both modes, also on one parser.
+compiler, and the tests run both modes, also on one parser.  :func:`parse`
+and :func:`dict_size` run on spare parsers, which are emptied in either
+mode by zeroing their used child slots, with no kernel call.
 
 :func:`certify` checks a claimed parse against the definition and uses no
 parser code, so it checks either mode independently.  Its rules are one
@@ -67,7 +69,8 @@ class StreamParser:
     node count.
     """
 
-    __slots__ = ("_state", "_ref", "_child", "_starts", "_preds")
+    __slots__ = ("_state", "_ref", "_child", "_starts", "_preds",
+                 "_child_view", "_starts_view", "_preds_view")
 
     def __init__(self):
         st = self._state = kernel.State()
@@ -89,22 +92,25 @@ class StreamParser:
         self._bind(cap)
 
     def _bind(self, cap: int) -> None:
-        """Point the state at the parser's arrays, of ``cap`` nodes."""
+        """Point the state at the parser's arrays, of ``cap`` nodes, and make
+        the views of them that every read goes through."""
         st = self._state
         st.child, st.starts, st.preds = map(ctypes.addressof,
                                             (self._child, self._starts, self._preds))
         st.node_cap = cap
+        self._child_view = _view(self._child, "i")
+        self._starts_view, self._preds_view = _view(self._starts, "q"), _view(self._preds, "q")
 
     @property
     def starts(self) -> memoryview:
         """Start position of each completed block: a zero-copy view, valid until
         the next feed or rollback, which may write over it or leave it stale."""
-        return _view(self._starts, "q")[:self._state.nodes - 1]
+        return self._starts_view[:self._state.nodes - 1]
 
     @property
     def preds(self) -> memoryview:
         """Predecessor block of each completed block (-1 for the root), a view as ``starts``."""
-        return _view(self._preds, "q")[:self._state.nodes - 1]
+        return self._preds_view[:self._state.nodes - 1]
 
     @property
     def position(self) -> int:
@@ -118,7 +124,7 @@ class StreamParser:
     @property
     def child(self) -> memoryview:
         """The child slots of the nodes in use, two per node, a view as ``starts``."""
-        return _view(self._child, "i")[:2 * self._state.nodes]
+        return self._child_view[:2 * self._state.nodes]
 
     def feed(self, data: bytes) -> int:
         """Consume letters; returns the index of the first newly completed block.
@@ -142,14 +148,15 @@ class StreamParser:
 
     def _grow(self) -> None:
         """Double the arrays one at a time, each old one dropped once it is
-        copied, so no more than one is held twice; the node ids must stay
-        int32."""
+        copied, so no more than one is held twice (their views, which would
+        keep them alive, are dropped first); the node ids must stay int32."""
         st = self._state
         if st.node_cap >= MAX_NODES:
             raise ParameterError(
                 f"the parse needs more than {MAX_NODES} dictionary nodes, "
                 "beyond the parser's int32 node ids")
         cap = min(2 * st.node_cap, MAX_NODES)
+        self._child_view = self._starts_view = self._preds_view = None
         for name in ("_child", "_starts", "_preds"):
             old = getattr(self, name)
             new = (old._type_ * (old._length_ // st.node_cap * cap))()
@@ -190,7 +197,7 @@ class StreamParser:
         as long as those of :attr:`starts`."""
         st = self._state
         count, cur = st.nodes - 1, st.cur
-        starts, preds = _view(self._starts, "q"), _view(self._preds, "q")
+        starts, preds = self._starts_view, self._preds_view
         if cur:                        # the in-progress block repeats block cur - 1
             starts[count], preds[count] = st.block_start, preds[cur - 1]
             count += 1
@@ -207,13 +214,13 @@ class StreamParser:
         starts, preds, dup = self.closed_blocks()
         count = len(starts)
         del starts, preds              # views: they would keep the arrays alive
-        self._child = None
-        blocks = []
-        for name in ("_starts", "_preds"):
-            blocks.append(memoryview(_view(getattr(self, name), "q")[:count].tobytes()).cast("q"))
-            setattr(self, name, None)
+        self._child = self._child_view = None
+        starts = self._starts_view[:count].tobytes()
+        self._starts = self._starts_view = None
+        preds = self._preds_view[:count].tobytes()
+        self._preds = self._preds_view = None
         self.reset()
-        return Parsing(data, *blocks, dup)
+        return Parsing(data, memoryview(starts).cast("q"), memoryview(preds).cast("q"), dup)
 
 
 def _view(array, fmt: str) -> memoryview:
@@ -226,8 +233,7 @@ def _feed_py(sp: StreamParser, data: bytes, i: int, n: int) -> int:
     arrays: feeds ``data[i:n]``, stops early when the arrays are full, and
     returns the index of the first letter not consumed."""
     s = sp._state
-    child = _view(sp._child, "i")
-    starts, preds = _view(sp._starts, "q"), _view(sp._preds, "q")
+    child, starts, preds = sp._child_view, sp._starts_view, sp._preds_view
     nodes, cur, block_start = s.nodes, s.cur, s.block_start
     node_cap = s.node_cap
     base = s.pos - i                   # position of data[0]
@@ -255,8 +261,7 @@ def _truncate_py(sp: StreamParser, kept: int) -> None:
     """``lz78_truncate`` of ``_kernel.c`` in Python: drops the blocks from
     block ``kept`` on, unlinking each one's node from its parent's slot."""
     s = sp._state
-    child = _view(sp._child, "i")
-    preds = sp._preds
+    child, preds = sp._child_view, sp._preds_view
     for t in range(s.nodes - 1, kept, -1):
         slot = 2 * (preds[t - 1] + 1)
         child[slot + (child[slot + 1] == t)] = 0
@@ -337,6 +342,7 @@ def parse(w) -> Parsing:
 # short word's parse.  list pop and append are atomic under the GIL, so
 # threads never share one
 _SPARES: list[StreamParser] = []
+_ZEROS = memoryview(bytes(8 * FIRST_NODES)).cast("i")   # a spare's child slots, all 0
 
 
 def _spare() -> StreamParser:
@@ -348,17 +354,16 @@ def _spare() -> StreamParser:
 
 def _keep(sp: StreamParser) -> None:
     """Empty ``sp`` and keep it as a spare, unless its arrays grew: then it
-    is dropped, so a long parse's arrays do not outlive it.  Every used
-    slot is unlinked, as a rollback to the start would, so all are 0 again.
-    A parser whose feed raised never gets here."""
+    is dropped, so a long parse's arrays do not outlive it.  Every used child
+    slot lies below 2 nodes: zeroing those leaves the state of a rollback to
+    the start, with no kernel call.  A parser whose feed raised never gets here."""
     st = sp._state
     if st.node_cap != FIRST_NODES:
         return
-    if _KERNEL is not None:
-        _KERNEL.lz78_truncate(sp._ref, 0)
-    else:
-        _truncate_py(sp, 0)
-    st.pos = st.block_start = 0
+    used = 2 * st.nodes
+    sp._child_view[:used] = _ZEROS[:used]
+    st.nodes = 1
+    st.cur = st.pos = st.block_start = 0
     _SPARES.append(sp)
 
 

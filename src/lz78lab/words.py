@@ -35,6 +35,8 @@ def as_bits(w) -> bytes:
     SLICE at a time, so the check allocates two buffers of at most SLICE
     bytes, whatever the word's length; a word that fits in one is checked in
     place, by one ``translate``."""
+    if type(w) is bytes and len(w) <= SLICE and not w.translate(None, b"01"):
+        return w                       # the common case, checked first
     if isinstance(w, Word):
         return w.data
     if isinstance(w, str):
@@ -98,14 +100,18 @@ def _stream(entropy, count: int) -> bytes:
     # a buffer of the next power of two: ctypes looks up a new array type for
     # each size, which costs more than the draw of a short word
     out = (ctypes.c_char * (1 << count.bit_length()))()
-    lib.lz78_pcg64_bytes((ctypes.c_uint32 * len(words))(*words), len(words), out, count)
+    lib.lz78_pcg64_bytes(words.buffer_info()[0], len(words), out, count)
     return out.raw[:count]
 
 
-def _entropy_words(entropy) -> list[int]:
-    """The uint32 words that ``SeedSequence`` makes of ``entropy``: each value's
-    32-bit words, low word first, and one 0 for 0."""
-    words = []
+def _entropy_words(entropy) -> array:
+    """The uint32 words that ``SeedSequence`` makes of ``entropy``, a sequence:
+    each value's 32-bit words, low word first, and one 0 for 0."""
+    try:
+        return array("I", entropy)     # each value one uint32 word, the common case
+    except OverflowError:              # a negative value, or one of two words or more
+        pass
+    words = array("I")
     for value in map(operator.index, entropy):
         if value < 0:
             raise ParameterError(f"seed entropy must be >= 0, not {list(entropy)}")

@@ -1,9 +1,14 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lz78lab
 from lz78lab import words
 from lz78lab.cli import main
 from lz78lab.construction import ConstructedWord
@@ -498,3 +503,20 @@ def test_catastrophe_never_joins_the_word(capsys, monkeypatch):
     monkeypatch.setattr(ConstructedWord, "word", property(joined))
     code, out, _ = run(capsys, "catastrophe", "--k", "9", "--format", "json")
     assert code == 0 and json.loads(out)["dic_1w"] > 0
+
+
+@pytest.mark.parametrize("argv", [["debruijn", "--k", "14"], ["parse", "--word", "0110"]])
+def test_a_reader_that_left_ends_the_command_quietly(argv):
+    """Standard output is a pipe whose read end closed before the command
+    started, so the outcome does not depend on timing: nothing is printed
+    and the exit code is 141 (128 + SIGPIPE), for a report that breaks the
+    pipe mid-write and for one that breaks it at the last flush."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lz78lab.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "lz78lab.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import lz78lab
-from lz78lab import kernel, parsing
+from lz78lab import kernel, parsing, words
 from lz78lab.cli import main
 from lz78lab.construction import REGULAR, Segment
 from lz78lab.errors import ParameterError
@@ -222,6 +222,16 @@ def test_seeded_draws_are_numpys_bit_for_bit(mode):
         seen.update(uint32_words)
         seen.add(sum(uint32_words) > 4)
     assert seen >= {1, 2, 3, True, False}
+
+
+def test_the_stream_splits_entropy_values_at_the_uint32_edges(mode):
+    # 0 and 2^32 - 1 are one uint32 word, 2^32 two and 2^64 + 5 three, alone
+    # and beside another value; the bytes are numpy's bit generator's
+    for value, count in ((0, 1), (2**32 - 1, 1), (2**32, 2), (2**64 + 5, 3)):
+        assert len(words._entropy_words([value])) == count
+        for entropy in ([value], [value, 7], [3, value]):
+            bits = np.random.PCG64(np.random.SeedSequence(entropy))
+            assert words._stream(entropy, 37) == bits.random_raw(5).astype("<u8").tobytes()[:37]
 
 
 def test_a_negative_entropy_or_length_is_refused_before_drawing(monkeypatch):

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -169,6 +170,23 @@ def test_a_bad_letter_deep_in_a_long_word_is_named_at_its_offset(at):
     with pytest.raises(ParameterError, match=f"^invalid letter at offset {at + 1}: 'é'$"):
         as_bits(word.decode("ascii")[:at] + "0é" + "1" * 9)
     assert as_bits(b"01" * 2_000_000) == b"01" * 2_000_000
+
+
+@pytest.mark.parametrize("length", [SLICE, SLICE + 1])
+def test_plain_bytes_are_checked_alike_at_the_edge_of_a_slice(length):
+    # exact bytes of at most SLICE letters take one translate and come back
+    # as they are; one letter more takes the slice loop.  Both name a bad
+    # letter at either end alike, and other buffers come back as bytes copies
+    good = (b"01" * length)[:length]
+    assert as_bits(good) is good
+    for at in (0, length - 1):
+        bad = good[:at] + b"2" + good[at + 1:]
+        for w in (bad, bytearray(bad), memoryview(bad)):
+            with pytest.raises(ParameterError, match=f"^invalid letter at offset {at}: '2'$"):
+                as_bits(w)
+    for w in (bytearray(good), memoryview(good)):
+        got = as_bits(w)
+        assert type(got) is bytes and got == good and got is not good
 
 
 @pytest.mark.parametrize("front", [b"0", b"1"])
@@ -1156,6 +1174,67 @@ def test_threads_never_share_a_spare_parser(mode):
     assert errors == []
     assert got == want
     assert_spares_are_empty()
+
+
+def test_a_parse_that_fills_the_first_arrays_keeps_its_spare(mode):
+    # a parse of exactly FIRST_NODES nodes, its last block completed or in
+    # progress, fits the spare's arrays, so the spare is kept, emptied by
+    # zeroing its child slots up to the last; one node more grows the arrays,
+    # so that parser is dropped.  Each time the next parse, on the spare left
+    # behind, is the oracle's
+    base = random_word([28], 30 * FIRST_NODES)
+    starts = parse(base).starts
+    assert starts[FIRST_NODES] - starts[FIRST_NODES - 1] >= 2
+    full = base[:starts[FIRST_NODES - 1]]                  # FIRST_NODES - 1 blocks
+    in_progress = base[:starts[FIRST_NODES] - 1]           # and all but a letter of one more
+    past = base[:starts[FIRST_NODES]]                      # FIRST_NODES blocks
+    for trial, (word, dup, kept) in enumerate(((full, False, 1), (in_progress, True, 1),
+                                               (past, False, 0))):
+        parse(b"01")
+        spares = len(parsing._SPARES)
+        p = parse(word)
+        assert (p.dict_size, p.last_is_duplicate) == (FIRST_NODES - kept, dup)
+        assert [b.decode() for b in p.blocks()] == naive_parse(word.decode())
+        assert len(parsing._SPARES) == spares - 1 + kept
+        assert_spares_are_empty()
+        after = fuzz_word(28, trial, 2000)
+        assert blocks_of(after) == naive_parse(after.decode())
+        assert_spares_are_empty()
+
+
+class CountingKernel:
+    """Stands in for the loaded kernel and counts the calls of each of its
+    functions."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, Counter()
+
+    def __getattr__(self, name):
+        function = getattr(self.lib, name)
+
+        def call(*args):
+            self.calls[name] += 1
+            return function(*args)
+        return call
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_a_short_parse_and_a_draw_make_one_kernel_call_each(monkeypatch):
+    # a count that does not depend on the machine: a short word's parse is
+    # one feed, the spare it ran on emptied with no call, and a seeded draw
+    # is one call of the stream; run first with no spare, then on one
+    word = random_word([29], 500)
+    counting = CountingKernel(parsing._KERNEL)
+    monkeypatch.setattr(parsing, "_KERNEL", counting)
+    monkeypatch.setattr(parsing, "_SPARES", [])
+    for run, calls in ((lambda: parse(word), {"lz78_feed": 1}),
+                       (lambda: dict_size(b"1", word), {"lz78_feed": 2}),
+                       (lambda: random_word([29, 1], 263), {"lz78_pcg64_bytes": 1})):
+        for _ in range(2):
+            counting.calls.clear()
+            run()
+            assert counting.calls == calls
+    assert len(parsing._SPARES) == 1
 
 
 @st.composite
