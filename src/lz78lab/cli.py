@@ -34,17 +34,28 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+class _ReaderLeft(Exception):
+    """Standard output is a pipe whose reader closed it."""
+
+
+def _out(*lines: str, end: str = "\n", flush: bool = False) -> None:
+    """Print ``lines`` to standard output, which every report goes through,
+    so a broken pipe here, and only here, means that its reader left."""
+    try:
+        print(*lines, sep="\n", end=end, flush=flush)
+    except BrokenPipeError as exc:
+        raise _ReaderLeft from exc
+
+
 def _emit(obj, fmt: str = "json") -> None:
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2, default=str))
+        _out(json.dumps(obj, sort_keys=True, indent=2, default=str))
     elif fmt == "csv":
         keys = sorted(obj)
-        print("# schema=1")
-        print(",".join(keys))
-        print(",".join(_csv_cell(obj[k]) for k in keys))
+        _out("# schema=1", ",".join(keys), ",".join(_csv_cell(obj[k]) for k in keys))
     else:
         for k in sorted(obj):
-            print(f"{k}: {obj[k]}")
+            _out(f"{k}: {obj[k]}")
 
 
 def _load_word(args) -> Word:
@@ -91,7 +102,7 @@ def cmd_debruijn(args) -> int:
     if args.out:
         write_word_file(args.out, db.word, packed=args.packed)
     else:
-        print(db.word.to_text())
+        _out(db.word.to_text())
     return OK
 
 
@@ -148,13 +159,13 @@ def cmd_catastrophe(args) -> int:
         "front_bound_ok": front_bound_ok,
     }
     if args.format == "text":
-        print(f"k={args.k} gamma={args.gamma} |w|={report.n}")
-        print(f"  dic(w)  = {report.dic_w:>10}  (bound {3 * math.sqrt(2 / 5) * math.sqrt(report.n):.0f})")
-        print(f"  dic(0w) = {report.dic_aw:>10}  ({report.front_ratio:.3f} * |w|^(3/4))")
-        print(f"  dic(1w) = {dic_1w:>10}")
-        print(f"  gadgets = {report.gadget_count}, chosen_i = {report.chosen_i}")
-        print(f"  universal front bound: dic(0w) <= {front_bound:.0f}: "
-              f"{'ok' if front_bound_ok else 'VIOLATED'}")
+        _out(f"k={args.k} gamma={args.gamma} |w|={report.n}",
+             f"  dic(w)  = {report.dic_w:>10}  (bound {3 * math.sqrt(2 / 5) * math.sqrt(report.n):.0f})",
+             f"  dic(0w) = {report.dic_aw:>10}  ({report.front_ratio:.3f} * |w|^(3/4))",
+             f"  dic(1w) = {dic_1w:>10}",
+             f"  gadgets = {report.gadget_count}, chosen_i = {report.chosen_i}",
+             f"  universal front bound: dic(0w) <= {front_bound:.0f}: "
+             f"{'ok' if front_bound_ok else 'VIOLATED'}")
     else:
         _emit(obj, args.format)
     return OK if (report.upper_bound_ok and report.violations_ok
@@ -219,10 +230,7 @@ def cmd_curve(args) -> int:
     w = read_word_file(args.input)
     points = inf.ratio_curve(w, args.stride)
     if args.format == "csv":
-        print("# lz78lab-curve schema=1")
-        print("n,comp")
-        for n, c in points:
-            print(f"{n},{c:.10g}")
+        _out("# lz78lab-curve schema=1", "n,comp", *(f"{n},{c:.10g}" for n, c in points))
     else:
         _emit({"schema": 1, "points": [[n, c] for n, c in points]}, "json")
     return OK
@@ -373,11 +381,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()             # a closed pipe raises here, not at exit
+        _out(end="", flush=True)       # a closed pipe raises here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader left: the rest goes to devnull, so the flush at exit does not raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except _ReaderLeft:
+        # the rest goes to devnull, so the flush at exit does not raise
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return BROKEN_PIPE
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,8 +69,7 @@ class StreamParser:
     node count.
     """
 
-    __slots__ = ("_state", "_ref", "_child", "_starts", "_preds",
-                 "_child_view", "_starts_view", "_preds_view")
+    __slots__ = ("_state", "_ref", "_child", "_starts", "_preds")
 
     def __init__(self):
         st = self._state = kernel.State()
@@ -86,31 +85,23 @@ class StreamParser:
         st.cur = st.pos = st.block_start = 0
 
     def _allocate(self, cap: int) -> None:
-        """Point the state at fresh zeroed arrays of ``cap`` nodes."""
-        self._child = (ctypes.c_int32 * (2 * cap))()
-        self._starts, self._preds = (ctypes.c_int64 * cap)(), (ctypes.c_int64 * cap)()
-        self._bind(cap)
-
-    def _bind(self, cap: int) -> None:
-        """Point the state at the parser's arrays, of ``cap`` nodes, and make
-        the views of them that every read goes through."""
+        """Point the state at fresh zeroed arrays of ``cap`` nodes, held as views."""
         st = self._state
-        st.child, st.starts, st.preds = map(ctypes.addressof,
-                                            (self._child, self._starts, self._preds))
+        st.child, self._child = _array("i", 2 * cap)
+        st.starts, self._starts = _array("q", cap)
+        st.preds, self._preds = _array("q", cap)
         st.node_cap = cap
-        self._child_view = _view(self._child, "i")
-        self._starts_view, self._preds_view = _view(self._starts, "q"), _view(self._preds, "q")
 
     @property
     def starts(self) -> memoryview:
         """Start position of each completed block: a zero-copy view, valid until
         the next feed or rollback, which may write over it or leave it stale."""
-        return self._starts_view[:self._state.nodes - 1]
+        return self._starts[:self._state.nodes - 1]
 
     @property
     def preds(self) -> memoryview:
         """Predecessor block of each completed block (-1 for the root), a view as ``starts``."""
-        return self._preds_view[:self._state.nodes - 1]
+        return self._preds[:self._state.nodes - 1]
 
     @property
     def position(self) -> int:
@@ -124,7 +115,7 @@ class StreamParser:
     @property
     def child(self) -> memoryview:
         """The child slots of the nodes in use, two per node, a view as ``starts``."""
-        return self._child_view[:2 * self._state.nodes]
+        return self._child[:2 * self._state.nodes]
 
     def feed(self, data: bytes) -> int:
         """Consume letters; returns the index of the first newly completed block.
@@ -148,23 +139,21 @@ class StreamParser:
 
     def _grow(self) -> None:
         """Double the arrays one at a time, each old one dropped once it is
-        copied, so no more than one is held twice (their views, which would
-        keep them alive, are dropped first); the node ids must stay int32."""
+        copied, so no more than one is held twice; the node ids must stay
+        int32."""
         st = self._state
         if st.node_cap >= MAX_NODES:
             raise ParameterError(
                 f"the parse needs more than {MAX_NODES} dictionary nodes, "
                 "beyond the parser's int32 node ids")
         cap = min(2 * st.node_cap, MAX_NODES)
-        self._child_view = self._starts_view = self._preds_view = None
-        for name in ("_child", "_starts", "_preds"):
-            old = getattr(self, name)
-            new = (old._type_ * (old._length_ // st.node_cap * cap))()
+        for field, fmt, per_node in (("child", "i", 2), ("starts", "q", 1), ("preds", "q", 1)):
+            address, new = _array(fmt, per_node * cap)
             # 8 bytes a node in each: two int32 child slots, or one int64 entry
-            ctypes.memmove(new, old, 8 * st.nodes)
-            setattr(self, name, new)
-            del old, new
-        self._bind(cap)
+            ctypes.memmove(address, getattr(st, field), 8 * st.nodes)
+            setattr(st, field, address)
+            setattr(self, "_" + field, new)    # drops the old array
+        st.node_cap = cap
 
     def rollback(self, pos: int) -> range:
         """Rewind to the last block boundary at or before ``pos``.
@@ -197,7 +186,7 @@ class StreamParser:
         as long as those of :attr:`starts`."""
         st = self._state
         count, cur = st.nodes - 1, st.cur
-        starts, preds = self._starts_view, self._preds_view
+        starts, preds = self._starts, self._preds
         if cur:                        # the in-progress block repeats block cur - 1
             starts[count], preds[count] = st.block_start, preds[cur - 1]
             count += 1
@@ -214,18 +203,20 @@ class StreamParser:
         starts, preds, dup = self.closed_blocks()
         count = len(starts)
         del starts, preds              # views: they would keep the arrays alive
-        self._child = self._child_view = None
-        starts = self._starts_view[:count].tobytes()
-        self._starts = self._starts_view = None
-        preds = self._preds_view[:count].tobytes()
-        self._preds = self._preds_view = None
+        self._child = None
+        blocks = []
+        for name in ("_starts", "_preds"):
+            blocks.append(memoryview(getattr(self, name)[:count].tobytes()).cast("q"))
+            setattr(self, name, None)
         self.reset()
-        return Parsing(data, memoryview(starts).cast("q"), memoryview(preds).cast("q"), dup)
+        return Parsing(data, *blocks, dup)
 
 
-def _view(array, fmt: str) -> memoryview:
-    """A ctypes array as a memoryview whose items are Python ints."""
-    return memoryview(array).cast("B").cast(fmt)
+def _array(fmt: str, length: int) -> tuple[int, memoryview]:
+    """A fresh zeroed C array of ``length`` ``fmt`` items, "i" (int32) or "q"
+    (int64): its address, and a view of it, of Python ints, that keeps it alive."""
+    array = ({"i": ctypes.c_int32, "q": ctypes.c_int64}[fmt] * length)()
+    return ctypes.addressof(array), memoryview(array).cast("B").cast(fmt)
 
 
 def _feed_py(sp: StreamParser, data: bytes, i: int, n: int) -> int:
@@ -233,7 +224,7 @@ def _feed_py(sp: StreamParser, data: bytes, i: int, n: int) -> int:
     arrays: feeds ``data[i:n]``, stops early when the arrays are full, and
     returns the index of the first letter not consumed."""
     s = sp._state
-    child, starts, preds = sp._child_view, sp._starts_view, sp._preds_view
+    child, starts, preds = sp._child, sp._starts, sp._preds
     nodes, cur, block_start = s.nodes, s.cur, s.block_start
     node_cap = s.node_cap
     base = s.pos - i                   # position of data[0]
@@ -261,7 +252,7 @@ def _truncate_py(sp: StreamParser, kept: int) -> None:
     """``lz78_truncate`` of ``_kernel.c`` in Python: drops the blocks from
     block ``kept`` on, unlinking each one's node from its parent's slot."""
     s = sp._state
-    child, preds = sp._child_view, sp._preds_view
+    child, preds = sp._child, sp._preds
     for t in range(s.nodes - 1, kept, -1):
         slot = 2 * (preds[t - 1] + 1)
         child[slot + (child[slot + 1] == t)] = 0
@@ -361,7 +352,7 @@ def _keep(sp: StreamParser) -> None:
     if st.node_cap != FIRST_NODES:
         return
     used = 2 * st.nodes
-    sp._child_view[:used] = _ZEROS[:used]
+    sp._child[:used] = _ZEROS[:used]
     st.nodes = 1
     st.cur = st.pos = st.block_start = 0
     _SPARES.append(sp)

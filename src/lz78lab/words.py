@@ -35,11 +35,11 @@ def as_bits(w) -> bytes:
     SLICE at a time, so the check allocates two buffers of at most SLICE
     bytes, whatever the word's length; a word that fits in one is checked in
     place, by one ``translate``."""
-    if type(w) is bytes and len(w) <= SLICE and not w.translate(None, b"01"):
-        return w                       # the common case, checked first
-    if isinstance(w, Word):
+    if type(w) is bytes:
+        data = w
+    elif isinstance(w, Word):
         return w.data
-    if isinstance(w, str):
+    elif isinstance(w, str):
         # one "?" per non-ASCII character keeps the offsets, and fails below
         data = w.encode("ascii", "replace")
     elif isinstance(w, (bytes, bytearray, memoryview)):
@@ -88,6 +88,7 @@ def _stream(entropy, count: int) -> bytes:
     every seeded draw, the de Bruijn tie-breaks included.  The kernel's
     ``lz78_pcg64_bytes`` gives them when it loaded, numpy's bit generator
     without it."""
+    entropy = list(entropy)            # read once: an iterator has no second pass
     words = _entropy_words(entropy)
     # the kernel that lz78lab.parsing bound, read at each draw: the parsing
     # module imports this one, and the tests unbind it there
@@ -105,7 +106,7 @@ def _stream(entropy, count: int) -> bytes:
 
 
 def _entropy_words(entropy) -> array:
-    """The uint32 words that ``SeedSequence`` makes of ``entropy``, a sequence:
+    """The uint32 words that ``SeedSequence`` makes of ``entropy``, a list:
     each value's 32-bit words, low word first, and one 0 for 0."""
     try:
         return array("I", entropy)     # each value one uint32 word, the common case

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lz78lab
-from lz78lab import words
+from lz78lab import cli, words
 from lz78lab.cli import main
 from lz78lab.construction import ConstructedWord
 from lz78lab.words import read_word_file
@@ -505,18 +505,43 @@ def test_catastrophe_never_joins_the_word(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["dic_1w"] > 0
 
 
+def run_child(argv, **kwargs) -> subprocess.CompletedProcess:
+    """``lz78lab.cli`` run in a child process, its stderr captured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lz78lab.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "lz78lab.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, timeout=300, **kwargs)
+
+
 @pytest.mark.parametrize("argv", [["debruijn", "--k", "14"], ["parse", "--word", "0110"]])
 def test_a_reader_that_left_ends_the_command_quietly(argv):
     """Standard output is a pipe whose read end closed before the command
     started, so the outcome does not depend on timing: nothing is printed
     and the exit code is 141 (128 + SIGPIPE), for a report that breaks the
     pipe mid-write and for one that breaks it at the last flush."""
-    env = dict(os.environ, PYTHONPATH=str(Path(lz78lab.__file__).parents[1]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run([sys.executable, "-m", "lz78lab.cli", *argv], env=env,
-                              stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+        done = run_child(argv, stdout=write_end)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv, code", [(["bound-fuzz", "--trials", "20"], 0),
+                                        (["parse", "--word", "012"], 2)])
+def test_a_command_with_no_standard_output_keeps_its_exit_code(argv, code):
+    # with fd 1 closed, sys.stdout is None and the report goes nowhere: the
+    # exit code is the command's own, and no traceback is printed
+    done = run_child(argv, preexec_fn=lambda: os.close(1))
+    assert done.returncode == code
+    assert done.stderr == (b"error: invalid letter at offset 2: '2'\n" if code else b"")
+
+
+def test_a_broken_pipe_of_an_output_file_is_an_error(capsys, monkeypatch, tmp_path):
+    # only standard output's broken pipe means its reader left; one of an
+    # --out file, say a FIFO whose reader exited, is reported as before
+    def broken(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(cli, "write_word_file", broken)
+    code, out, err = run(capsys, "debruijn", "--k", "3", "--out", str(tmp_path / "db"))
+    assert (code, out, err) == (2, "", "error: [Errno 32] Broken pipe\n")

@@ -232,6 +232,8 @@ def test_the_stream_splits_entropy_values_at_the_uint32_edges(mode):
         for entropy in ([value], [value, 7], [3, value]):
             bits = np.random.PCG64(np.random.SeedSequence(entropy))
             assert words._stream(entropy, 37) == bits.random_raw(5).astype("<u8").tobytes()[:37]
+            # an iterator is read once, for the words and for numpy alike
+            assert words._stream(iter(entropy), 37) == words._stream(entropy, 37)
 
 
 def test_a_negative_entropy_or_length_is_refused_before_drawing(monkeypatch):
