@@ -1,18 +1,22 @@
 /* LZ'78 feed kernel behind lz78lab.parsing.StreamParser, the rule loop
  * behind lz78lab.parsing.certify, and the seeded byte stream behind
- * lz78lab.words.random_word.
+ * lz78lab.words.random_word, built as the CPython extension module
+ * lz78lab._kernel.
  *
  * The dictionary is a full binary trie in one flat int32 child array: node
  * t >= 1 is completed block t - 1, node 0 is the root, and child[2t + a] is
  * the child of t by letter a, or 0 for none.  Block t - 1's start and pred
  * are written in place, at starts[t - 1] and preds[t - 1], so nodes - 1 is
  * the block count.  cur is the node of the in-progress block, so a feed
- * resumes where the last one stopped.  The Python side owns the arrays and
- * doubles them when they are full; lz78_truncate to block 0 empties a parser
- * that parse keeps for the next call.  The seeded stream reproduces numpy's
- * SeedSequence and PCG64 and needs unsigned __int128 (gcc, clang).
- * Build: cc -O2 -shared -fPIC -o _kernel.so _kernel.c
+ * resumes where the last one stopped.  The Python side owns the arrays,
+ * doubles them when they are full, and empties a spare parser by zeroing its
+ * used child slots.  The seeded stream reproduces numpy's SeedSequence and
+ * PCG64 and needs unsigned __int128 (gcc, clang).  The binding at the end
+ * takes each pointer as a Python int address.
+ * Build: cc -O2 -shared -fPIC -isystem <sysconfig include> -o _kernel.so _kernel.c
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -208,4 +212,115 @@ void lz78_pcg64_bytes(const uint32_t *entropy, int64_t count, unsigned char *out
             for (int64_t j = i; j < n; j++, x >>= 8)
                 out[j] = (unsigned char)x;
     }
+}
+
+/* The CPython binding: one METH_FASTCALL wrapper a routine, which takes the
+ * routine's arguments in its order, each pointer as an int address that the
+ * caller keeps valid, and holds the GIL throughout, so no other thread can
+ * touch the arrays while a routine writes them.  lz78_feed reads its letters
+ * from a bytes object, its range checked first; lz78_truncate keeps no more
+ * blocks than there are; lz78_pcg64_bytes returns its n bytes as a new one. */
+static int lz78_arity(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, not %zd", name, want, nargs);
+    return 0;
+}
+
+/* args[0..count) as int64 values into out: 1, or 0 with the error set */
+static int lz78_ints(PyObject *const *args, int count, int64_t *out)
+{
+    for (int k = 0; k < count; k++) {
+        out[k] = (int64_t)PyLong_AsLongLong(args[k]);
+        if (out[k] == -1 && PyErr_Occurred())
+            return 0;
+    }
+    return 1;
+}
+
+static PyObject *bind_feed(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t s, range[2];
+    (void)module;
+    if (!lz78_arity("lz78_feed", nargs, 4) || !lz78_ints(args, 1, &s)
+        || !lz78_ints(args + 2, 2, range))
+        return NULL;
+    if (!PyBytes_Check(args[1])) {
+        PyErr_Format(PyExc_TypeError, "lz78_feed reads bytes, not %.200s",
+                     Py_TYPE(args[1])->tp_name);
+        return NULL;
+    }
+    Py_ssize_t len = PyBytes_GET_SIZE(args[1]);
+    if (range[0] < 0 || range[0] > range[1] || range[1] > len) {
+        PyErr_Format(PyExc_ValueError, "lz78_feed range %lld to %lld is outside 0 to %zd",
+                     (long long)range[0], (long long)range[1], len);
+        return NULL;
+    }
+    return PyLong_FromLongLong(lz78_feed((lz78_state *)(intptr_t)s,
+                                         (const unsigned char *)PyBytes_AS_STRING(args[1]),
+                                         range[0], range[1]));
+}
+
+static PyObject *bind_truncate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t v[2];
+    (void)module;
+    if (!lz78_arity("lz78_truncate", nargs, 2) || !lz78_ints(args, 2, v))
+        return NULL;
+    lz78_state *s = (lz78_state *)(intptr_t)v[0];
+    if (v[1] < 0 || v[1] >= s->nodes) {  /* a kept block past the last would grow the trie */
+        PyErr_Format(PyExc_ValueError, "lz78_truncate keeps %lld of %lld blocks",
+                     (long long)v[1], (long long)(s->nodes - 1));
+        return NULL;
+    }
+    lz78_truncate(s, v[1]);
+    Py_RETURN_NONE;
+}
+
+static PyObject *bind_certify(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t v[7];
+    (void)module;
+    if (!lz78_arity("lz78_certify", nargs, 7) || !lz78_ints(args, 7, v))
+        return NULL;
+    return PyLong_FromLongLong(lz78_certify(
+        (const unsigned char *const *)(intptr_t)v[0], (const int64_t *)(intptr_t)v[1], v[2],
+        (const int64_t *)(intptr_t)v[3], (const int64_t *)(intptr_t)v[4], v[5],
+        (unsigned char *)(intptr_t)v[6]));
+}
+
+static PyObject *bind_pcg64_bytes(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t v[3];
+    (void)module;
+    if (!lz78_arity("lz78_pcg64_bytes", nargs, 3) || !lz78_ints(args, 3, v))
+        return NULL;
+    if (v[1] < 0 || v[2] < 0) {
+        PyErr_Format(PyExc_ValueError, "lz78_pcg64_bytes takes counts >= 0, not %lld and %lld",
+                     (long long)v[1], (long long)v[2]);
+        return NULL;
+    }
+    PyObject *out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)v[2]);
+    if (out != NULL)
+        lz78_pcg64_bytes((const uint32_t *)(intptr_t)v[0], v[1],
+                         (unsigned char *)PyBytes_AS_STRING(out), v[2]);
+    return out;
+}
+
+static PyMethodDef lz78_methods[] = {
+    {"lz78_feed", (PyCFunction)(void (*)(void))bind_feed, METH_FASTCALL, NULL},
+    {"lz78_truncate", (PyCFunction)(void (*)(void))bind_truncate, METH_FASTCALL, NULL},
+    {"lz78_certify", (PyCFunction)(void (*)(void))bind_certify, METH_FASTCALL, NULL},
+    {"lz78_pcg64_bytes", (PyCFunction)(void (*)(void))bind_pcg64_bytes, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static struct PyModuleDef lz78_module = {
+    PyModuleDef_HEAD_INIT, "lz78lab._kernel", NULL, -1, lz78_methods, NULL, NULL, NULL, NULL
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModule_Create(&lz78_module);
 }

@@ -1,28 +1,38 @@
 """Build and load the compiled LZ'78 kernel, ``_kernel.c``.
 
-The library holds the feed loop and the rollback of
+The extension module holds the feed loop and the rollback of
 :class:`~lz78lab.parsing.StreamParser` (``lz78_feed``,
 ``lz78_truncate``), the rule loop of :func:`~lz78lab.parsing.certify`
 over a word's table of runs (``lz78_certify``), which shares no code with
 the feed loop, and numpy's seeded PCG64 byte stream that every seeded draw
 reads, the de Bruijn tie-breaks included (``lz78_pcg64_bytes``, behind
-``words._stream``).  A library that lacks any of the four loads as None.
+``words._stream``).  Each is a ``METH_FASTCALL`` function of the module
+``lz78lab._kernel`` that takes its C routine's arguments in order, each
+pointer as an int address; ``lz78_feed`` reads its letters from a
+``bytes`` and checks their range first, and ``lz78_pcg64_bytes`` returns
+its bytes.  A source without the binding at its end, whose library has no
+``PyInit__kernel``, loads as None.
 
 :func:`load` runs when :mod:`lz78lab.parsing` is imported.  It compiles the
-C source with ``gcc -O2 -shared -fPIC`` (or ``cc``) into a cache keyed by the
-SHA-256 of the source and the flags: the package's ``__pycache__/``, or a
+C source with ``gcc -O2 -shared -fPIC`` (or ``cc``) and the interpreter's
+headers (``-isystem``, sysconfig's include folder) into a cache, under a
+name keyed by the SHA-256 of the source, the flags and the interpreter's
+extension suffix, which names its ABI: the package's ``__pycache__/``, or a
 private folder under ``tempfile.gettempdir()`` when that is not writable.
-Later imports only open the cached library with :mod:`ctypes`.  The build
-runs at import rather than at the first parse, so no parse, and no timing
-of one, ever includes it.  A build writes a temporary file and renames it
-into place, so a concurrent import never opens a half-written library.  A
-build into the package's cache deletes the libraries that earlier sources
-left there; the temp-dir folder, which other checkouts may share, is never
-pruned.  Without a compiler, or when the build or the load fails,
-:func:`load` returns None, the parser and certify fall back to their
-pure-Python loops, and the seeded stream to numpy's bit generator, which
-gives the same bytes.  The loader never writes to stdout or stderr: the
-compiler's output is captured and dropped.
+Later imports only open the cached module with
+:class:`importlib.machinery.ExtensionFileLoader`.  The build runs at import
+rather than at the first parse, so no parse, and no timing of one, ever
+includes it.  A build writes a temporary file and renames it into place, so
+a concurrent import never opens a half-written library.  A build into the
+package's cache deletes the libraries that earlier sources left there for
+the same ABI, and the untagged ones of the ctypes binding that came before;
+another interpreter's builds stay, and the temp-dir folder, which other
+checkouts may share, is never pruned.  Without a compiler or the
+interpreter's headers, or when the build or the load fails, :func:`load`
+returns None, the parser and certify fall back to their pure-Python loops,
+and the seeded stream to numpy's bit generator, which gives the same bytes.
+The loader never writes to stdout or stderr: the compiler's output is
+captured and dropped.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ import os
 import shutil
 import tempfile
 from contextlib import suppress
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from pathlib import Path
 
 # CPython's own SHA-256: hashlib's would load OpenSSL, about 3.6 MB of
@@ -47,6 +58,8 @@ except ImportError:
 SOURCE = Path(__file__).with_name("_kernel.c")
 PACKAGE_CACHE = Path(__file__).parent / "__pycache__"
 FLAGS = ("-O2", "-shared", "-fPIC")
+SUFFIX = EXTENSION_SUFFIXES[0]         # names the ABI: ".cpython-311-x86_64-linux-gnu.so"
+MODULE = "lz78lab._kernel"             # the name that PyInit__kernel is looked up by
 BUILD_TIMEOUT_S = 60
 
 
@@ -81,14 +94,14 @@ def cache_dir() -> Path | None:
     return private if st.st_uid == os.getuid() and not st.st_mode & 0o022 else None
 
 
-def library_name(source: bytes) -> str:
-    key = sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
-    return f"_kernel-{key}.so"
+def library_name(source: bytes, suffix: str = SUFFIX) -> str:
+    key = sha256(source + " ".join(FLAGS).encode() + suffix.encode()).hexdigest()[:16]
+    return f"_kernel-{key}{suffix}"
 
 
 def load():
-    """The kernel library with its signatures set, or None when it cannot be
-    built or opened; never raises."""
+    """The kernel's extension module, or None when it cannot be built or
+    opened; never raises."""
     try:
         source = SOURCE.read_bytes()
     except OSError:
@@ -107,6 +120,7 @@ def load():
 
 def _build(source: bytes, path: Path) -> bool:
     import subprocess                  # imported by a build only
+    import sysconfig
 
     cc = compiler()
     if cc is None:
@@ -117,7 +131,8 @@ def _build(source: bytes, path: Path) -> bool:
         return False
     os.close(fd)
     try:
-        done = subprocess.run([cc, *FLAGS, "-o", tmp, "-x", "c", "-"], input=source,
+        done = subprocess.run([cc, *FLAGS, "-isystem", sysconfig.get_path("include"),
+                               "-o", tmp, "-x", "c", "-"], input=source,
                               capture_output=True, timeout=BUILD_TIMEOUT_S)
         if done.returncode != 0:
             return False
@@ -131,32 +146,26 @@ def _build(source: bytes, path: Path) -> bool:
 
 
 def _prune(keep: Path) -> None:
-    """Delete the package cache's libraries other than ``keep``: builds of
-    earlier sources.  The shared temp-dir folder is never pruned, since
-    checkouts of different sources may take turns to use it."""
+    """Delete the package cache's libraries that are not ``keep`` but are of
+    its ABI, or untagged ``.so`` files of the ctypes binding: builds of
+    earlier sources.  Another interpreter's builds stay, since interpreters
+    of two versions may share one checkout, and the shared temp-dir folder
+    is never pruned, since checkouts of different sources may take turns to
+    use it."""
     with suppress(OSError):
-        for old in keep.parent.glob("_kernel-*.so"):
-            if old != keep:
+        for old in keep.parent.glob("_kernel-*"):
+            # the name after the 16-digit key
+            if old != keep and old.name[len("_kernel-") + 16:] in (SUFFIX, ".so"):
                 with suppress(OSError):
                     old.unlink()
 
 
 def _open(path: Path):
+    """The extension module at ``path`` as ``lz78lab._kernel``, or None."""
+    loader = ExtensionFileLoader(MODULE, str(path))
     try:
-        # PyDLL keeps the GIL through a call: no other thread can touch the
-        # parser's buffers while the kernel writes them
-        lib = ctypes.PyDLL(str(path))
-        feed, truncate = lib.lz78_feed, lib.lz78_truncate
-        certify, pcg64_bytes = lib.lz78_certify, lib.lz78_pcg64_bytes
-    except (OSError, AttributeError):
+        module = loader.create_module(ModuleSpec(MODULE, loader, origin=str(path)))
+        loader.exec_module(module)
+    except (ImportError, OSError):
         return None
-    feed.argtypes = (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64)
-    feed.restype = ctypes.c_int64
-    truncate.argtypes = (ctypes.c_void_p, ctypes.c_int64)
-    truncate.restype = None
-    certify.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-    certify.restype = ctypes.c_int64
-    pcg64_bytes.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
-    pcg64_bytes.restype = None
-    return lib
+    return module

@@ -13,7 +13,6 @@ artifacts (see :func:`pack_word` / :func:`unpack_word`).
 
 from __future__ import annotations
 
-import ctypes
 import operator
 import sys
 from array import array
@@ -98,11 +97,7 @@ def _stream(entropy, count: int) -> bytes:
 
         bits = np.random.PCG64(np.random.SeedSequence(entropy))
         return bits.random_raw(-(-count // 8)).astype("<u8").tobytes()[:count]
-    # a buffer of the next power of two: ctypes looks up a new array type for
-    # each size, which costs more than the draw of a short word
-    out = (ctypes.c_char * (1 << count.bit_length()))()
-    lib.lz78_pcg64_bytes(words.buffer_info()[0], len(words), out, count)
-    return out.raw[:count]
+    return lib.lz78_pcg64_bytes(words.buffer_info()[0], len(words), count)
 
 
 def _entropy_words(entropy) -> array:

@@ -99,6 +99,40 @@ def test_a_failing_compiler_falls_back_silently(cache, tmp_path, monkeypatch, ca
     assert capfd.readouterr() == ("", "")
 
 
+# an extension suffix of another interpreter than this one
+OTHER_ABI = next(suffix for suffix in (".cpython-310-x86_64-linux-gnu.so",
+                                       ".cpython-311-x86_64-linux-gnu.so")
+                 if suffix != kernel.SUFFIX)
+
+
+def test_each_interpreter_abi_gets_its_own_library_name():
+    source = kernel.SOURCE.read_bytes()
+    names = {suffix: kernel.library_name(source, suffix)
+             for suffix in (kernel.SUFFIX, OTHER_ABI)}
+    assert names[kernel.SUFFIX] == kernel.library_name(source)
+    assert len(set(names.values())) == 2
+    for suffix, name in names.items():
+        assert name.startswith("_kernel-") and name.endswith(suffix)
+        assert len(name) == len("_kernel-") + 16 + len(suffix)
+
+
+def test_missing_python_headers_fall_back_silently(cache, tmp_path, monkeypatch, capfd):
+    """Without the interpreter's C headers the extension cannot build:
+    load() gives None, prints nothing and leaves no file behind."""
+    import sysconfig
+
+    if kernel.compiler() is None:
+        pytest.skip("no C compiler")
+    empty = tmp_path / "include"
+    empty.mkdir()
+    get_path = sysconfig.get_path
+    monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs: (
+        str(empty) if name == "include" else get_path(name, *args, **kwargs)))
+    assert kernel.load() is None
+    assert list(cache.iterdir()) == []
+    assert capfd.readouterr() == ("", "")
+
+
 def test_an_edited_source_gets_a_new_cache_key(cache, tmp_path, monkeypatch, capfd):
     source = kernel.SOURCE.read_bytes()
     edited = source + b"/* edited */\n"
@@ -137,7 +171,11 @@ def test_a_build_prunes_stale_libraries_from_the_package_cache_only(tmp_path, mo
     if kernel.compiler() is None:
         pytest.skip("no C compiler")
     package, temp = tmp_path / "package", tmp_path / "temp"
-    stale = ["_kernel-0123456789abcdef.so", "_kernel-0123456789abcdefXYZ.tmp"]
+    # an earlier source's build for this interpreter, an untagged one of the
+    # ctypes binding, another build's temporary file, and an earlier source's
+    # build for another interpreter, which may share the checkout
+    stale = ["_kernel-0123456789abcdef" + kernel.SUFFIX, "_kernel-0123456789abcdef.so",
+             "_kernel-0123456789abcdefXYZ.tmp", "_kernel-0123456789abcdef" + OTHER_ABI]
     for folder in (package, temp):
         folder.mkdir()
         for name in stale:
@@ -146,8 +184,7 @@ def test_a_build_prunes_stale_libraries_from_the_package_cache_only(tmp_path, mo
     monkeypatch.setattr(kernel, "PACKAGE_CACHE", package)
     assert kernel.cache_dir() == package
     assert kernel.load() is not None
-    # another build's temporary file is not a library, and stays
-    assert sorted(p.name for p in package.iterdir()) == sorted([current, stale[1]])
+    assert sorted(p.name for p in package.iterdir()) == sorted([current, *stale[2:]])
     monkeypatch.setattr(kernel, "cache_dir", lambda: temp)
     assert kernel.load() is not None
     assert sorted(p.name for p in temp.iterdir()) == sorted([current, *stale])
@@ -195,6 +232,67 @@ def test_a_library_without_the_seeded_stream_loads_as_none(cache, tmp_path, monk
     assert kernel.load() is None
     assert [p.name for p in cache.iterdir()] == [kernel.library_name(old.read_bytes())]
     assert capfd.readouterr() == ("", "")
+
+
+def parser_state(sp) -> tuple:
+    st = sp._state
+    return st.nodes, st.cur, st.pos, st.block_start, bytes(sp._child)
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_lz78_feed_refuses_a_non_bytes_word_or_a_bad_range_before_reading():
+    """The binding checks the letters' type and the range i <= n within them
+    before the routine reads a letter or the state: the parser is unchanged."""
+    sp = parsing.StreamParser()
+    sp.feed(b"0110")
+    before, ref = parser_state(sp), sp._ref
+    for word in (bytearray(b"0101"), memoryview(b"0101"), "0101", None):
+        with pytest.raises(TypeError, match="bytes"):
+            KERNEL.lz78_feed(ref, word, 0, 4)
+    for i, n in ((-1, 2), (3, 2), (0, 5), (5, 5), (0, -1), (2**40, 2**41)):
+        with pytest.raises(ValueError, match="range"):
+            KERNEL.lz78_feed(ref, b"0101", i, n)
+    for args in ((ref, b"0101", 0), (ref, b"0101", 0, 4, 0)):
+        with pytest.raises(TypeError, match="4 arguments"):
+            KERNEL.lz78_feed(*args)
+    with pytest.raises(TypeError):
+        KERNEL.lz78_feed(ref, b"0101", 0.0, 4)
+    with pytest.raises(OverflowError):
+        KERNEL.lz78_feed(ref, b"0101", 0, 2**64)
+    assert parser_state(sp) == before
+    # the edges of the range are fed, and an empty one changes nothing
+    assert KERNEL.lz78_feed(ref, b"0101", 4, 4) == 4
+    assert parser_state(sp) == before
+    assert KERNEL.lz78_feed(ref, b"0101", 0, 4) == 4
+    assert sp.position == 8
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_lz78_truncate_refuses_to_keep_more_blocks_than_there_are():
+    sp = parsing.StreamParser()
+    sp.feed(b"0100011")                # 0|1|00|01|1: four blocks
+    before = parser_state(sp)
+    for kept in (-1, 5, 2**40):
+        with pytest.raises(ValueError, match="of 4 blocks"):
+            KERNEL.lz78_truncate(sp._ref, kept)
+    assert parser_state(sp) == before
+    KERNEL.lz78_truncate(sp._ref, 4)    # all kept: the in-progress block goes
+    assert list(sp.starts) == [0, 1, 2, 4] and sp._state.cur == 0
+    KERNEL.lz78_truncate(sp._ref, 0)
+    assert list(sp.starts) == [] and not any(sp.child)
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_lz78_pcg64_bytes_refuses_a_negative_length():
+    at = array("I", [29, 1])
+    address = at.buffer_info()[0]
+    assert KERNEL.lz78_pcg64_bytes(address, len(at), 0) == b""
+    assert KERNEL.lz78_pcg64_bytes(address, len(at), 13) == words._stream([29, 1], 13)
+    for count, n in ((len(at), -1), (len(at), -2**40), (-1, 8)):
+        with pytest.raises(ValueError, match=">= 0"):
+            KERNEL.lz78_pcg64_bytes(address, count, n)
+    with pytest.raises(TypeError, match="3 arguments"):
+        KERNEL.lz78_pcg64_bytes(address, len(at))
 
 
 def numpy_generator(entropy) -> np.random.Generator:
