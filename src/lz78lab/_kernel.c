@@ -8,11 +8,13 @@
  * the child of t by letter a, or 0 for none.  Block t - 1's start and pred
  * are written in place, at starts[t - 1] and preds[t - 1], so nodes - 1 is
  * the block count.  cur is the node of the in-progress block, so a feed
- * resumes where the last one stopped.  The Python side owns the arrays,
- * doubles them when they are full, and empties a spare parser by zeroing its
- * used child slots.  The seeded stream reproduces numpy's SeedSequence and
- * PCG64 and needs unsigned __int128 (gcc, clang).  The binding at the end
- * takes each pointer as a Python int address.
+ * resumes where the last one stopped.  The Python side owns the arrays and
+ * the four counters, doubles the arrays when they are full, and empties a
+ * spare parser by zeroing its used child slots.  The seeded stream
+ * reproduces numpy's SeedSequence and PCG64 and needs unsigned __int128
+ * (gcc, clang).  The binding at the end takes the Python objects themselves,
+ * the arrays through the buffer protocol, and checks them before a routine
+ * reads or writes memory; lz78_state is declared here only.
  * Build: cc -O2 -shared -fPIC -isystem <sysconfig include> -o _kernel.so _kernel.c
  */
 #define PY_SSIZE_T_CLEAN
@@ -34,7 +36,7 @@ typedef struct {
 /* Feed data[i..n), the letters as the bytes '0' and '1' (read by their low
  * bit).  Stops early when the arrays are full; returns the index of the
  * first letter not consumed. */
-int64_t lz78_feed(lz78_state *s, const unsigned char *data, int64_t i, int64_t n)
+static int64_t lz78_feed(lz78_state *s, const unsigned char *data, int64_t i, int64_t n)
 {
     int32_t *child = s->child;
     int64_t *starts = s->starts, *preds = s->preds, node_cap = s->node_cap;
@@ -66,7 +68,7 @@ int64_t lz78_feed(lz78_state *s, const unsigned char *data, int64_t i, int64_t n
  * parent preds[t - 1] + 1, in whichever of the two slots holds t.  The
  * children of a removed node are removed too, so every slot of a removed
  * node is 0 again, as a fresh node's must be. */
-void lz78_truncate(lz78_state *s, int64_t kept)
+static void lz78_truncate(lz78_state *s, int64_t kept)
 {
     for (int64_t t = s->nodes - 1; t > kept; t--) {
         int32_t *slot = s->child + 2 * (s->preds[t - 1] + 1);
@@ -122,9 +124,9 @@ static int lz78_same(const unsigned char *const *runs, const int64_t *bounds,
     return 1;
 }
 
-int64_t lz78_certify(const unsigned char *const *runs, const int64_t *bounds, int64_t nruns,
-                     const int64_t *starts, const int64_t *preds, int64_t count,
-                     unsigned char *seen)
+static int64_t lz78_certify(const unsigned char *const *runs, const int64_t *bounds,
+                            int64_t nruns, const int64_t *starts, const int64_t *preds,
+                            int64_t count, unsigned char *seen)
 {
     int64_t n = bounds[nruns], r = 0;     /* r: the run of the block's first letter */
     for (int64_t i = 0; i < count; i++) {
@@ -175,7 +177,8 @@ static uint32_t lz78_mix(uint32_t x, uint32_t y)
  * SeedSequence(entropy), each next64 little-endian; entropy is the count
  * uint32 words that numpy makes of the entropy list, each value split into
  * its 32-bit words, low word first. */
-void lz78_pcg64_bytes(const uint32_t *entropy, int64_t count, unsigned char *out, int64_t n)
+static void lz78_pcg64_bytes(const uint32_t *entropy, int64_t count, unsigned char *out,
+                             int64_t n)
 {
     uint32_t pool[4], hash_const = 0x43b0d7e5u, state[8];
     for (int i = 0; i < 4; i++)
@@ -215,11 +218,18 @@ void lz78_pcg64_bytes(const uint32_t *entropy, int64_t count, unsigned char *out
 }
 
 /* The CPython binding: one METH_FASTCALL wrapper a routine, which takes the
- * routine's arguments in its order, each pointer as an int address that the
- * caller keeps valid, and holds the GIL throughout, so no other thread can
- * touch the arrays while a routine writes them.  lz78_feed reads its letters
- * from a bytes object, its range checked first; lz78_truncate keeps no more
- * blocks than there are; lz78_pcg64_bytes returns its n bytes as a new one. */
+ * objects the routine reads and checks them before it reads or writes any:
+ * each array through the buffer protocol, C-contiguous, of an integer format
+ * of the routine's item size and writable where the routine writes it, the
+ * letters and the runs as bytes, and counts as ints.  It holds the GIL
+ * throughout, so no other thread can touch the arrays while a routine writes
+ * them.  A parser is its four int64 counters (nodes, cur, pos, block_start),
+ * its int32 child slots and its int64 starts and preds, one entry a node: the
+ * capacity is the length of the first block array.  The binding fills an
+ * lz78_state on the stack from them and writes the counters back.  It checks
+ * the arrays' shapes and the counters; the trie's entries, the child slots
+ * and the preds of the nodes in use, are read as the routines (or their
+ * Python transliterations) wrote them. */
 static int lz78_arity(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
     if (nargs == want)
@@ -239,72 +249,227 @@ static int lz78_ints(PyObject *const *args, int count, int64_t *out)
     return 1;
 }
 
+static void lz78_release(Py_buffer *views, int count)
+{
+    while (count-- > 0)
+        PyBuffer_Release(&views[count]);
+}
+
+/* obj's buffer into *view, C-contiguous, of one signed (or unsigned) integer
+ * format code of size bytes, writable when asked: 1, or 0 with a TypeError
+ * set and nothing held */
+static int lz78_buffer(const char *name, const char *arg, PyObject *obj, Py_buffer *view,
+                       Py_ssize_t size, int is_signed, int writable)
+{
+    int flags = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) == 0) {
+        const char *f = view->format ? view->format : "B";
+        f += f[0] == '@';
+        if (view->itemsize == size && f[0] && !f[1]
+            && strchr(is_signed ? "bhilqn" : "BHILQN", f[0]))
+            return 1;
+        PyBuffer_Release(view);
+    } else if (PyErr_ExceptionMatches(PyExc_TypeError)
+               || PyErr_ExceptionMatches(PyExc_BufferError)) {
+        PyErr_Clear();
+    } else {
+        return 0;
+    }
+    PyErr_Format(PyExc_TypeError, "%s takes %s as a %scontiguous buffer of %s%zd-bit "
+                 "integers, not %.200s", name, arg, writable ? "writable " : "",
+                 is_signed ? "" : "unsigned ", 8 * size, Py_TYPE(obj)->tp_name);
+    return 0;
+}
+
+/* A parser's buffers, args[0..2 + blocks): the state, the child slots and
+ * blocks block arrays (starts and preds, or preds), held in views and read
+ * into *s.  Checks that the state is 4 counters, the child array 2 slots a
+ * node and each block array 1 entry a node, that the node ids fit int32, and
+ * that 1 <= nodes <= capacity and 0 <= cur < nodes: 1, or 0 with the error
+ * set and nothing held. */
+static int lz78_parser(const char *name, PyObject *const *args, int blocks, Py_buffer *views,
+                       lz78_state *s)
+{
+    static const char *const arg[] = {"the state", "the child slots", "a block array",
+                                      "a block array"};
+    int held = 0;
+    for (; held < 2 + blocks; held++)
+        if (!lz78_buffer(name, arg[held], args[held], &views[held], held == 1 ? 4 : 8, 1, 1))
+            goto fail;
+    const int64_t *c = views[0].buf;
+    int64_t cap = views[2].len / 8;
+    if (views[0].len != 4 * 8 || views[1].len != 2 * 4 * cap
+        || (blocks == 2 && views[3].len != views[2].len) || cap > (int64_t)INT32_MAX + 1) {
+        PyErr_Format(PyExc_ValueError, "%s takes 4 counters, and 2 child slots and 1 block "
+                     "entry a node for at most 2^31 nodes, not %zd, %zd and %zd bytes", name,
+                     views[0].len, views[1].len, views[held - 1].len);
+        goto fail;
+    }
+    if (c[0] < 1 || c[0] > cap || c[1] < 0 || c[1] >= c[0]) {
+        PyErr_Format(PyExc_ValueError, "%s takes a state of 1 to %lld nodes and a current "
+                     "node below them, not %lld and %lld", name, (long long)cap,
+                     (long long)c[0], (long long)c[1]);
+        goto fail;
+    }
+    s->child = views[1].buf;
+    s->starts = blocks == 2 ? views[2].buf : NULL;
+    s->preds = views[held - 1].buf;
+    s->node_cap = cap;
+    s->nodes = c[0];
+    s->cur = c[1];
+    s->pos = c[2];
+    s->block_start = c[3];
+    return 1;
+fail:
+    lz78_release(views, held);
+    return 0;
+}
+
+/* Write the counters of *s back to the state, then let go of the buffers. */
+static void lz78_store(Py_buffer *views, int count, const lz78_state *s)
+{
+    int64_t *c = views[0].buf;
+    c[0] = s->nodes;
+    c[1] = s->cur;
+    c[2] = s->pos;
+    c[3] = s->block_start;
+    lz78_release(views, count);
+}
+
+/* lz78_feed(state, child, starts, preds, data, i, n): data a bytes, the range
+ * 0 <= i <= n <= len(data) */
 static PyObject *bind_feed(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    int64_t s, range[2];
+    int64_t range[2];
+    Py_buffer views[4];
+    lz78_state s;
     (void)module;
-    if (!lz78_arity("lz78_feed", nargs, 4) || !lz78_ints(args, 1, &s)
-        || !lz78_ints(args + 2, 2, range))
+    if (!lz78_arity("lz78_feed", nargs, 7) || !lz78_ints(args + 5, 2, range))
         return NULL;
-    if (!PyBytes_Check(args[1])) {
+    if (!PyBytes_Check(args[4])) {
         PyErr_Format(PyExc_TypeError, "lz78_feed reads bytes, not %.200s",
-                     Py_TYPE(args[1])->tp_name);
+                     Py_TYPE(args[4])->tp_name);
         return NULL;
     }
-    Py_ssize_t len = PyBytes_GET_SIZE(args[1]);
+    Py_ssize_t len = PyBytes_GET_SIZE(args[4]);
     if (range[0] < 0 || range[0] > range[1] || range[1] > len) {
         PyErr_Format(PyExc_ValueError, "lz78_feed range %lld to %lld is outside 0 to %zd",
                      (long long)range[0], (long long)range[1], len);
         return NULL;
     }
-    return PyLong_FromLongLong(lz78_feed((lz78_state *)(intptr_t)s,
-                                         (const unsigned char *)PyBytes_AS_STRING(args[1]),
-                                         range[0], range[1]));
+    if (!lz78_parser("lz78_feed", args, 2, views, &s))
+        return NULL;
+    int64_t i = lz78_feed(&s, (const unsigned char *)PyBytes_AS_STRING(args[4]),
+                          range[0], range[1]);
+    lz78_store(views, 4, &s);
+    return PyLong_FromLongLong(i);
 }
 
+/* lz78_truncate(state, child, preds, kept): 0 <= kept < nodes, since a kept
+ * block past the last would grow the trie over unwritten slots */
 static PyObject *bind_truncate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    int64_t v[2];
+    int64_t kept;
+    Py_buffer views[3];
+    lz78_state s;
     (void)module;
-    if (!lz78_arity("lz78_truncate", nargs, 2) || !lz78_ints(args, 2, v))
+    if (!lz78_arity("lz78_truncate", nargs, 4) || !lz78_ints(args + 3, 1, &kept)
+        || !lz78_parser("lz78_truncate", args, 1, views, &s))
         return NULL;
-    lz78_state *s = (lz78_state *)(intptr_t)v[0];
-    if (v[1] < 0 || v[1] >= s->nodes) {  /* a kept block past the last would grow the trie */
+    if (kept < 0 || kept >= s.nodes) {
         PyErr_Format(PyExc_ValueError, "lz78_truncate keeps %lld of %lld blocks",
-                     (long long)v[1], (long long)(s->nodes - 1));
+                     (long long)kept, (long long)(s.nodes - 1));
+        lz78_release(views, 3);
         return NULL;
     }
-    lz78_truncate(s, v[1]);
+    lz78_truncate(&s, kept);
+    lz78_store(views, 3, &s);
     Py_RETURN_NONE;
 }
 
+/* lz78_certify(runs, bounds, starts, preds): runs a list of bytes, bounds
+ * len(runs) + 1 int64 entries from 0, each run r's span bounds[r + 1] -
+ * bounds[r] at least 0 and at most its length; starts and preds int64 arrays
+ * of one entry a block.  Allocates the key table seen. */
 static PyObject *bind_certify(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    int64_t v[7];
+    static const char *const arg[] = {"the bounds", "the starts", "the preds"};
+    Py_buffer views[3];
+    PyObject *code = NULL;
+    int held = 0;
     (void)module;
-    if (!lz78_arity("lz78_certify", nargs, 7) || !lz78_ints(args, 7, v))
+    if (!lz78_arity("lz78_certify", nargs, 4))
         return NULL;
-    return PyLong_FromLongLong(lz78_certify(
-        (const unsigned char *const *)(intptr_t)v[0], (const int64_t *)(intptr_t)v[1], v[2],
-        (const int64_t *)(intptr_t)v[3], (const int64_t *)(intptr_t)v[4], v[5],
-        (unsigned char *)(intptr_t)v[6]));
-}
-
-static PyObject *bind_pcg64_bytes(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    int64_t v[3];
-    (void)module;
-    if (!lz78_arity("lz78_pcg64_bytes", nargs, 3) || !lz78_ints(args, 3, v))
-        return NULL;
-    if (v[1] < 0 || v[2] < 0) {
-        PyErr_Format(PyExc_ValueError, "lz78_pcg64_bytes takes counts >= 0, not %lld and %lld",
-                     (long long)v[1], (long long)v[2]);
+    if (!PyList_Check(args[0])) {
+        PyErr_Format(PyExc_TypeError, "lz78_certify takes the runs as a list of bytes, not "
+                     "%.200s", Py_TYPE(args[0])->tp_name);
         return NULL;
     }
-    PyObject *out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)v[2]);
+    Py_ssize_t nruns = PyList_GET_SIZE(args[0]);
+    for (Py_ssize_t r = 0; r < nruns; r++)
+        if (!PyBytes_Check(PyList_GET_ITEM(args[0], r))) {
+            PyErr_Format(PyExc_TypeError, "lz78_certify takes the runs as bytes, not run %zd, "
+                         "a %.200s", r, Py_TYPE(PyList_GET_ITEM(args[0], r))->tp_name);
+            return NULL;
+        }
+    for (; held < 3; held++)
+        if (!lz78_buffer("lz78_certify", arg[held], args[held + 1], &views[held], 8, 1, 0))
+            goto done;
+    int64_t count = views[1].len / 8;
+    const int64_t *bounds = views[0].buf;
+    if (views[0].len != 8 * (nruns + 1) || views[2].len != views[1].len || bounds[0] != 0) {
+        PyErr_Format(PyExc_ValueError, "lz78_certify takes a bound from 0 past each of %zd "
+                     "runs and a pred a start, not %zd bounds, %lld starts and %zd preds",
+                     nruns, views[0].len / 8, (long long)count, views[2].len / 8);
+        goto done;
+    }
+    for (Py_ssize_t r = 0; r < nruns; r++)
+        if (bounds[r + 1] < bounds[r]     /* from bounds[0] = 0 on, no difference overflows */
+            || bounds[r + 1] - bounds[r] > PyBytes_GET_SIZE(PyList_GET_ITEM(args[0], r))) {
+            PyErr_Format(PyExc_ValueError, "lz78_certify's run %zd of %zd letters does not "
+                         "span bound %lld to bound %lld", r,
+                         PyBytes_GET_SIZE(PyList_GET_ITEM(args[0], r)), (long long)bounds[r],
+                         (long long)bounds[r + 1]);
+            goto done;
+        }
+    /* a byte more, so that no count asks for 0 bytes */
+    const unsigned char **runs = PyMem_Malloc((size_t)nruns * sizeof *runs + 1);
+    unsigned char *seen = PyMem_Calloc((size_t)(2 * count + 1), 1);
+    if (runs == NULL || seen == NULL) {
+        PyErr_NoMemory();
+    } else {
+        for (Py_ssize_t r = 0; r < nruns; r++)
+            runs[r] = (const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(args[0], r));
+        code = PyLong_FromLongLong(lz78_certify(runs, bounds, nruns, views[1].buf,
+                                                views[2].buf, count, seen));
+    }
+    PyMem_Free(runs);
+    PyMem_Free(seen);
+done:
+    lz78_release(views, held);
+    return code;
+}
+
+/* lz78_pcg64_bytes(entropy, n): entropy a uint32 array, n >= 0; returns the
+ * n bytes as a new bytes */
+static PyObject *bind_pcg64_bytes(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t n;
+    Py_buffer words;
+    (void)module;
+    if (!lz78_arity("lz78_pcg64_bytes", nargs, 2) || !lz78_ints(args + 1, 1, &n))
+        return NULL;
+    if (n < 0) {
+        PyErr_Format(PyExc_ValueError, "lz78_pcg64_bytes takes a length >= 0, not %lld",
+                     (long long)n);
+        return NULL;
+    }
+    if (!lz78_buffer("lz78_pcg64_bytes", "the entropy", args[0], &words, 4, 0, 0))
+        return NULL;
+    PyObject *out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)n);
     if (out != NULL)
-        lz78_pcg64_bytes((const uint32_t *)(intptr_t)v[0], v[1],
-                         (unsigned char *)PyBytes_AS_STRING(out), v[2]);
+        lz78_pcg64_bytes(words.buf, words.len / 4, (unsigned char *)PyBytes_AS_STRING(out), n);
+    PyBuffer_Release(&words);
     return out;
 }
 

@@ -7,10 +7,14 @@ over a word's table of runs (``lz78_certify``), which shares no code with
 the feed loop, and numpy's seeded PCG64 byte stream that every seeded draw
 reads, the de Bruijn tie-breaks included (``lz78_pcg64_bytes``, behind
 ``words._stream``).  Each is a ``METH_FASTCALL`` function of the module
-``lz78lab._kernel`` that takes its C routine's arguments in order, each
-pointer as an int address; ``lz78_feed`` reads its letters from a
-``bytes`` and checks their range first, and ``lz78_pcg64_bytes`` returns
-its bytes.  A source without the binding at its end, whose library has no
+``lz78lab._kernel`` that takes the objects its C routine reads and checks
+them before the routine reads or writes memory: the parser's state (its four
+int64 counters) and arrays as writable buffers of the right item size and
+shape, the letters as ``bytes`` in range, certify's runs as a list of
+``bytes`` that hold their spans and its claim as int64 buffers, and the
+seed entropy as a uint32 buffer; ``lz78_pcg64_bytes`` returns its bytes.
+``lz78_state`` is declared in ``_kernel.c`` only: the binding fills one on
+the stack.  A source without the binding at its end, whose library has no
 ``PyInit__kernel``, loads as None.
 
 :func:`load` runs when :mod:`lz78lab.parsing` is imported.  It compiles the
@@ -37,7 +41,6 @@ captured and dropped.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import shutil
 import tempfile
@@ -61,15 +64,6 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 SUFFIX = EXTENSION_SUFFIXES[0]         # names the ABI: ".cpython-311-x86_64-linux-gnu.so"
 MODULE = "lz78lab._kernel"             # the name that PyInit__kernel is looked up by
 BUILD_TIMEOUT_S = 60
-
-
-class State(ctypes.Structure):
-    """``lz78_state`` of ``_kernel.c``, field for field."""
-
-    _fields_ = [("child", ctypes.c_void_p), ("starts", ctypes.c_void_p),
-                ("preds", ctypes.c_void_p), ("node_cap", ctypes.c_int64),
-                ("nodes", ctypes.c_int64), ("cur", ctypes.c_int64),
-                ("pos", ctypes.c_int64), ("block_start", ctypes.c_int64)]
 
 
 def compiler() -> str | None:

@@ -13,11 +13,14 @@ closed as the trailing duplicate, and one method closes it,
 caller's own letters), :meth:`StreamParser.finish` and the censuses of the
 constructions.  Its feed loop and its rollback
 are the compiled kernel ``_kernel.c``, which :mod:`lz78lab.kernel` builds
-when this module is imported.  When the kernel did not load (``_KERNEL`` is
-None), the same methods run :func:`_feed_py` and :func:`_truncate_py`, line
-for line transliterations of the kernel's ``lz78_feed`` and ``lz78_truncate``
-over the same state and the same arrays; they are the fallback without a
-compiler, and the tests run both modes, also on one parser.  :func:`parse`
+when this module is imported.  The parser hands the kernel its objects, not
+their addresses: its four int64 counters and its three arrays, each a
+memoryview over a ``bytearray``, which the kernel's binding checks.  When
+the kernel did not load (``_KERNEL`` is None), the same methods run
+:func:`_feed_py` and :func:`_truncate_py`, line for line transliterations of
+the kernel's ``lz78_feed`` and ``lz78_truncate`` that take the binding's
+arguments; they are the fallback without a compiler, and the tests run both
+modes, also on one parser.  :func:`parse`
 and :func:`dict_size` run on spare parsers, which are emptied in either
 mode by zeroing their used child slots, with no kernel call.
 
@@ -25,19 +28,18 @@ mode by zeroing their used child slots, with no kernel call.
 parser code, so it checks either mode independently.  Its rules are one
 loop over the blocks in word order, over the word's table of runs (a plain
 word is one run): the kernel's ``lz78_certify``, which shares no code with
-the feed loop, or without the kernel :func:`_certify_py`, its line for line
-transliteration, which the tests also run as its oracle.
+the feed loop and takes the runs as a list of ``bytes``, or without the
+kernel :func:`_certify_py`, its line for line transliteration over the same
+arguments, which the tests also run as its oracle.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from itertools import groupby, repeat
 from typing import NamedTuple
 
 from . import kernel
@@ -48,6 +50,8 @@ from .words import Table, Word, as_bits
 _KERNEL = kernel.load()
 MAX_NODES = 2 ** 31                # trie nodes the parser can number: ids are int32
 FIRST_NODES = 1024                 # nodes fresh arrays hold; they double when full
+# the counters of an empty parser, in the order of StreamParser._state
+_EMPTY = array("q", (1, 0, 0, 0))
 
 
 class StreamParser:
@@ -61,6 +65,10 @@ class StreamParser:
     node count minus one.  The node of the in-progress block carries across
     calls, so no feed walks a block twice and feeding in pieces costs what
     feeding at once does.  A feed only walks the trie; ``position`` counts the letters.
+    The state is four int64 counters, in this order: the node count, the
+    node of the in-progress block (0 when it is empty), the letters fed and
+    the start of the in-progress block.  The capacity is the length of the
+    block arrays.
 
     Supports rolling the parse back to an earlier position, which is what
     makes the adaptive constructions affordable: after an insertion only the
@@ -69,53 +77,44 @@ class StreamParser:
     node count.
     """
 
-    __slots__ = ("_state", "_ref", "_child", "_starts", "_preds")
+    __slots__ = ("_state", "_child", "_starts", "_preds")
 
     def __init__(self):
-        st = self._state = kernel.State()
-        self._ref = ctypes.addressof(st)
+        self._state = memoryview(array("q", _EMPTY))
         self.reset()
 
     def reset(self) -> None:
         """Empty the parser into fresh arrays; the views that :attr:`starts`
         and :attr:`preds` gave out keep reading the old ones."""
-        self._allocate(min(FIRST_NODES, MAX_NODES))
-        st = self._state
-        st.nodes = 1
-        st.cur = st.pos = st.block_start = 0
-
-    def _allocate(self, cap: int) -> None:
-        """Point the state at fresh zeroed arrays of ``cap`` nodes, held as views."""
-        st = self._state
-        st.child, self._child = _array("i", 2 * cap)
-        st.starts, self._starts = _array("q", cap)
-        st.preds, self._preds = _array("q", cap)
-        st.node_cap = cap
+        cap = min(FIRST_NODES, MAX_NODES)
+        self._child = _array("i", cap)
+        self._starts, self._preds = _array("q", cap), _array("q", cap)
+        self._state[:] = _EMPTY
 
     @property
     def starts(self) -> memoryview:
         """Start position of each completed block: a zero-copy view, valid until
         the next feed or rollback, which may write over it or leave it stale."""
-        return self._starts[:self._state.nodes - 1]
+        return self._starts[:self._state[0] - 1]
 
     @property
     def preds(self) -> memoryview:
         """Predecessor block of each completed block (-1 for the root), a view as ``starts``."""
-        return self._preds[:self._state.nodes - 1]
+        return self._preds[:self._state[0] - 1]
 
     @property
     def position(self) -> int:
-        return self._state.pos
+        return self._state[2]
 
     @property
     def block_start(self) -> int:
         """Start position of the in-progress block."""
-        return self._state.block_start
+        return self._state[3]
 
     @property
     def child(self) -> memoryview:
         """The child slots of the nodes in use, two per node, a view as ``starts``."""
-        return self._child[:2 * self._state.nodes]
+        return self._child[:2 * self._state[0]]
 
     def feed(self, data: bytes) -> int:
         """Consume letters; returns the index of the first newly completed block.
@@ -125,35 +124,29 @@ class StreamParser:
         """
         if type(data) is not bytes:
             raise TypeError(f"feed takes bytes, not {type(data).__name__}")
-        first_new = self._state.nodes - 1
-        if _KERNEL is not None:
-            feed, ref = _KERNEL.lz78_feed, self._ref
-        else:
-            feed, ref = _feed_py, self
-        n = len(data)
-        i = feed(ref, data, 0, n)
-        while i < n:
+        first_new = self._state[0] - 1
+        feed = _KERNEL.lz78_feed if _KERNEL is not None else _feed_py
+        i, n = 0, len(data)
+        while (i := feed(self._state, self._child, self._starts, self._preds, data, i, n)) < n:
             self._grow()
-            i = feed(ref, data, i, n)
         return first_new
 
     def _grow(self) -> None:
         """Double the arrays one at a time, each old one dropped once it is
         copied, so no more than one is held twice; the node ids must stay
         int32."""
-        st = self._state
-        if st.node_cap >= MAX_NODES:
+        cap = len(self._starts)
+        if cap >= MAX_NODES:
             raise ParameterError(
                 f"the parse needs more than {MAX_NODES} dictionary nodes, "
                 "beyond the parser's int32 node ids")
-        cap = min(2 * st.node_cap, MAX_NODES)
-        for field, fmt, per_node in (("child", "i", 2), ("starts", "q", 1), ("preds", "q", 1)):
-            address, new = _array(fmt, per_node * cap)
-            # 8 bytes a node in each: two int32 child slots, or one int64 entry
-            ctypes.memmove(address, getattr(st, field), 8 * st.nodes)
-            setattr(st, field, address)
-            setattr(self, "_" + field, new)    # drops the old array
-        st.node_cap = cap
+        used, cap = 8 * self._state[0], min(2 * cap, MAX_NODES)   # 8 bytes a node
+        for name in ("_child", "_starts", "_preds"):
+            old = getattr(self, name)
+            new = _array(old.format, cap)
+            new.cast("B")[:used] = old.cast("B")[:used]
+            setattr(self, name, new)
+            del old                        # dropped before the next array is made
 
     def rollback(self, pos: int) -> range:
         """Rewind to the last block boundary at or before ``pos``.
@@ -165,16 +158,14 @@ class StreamParser:
         starts = self.starts
         st = self._state
         kept = bisect_right(starts, pos)   # blocks that start at or before pos
-        boundary = starts[kept] if kept < len(starts) else st.block_start
+        boundary = starts[kept] if kept < len(starts) else st[3]
         if boundary > pos and kept:        # block kept - 1 ends after pos
             kept -= 1
             boundary = starts[kept]
-        if _KERNEL is not None:
-            _KERNEL.lz78_truncate(self._ref, kept)
-        else:
-            _truncate_py(self, kept)
-        removed = range(boundary, st.pos)
-        st.pos = st.block_start = boundary
+        (_KERNEL.lz78_truncate if _KERNEL is not None else _truncate_py)(
+            st, self._child, self._preds, kept)
+        removed = range(boundary, st[2])
+        st[2] = st[3] = boundary
         return removed
 
     def closed_blocks(self) -> tuple[memoryview, memoryview, bool]:
@@ -185,10 +176,10 @@ class StreamParser:
         block, so the state is unchanged and feeding may go on.  Views, valid
         as long as those of :attr:`starts`."""
         st = self._state
-        count, cur = st.nodes - 1, st.cur
+        count, cur = st[0] - 1, st[1]
         starts, preds = self._starts, self._preds
         if cur:                        # the in-progress block repeats block cur - 1
-            starts[count], preds[count] = st.block_start, preds[cur - 1]
+            starts[count], preds[count] = st[3], preds[cur - 1]
             count += 1
         return starts[:count], preds[:count], cur != 0
 
@@ -212,22 +203,20 @@ class StreamParser:
         return Parsing(data, *blocks, dup)
 
 
-def _array(fmt: str, length: int) -> tuple[int, memoryview]:
-    """A fresh zeroed C array of ``length`` ``fmt`` items, "i" (int32) or "q"
-    (int64): its address, and a view of it, of Python ints, that keeps it alive."""
-    array = ({"i": ctypes.c_int32, "q": ctypes.c_int64}[fmt] * length)()
-    return ctypes.addressof(array), memoryview(array).cast("B").cast(fmt)
+def _array(fmt: str, nodes: int) -> memoryview:
+    """A fresh zeroed array of 8 bytes a node, a view of Python ints over a
+    ``bytearray``: two int32 child slots a node for "i", one int64 entry for "q"."""
+    return memoryview(bytearray(8 * nodes)).cast(fmt)
 
 
-def _feed_py(sp: StreamParser, data: bytes, i: int, n: int) -> int:
-    """``lz78_feed`` of ``_kernel.c`` in Python, over ``sp``'s state and
-    arrays: feeds ``data[i:n]``, stops early when the arrays are full, and
-    returns the index of the first letter not consumed."""
-    s = sp._state
-    child, starts, preds = sp._child, sp._starts, sp._preds
-    nodes, cur, block_start = s.nodes, s.cur, s.block_start
-    node_cap = s.node_cap
-    base = s.pos - i                   # position of data[0]
+def _feed_py(state, child, starts, preds, data: bytes, i: int, n: int) -> int:
+    """``lz78_feed`` of ``_kernel.c`` in Python, over a parser's counters and
+    arrays as the binding takes them: feeds ``data[i:n]``, stops early when
+    the arrays are full, and returns the index of the first letter not
+    consumed."""
+    nodes, cur, pos, block_start = state
+    node_cap = len(starts)
+    base = pos - i                     # position of data[0]
     for i, letter in enumerate(memoryview(data)[i:n], i):
         slot = 2 * cur + (letter & 1)
         if nxt := child[slot]:
@@ -243,21 +232,17 @@ def _feed_py(sp: StreamParser, data: bytes, i: int, n: int) -> int:
         cur = 0
     else:
         i = n
-    s.nodes, s.cur, s.block_start = nodes, cur, block_start
-    s.pos = base + i
+    state[0], state[1], state[2], state[3] = nodes, cur, base + i, block_start
     return i
 
 
-def _truncate_py(sp: StreamParser, kept: int) -> None:
+def _truncate_py(state, child, preds, kept: int) -> None:
     """``lz78_truncate`` of ``_kernel.c`` in Python: drops the blocks from
     block ``kept`` on, unlinking each one's node from its parent's slot."""
-    s = sp._state
-    child, preds = sp._child, sp._preds
-    for t in range(s.nodes - 1, kept, -1):
+    for t in range(state[0] - 1, kept, -1):
         slot = 2 * (preds[t - 1] + 1)
         child[slot + (child[slot + 1] == t)] = 0
-    s.nodes = kept + 1
-    s.cur = 0
+    state[0], state[1] = kept + 1, 0
 
 
 class Parsing(NamedTuple):
@@ -320,7 +305,7 @@ def parse(w) -> Parsing:
         data = as_bits(w)
         sp.feed(data)
     starts, preds, dup = sp.closed_blocks()
-    if sp._state.node_cap != FIRST_NODES:
+    if len(sp._starts) != FIRST_NODES:
         sp = None                      # frees a grown trie before the lists are built
     p = Parsing(data, starts.tolist(), preds.tolist(), dup)
     if sp is not None:
@@ -329,8 +314,8 @@ def parse(w) -> Parsing:
 
 
 # parsers whose arrays never grew, emptied, for the next parse or dict_size:
-# a fresh parser's set-up, a State and three zeroed arrays, is a quarter of a
-# short word's parse.  list pop and append are atomic under the GIL, so
+# a fresh parser's set-up, its counters and three zeroed arrays, is a quarter
+# of a short word's parse.  list pop and append are atomic under the GIL, so
 # threads never share one
 _SPARES: list[StreamParser] = []
 _ZEROS = memoryview(bytes(8 * FIRST_NODES)).cast("i")   # a spare's child slots, all 0
@@ -348,13 +333,11 @@ def _keep(sp: StreamParser) -> None:
     is dropped, so a long parse's arrays do not outlive it.  Every used child
     slot lies below 2 nodes: zeroing those leaves the state of a rollback to
     the start, with no kernel call.  A parser whose feed raised never gets here."""
-    st = sp._state
-    if st.node_cap != FIRST_NODES:
+    if len(sp._starts) != FIRST_NODES:
         return
-    used = 2 * st.nodes
+    used = 2 * sp._state[0]
     sp._child[:used] = _ZEROS[:used]
-    st.nodes = 1
-    st.cur = st.pos = st.block_start = 0
+    sp._state[:] = _EMPTY
     _SPARES.append(sp)
 
 
@@ -400,20 +383,11 @@ def certify(data, starts, preds, last_is_duplicate: bool) -> Parsing:
                                     if len(table) else "the empty word has no duplicate block")
         return Parsing(data, starts, preds, False)
 
-    import numpy as np
-
-    # zero-copy views of int64 claims, as a finished parser's, contiguous for the kernel
-    first, pred = (np.ascontiguousarray(c, dtype=np.int64) for c in (starts, preds))
-    seen = np.zeros(2 * count, dtype=np.uint8)
-    runs, nruns = table.sources(), len(table.bounds) - 1
-    if _KERNEL is not None:
-        at = _addresses(runs)
-        code = _KERNEL.lz78_certify(at.buffer_info()[0], table.bounds.buffer_info()[0], nruns,
-                                    first.ctypes.data, pred.ctypes.data, count,
-                                    seen.ctypes.data)
-    else:
-        code = _certify_py(runs, table.bounds, nruns, memoryview(first), memoryview(pred),
-                           count, memoryview(seen))
+    # a finished parser's int64 views are read in place, other claims copied
+    first, pred = (c if type(c) is memoryview and c.format == "q" else array("q", c)
+                   for c in (starts, preds))
+    code = (_KERNEL.lz78_certify if _KERNEL is not None else _certify_py)(
+        table.sources(), table.bounds, first, pred)
     block, rule = divmod(code, 4)
     dup = code == 4 * count - 1        # rule 3 at the last block: the trailing duplicate
     if block == count or dup:
@@ -434,21 +408,14 @@ def certify(data, starts, preds, last_is_duplicate: bool) -> Parsing:
                             {"block": int(block), "start": int(starts[block])})
 
 
-def _addresses(runs) -> array:
-    """The address of each run's letters, read in place (``runs`` keeps them
-    alive), looked up once for each stretch of runs over equal words, which
-    hold the same letters: the regulars of a chain share its x."""
-    at = array("Q")
-    for run, stretch in groupby(runs):
-        at.extend(repeat(ctypes.cast(run, ctypes.c_void_p).value, len(list(stretch))))
-    return at
-
-
-def _certify_py(runs, bounds, nruns: int, starts, preds, count: int, seen) -> int:
-    """``lz78_certify`` of ``_kernel.c`` in Python, over the same arguments,
-    ``runs`` the runs' words: returns 4 i + rule for the first block i that
-    breaks a rule of :func:`certify`, else 4 count.  ``bisect_right`` over
-    the first ``nruns`` bounds is the kernel's ``lz78_run``."""
+def _certify_py(runs, bounds, starts, preds) -> int:
+    """``lz78_certify`` of ``_kernel.c`` in Python, over the binding's
+    arguments, ``runs`` the runs' words: returns 4 i + rule for the first
+    block i that breaks a rule of :func:`certify`, else 4 count.
+    ``bisect_right`` over the first ``nruns`` bounds is the kernel's
+    ``lz78_run``."""
+    nruns, count = len(runs), len(starts)
+    seen = bytearray(2 * count)
     n, r = bounds[nruns], 0
     for i in range(count):
         a, b, q = starts[i], starts[i + 1] if i + 1 < count else n, preds[i]
@@ -534,7 +501,7 @@ def dict_size(*pieces) -> int:
     for piece in pieces:
         for part in piece.slices() if isinstance(piece, Table) else (as_bits(piece),):
             sp.feed(part)
-    count = sp._state.nodes - 1        # the completed blocks; a trailing duplicate is not new
+    count = sp._state[0] - 1           # the completed blocks; a trailing duplicate is not new
     _keep(sp)
     return count
 

@@ -97,7 +97,7 @@ def _stream(entropy, count: int) -> bytes:
 
         bits = np.random.PCG64(np.random.SeedSequence(entropy))
         return bits.random_raw(-(-count // 8)).astype("<u8").tobytes()[:count]
-    return lib.lz78_pcg64_bytes(words.buffer_info()[0], len(words), count)
+    return lib.lz78_pcg64_bytes(words, count)
 
 
 def _entropy_words(entropy) -> array:
@@ -189,16 +189,18 @@ class Table:
         return [self.front, *map(operator.attrgetter("source"), self.segments)]
 
     def extend(self, segments) -> None:
-        """Append ``segments``."""
-        segments = list(segments)
+        """Append ``segments``, each refused as :meth:`insert` refuses one."""
+        segments = list(map(_held, segments))
         self.segments += segments
         end = self.bounds.pop()
         self.bounds.extend(accumulate(map(operator.attrgetter("length"), segments), initial=end))
 
     def insert(self, k: int, segment) -> None:
         """Put ``segment`` before segment k, shifting the bounds of the runs
-        after it."""
-        self.segments.insert(k, segment)
+        after it.  A segment whose ``source`` does not hold its ``length``
+        letters is refused with ``ParameterError``: its run would be read
+        past the source's end."""
+        self.segments.insert(k, _held(segment))
         bounds = self.bounds
         bounds[k + 2:] = array("q", [b + segment.length for b in bounds[k + 1:]])
 
@@ -237,6 +239,14 @@ class Table:
         """The letters of a slice (step 1), joined."""
         a, b, _ = i.indices(len(self))
         return b"".join(self.slices(a, b))
+
+
+def _held(segment):
+    """``segment``, unless its source does not hold its length."""
+    if not 0 <= segment.length <= len(segment.source):
+        raise ParameterError(f"a segment of {segment.length} letters cannot be read "
+                             f"from a source of {len(segment.source)}")
+    return segment
 
 
 def pack_word(bits) -> bytes:

@@ -1,7 +1,6 @@
 """The loader of the compiled parse kernel, and the fallback without it."""
 
 import contextlib
-import ctypes
 import io
 import os
 import random
@@ -235,8 +234,13 @@ def test_a_library_without_the_seeded_stream_loads_as_none(cache, tmp_path, monk
 
 
 def parser_state(sp) -> tuple:
-    st = sp._state
-    return st.nodes, st.cur, st.pos, st.block_start, bytes(sp._child)
+    """The parser's counters (nodes, cur, pos, block_start) and its arrays."""
+    return tuple(sp._state), bytes(sp._child), bytes(sp._starts), bytes(sp._preds)
+
+
+def parser_args(sp) -> list:
+    """The parser's objects as lz78_feed takes them: state, child, starts, preds."""
+    return [sp._state, sp._child, sp._starts, sp._preds]
 
 
 @pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
@@ -245,25 +249,25 @@ def test_lz78_feed_refuses_a_non_bytes_word_or_a_bad_range_before_reading():
     before the routine reads a letter or the state: the parser is unchanged."""
     sp = parsing.StreamParser()
     sp.feed(b"0110")
-    before, ref = parser_state(sp), sp._ref
+    before, args = parser_state(sp), parser_args(sp)
     for word in (bytearray(b"0101"), memoryview(b"0101"), "0101", None):
         with pytest.raises(TypeError, match="bytes"):
-            KERNEL.lz78_feed(ref, word, 0, 4)
+            KERNEL.lz78_feed(*args, word, 0, 4)
     for i, n in ((-1, 2), (3, 2), (0, 5), (5, 5), (0, -1), (2**40, 2**41)):
         with pytest.raises(ValueError, match="range"):
-            KERNEL.lz78_feed(ref, b"0101", i, n)
-    for args in ((ref, b"0101", 0), (ref, b"0101", 0, 4, 0)):
-        with pytest.raises(TypeError, match="4 arguments"):
-            KERNEL.lz78_feed(*args)
+            KERNEL.lz78_feed(*args, b"0101", i, n)
+    for extra in ((b"0101", 0), (b"0101", 0, 4, 0)):
+        with pytest.raises(TypeError, match="7 arguments"):
+            KERNEL.lz78_feed(*args, *extra)
     with pytest.raises(TypeError):
-        KERNEL.lz78_feed(ref, b"0101", 0.0, 4)
+        KERNEL.lz78_feed(*args, b"0101", 0.0, 4)
     with pytest.raises(OverflowError):
-        KERNEL.lz78_feed(ref, b"0101", 0, 2**64)
+        KERNEL.lz78_feed(*args, b"0101", 0, 2**64)
     assert parser_state(sp) == before
     # the edges of the range are fed, and an empty one changes nothing
-    assert KERNEL.lz78_feed(ref, b"0101", 4, 4) == 4
+    assert KERNEL.lz78_feed(*args, b"0101", 4, 4) == 4
     assert parser_state(sp) == before
-    assert KERNEL.lz78_feed(ref, b"0101", 0, 4) == 4
+    assert KERNEL.lz78_feed(*args, b"0101", 0, 4) == 4
     assert sp.position == 8
 
 
@@ -272,27 +276,134 @@ def test_lz78_truncate_refuses_to_keep_more_blocks_than_there_are():
     sp = parsing.StreamParser()
     sp.feed(b"0100011")                # 0|1|00|01|1: four blocks
     before = parser_state(sp)
+    args = [sp._state, sp._child, sp._preds]
     for kept in (-1, 5, 2**40):
         with pytest.raises(ValueError, match="of 4 blocks"):
-            KERNEL.lz78_truncate(sp._ref, kept)
+            KERNEL.lz78_truncate(*args, kept)
+    with pytest.raises(TypeError, match="4 arguments"):
+        KERNEL.lz78_truncate(*args)
     assert parser_state(sp) == before
-    KERNEL.lz78_truncate(sp._ref, 4)    # all kept: the in-progress block goes
-    assert list(sp.starts) == [0, 1, 2, 4] and sp._state.cur == 0
-    KERNEL.lz78_truncate(sp._ref, 0)
+    KERNEL.lz78_truncate(*args, 4)     # all kept: the in-progress block goes
+    assert list(sp.starts) == [0, 1, 2, 4] and sp._state[1] == 0
+    KERNEL.lz78_truncate(*args, 0)
     assert list(sp.starts) == [] and not any(sp.child)
+
+
+def int64s(*values) -> memoryview:
+    return memoryview(array("q", values))
+
+
+def wrong_buffers(item_size: int) -> list:
+    """Buffers that an array of ``item_size``-byte integers is not: another
+    item size, a float format of the same size, raw bytes, and an int."""
+    other = {4: "q", 8: "i"}[item_size]
+    return [memoryview(bytearray(64)).cast(other),
+            memoryview(bytearray(64)).cast({4: "f", 8: "d"}[item_size]),
+            bytearray(64), 12345]
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_the_parser_bindings_check_each_buffer_before_touching_memory():
+    """lz78_feed and lz78_truncate refuse, before they read or write, an int
+    or a buffer of another item size or format where an array goes, a
+    read-only buffer where they write, arrays of unequal capacity, and a
+    state whose node count is outside 1 to the capacity or whose current
+    node is not below it.  The parser's counters and arrays stay unchanged."""
+    sp = parsing.StreamParser()
+    sp.feed(b"0100011")                # 0|1|00|01|1: four blocks, cur at node 2
+    before = parser_state(sp)
+    state, child, starts, preds = parser_args(sp)
+    cap = len(starts)
+    feed = lambda st, c, s, q: KERNEL.lz78_feed(st, c, s, q, b"0101", 0, 4)
+    truncate = lambda st, c, s, q: KERNEL.lz78_truncate(st, c, q, 2)
+    refused = 0
+    for call in (feed, truncate):
+        args = [state, child, starts, preds]
+        positions = (0, 1, 3) if call is truncate else (0, 1, 2, 3)
+        for k in positions:
+            for wrong in [*wrong_buffers(4 if k == 1 else 8),
+                          bytes(args[k].nbytes),                   # read-only
+                          args[k].toreadonly()]:
+                with pytest.raises(TypeError, match="buffer"):
+                    call(*args[:k], wrong, *args[k + 1:])
+                refused += 1
+        # unequal lengths: the child slots not twice the block entries, the
+        # preds not as many as the starts, the state not 4 counters
+        for k, wrong in ((1, child[:-2]), (1, child[:2 * cap - 1]), (3, preds[:-1]),
+                         (0, state[:3]), (0, int64s(1, 0, 0, 0, 0))):
+            with pytest.raises(ValueError, match="4 counters"):
+                call(*args[:k], wrong, *args[k + 1:])
+            refused += 1
+        # counters: no node, more nodes than the capacity, cur at or past nodes
+        for counters in ((0, 0, 7, 7), (-1, 0, 7, 7), (cap + 1, 0, 7, 7), (2**40, 0, 7, 7),
+                         (5, 5, 7, 7), (5, 9, 7, 7), (5, -1, 7, 7)):
+            with pytest.raises(ValueError, match="nodes"):
+                call(int64s(*counters), child, starts, preds)
+            refused += 1
+        assert parser_state(sp) == before
+    assert refused == 2 * 5 + 3 * 6 + 4 * 6 + 2 * 7
+    # a state of exactly the capacity is taken: the feed walks 0 and 01 in
+    # the trie and stops at the letter that would make a new node
+    full = int64s(cap, 0, 7, 7)
+    assert KERNEL.lz78_feed(full, child, starts, preds, b"0101", 0, 4) == 2
+    assert list(full) == [cap, 4, 9, 7]
+    assert parser_state(sp) == before
+
+
+@pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
+def test_lz78_certify_checks_the_runs_and_bounds_before_reading():
+    """lz78_certify takes the runs as a list of bytes, and refuses bounds
+    that do not start at 0, that decrease or that do not bound every run, a
+    run shorter than its span, preds not as many as the starts, and buffers
+    that are not int64."""
+    runs, bounds = [b"0100", b"011000011"], int64s(0, 4, 13)
+    starts, preds = int64s(*STARTS), int64s(*PREDS)
+    assert KERNEL.lz78_certify(runs, bounds, starts, preds) == 4 * 7
+    # the spans end short of their runs' ends: a run may hold more letters
+    assert KERNEL.lz78_certify([b"0100xx", b"011000011xx"], bounds, starts, preds) == 4 * 7
+    assert KERNEL.lz78_certify([], int64s(0), int64s(), int64s()) == 0
+    for wrong_runs in ((b"0100", b"011000011"), [b"0100", bytearray(b"011000011")],
+                       [b"0100", "011000011"]):
+        with pytest.raises(TypeError, match="runs as"):
+            KERNEL.lz78_certify(wrong_runs, bounds, starts, preds)
+    # a run shorter than its span, and bounds that decrease, at the first
+    # run or a later one, or that do not start at 0 or bound every run
+    for wrong_runs, wrong_bounds in (([b"0100", b"01100001"], bounds),
+                                     ([b"010", b"011000011"], bounds),
+                                     (runs, int64s(0, 5, 4)), (runs, int64s(0, -4, 13)),
+                                     (runs, int64s(0, 4, -2**63)), (runs, int64s(1, 4, 13)),
+                                     (runs, int64s(-1, 4, 13)), (runs, int64s(0, 4, 13, 13)),
+                                     (runs, int64s(0, 13))):
+        with pytest.raises(ValueError, match="bound"):
+            KERNEL.lz78_certify(wrong_runs, wrong_bounds, starts, preds)
+    with pytest.raises(ValueError, match="preds"):
+        KERNEL.lz78_certify(runs, bounds, starts, preds[:-1])
+    for k in range(3):
+        args = [bounds, starts, preds]
+        for wrong in wrong_buffers(8):
+            args[k] = wrong
+            with pytest.raises(TypeError, match="buffer"):
+                KERNEL.lz78_certify(runs, *args)
+    with pytest.raises(TypeError, match="4 arguments"):
+        KERNEL.lz78_certify(runs, bounds, starts)
 
 
 @pytest.mark.skipif(not KERNEL_LOADED, reason="the compiled kernel did not load")
 def test_lz78_pcg64_bytes_refuses_a_negative_length():
     at = array("I", [29, 1])
-    address = at.buffer_info()[0]
-    assert KERNEL.lz78_pcg64_bytes(address, len(at), 0) == b""
-    assert KERNEL.lz78_pcg64_bytes(address, len(at), 13) == words._stream([29, 1], 13)
-    for count, n in ((len(at), -1), (len(at), -2**40), (-1, 8)):
+    assert KERNEL.lz78_pcg64_bytes(at, 0) == b""
+    assert KERNEL.lz78_pcg64_bytes(at, 13) == words._stream([29, 1], 13)
+    assert KERNEL.lz78_pcg64_bytes(memoryview(at).toreadonly(), 13) == words._stream([29, 1], 13)
+    for n in (-1, -2**40):
         with pytest.raises(ValueError, match=">= 0"):
-            KERNEL.lz78_pcg64_bytes(address, count, n)
-    with pytest.raises(TypeError, match="3 arguments"):
-        KERNEL.lz78_pcg64_bytes(address, len(at))
+            KERNEL.lz78_pcg64_bytes(at, n)
+    # entropy that is not uint32: signed, of another size, a float, raw bytes
+    for entropy in (array("i", [29, 1]), array("Q", [29, 1]), array("f", [29, 1]),
+                    bytes(8), 29):
+        with pytest.raises(TypeError, match="unsigned 32-bit"):
+            KERNEL.lz78_pcg64_bytes(entropy, 8)
+    with pytest.raises(TypeError, match="2 arguments"):
+        KERNEL.lz78_pcg64_bytes(at)
 
 
 def numpy_generator(entropy) -> np.random.Generator:
@@ -386,17 +497,10 @@ def rule_codes(data, starts, preds):
     segment table, from every form: the kernel's lz78_certify, when it
     loaded, and parsing._certify_py.  A word is the table of one run."""
     table = data if isinstance(data, Table) else Table(data)
-    runs, bounds, nruns = table.sources(), table.bounds, len(table.bounds) - 1
-    s, q = (np.array(c, dtype=np.int64) for c in (starts, preds))
-    count = len(s)
-    codes = [parsing._certify_py(runs, bounds, nruns, memoryview(s), memoryview(q), count,
-                                 bytearray(2 * count))]
+    args = (table.sources(), table.bounds, array("q", starts), array("q", preds))
+    codes = [parsing._certify_py(*args)]
     if KERNEL_LOADED:
-        seen = np.zeros(2 * count, dtype=np.uint8)
-        at = array("Q", (ctypes.cast(run, ctypes.c_void_p).value for run in runs))
-        codes.append(KERNEL.lz78_certify(at.buffer_info()[0], bounds.buffer_info()[0], nruns,
-                                         s.ctypes.data, q.ctypes.data, count,
-                                         seen.ctypes.data))
+        codes.append(KERNEL.lz78_certify(*args))
     return codes
 
 

@@ -40,11 +40,11 @@ def test_readme_quick_tour_runs():
 
 
 # run in a child, since pytest has imported numpy here: after each step, one
-# line of whether numpy is loaded
+# line of whether numpy and ctypes are loaded
 NUMPY_FREE_STEPS = """
 import contextlib, io, json, sys
 def report(step):
-    print(json.dumps([step, "numpy" in sys.modules]), flush=True)
+    print(json.dumps([step, "numpy" in sys.modules, "ctypes" in sys.modules]), flush=True)
 import lz78lab
 report("import lz78lab")
 from lz78lab import cli, parsing
@@ -62,7 +62,8 @@ for argv in json.loads(sys.argv[1]):
                     reason="without the kernel the seeded stream is numpy's bit generator")
 def test_short_commands_never_import_numpy(tmp_path):
     """The package, the CLI and the short commands that only parse load no
-    numpy: it costs more start-up than a short command's work."""
+    numpy: it costs more start-up than a short command's work.  Nor do they
+    load ctypes: the kernel's binding takes the parser's arrays themselves."""
     text = tmp_path / "w.txt"
     text.write_text("0110101110010111\n")
     commands = [["bound-fuzz", "--trials", "50", "--max-len", "300"],
@@ -76,6 +77,7 @@ def test_short_commands_never_import_numpy(tmp_path):
                            env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     steps = [json.loads(line) for line in child.stdout.splitlines()]
-    assert [step for step, _ in steps] == ["import lz78lab", "import lz78lab.cli",
-                                           "bound-fuzz", "parse", "ratio", "curve"]
-    assert [step for step, loaded in steps if loaded] == []
+    assert [step for step, _, _ in steps] == ["import lz78lab", "import lz78lab.cli",
+                                              "bound-fuzz", "parse", "ratio", "curve"]
+    assert [step for step, numpy, _ in steps if numpy] == []
+    assert [step for step, _, ctypes in steps if ctypes] == []

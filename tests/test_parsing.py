@@ -605,6 +605,32 @@ def test_the_reader_gives_the_tapes_letters(mode, monkeypatch):
     assert gadgets > 100
 
 
+def test_a_table_refuses_a_segment_its_source_cannot_hold(mode):
+    """A segment reads the first ``length`` letters of its source: a table
+    refuses, in its constructor, extend and insert, one whose source is
+    shorter, or whose length is negative, and is left as it was.  Taken,
+    Segment(REGULAR, 6, 0, b"01") made a table of 7 letters whose reads gave
+    3 and whose certify read past the run."""
+    short = Segment(REGULAR, 6, 0, b"01")
+    with pytest.raises(ParameterError, match="6 letters .* source of 2"):
+        Table(b"0", [short])
+    table = Table(b"0", [Segment(REGULAR, 2, 0, b"01")])
+    for refused in (lambda: table.extend([Segment(REGULAR, 1, 0, b"1"), short]),
+                    lambda: table.insert(0, short),
+                    lambda: table.insert(1, Segment(REGULAR, -1, 0, b""))):
+        with pytest.raises(ParameterError, match="cannot be read"):
+            refused()
+        assert table.segments == [Segment(REGULAR, 2, 0, b"01")]
+        assert list(table.bounds) == [0, 1, 3] and table[:] == b"001"
+    # a source that holds more letters than the segment reads is taken
+    table.extend([Segment(REGULAR, 2, 0, b"110")])
+    assert table[:] == b"00111" and len(table) == 5
+    p = parse(table)
+    assert (p.starts, p.preds, p.last_is_duplicate) == ([0, 1, 3, 4], [-1, 0, -1, -1], True)
+    assert dict_size(table) == 3
+    assert certify(table, p.starts, p.preds, True) == p
+
+
 @pytest.fixture(scope="module")
 def constructions():
     return {name: build(name) for name in TAPES} | {("toy", k): construct_toy(k)
@@ -1039,10 +1065,10 @@ def test_modes_mixed_mid_stream_match_the_kernel_alone():
                 x = "".join(rng.choice("01") for _ in range(rng.randrange(1, 60)))
                 piece = (pref(x).data if call < 0.55 else
                          bytes(rng.choice(b"01") for _ in range(rng.randrange(1, 6000))))
-                cap = mixed._state.node_cap
+                cap = len(mixed._starts)
                 with parser_mode(mode):
                     mixed.feed(piece)
-                python_grows += mode == "python" and mixed._state.node_cap > cap
+                python_grows += mode == "python" and len(mixed._starts) > cap
                 with parser_mode("kernel"):
                     alone.feed(piece)
                 content += piece
@@ -1069,7 +1095,7 @@ def test_a_finished_parse_and_a_held_view_survive_the_parsers_reuse(mode):
     sp.feed(second[:len(second) // 2])
     held = np.asarray(sp.starts)
     sp.feed(second[len(second) // 2:])
-    assert sp._state.node_cap > FIRST_NODES
+    assert len(sp._starts) > FIRST_NODES
     sp.rollback(len(second) // 4)
     sp.feed(second[sp.position:])
     assert list(sp.starts) == naive_claim(second)[0][:len(sp.starts)]
@@ -1098,9 +1124,8 @@ def assert_spares_are_empty():
     """Every kept spare parser is as a fresh one: its arrays never grew, and
     no node, child slot, letter or in-progress block is left in it."""
     for sp in parsing._SPARES:
-        st_ = sp._state
-        assert st_.node_cap == FIRST_NODES
-        assert (st_.nodes, st_.cur, st_.pos, st_.block_start) == (1, 0, 0, 0)
+        assert len(sp._starts) == FIRST_NODES
+        assert list(sp._state) == [1, 0, 0, 0]      # nodes, cur, pos, block_start
         assert not any(sp._child)
 
 
